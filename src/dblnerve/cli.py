@@ -2,7 +2,8 @@
 
 Every command prints a single JSON report on stdout and exits with 0 for
 a true verdict or success, 1 for a false verdict, and 2 for any error.
-The enumeration budget can be overridden with DBLNERVE_BUDGET.
+The search budget can be overridden with DBLNERVE_BUDGET, a positive
+integer; any other value is a usage error.
 """
 
 from __future__ import annotations

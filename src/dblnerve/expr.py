@@ -87,24 +87,8 @@ def shcomp(left, right):
     return ("shcomp", left, right)
 
 
-def shrow(*cells):
-    """Horizontal pasting of squares, left to right."""
-    expr = cells[0]
-    for nxt in cells[1:]:
-        expr = shcomp(expr, nxt)
-    return expr
-
-
 def svcomp(top, bottom):
     return ("svcomp", top, bottom)
-
-
-def svstack(*cells):
-    """Vertical pasting of squares, top to bottom."""
-    expr = cells[0]
-    for nxt in cells[1:]:
-        expr = svcomp(expr, nxt)
-    return expr
 
 
 def sinv_v(s):
@@ -123,17 +107,6 @@ def generators_of(expr) -> set[str]:
     for child in expr[1:]:
         out |= generators_of(child)
     return out
-
-
-def sort_of(expr) -> str:
-    tag = expr[0]
-    if tag == "ogen":
-        return "object"
-    if tag in ("hgen", "hid", "hcomp"):
-        return "h"
-    if tag in ("vgen", "vid", "vcomp"):
-        return "v"
-    return "sq"
 
 
 def to_json(expr):

@@ -13,6 +13,9 @@ Adjoint-equivalence-flagged morphism generators are expanded structurally:
 adding one introduces the partner generator, invertible unit and counit
 cells, and the two triangle relations, so enumeration ranges exactly over
 adjoint equivalences of the target.
+
+Enumeration runs on ``_search``, a depth-first search kernel with an
+explicit stack and one candidate budget, which ``pseudohom`` also uses.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from dataclasses import dataclass, field
 
 from . import expr as ex
 from .dblcat import FiniteDoubleCategory
-from .errors import BudgetExceeded, DanglingReference
+from .errors import BudgetExceeded, DanglingReference, UsageError
 from .twocat import FiniteTwoCategory
 from .whi import is_whi_square
 
-DEFAULT_BUDGET = int(os.environ.get("DBLNERVE_BUDGET", "1000000"))
+DEFAULT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ class Gen:
 class Presentation:
     kind: str  # "double" | "two"
     gens: tuple[Gen, ...]
-    relations: tuple[tuple, ...]  # pairs (lhs, rhs) of square-sort expressions
+    relations: tuple[tuple, ...]  # pairs (lhs, rhs) of expressions of one sort
     label: str = ""
     expansion_relations: frozenset = frozenset()  # indices of auto-added triangle laws
 
@@ -209,7 +212,7 @@ def _v_candidates(alg, a, b):
     return sorted(alg.vmors_between(a, b))
 
 
-def _sq_candidates(alg, top, bottom, left, right):
+def _sq_candidates(alg, top, bottom, left=None, right=None):
     if isinstance(alg, FiniteDoubleCategory):
         return sorted(alg.squares_with(top=top, bottom=bottom, left=left, right=right))
     return sorted(alg.two_cells_between(top, bottom))
@@ -229,6 +232,104 @@ def _flag_ok(alg, flags, image):
     return True
 
 
+_EXHAUSTED = object()
+
+
+def _search(variables, constraints, budget: int | None, spent: int = 0):
+    """Depth-first search over ordered variables with an explicit stack.
+
+    ``variables`` is a list of ``(name, candidates)`` where
+    ``candidates(env)`` lists the images to try given the bindings made so
+    far; ``constraints`` is a list of ``(inputs, check)`` where
+    ``check(env)`` tests bound variables.  Each constraint is tested right
+    after the last of its inputs is bound, in list order.  Every candidate
+    tried counts against the budget, starting from ``spent``, so callers
+    can share one budget between searches.  Returns the solutions, in the
+    lexicographic order of the candidate lists, and the candidates spent.
+    """
+    budget = _environment_budget() if budget is None else budget
+    if not variables:
+        return [{}], spent
+    position = {name: i for i, (name, _) in enumerate(variables)}
+    ready: list[list] = [[] for _ in variables]
+    for inputs, check in constraints:
+        ready[max(position[name] for name in inputs)].append(check)
+
+    solutions = []
+    env: dict = {}
+    last = len(variables) - 1
+    stack = [iter(variables[0][1](env))]
+    while stack:
+        depth = len(stack) - 1
+        name = variables[depth][0]
+        image = next(stack[-1], _EXHAUSTED)
+        if image is _EXHAUSTED:
+            stack.pop()
+            env.pop(name, None)
+            continue
+        spent += 1
+        if spent > budget:
+            raise BudgetExceeded(f"search exceeded budget {budget}")
+        env[name] = image
+        for check in ready[depth]:
+            if not check(env):
+                break
+        else:
+            if depth == last:
+                solutions.append(dict(env))
+            else:
+                stack.append(iter(variables[depth + 1][1](env)))
+    return solutions, spent
+
+
+def _environment_budget() -> int:
+    """The search budget: ``DBLNERVE_BUDGET`` if set, else DEFAULT_BUDGET."""
+    raw = os.environ.get("DBLNERVE_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise UsageError(f"DBLNERVE_BUDGET must be a positive integer, not {raw!r}")
+    return value
+
+
+def _schedule(pres: Presentation) -> list[Gen]:
+    """Generators in search order.  Objects come lazily, right before the
+    first generator whose boundary mentions them: failing morphism
+    assignments then prune the object search instead of enumerating full
+    object tuples first."""
+    by_name = {g.name: g for g in pres.gens}
+    gens: list[Gen] = []
+    scheduled: set[str] = set()
+    for g in pres.gens:
+        if g.sort == "object":
+            continue
+        wanted: set[str] = set()
+        for bound in g.bounds:
+            if isinstance(bound, tuple):
+                wanted |= ex.generators_of(bound)
+        for name in sorted(wanted - scheduled):
+            if by_name[name].sort == "object":
+                gens.append(by_name[name])
+                scheduled.add(name)
+        gens.append(g)
+        scheduled.add(g.name)
+    gens.extend(g for g in pres.gens if g.sort == "object" and g.name not in scheduled)
+    return gens
+
+
+def _candidates(alg, kind: str, gen: Gen):
+    """The candidate images of ``gen`` given images of its boundary."""
+    if gen.sort == "object":
+        return lambda env: _object_candidates(alg)
+    query = {"h": _h_candidates, "v": _v_candidates, "sq": _sq_candidates}[gen.sort]
+    bounds = gen.bounds[:2] if kind == "two" else gen.bounds  # 2-cells: (src, tgt)
+    return lambda env: query(alg, *(ex.evaluate(alg, b, env) for b in bounds))
+
+
 def enumerate_functors(pres: Presentation, alg, budget: int | None = None):
     """All generator valuations into ``alg`` satisfying boundaries, flags,
     and relations; returned as a sorted list of dicts."""
@@ -236,98 +337,21 @@ def enumerate_functors(pres: Presentation, alg, budget: int | None = None):
         raise DanglingReference("two-category presentation needs a 2-category target")
     if pres.kind == "double" and isinstance(alg, FiniteTwoCategory):
         raise DanglingReference("double presentation needs a double category target")
-    budget = DEFAULT_BUDGET if budget is None else budget
-
-    # Schedule objects lazily, right before the first generator whose
-    # boundary mentions them: failing morphism assignments then prune the
-    # object search instead of enumerating full object tuples first.
-    declared = list(pres.gens)
-    by_name = {g.name: g for g in declared}
-    deferred: list[Gen] = []
-    gens: list[Gen] = []
-    scheduled: set[str] = set()
-
-    def needs(gen: Gen):
-        wanted: set[str] = set()
-        for bound in gen.bounds:
-            if isinstance(bound, tuple):
-                wanted |= ex.generators_of(bound)
-        return wanted
-
-    for g in declared:
-        if g.sort == "object":
-            deferred.append(g)
-            continue
-        for name in sorted(needs(g) - scheduled):
-            dep = by_name[name]
-            if dep.sort == "object":
-                gens.append(dep)
-                scheduled.add(name)
-        gens.append(g)
-        scheduled.add(g.name)
-    for g in deferred:
-        if g.name not in scheduled:
-            gens.append(g)
-            scheduled.add(g.name)
-
-    relation_ready: dict[int, list] = {}
+    variables = [(g.name, _candidates(alg, pres.kind, g)) for g in _schedule(pres)]
+    # flag checks come first so that relations only see flagged images
+    constraints = [
+        ((g.name,), lambda env, g=g: _flag_ok(alg, g.flags, env[g.name]))
+        for g in pres.gens if g.sort == "sq" and g.flags
+    ]
+    names = set(pres.names())
     for lhs, rhs in pres.relations:
-        wanted = ex.generators_of(lhs) | ex.generators_of(rhs)
-        last = max(i for i, g in enumerate(gens) if g.name in wanted)
-        relation_ready.setdefault(last, []).append((lhs, rhs))
-
-    out = []
-    env: dict[str, str] = {}
-    spent = 0
-
-    def bounds_eval(gen: Gen):
-        if gen.sort in ("h", "v"):
-            return tuple(ex.evaluate(alg, b, env) for b in gen.bounds)
-        if gen.sort == "sq":
-            top = ex.evaluate(alg, gen.bounds[0], env)
-            bottom = ex.evaluate(alg, gen.bounds[1], env)
-            if pres.kind == "two":
-                return (top, bottom, None, None)
-            left = ex.evaluate(alg, gen.bounds[2], env)
-            right = ex.evaluate(alg, gen.bounds[3], env)
-            return (top, bottom, left, right)
-        return ()
-
-    def walk(i: int):
-        nonlocal spent
-        if i == len(gens):
-            out.append(dict(env))
-            return
-        gen = gens[i]
-        if gen.sort == "object":
-            options = _object_candidates(alg)
-        elif gen.sort == "h":
-            a, b = bounds_eval(gen)
-            options = _h_candidates(alg, a, b)
-        elif gen.sort == "v":
-            a, b = bounds_eval(gen)
-            options = _v_candidates(alg, a, b)
-        else:
-            top, bottom, left, right = bounds_eval(gen)
-            options = _sq_candidates(alg, top, bottom, left, right)
-        for image in options:
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded(f"enumeration exceeded budget {budget}")
-            if gen.sort == "sq" and not _flag_ok(alg, gen.flags, image):
-                continue
-            env[gen.name] = image
-            ok = True
-            for lhs, rhs in relation_ready.get(i, []):
-                if ex.evaluate(alg, lhs, env) != ex.evaluate(alg, rhs, env):
-                    ok = False
-                    break
-            if ok:
-                walk(i + 1)
-            del env[gen.name]
-
-    walk(0)
-    out.sort(key=lambda valuation: tuple(sorted(valuation.items())))
+        inputs = ex.generators_of(lhs) | ex.generators_of(rhs)
+        if not inputs <= names:
+            raise DanglingReference(f"relation names unknown generators {sorted(inputs - names)}")
+        constraints.append((inputs, lambda env, lhs=lhs, rhs=rhs:
+                            ex.evaluate(alg, lhs, env) == ex.evaluate(alg, rhs, env)))
+    out, _ = _search(variables, constraints, budget)
+    out.sort(key=canonical)
     return out
 
 

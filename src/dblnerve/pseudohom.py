@@ -1,166 +1,97 @@
 """The 2-category of double functors, horizontal pseudo-natural
 transformations, and modifications, materialized by exhaustive search.
 
-Transformations carry a horizontal morphism per object, a square per
-vertical morphism, and a vertically invertible square per horizontal
-morphism, subject to strict vertical functoriality, horizontal
-pseudo-functoriality, and naturality against every square; modifications
-carry one square per object with two whiskering conditions.  Everything is
-enumerated on generic finite input, so the construction is guarded by a
-candidate budget.
+Double functors are the valuations of the domain read as a presentation:
+one generator per object and per non-unit cell, one relation per
+composition-table entry.  Transformations carry a horizontal morphism per
+object, a square per vertical morphism, and a vertically invertible square
+per horizontal morphism, subject to strict vertical functoriality,
+horizontal pseudo-functoriality, and naturality against every square;
+modifications carry one square per object with two whiskering conditions.
+All three searches run on the kernel of ``presentation``, which tests each
+condition as soon as the components it reads are chosen.  Every candidate
+tried counts against the budget; the transformation and modification
+searches of one ``pseudo_hom`` call share a single budget.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from itertools import product
 
+from . import expr as ex
 from .dblcat import DoubleFunctor, FiniteDoubleCategory, validate_double_functor
-from .errors import BudgetExceeded, MissingComposite
+from .errors import MissingComposite
+from .presentation import PresentationBuilder, _search, enumerate_functors
 from .twocat import FiniteTwoCategory, assemble_two_category
 from .whi import whi_squares
 
-DEFAULT_BUDGET = int(os.environ.get("DBLNERVE_BUDGET", "1000000"))
+
+def _as_presentation(dom: FiniteDoubleCategory):
+    """``dom`` as a double presentation.
+
+    Generators are ``o:``, ``h:``, ``v:`` or ``s:`` followed by the name of
+    an object or a non-unit cell; unit cells are the ``hid``/``vid``/
+    ``sid_h``/``sid_v`` expressions over them.  Every composition-table
+    entry is a relation, except those with an operand that is a unit of
+    that composition, which the target's unit laws satisfy.
+    """
+    unit_h = {i: a for a, i in dom.idh.items()}
+    unit_v = {i: a for a, i in dom.idv.items()}
+    e_of = {e: f for f, e in dom.e_sq.items()}
+    i_of = {i: u for u, i in dom.i_sq.items()}
+
+    def obj(a):
+        return ex.ogen(f"o:{a}")
+
+    def hmor(f):
+        return ex.hid(obj(unit_h[f])) if f in unit_h else ex.hgen(f"h:{f}")
+
+    def vmor(u):
+        return ex.vid(obj(unit_v[u])) if u in unit_v else ex.vgen(f"v:{u}")
+
+    def square(s):
+        if s in e_of:
+            return ex.sid_h(hmor(e_of[s]))
+        if s in i_of:
+            return ex.sid_v(vmor(i_of[s]))
+        return ex.sgen(f"s:{s}")
+
+    b = PresentationBuilder("double")
+    for a in dom.objects:
+        b.add_object(f"o:{a}")
+    for u in sorted(dom.vmors):
+        if u not in unit_v:
+            b.add_vgen(f"v:{u}", obj(dom.vsrc[u]), obj(dom.vtgt[u]))
+    for f in sorted(dom.hmors):
+        if f not in unit_h:
+            b.add_hgen(f"h:{f}", obj(dom.hsrc[f]), obj(dom.htgt[f]))
+    for s in sorted(dom.squares):
+        if s not in e_of and s not in i_of:
+            b.add_square(f"s:{s}", hmor(dom.stop[s]), hmor(dom.sbottom[s]),
+                         vmor(dom.sleft[s]), vmor(dom.sright[s]))
+    for table, units, cell, compose in (
+        (dom.hcomp_h, unit_h, hmor, ex.hcomp),
+        (dom.vcomp_v, unit_v, vmor, ex.vcomp),
+        (dom.hcomp_sq, i_of, square, ex.shcomp),
+        (dom.vcomp_sq, e_of, square, ex.svcomp),
+    ):
+        for (then, first), result in table.items():
+            if first not in units and then not in units:
+                b.add_relation(compose(cell(first), cell(then)), cell(result))
+    return b.build()
 
 
 def enumerate_double_functors_concrete(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
                                        budget: int | None = None):
     """All double functors dom -> cod, as sorted DoubleFunctor values."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    id_objects = list(dom.objects)
-    free_v = [u for u in sorted(dom.vmors) if u not in dom.idv.values()]
-    free_h = [f for f in sorted(dom.hmors) if f not in dom.idh.values()]
-    unit_squares = set(dom.e_sq.values()) | set(dom.i_sq.values())
-    free_sq = [s for s in sorted(dom.squares) if s not in unit_squares]
-
-    # variable order: each morphism pulls in its endpoints lazily
-    variables: list[tuple[str, str]] = []
-    seen: set[str] = set()
-
-    def need_object(a):
-        if a not in seen:
-            seen.add(a)
-            variables.append(("object", a))
-
-    for u in free_v:
-        need_object(dom.vsrc[u])
-        need_object(dom.vtgt[u])
-        variables.append(("v", u))
-    for f in free_h:
-        need_object(dom.hsrc[f])
-        need_object(dom.htgt[f])
-        variables.append(("h", f))
-    for a in id_objects:
-        need_object(a)
-    variables.extend(("sq", s) for s in free_sq)
-
-    om: dict[str, str] = {}
-    hm: dict[str, str] = {}
-    vm: dict[str, str] = {}
-    sm: dict[str, str] = {}
-
-    def full_h(f):
-        if f in hm:
-            return hm[f]
-        for a, i in dom.idh.items():
-            if i == f and a in om:
-                return cod.idh[om[a]]
-        return None
-
-    def full_v(u):
-        if u in vm:
-            return vm[u]
-        for a, i in dom.idv.items():
-            if i == u and a in om:
-                return cod.idv[om[a]]
-        return None
-
-    def full_sq(s):
-        if s in sm:
-            return sm[s]
-        for f, e in dom.e_sq.items():
-            if e == s:
-                g = full_h(f)
-                return cod.e_sq[g] if g is not None else None
-        for u, i in dom.i_sq.items():
-            if i == s:
-                w = full_v(u)
-                return cod.i_sq[w] if w is not None else None
-        return None
-
-    h_entries = [(f, g, h) for (g, f), h in dom.hcomp_h.items()]
-    v_entries = [(u, w, z) for (w, u), z in dom.vcomp_v.items()]
-    hs_entries = [(s, t, c) for (t, s), c in dom.hcomp_sq.items()]
-    vs_entries = [(s, t, c) for (t, s), c in dom.vcomp_sq.items()]
-
-    def tables_ok():
-        for f, g, h in h_entries:
-            a, b, c = full_h(f), full_h(g), full_h(h)
-            if a is not None and b is not None and c is not None:
-                if cod.hcomp_h[(b, a)] != c:
-                    return False
-        for u, w, z in v_entries:
-            a, b, c = full_v(u), full_v(w), full_v(z)
-            if a is not None and b is not None and c is not None:
-                if cod.vcomp_v[(b, a)] != c:
-                    return False
-        for s, t, c in hs_entries:
-            a, b, d = full_sq(s), full_sq(t), full_sq(c)
-            if a is not None and b is not None and d is not None:
-                if cod.hcomp_sq[(b, a)] != d:
-                    return False
-        for s, t, c in vs_entries:
-            a, b, d = full_sq(s), full_sq(t), full_sq(c)
-            if a is not None and b is not None and d is not None:
-                if cod.vcomp_sq[(b, a)] != d:
-                    return False
-        return True
-
     out = []
-    spent = 0
-
-    def walk(i):
-        nonlocal spent
-        if i == len(variables):
-            out.append(
-                validate_double_functor(
-                    dom, cod, dict(om),
-                    {f: full_h(f) for f in dom.hmors},
-                    {u: full_v(u) for u in dom.vmors},
-                    {s: full_sq(s) for s in dom.squares},
-                )
-            )
-            return
-        sort, cell = variables[i]
-        if sort == "object":
-            options = sorted(cod.objects)
-            store = om
-        elif sort == "h":
-            options = cod.hmors_between(om[dom.hsrc[cell]], om[dom.htgt[cell]])
-            store = hm
-        elif sort == "v":
-            options = cod.vmors_between(om[dom.vsrc[cell]], om[dom.vtgt[cell]])
-            store = vm
-        else:
-            options = cod.squares_with(
-                top=full_h(dom.stop[cell]),
-                bottom=full_h(dom.sbottom[cell]),
-                left=full_v(dom.sleft[cell]),
-                right=full_v(dom.sright[cell]),
-            )
-            store = sm
-        for image in options:
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded(f"functor enumeration exceeded budget {budget}")
-            store[cell] = image
-            if tables_ok():
-                walk(i + 1)
-            del store[cell]
-
-    walk(0)
-    out.sort(key=lambda F: _functor_key(F))
+    for valuation in enumerate_functors(_as_presentation(dom), cod, budget):
+        maps = {"o": {}, "h": {}, "v": {}, "s": {}}
+        for name, image in valuation.items():
+            sort, cell = name.split(":", 1)
+            maps[sort][cell] = image
+        out.append(validate_double_functor(dom, cod, maps["o"], maps["h"], maps["v"], maps["s"]))
+    out.sort(key=_functor_key)
     return out
 
 
@@ -207,152 +138,125 @@ class PseudoHom:
         return id(self)
 
 
-def _transformations_between(dom, cod, fname, gname, F, G, budget, counter):
-    """Horizontal pseudo-natural transformations F => G by component search."""
-    objs = list(dom.objects)
-    free_v = [u for u in sorted(dom.vmors) if u not in dom.idv.values()]
-    free_h = [f for f in sorted(dom.hmors) if f not in dom.idh.values()]
+def _free_cells(dom):
+    """The non-identity vertical and horizontal morphisms of ``dom``, sorted."""
+    unit_v, unit_h = set(dom.idv.values()), set(dom.idh.values())
+    return ([u for u in sorted(dom.vmors) if u not in unit_v],
+            [f for f in sorted(dom.hmors) if f not in unit_h])
 
-    def v_pairs():
-        return [
-            (u, w, z)
-            for (w, u), z in dom.vcomp_v.items()
-            if u not in dom.idv.values() and w not in dom.idv.values()
-        ]
 
-    def h_pairs():
-        return [
-            (f, g, h)
-            for (g, f), h in dom.hcomp_h.items()
-            if f not in dom.idh.values() and g not in dom.idh.values()
-        ]
+def _transformations_between(dom, cod, fname, gname, F, G, budget, spent):
+    """Horizontal pseudo-natural transformations F => G by component search,
+    and the budget spent so far."""
+    free_v, free_h = _free_cells(dom)
+    unit_v = {i: a for a, i in dom.idv.items()}
+    unit_h = {i: a for a, i in dom.idh.items()}
 
+    # The component at an identity is the unit square of the object's
+    # component, so it is read from that object's variable.
+    def var_v(u):
+        return ("o", unit_v[u]) if u in unit_v else ("v", u)
+
+    def var_h(f):
+        return ("o", unit_h[f]) if f in unit_h else ("h", f)
+
+    variables = [
+        (("o", a), lambda env, a=a: cod.hmors_between(F.object_map[a], G.object_map[a]))
+        for a in dom.objects
+    ]
+    variables += [
+        (("v", u), lambda env, u=u: cod.squares_with(
+            top=env[("o", dom.vsrc[u])], bottom=env[("o", dom.vtgt[u])],
+            left=F.v_map[u], right=G.v_map[u]))
+        for u in free_v
+    ]
+    variables += [
+        (("h", f), lambda env, f=f: [
+            s for s in cod.squares_with(
+                top=cod.h_then(env[("o", dom.hsrc[f])], G.h_map[f]),
+                bottom=cod.h_then(F.h_map[f], env[("o", dom.htgt[f])]),
+                left=cod.idv[F.object_map[dom.hsrc[f]]],
+                right=cod.idv[G.object_map[dom.htgt[f]]])
+            if cod.s_vinverse(s) is not None])
+        for f in free_h
+    ]
+    constraints: list = []
+
+    def require(cells, test):
+        """Constrain the components at ``cells`` by ``test``."""
+        constraints.append((cells, lambda env: test(
+            *[cod.e_sq[env[c]] if c[0] == "o" else env[c] for c in cells])))
+
+    for (w, u), z in dom.vcomp_v.items():  # strict vertical functoriality
+        if u not in unit_v and w not in unit_v:
+            require((var_v(u), var_v(w), var_v(z)),
+                    lambda first, then, composite: cod.s_vcomp(first, then) == composite)
+    for (g, f), h in dom.hcomp_h.items():  # horizontal pseudo-functoriality
+        if f not in unit_h and g not in unit_h:
+            require((var_h(f), var_h(g), var_h(h)),
+                    lambda first, then, composite, e_g=cod.e_sq[G.h_map[g]],
+                    e_f=cod.e_sq[F.h_map[f]]: cod.s_vcomp(
+                        cod.s_hcomp(first, e_g), cod.s_hcomp(e_f, then)) == composite)
     unit_squares = set(dom.e_sq.values()) | set(dom.i_sq.values())
-    plain_squares = [s for s in sorted(dom.squares) if s not in unit_squares]
+    for s in sorted(dom.squares):  # naturality against every non-unit square
+        if s in unit_squares:
+            continue
+        require((var_h(dom.stop[s]), var_h(dom.sbottom[s]),
+                 var_v(dom.sleft[s]), var_v(dom.sright[s])),
+                lambda top, bottom, left, right, Fs=F.sq_map[s], Gs=G.sq_map[s]:
+                cod.s_vcomp(top, cod.s_hcomp(Fs, right))
+                == cod.s_vcomp(cod.s_hcomp(left, Gs), bottom))
+    found, spent = _search(variables, constraints, budget, spent)
+    return [
+        Transformation(fname, gname, {a: env[("o", a)] for a in dom.objects},
+                       {u: env[("v", u)] for u in free_v}, {f: env[("h", f)] for f in free_h})
+        for env in found
+    ], spent
 
-    out = []
 
-    def at_v_of(env_v, env_o, u):
-        if u in env_v:
-            return env_v[u]
-        for a, i in dom.idv.items():
-            if i == u:
-                return cod.e_sq[env_o[a]]
-        return None
-
-    def at_h_of(env_h, env_o, f):
-        if f in env_h:
-            return env_h[f]
-        for a, i in dom.idh.items():
-            if i == f:
-                return cod.e_sq[env_o[a]]
-        return None
-
-    def finish(env_o, env_v, env_h):
-        # (2) strict vertical functoriality
-        for u, w, z in v_pairs():
-            lhs = cod.s_vcomp(at_v_of(env_v, env_o, u), at_v_of(env_v, env_o, w))
-            if lhs != at_v_of(env_v, env_o, z):
-                return
-        # (4) horizontal pseudo-functoriality
-        for f, g, h in h_pairs():
-            row1 = cod.s_hcomp(at_h_of(env_h, env_o, f), cod.e_sq[G.h_map[g]])
-            row2 = cod.s_hcomp(cod.e_sq[F.h_map[f]], at_h_of(env_h, env_o, g))
-            if cod.s_vcomp(row1, row2) != at_h_of(env_h, env_o, h):
-                return
-        # (5) naturality against every non-unit square
-        for s in plain_squares:
-            f, f2 = dom.stop[s], dom.sbottom[s]
-            u, v = dom.sleft[s], dom.sright[s]
-            lhs = cod.s_vcomp(
-                at_h_of(env_h, env_o, f),
-                cod.s_hcomp(F.sq_map[s], at_v_of(env_v, env_o, v)),
-            )
-            rhs = cod.s_vcomp(
-                cod.s_hcomp(at_v_of(env_v, env_o, u), G.sq_map[s]),
-                at_h_of(env_h, env_o, f2),
-            )
-            if lhs != rhs:
-                return
-        out.append(
-            Transformation(fname, gname, dict(env_o), dict(env_v), dict(env_h))
-        )
-
-    obj_options = [cod.hmors_between(F.object_map[a], G.object_map[a]) for a in objs]
-    for combo in product(*obj_options):
-        counter[0] += len(objs) or 1
-        if counter[0] > budget:
-            raise BudgetExceeded(f"pseudo-hom enumeration exceeded budget {budget}")
-        env_o = dict(zip(objs, combo))
-        v_options = []
-        for u in free_v:
-            v_options.append(
-                cod.squares_with(
-                    top=env_o[dom.vsrc[u]],
-                    bottom=env_o[dom.vtgt[u]],
-                    left=F.v_map[u],
-                    right=G.v_map[u],
-                )
-            )
-        h_options = []
-        for f in free_h:
-            top = cod.h_then(env_o[dom.hsrc[f]], G.h_map[f])
-            bottom = cod.h_then(F.h_map[f], env_o[dom.htgt[f]])
-            a, b = F.object_map[dom.hsrc[f]], G.object_map[dom.htgt[f]]
-            h_options.append(
-                [
-                    s
-                    for s in cod.squares_with(top=top, bottom=bottom,
-                                              left=cod.idv[a], right=cod.idv[b])
-                    if cod.s_vinverse(s) is not None
-                ]
-            )
-        for vcombo in product(*v_options):
-            for hcombo in product(*h_options):
-                counter[0] += 1
-                if counter[0] > budget:
-                    raise BudgetExceeded(f"pseudo-hom enumeration exceeded budget {budget}")
-                finish(env_o, dict(zip(free_v, vcombo)), dict(zip(free_h, hcombo)))
-    return out
+def _modifications_between(dom, cod, F, G, t1, t2, budget, spent):
+    """Modifications t1 => t2 as components per object, and the budget
+    spent so far."""
+    free_v, free_h = _free_cells(dom)
+    variables = [
+        (a, lambda env, a=a: cod.squares_with(
+            top=t1.at_obj[a], bottom=t2.at_obj[a],
+            left=cod.idv[F.object_map[a]], right=cod.idv[G.object_map[a]]))
+        for a in dom.objects
+    ]
+    constraints = [
+        ((dom.hsrc[f], dom.htgt[f]), lambda mu, f=f, i=dom.hsrc[f], j=dom.htgt[f]:
+         cod.s_vcomp(t1.at_h[f], cod.s_hcomp(cod.e_sq[F.h_map[f]], mu[j]))
+         == cod.s_vcomp(cod.s_hcomp(mu[i], cod.e_sq[G.h_map[f]]), t2.at_h[f]))
+        for f in free_h
+    ]
+    constraints += [
+        ((dom.vsrc[u], dom.vtgt[u]), lambda mu, u=u, i=dom.vsrc[u], j=dom.vtgt[u]:
+         cod.s_vcomp(t1.at_v[u], mu[j]) == cod.s_vcomp(mu[i], t2.at_v[u]))
+        for u in free_v
+    ]
+    return _search(variables, constraints, budget, spent)
 
 
 def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
                budget: int | None = None) -> PseudoHom:
     """Materialize the pseudo-hom 2-category of double functors dom -> cod."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    counter = [0]
     functor_list = enumerate_double_functors_concrete(dom, cod, budget)
     fnames = {f"F{i}": F for i, F in enumerate(functor_list)}
-    name_of_functor = {_functor_key(F): name for name, F in fnames.items()}
+    free_v, free_h = _free_cells(dom)
+    spent = 0  # shared by every transformation and modification search
 
     transformations: dict[str, Transformation] = {}
     by_key = {}
     trans_names: dict[tuple, list[str]] = {}
-    idx = 0
     for fname, F in sorted(fnames.items()):
         for gname, G in sorted(fnames.items()):
-            for tr in _transformations_between(dom, cod, fname, gname, F, G, budget, counter):
-                name = f"t{idx}"
-                idx += 1
+            found, spent = _transformations_between(dom, cod, fname, gname, F, G, budget, spent)
+            for tr in found:
+                name = f"t{len(transformations)}"
                 transformations[name] = tr
                 by_key[tr.key()] = name
                 trans_names.setdefault((fname, gname), []).append(name)
-
-    def derived_at_v(tr: Transformation, u):
-        if u in tr.at_v:
-            return tr.at_v[u]
-        for a, i in dom.idv.items():
-            if i == u:
-                return cod.e_sq[tr.at_obj[a]]
-        raise MissingComposite(f"no component at {u!r}")
-
-    def derived_at_h(tr: Transformation, f):
-        if f in tr.at_h:
-            return tr.at_h[f]
-        for a, i in dom.idh.items():
-            if i == f:
-                return cod.e_sq[tr.at_obj[a]]
-        raise MissingComposite(f"no component at {f!r}")
 
     def identity_of(fname):
         F = fnames[fname]
@@ -360,65 +264,37 @@ def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
             fname,
             fname,
             {a: cod.idh[F.object_map[a]] for a in dom.objects},
-            {u: cod.i_sq[F.v_map[u]] for u in dom.vmors if u not in dom.idv.values()},
-            {f: cod.e_sq[F.h_map[f]] for f in dom.hmors if f not in dom.idh.values()},
+            {u: cod.i_sq[F.v_map[u]] for u in free_v},
+            {f: cod.e_sq[F.h_map[f]] for f in free_h},
         )
         return by_key[tr.key()]
 
     def compose(t1name, t2name):
         t1, t2 = transformations[t1name], transformations[t2name]
-        F, H = fnames[t1.source], fnames[t2.target]
         at_obj = {a: cod.h_then(t1.at_obj[a], t2.at_obj[a]) for a in dom.objects}
-        at_v = {
-            u: cod.s_hcomp(derived_at_v(t1, u), derived_at_v(t2, u))
-            for u in dom.vmors
-            if u not in dom.idv.values()
-        }
+        at_v = {u: cod.s_hcomp(t1.at_v[u], t2.at_v[u]) for u in free_v}
         at_h = {}
-        for f in dom.hmors:
-            if f in dom.idh.values():
-                continue
+        for f in free_h:
             i, j = dom.hsrc[f], dom.htgt[f]
-            row1 = cod.s_hcomp(cod.e_sq[t1.at_obj[i]], derived_at_h(t2, f))
-            row2 = cod.s_hcomp(derived_at_h(t1, f), cod.e_sq[t2.at_obj[j]])
+            row1 = cod.s_hcomp(cod.e_sq[t1.at_obj[i]], t2.at_h[f])
+            row2 = cod.s_hcomp(t1.at_h[f], cod.e_sq[t2.at_obj[j]])
             at_h[f] = cod.s_vcomp(row1, row2)
         key = Transformation(t1.source, t2.target, at_obj, at_v, at_h).key()
         if key not in by_key:
             raise MissingComposite("composite transformation missing from enumeration")
         return by_key[key]
 
-    # modifications
     modifications: dict[str, dict] = {}
     mod_by_key = {}
-    midx = 0
     for (fname, gname), names in sorted(trans_names.items()):
         F, G = fnames[fname], fnames[gname]
         for t1name in names:
             for t2name in names:
                 t1, t2 = transformations[t1name], transformations[t2name]
-                options = []
-                for a in dom.objects:
-                    options.append(
-                        cod.squares_with(
-                            top=t1.at_obj[a],
-                            bottom=t2.at_obj[a],
-                            left=cod.idv[F.object_map[a]],
-                            right=cod.idv[G.object_map[a]],
-                        )
-                    )
-                for combo in product(*options):
-                    counter[0] += 1
-                    if counter[0] > budget:
-                        raise BudgetExceeded(f"pseudo-hom enumeration exceeded budget {budget}")
-                    mu = dict(zip(dom.objects, combo))
-                    if not _modification_ok(dom, cod, F, G, t1, t2, mu,
-                                            derived_at_h, derived_at_v):
-                        continue
-                    name = f"u{midx}"
-                    midx += 1
-                    modifications[name] = {
-                        "src": t1name, "tgt": t2name, "components": mu,
-                    }
+                found, spent = _modifications_between(dom, cod, F, G, t1, t2, budget, spent)
+                for mu in found:
+                    name = f"u{len(modifications)}"
+                    modifications[name] = {"src": t1name, "tgt": t2name, "components": mu}
                     mod_by_key[(t1name, t2name, tuple(sorted(mu.items())))] = name
 
     one_bounds = {name: (tr.source, tr.target) for name, tr in transformations.items()}
@@ -428,7 +304,6 @@ def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
     id1 = {fname: identity_of(fname) for fname in fnames}
     id2 = {}
     for tname, tr in transformations.items():
-        F, G = fnames[tr.source], fnames[tr.target]
         mu = {a: cod.e_sq[tr.at_obj[a]] for a in dom.objects}
         id2[tname] = mod_by_key[(tname, tname, tuple(sorted(mu.items())))]
 
@@ -467,30 +342,6 @@ def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
         sorted(fnames), one_bounds, two_bounds, id1, id2, hcomp1, vcomp2, hcomp2
     )
     return PseudoHom(dom, cod, two_cat, fnames, transformations, modifications)
-
-
-def _modification_ok(dom, cod, F, G, t1, t2, mu, derived_at_h, derived_at_v):
-    for f in dom.hmors:
-        if f in dom.idh.values():
-            continue
-        i, j = dom.hsrc[f], dom.htgt[f]
-        lhs = cod.s_vcomp(
-            derived_at_h(t1, f), cod.s_hcomp(cod.e_sq[F.h_map[f]], mu[j])
-        )
-        rhs = cod.s_vcomp(
-            cod.s_hcomp(mu[i], cod.e_sq[G.h_map[f]]), derived_at_h(t2, f)
-        )
-        if lhs != rhs:
-            return False
-    for u in dom.vmors:
-        if u in dom.idv.values():
-            continue
-        i, j = dom.vsrc[u], dom.vtgt[u]
-        lhs = cod.s_vcomp(derived_at_v(t1, u), mu[j])
-        rhs = cod.s_vcomp(mu[i], derived_at_v(t2, u))
-        if lhs != rhs:
-            return False
-    return True
 
 
 def is_hpnt_equivalence(ph: PseudoHom, tname: str) -> bool:

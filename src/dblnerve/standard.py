@@ -59,10 +59,6 @@ def locally_discrete(cat: FiniteCategory) -> FiniteTwoCategory:
     )
 
 
-def terminal_two_category() -> FiniteTwoCategory:
-    return locally_discrete(chain_category(0))
-
-
 def arrow_two_category() -> FiniteTwoCategory:
     return locally_discrete(chain_category(1))
 

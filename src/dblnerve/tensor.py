@@ -357,11 +357,6 @@ def _qname(x, z):
     return f"q{x}.{z}"
 
 
-def _expansion_names(builder_meta):
-    pres, meta = builder_meta
-    return {name for name, desc in meta.items() if desc[0] in ("n*", "n.unit", "n.counit")}
-
-
 def _tr_obj_l(meta, o):
     kind = meta[o[1]]
     return ex.ogen(_qname(kind[1], kind[3]))
@@ -839,22 +834,6 @@ def _reduce(expression):
             return inner[1]
         return (tag, inner)
     return (tag,) + tuple(parts)
-
-
-def verify_retract(m, k, n):
-    """Check collapse ∘ section = id generator-wise; returns the names whose
-    composite does not reduce to the generator (the k = 2 covering-cell
-    routes, exact only on locally discrete targets)."""
-    plain, equivalence, collapse, section = lx_presentations(m, k, n)
-    composite = collapse.after(section)
-    tags = {"object": ex.ogen, "h": ex.hgen, "sq": ex.sgen}
-    inexact = []
-    for g in plain.gens:
-        want = tags[g.sort](g.name)
-        got = _reduce(composite.gen_map[g.name])
-        if got != want:
-            inexact.append(g.name)
-    return inexact
 
 
 # -- cosimplicial maps between levels -------------------------------------

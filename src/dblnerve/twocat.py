@@ -185,13 +185,6 @@ class FiniteTwoCategory:
         two = self.vcomp2[(self.hcomp2[(self.id2[g], eps)], self.hcomp2[(eta, self.id2[g])])]
         return two == self.id2[g]
 
-    def is_equivalence_1cell(self, f) -> bool:
-        cached = self.__dict__.get("_equiv_firsts")
-        if cached is None:
-            cached = frozenset(e[0] for e in self.equivalences())
-            self.__dict__["_equiv_firsts"] = cached
-        return f in cached
-
 
 def validate_two_category(raw: dict) -> FiniteTwoCategory:
     """Validate interchange-format tables; identities are synthesized.

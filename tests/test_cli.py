@@ -1,18 +1,22 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parent.parent
 CORPUS = ROOT / "corpus"
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "dblnerve.cli", *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env=None if env is None else {**os.environ, **env},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -139,3 +143,14 @@ def test_reports_are_byte_stable():
     _, first, _ = run_cli(*args)
     _, second, _ = run_cli(*args)
     assert first == second
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_invalid_budget_is_a_usage_error(value):
+    code, out, err = run_cli(
+        "nerve", str(CORPUS / "free-square.json"), "--m", "1", "--k", "1", "--n", "0",
+        env={"DBLNERVE_BUDGET": value},
+    )
+    assert code == 2
+    assert out == ""
+    assert "DBLNERVE_BUDGET" in err

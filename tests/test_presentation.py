@@ -1,8 +1,12 @@
+import gc
+from pathlib import Path
+
 import pytest
 
 from dblnerve import expr as ex
 from dblnerve.dblcat import validate_double_functor
 from dblnerve.errors import BudgetExceeded
+from dblnerve.io import load_path
 from dblnerve.presentation import (
     PresentationBuilder,
     enumerate_functors,
@@ -45,6 +49,34 @@ def test_budget_guard(hsim_iso):
     pres, _ = x_presentation(1, 1, 1)
     with pytest.raises(BudgetExceeded):
         enumerate_functors(pres, hsim_iso, budget=10)
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    b = PresentationBuilder("two")
+    for i in range(1500):
+        b.add_object(f"a{i}")
+    point = load_path(Path(__file__).parent.parent / "corpus" / "point.json")
+    assert len(enumerate_functors(b.build(), point)) == 1
+
+
+def cyclic_garbage(run):
+    """Objects in reference cycles that ``run`` leaves behind, counted after
+    a warm-up call has filled the caches."""
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_enumeration_leaves_no_cyclic_garbage(hsim_iso):
+    from dblnerve.tensor import x_presentation
+
+    pres, _ = x_presentation(1, 1, 0)
+    assert cyclic_garbage(lambda: enumerate_functors(pres, hsim_iso)) == 0
 
 
 def _functor_corpus(corpus_dbl, point_dbl, h_iso, hsim_iso, square_dbl):

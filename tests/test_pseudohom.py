@@ -1,19 +1,53 @@
+from itertools import product
+from pathlib import Path
+
 import pytest
 
-from dblnerve.dblcat import horizontal_embed, underlying, vertical_embed
-from dblnerve.errors import BudgetExceeded
+from dblnerve.dblcat import horizontal_embed, underlying, validate_double_functor, vertical_embed
+from dblnerve.errors import BudgetExceeded, ValidationError
+from dblnerve.io import load_path
 from dblnerve.pseudohom import (
+    _functor_key,
     enumerate_double_functors_concrete,
     hpnt_equivalence_report,
     pseudo_hom,
 )
 from dblnerve.shapes import v_oriental_inv
-from dblnerve.standard import chain_category, locally_discrete
+from dblnerve.cat import validate_category
+from dblnerve.standard import chain_category, locally_discrete, sign_loop_two_category
+
+
+CORPUS = Path(__file__).parent.parent / "corpus"
+CORPUS_DOUBLE = [
+    "free-square", "h-iso", "hsim-arrow", "hsim-iso", "parallel-squares", "point-double",
+    "square-boundary",
+]
 
 
 @pytest.fixture(scope="module")
 def v_arrow():
     return vertical_embed(locally_discrete(chain_category(1)))
+
+
+@pytest.fixture(scope="module")
+def corpus_files():
+    return {name: load_path(CORPUS / f"{name}.json") for name in CORPUS_DOUBLE}
+
+
+@pytest.fixture(scope="module")
+def loop_targets():
+    """Targets with a non-identity endomorphism or square whose square is
+    the identity, so that a composition the search failed to impose shows
+    up as a non-functor."""
+    z2 = validate_category({
+        "objects": ["*"], "morphisms": [{"name": "g", "src": "*", "tgt": "*"}],
+        "compose": [["g", "g", "id:*"]],
+    })
+    out = {}
+    for label, cat2 in (("z2", locally_discrete(z2)), ("sign-loop", sign_loop_two_category())):
+        out[f"{label}-h"] = horizontal_embed(cat2)
+        out[f"{label}-v"] = vertical_embed(cat2)
+    return out
 
 
 def test_functors_from_square_are_squares(square_dbl, hsim_iso):
@@ -82,3 +116,64 @@ def test_pseudo_hom_against_invertible_oriental(h_iso):
     ph = pseudo_hom(v_oriental_inv(2), h_iso)
     # vertical chains in the plain embedding only exist over identities
     assert len(ph.two_cat.objects) == 2
+
+
+def _brute_force_functors(dom, cod):
+    """Independent reference: every object assignment, then every choice of
+    morphisms with matching ends, then every choice of squares with matching
+    boundary, kept when the validator accepts it."""
+    free_h = [f for f in dom.hmors if f not in dom.idh.values()]
+    free_v = [u for u in dom.vmors if u not in dom.idv.values()]
+    units = set(dom.e_sq.values()) | set(dom.i_sq.values())
+    free_sq = [s for s in dom.squares if s not in units]
+    found = []
+    for objs in product(cod.objects, repeat=len(dom.objects)):
+        om = dict(zip(dom.objects, objs))
+        h_options = [cod.hmors_between(om[dom.hsrc[f]], om[dom.htgt[f]]) for f in free_h]
+        v_options = [cod.vmors_between(om[dom.vsrc[u]], om[dom.vtgt[u]]) for u in free_v]
+        for hs, vs in product(product(*h_options), product(*v_options)):
+            hm = {dom.idh[a]: cod.idh[om[a]] for a in dom.objects} | dict(zip(free_h, hs))
+            vm = {dom.idv[a]: cod.idv[om[a]] for a in dom.objects} | dict(zip(free_v, vs))
+            sq_options = [
+                cod.squares_with(top=hm[dom.stop[s]], bottom=hm[dom.sbottom[s]],
+                                 left=vm[dom.sleft[s]], right=vm[dom.sright[s]])
+                for s in free_sq
+            ]
+            for ss in product(*sq_options):
+                try:
+                    found.append(validate_double_functor(dom, cod, om, hm, vm, dict(zip(free_sq, ss))))
+                except ValidationError:
+                    pass
+    return found
+
+
+@pytest.mark.parametrize("dom_name", ["free-square", "square-boundary", "parallel-squares",
+                                      "vertical-arrow", "h-iso", "hsim-iso", "hsim-arrow"])
+def test_functor_search_matches_brute_force(dom_name, corpus_files, loop_targets, v_arrow):
+    dom = v_arrow if dom_name == "vertical-arrow" else corpus_files[dom_name]
+    for label, cod in {**corpus_files, **loop_targets}.items():
+        searched = [_functor_key(F) for F in enumerate_double_functors_concrete(dom, cod)]
+        reference = sorted(_functor_key(F) for F in _brute_force_functors(dom, cod))
+        assert searched == reference, (dom_name, label)
+
+
+@pytest.mark.parametrize("cod_name, functors, transformations, modifications", [
+    ("free-square", 9, 18, 18),
+    ("h-iso", 4, 16, 16),
+    ("hsim-iso", 16, 256, 256),
+    ("hsim-arrow", 3, 6, 6),
+    ("parallel-squares", 10, 22, 22),
+    ("square-boundary", 8, 14, 14),
+    ("point-double", 1, 1, 1),
+])
+def test_pseudo_hom_counts_from_free_square(cod_name, functors, transformations, modifications,
+                                            corpus_files):
+    ph = pseudo_hom(corpus_files["free-square"], corpus_files[cod_name])
+    assert (len(ph.functors), len(ph.transformations), len(ph.modifications)) == (
+        functors, transformations, modifications)
+
+
+def test_pseudo_hom_leaves_no_cyclic_garbage(square_dbl, hsim_iso):
+    from tests.test_presentation import cyclic_garbage
+
+    assert cyclic_garbage(lambda: pseudo_hom(square_dbl, hsim_iso)) == 0
