@@ -16,7 +16,7 @@ from .dblcat import (
     FiniteDoubleCategory,
     validate_double_functor,
 )
-from .errors import DblnerveError, UsageError
+from .errors import DblnerveError, SchemaError, UsageError
 from .io import dump, load_path, serialize
 from .nerve import (
     comparison_maps,
@@ -53,23 +53,21 @@ def _emit(report: dict, verdict: bool | None = None) -> int:
     return 0 if verdict else 1
 
 
-def _load_functor(src_path, tgt_path, map_path):
-    src = load_path(src_path)
-    tgt = load_path(tgt_path)
-    with open(map_path, "r", encoding="utf-8") as handle:
-        maps = json.load(handle)
-    if isinstance(src, FiniteDoubleCategory):
-        return validate_double_functor(
-            src, tgt,
-            maps.get("objects", {}), maps.get("hmor", {}),
-            maps.get("vmor", {}), maps.get("squares", {}),
-        )
-    if isinstance(src, FiniteTwoCategory):
-        return validate_two_functor(
-            src, tgt,
-            maps.get("objects", {}), maps.get("one_cells", {}), maps.get("two_cells", {}),
-        )
-    raise UsageError("functor endpoints must be categories of matching kind")
+def _load_functor(args, need):
+    """The functor of a map file between two files of the kind ``need`` checks."""
+    src, tgt = need(load_path(args.src)), need(load_path(args.tgt))
+    double = isinstance(src, FiniteDoubleCategory)
+    keys = ("objects", "hmor", "vmor", "squares") if double else ("objects", "one_cells", "two_cells")
+    with open(args.mapfile, "r", encoding="utf-8") as handle:
+        try:
+            maps = json.load(handle)
+        except json.JSONDecodeError as err:
+            raise SchemaError(f"{args.mapfile}: not valid JSON: {err}") from err
+    parts = [maps.get(key, {}) if isinstance(maps, dict) else None for key in keys]
+    if not all(isinstance(part, dict) and all(isinstance(v, str) for v in part.values())
+               for part in parts):
+        raise SchemaError(f"{args.mapfile}: a map file maps names to names under {list(keys)}")
+    return (validate_double_functor if double else validate_two_functor)(src, tgt, *parts)
 
 
 def cmd_validate(args):
@@ -94,12 +92,14 @@ def cmd_whi_check(args):
 def cmd_weak_inverse(args):
     dbl = _need_double(load_path(args.file))
     square = _need_square(dbl, args.square)
-    data = json.loads(args.data)
     try:
-        top = _pick_data(dbl, data["top"])
-        bottom = _pick_data(dbl, data["bottom"])
-    except KeyError as err:
-        raise UsageError(f"--data needs 'top' and 'bottom' quadruples: {err}") from err
+        data = json.loads(args.data)
+    except json.JSONDecodeError as err:
+        raise UsageError(f"--data is not valid JSON: {err}") from err
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("top", "bottom")):
+        raise UsageError("--data needs 'top' and 'bottom' quadruples")
+    top = _pick_data(dbl, data["top"])
+    bottom = _pick_data(dbl, data["bottom"])
     beta = weak_inverse(dbl, square, top, bottom)
     return _emit({"square": square, "weak_inverse": beta})
 
@@ -123,7 +123,7 @@ def cmd_whi_invariant(args):
 
 
 def cmd_tfib(args):
-    functor = _load_functor(args.src, args.tgt, args.mapfile)
+    functor = _load_functor(args, _need_double)
     verdict, reason = is_trivial_fibration(functor)
     report = {"trivial_fibration": verdict}
     if reason:
@@ -132,7 +132,7 @@ def cmd_tfib(args):
 
 
 def cmd_rlp(args):
-    functor = _load_functor(args.src, args.tgt, args.mapfile)
+    functor = _load_functor(args, _need_double if args.set == "I" else _need_two)
     if args.set == "I":
         morphisms = generating_cofibrations_dbl()
     elif args.set == "I2":
@@ -151,7 +151,7 @@ def cmd_rlp(args):
 
 
 def cmd_bieq(args):
-    functor = _load_functor(args.src, args.tgt, args.mapfile)
+    functor = _load_functor(args, _need_two)
     verdict, reason = is_biequivalence(functor)
     report = {"biequivalence": verdict}
     if reason:
@@ -160,7 +160,7 @@ def cmd_bieq(args):
 
 
 def cmd_dbl_bieq(args):
-    functor = _load_functor(args.src, args.tgt, args.mapfile)
+    functor = _load_functor(args, _need_double)
     verdict, reason = is_double_biequivalence(functor)
     report = {"double_biequivalence": verdict}
     if reason:
@@ -261,6 +261,14 @@ def _need_square(dbl, name):
     return name
 
 
+def _count(text):
+    """A non-negative integer argument."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dblnerve",
@@ -327,7 +335,7 @@ def build_parser():
 
     p = sub.add_parser("segal", help="Segal restriction trivial-fibration check")
     p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count, required=True)
     p.set_defaults(run=cmd_segal)
 
     p = sub.add_parser("shapes", help="shape family utilities")
@@ -335,7 +343,7 @@ def build_parser():
     q = shapes_sub.add_parser("emit", help="serialize a shape")
     q.add_argument("--family", required=True,
                    help="plain | inverted | adjoint | v-inverted | E_adj | C | C_inv | C2 | dC")
-    q.add_argument("--n", type=int, default=0)
+    q.add_argument("--n", type=_count, default=0)
     q.add_argument("--variant", choices=["full", "boundary", "horn"])
     q.add_argument("--t", type=int)
     q.set_defaults(run=cmd_shapes_emit)

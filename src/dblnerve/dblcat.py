@@ -18,6 +18,7 @@ from .errors import (
     MissingComposite,
     NonAssociative,
 )
+from .expr import CellAlgebra
 from .twocat import FiniteTwoCategory, assemble_two_category
 
 
@@ -30,7 +31,7 @@ def idv_of(obj: str) -> str:
 
 
 @dataclass(frozen=True)
-class FiniteDoubleCategory:
+class FiniteDoubleCategory(CellAlgebra):
     objects: tuple[str, ...]
     hmors: tuple[str, ...]
     vmors: tuple[str, ...]
@@ -58,7 +59,7 @@ class FiniteDoubleCategory:
     def __eq__(self, other):
         return self is other
 
-    # -- cell-algebra protocol ----------------------------------------
+    # -- cell-algebra protocol (see expr) ------------------------------
     def h_src(self, f):
         return self.hsrc[f]
 
@@ -107,60 +108,25 @@ class FiniteDoubleCategory:
     def s_vcomp(self, top, bottom):
         return self.vcomp_sq[(bottom, top)]
 
-    def s_vinverse(self, s):
-        cache = self.__dict__.setdefault("_vinv", {})
-        if s not in cache:
-            cache[s] = self._search_vinverse(s)
-        return cache[s]
-
-    def _search_vinverse(self, s):
-        for t in self.squares_with(top=self.sbottom[s], bottom=self.stop[s]):
-            if (self.vcomp_sq.get((t, s)) == self.e_sq[self.stop[s]]
-                    and self.vcomp_sq.get((s, t)) == self.e_sq[self.sbottom[s]]):
-                return t
-        return None
-
-    def s_hinverse(self, s):
-        cache = self.__dict__.setdefault("_hinv", {})
-        if s not in cache:
-            cache[s] = self._search_hinverse(s)
-        return cache[s]
-
-    def _search_hinverse(self, s):
-        for t in self.squares_with(left=self.sright[s], right=self.sleft[s]):
-            if (self.hcomp_sq.get((t, s)) == self.i_sq[self.sleft[s]]
-                    and self.hcomp_sq.get((s, t)) == self.i_sq[self.sright[s]]):
-                return t
-        return None
-
-    # -- convenience ---------------------------------------------------
+    # -- boundary queries ----------------------------------------------
     def hmors_between(self, a, b):
         index = self.__dict__.get("_h_index")
         if index is None:
-            index = {}
-            for f in self.hmors:
-                index.setdefault((self.hsrc[f], self.htgt[f]), []).append(f)
-            self.__dict__["_h_index"] = index
+            index = self._index("_h_index", self.hmors, self.hsrc, self.htgt)
         return index.get((a, b), [])
 
     def vmors_between(self, a, b):
         index = self.__dict__.get("_v_index")
         if index is None:
-            index = {}
-            for u in self.vmors:
-                index.setdefault((self.vsrc[u], self.vtgt[u]), []).append(u)
-            self.__dict__["_v_index"] = index
+            index = self._index("_v_index", self.vmors, self.vsrc, self.vtgt)
         return index.get((a, b), [])
 
     def squares_with(self, top=None, bottom=None, left=None, right=None):
         if top is not None and bottom is not None and left is not None and right is not None:
             index = self.__dict__.get("_sq_index")
             if index is None:
-                index = {}
-                for s in self.squares:
-                    key = (self.stop[s], self.sbottom[s], self.sleft[s], self.sright[s])
-                    index.setdefault(key, []).append(s)
-                self.__dict__["_sq_index"] = index
+                index = self._index("_sq_index", self.squares, self.stop, self.sbottom,
+                                    self.sleft, self.sright)
             return index.get((top, bottom, left, right), [])
         out = []
         for s in self.squares:
@@ -631,9 +597,9 @@ def equivalence_embed(cat2: FiniteTwoCategory) -> FiniteDoubleCategory:
                     continue
                 a2, b2 = cat2.one_tgt[uq[0]], cat2.one_tgt[vq[0]]
                 vf = cat2.hcomp1[(vq[0], f)]
-                for f2 in cat2.one_cells_between(a2, b2):
+                for f2 in cat2.hmors_between(a2, b2):
                     f2u = cat2.hcomp1[(f2, uq[0])]
-                    for alpha in cat2.two_cells_between(vf, f2u):
+                    for alpha in cat2.squares_with(top=vf, bottom=f2u):
                         name = f"sq[{f},{f2},{vname[uq]},{vname[vq]},{alpha}]"
                         sq_bounds[name] = (f, f2, vname[uq], vname[vq])
                         sq_data[name] = (f, f2, uq, vq, alpha)

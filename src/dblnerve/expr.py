@@ -21,9 +21,21 @@ the "v" sort is unused.
 
 Evaluation happens against an *algebra* (a FiniteTwoCategory or
 FiniteDoubleCategory) and an environment mapping generator names to cells.
+An algebra provides the cell-algebra protocol: ``objects``,
+``h_src/h_tgt/h_id/h_then``, ``v_src/v_tgt/v_id/v_then``, the square
+boundary maps ``s_top/s_bottom/s_left/s_right``, square units and
+compositions, and the two boundary queries ``hmors_between(a, b)`` and
+``squares_with(top, bottom, left, right)``.  A 2-category is the double
+category whose only vertical morphisms are identities: its vertical sides
+are objects.  ``CellAlgebra`` derives from the protocol the searches both
+kinds share: vertical and horizontal inverses, the triangle identities
+and horizontal equivalences.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
 
 from .errors import BoundaryMismatch, DanglingReference
 
@@ -122,10 +134,9 @@ def from_json(doc):
 def evaluate(alg, expr, env):
     """Evaluate ``expr`` in the algebra ``alg`` under generator images ``env``.
 
-    ``alg`` must provide the cell-algebra protocol: ``obj_exists``,
-    ``h_src/h_tgt/h_id/h_then``, the square boundary maps, square units and
-    compositions, and inverse search (see FiniteTwoCategory and
-    FiniteDoubleCategory).  Raises BoundaryMismatch at the offending node.
+    ``alg`` must provide the cell-algebra protocol (see the module
+    docstring) and the inverse searches of ``CellAlgebra``.  Raises
+    BoundaryMismatch at the offending node.
     """
     tag = expr[0]
     if tag in ("ogen", "hgen", "vgen", "sgen"):
@@ -178,3 +189,76 @@ def evaluate(alg, expr, env):
             raise BoundaryMismatch(f"cell has no horizontal inverse at {expr!r}")
         return inv
     raise DanglingReference(f"unknown expression tag {tag!r}")
+
+
+@dataclass(frozen=True)
+class HorizontalEquivalence:
+    f: str
+    g: str
+    eta: str  # vertically invertible square id_A ⇒ gf with identity vertical sides
+    eps: str  # vertically invertible square fg ⇒ id_B with identity vertical sides
+    adjoint: bool  # the triangle identities hold
+
+    def as_tuple(self):
+        return (self.f, self.g, self.eta, self.eps)
+
+
+class CellAlgebra:
+    """Exhaustive searches over the cell-algebra protocol, written once for
+    2-categories and double categories.  Results are memoized in the
+    instance ``__dict__``."""
+
+    def _index(self, name, cells, *boundary):
+        """Group ``cells`` by their images under the ``boundary`` maps and
+        keep the index under ``name`` for the boundary queries."""
+        index = self.__dict__[name] = {}
+        for c in cells:
+            index.setdefault(tuple(m[c] for m in boundary), []).append(c)
+        return index
+
+    def s_vinverse(self, s):
+        """The square t with s over t and t over s units, or None."""
+        cache = self.__dict__.setdefault("_vinv", {})
+        if s not in cache:
+            top, bottom = self.s_top(s), self.s_bottom(s)
+            cache[s] = next((t for t in self.squares_with(top=bottom, bottom=top)
+                             if self.s_vcomp(s, t) == self.s_unit_h(top)
+                             and self.s_vcomp(t, s) == self.s_unit_h(bottom)), None)
+        return cache[s]
+
+    def s_hinverse(self, s):
+        """The square t with s beside t and t beside s units, or None."""
+        cache = self.__dict__.setdefault("_hinv", {})
+        if s not in cache:
+            left, right = self.s_left(s), self.s_right(s)
+            cache[s] = next((t for t in self.squares_with(left=right, right=left)
+                             if self.s_hcomp(s, t) == self.s_unit_v(left)
+                             and self.s_hcomp(t, s) == self.s_unit_v(right)), None)
+        return cache[s]
+
+    def triangle_identities_hold(self, f, g, eta, eps) -> bool:
+        e_f, e_g = self.s_unit_h(f), self.s_unit_h(g)
+        return (self.s_vcomp(self.s_hcomp(eta, e_f), self.s_hcomp(e_f, eps)) == e_f
+                and self.s_vcomp(self.s_hcomp(e_g, eta), self.s_hcomp(eps, e_g)) == e_g)
+
+    def h_equivalences(self) -> tuple[HorizontalEquivalence, ...]:
+        """Every (f, g, η, ε) with η: id ⇒ gf and ε: fg ⇒ id vertically
+        invertible with identity vertical sides, sorted."""
+        found = self.__dict__.get("_heq")
+        if found is None:
+            found = []
+            for a, b in product(self.objects, repeat=2):
+                for f, g in product(self.hmors_between(a, b), self.hmors_between(b, a)):
+                    etas = self._invertible_flat(self.h_id(a), self.h_then(f, g), a)
+                    epss = self._invertible_flat(self.h_then(g, f), self.h_id(b), b)
+                    found.extend(
+                        HorizontalEquivalence(f, g, eta, eps,
+                                              self.triangle_identities_hold(f, g, eta, eps))
+                        for eta in etas for eps in epss)
+            found = self.__dict__["_heq"] = tuple(sorted(found, key=lambda d: d.as_tuple()))
+        return found
+
+    def _invertible_flat(self, top, bottom, o):
+        side = self.v_id(o)
+        return [s for s in self.squares_with(top=top, bottom=bottom, left=side, right=side)
+                if self.s_vinverse(s) is not None]

@@ -18,12 +18,20 @@ from .presentation import Presentation, PresentationBuilder
 from .twocat import FiniteTwoCategory, validate_two_category
 
 KINDS = ("category", "two-category", "double-category", "presentation")
+LIST_FIELDS = (
+    "objects", "morphisms", "compose", "one_cells", "two_cells", "hcompose_one", "vcompose",
+    "hcompose_two", "hmor", "vmor", "squares", "hcompose_h", "vcompose_v", "hcompose_sq",
+    "vcompose_sq", "hgens", "vgens", "relations",
+)
 
 
 def load_document(doc: dict):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("document must be an object with a 'kind' field")
     kind = doc["kind"]
+    for key in LIST_FIELDS:
+        if not isinstance(doc.get(key, []), list):
+            raise SchemaError(f"field {key!r} must be a list")
     try:
         if kind == "category":
             return validate_category(doc)
@@ -35,6 +43,8 @@ def load_document(doc: dict):
             return _load_presentation(doc)
     except KeyError as err:
         raise SchemaError(f"missing field {err}") from err
+    except (TypeError, ValueError) as err:
+        raise SchemaError(f"malformed {kind} document: {err}") from err
     raise SchemaError(f"unknown kind {kind!r}")
 
 

@@ -203,9 +203,7 @@ def _object_candidates(alg):
 
 
 def _h_candidates(alg, a, b):
-    if isinstance(alg, FiniteDoubleCategory):
-        return sorted(alg.hmors_between(a, b))
-    return sorted(alg.one_cells_between(a, b))
+    return sorted(alg.hmors_between(a, b))
 
 
 def _v_candidates(alg, a, b):
@@ -213,9 +211,7 @@ def _v_candidates(alg, a, b):
 
 
 def _sq_candidates(alg, top, bottom, left=None, right=None):
-    if isinstance(alg, FiniteDoubleCategory):
-        return sorted(alg.squares_with(top=top, bottom=bottom, left=left, right=right))
-    return sorted(alg.two_cells_between(top, bottom))
+    return sorted(alg.squares_with(top=top, bottom=bottom, left=left, right=right))
 
 
 def _flag_ok(alg, flags, image):

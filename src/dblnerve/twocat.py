@@ -20,6 +20,7 @@ from .errors import (
     NotAnEquivalence,
     DisagreementBug,
 )
+from .expr import CellAlgebra
 
 
 def id1_of(obj: str) -> str:
@@ -31,7 +32,7 @@ def id2_of(one: str) -> str:
 
 
 @dataclass(frozen=True)
-class FiniteTwoCategory:
+class FiniteTwoCategory(CellAlgebra):
     objects: tuple[str, ...]
     one_cells: tuple[str, ...]
     two_cells: tuple[str, ...]
@@ -51,10 +52,7 @@ class FiniteTwoCategory:
     def __eq__(self, other):
         return self is other
 
-    # -- cell-algebra protocol (see expr.evaluate) --------------------
-    def obj_exists(self, o):
-        return o in set(self.objects)
-
+    # -- cell-algebra protocol (see expr) ------------------------------
     def h_src(self, f):
         return self.one_src[f]
 
@@ -104,86 +102,33 @@ class FiniteTwoCategory:
     def s_vcomp(self, top, bottom):
         return self.vcomp2[(bottom, top)]
 
-    def s_vinverse(self, a):
-        cache = self.__dict__.setdefault("_vinv", {})
-        if a not in cache:
-            cache[a] = self._search_vinverse(a)
-        return cache[a]
+    # -- boundary queries; vertical sides are objects -----------------
+    def hmors_between(self, a, b):
+        index = self.__dict__.get("_h_index")
+        if index is None:
+            index = self._index("_h_index", self.one_cells, self.one_src, self.one_tgt)
+        return index.get((a, b), [])
 
-    def _search_vinverse(self, a):
-        f, g = self.two_src[a], self.two_tgt[a]
-        for b in self.two_cells_between(g, f):
-            if self.vcomp2[(b, a)] == self.id2[f] and self.vcomp2[(a, b)] == self.id2[g]:
-                return b
-        return None
-
-    def s_hinverse(self, a):
-        cache = self.__dict__.setdefault("_hinv", {})
-        if a not in cache:
-            cache[a] = self._search_hinverse(a)
-        return cache[a]
-
-    def _search_hinverse(self, a):
-        x, y = self.s_left(a), self.s_right(a)
-        for b in self.two_cells:
-            if self.s_left(b) != y or self.s_right(b) != x:
-                continue
-            if (
-                self.hcomp2[(b, a)] == self.s_unit_v(x)
-                and self.hcomp2[(a, b)] == self.s_unit_v(y)
-            ):
-                return b
-        return None
-
-    # -- convenience ---------------------------------------------------
-    def one_cells_between(self, a, b):
-        return [f for f in self.one_cells if self.one_src[f] == a and self.one_tgt[f] == b]
-
-    def two_cells_between(self, f, g):
-        return [c for c in self.two_cells if self.two_src[c] == f and self.two_tgt[c] == g]
+    def squares_with(self, top=None, bottom=None, left=None, right=None):
+        index = self.__dict__.get("_sq_index")
+        if index is None:
+            index = self._index("_sq_index", self.two_cells, self.two_src, self.two_tgt)
+        cells = self.two_cells if top is None or bottom is None else index.get((top, bottom), [])
+        return [c for c in cells
+                if (top is None or self.two_src[c] == top)
+                and (bottom is None or self.two_tgt[c] == bottom)
+                and (left is None or self.s_left(c) == left)
+                and (right is None or self.s_right(c) == right)]
 
     def is_invertible2(self, a) -> bool:
         return self.s_vinverse(a) is not None
 
     def equivalences(self):
         """All tuples (f, g, eta, eps) with eta: id ⇒ gf, eps: fg ⇒ id invertible."""
-        cached = self.__dict__.get("_equivs")
-        if cached is None:
-            cached = tuple(self._enumerate_equivalences(adjoint=False))
-            self.__dict__["_equivs"] = cached
-        return cached
+        return tuple(d.as_tuple() for d in self.h_equivalences())
 
     def adjoint_equivalences(self):
-        cached = self.__dict__.get("_adj_equivs")
-        if cached is None:
-            cached = tuple(self._enumerate_equivalences(adjoint=True))
-            self.__dict__["_adj_equivs"] = cached
-        return cached
-
-    def _enumerate_equivalences(self, adjoint: bool):
-        out = []
-        for f in self.one_cells:
-            a, b = self.one_src[f], self.one_tgt[f]
-            for g in self.one_cells_between(b, a):
-                gf = self.hcomp1[(g, f)]
-                fg = self.hcomp1[(f, g)]
-                for eta in self.two_cells_between(self.id1[a], gf):
-                    if not self.is_invertible2(eta):
-                        continue
-                    for eps in self.two_cells_between(fg, self.id1[b]):
-                        if not self.is_invertible2(eps):
-                            continue
-                        if adjoint and not self.triangle_identities_hold(f, g, eta, eps):
-                            continue
-                        out.append((f, g, eta, eps))
-        return sorted(out)
-
-    def triangle_identities_hold(self, f, g, eta, eps) -> bool:
-        one = self.vcomp2[(self.hcomp2[(eps, self.id2[f])], self.hcomp2[(self.id2[f], eta)])]
-        if one != self.id2[f]:
-            return False
-        two = self.vcomp2[(self.hcomp2[(self.id2[g], eps)], self.hcomp2[(eta, self.id2[g])])]
-        return two == self.id2[g]
+        return tuple(d.as_tuple() for d in self.h_equivalences() if d.adjoint)
 
 
 def validate_two_category(raw: dict) -> FiniteTwoCategory:
@@ -459,17 +404,19 @@ def validate_two_functor(source, target, object_map, one_map, two_map) -> TwoFun
     return TwoFunctor(source, target, om, fm, cm)
 
 
-def promote_equivalence(cat: FiniteTwoCategory, f, g, eta, eps):
-    """Promote an equivalence (f, g, eta, eps) to an adjoint equivalence.
+def promote_equivalence(cat, f, g, eta, eps):
+    """Promote an equivalence (f, g, eta, eps) of a 2-category, or a
+    horizontal equivalence of a double category, to an adjoint one.
 
-    Keeps f, g, eta and redefines the counit; the result is checked
-    against the triangle identities rather than trusted.
+    The unit and counit must have identity vertical sides.  Keeps f, g,
+    eta and redefines the counit; the result is checked against the
+    triangle identities rather than trusted.
     """
-    a, b = cat.one_src[f], cat.one_tgt[f]
-    gf, fg = cat.hcomp1[(g, f)], cat.hcomp1[(f, g)]
-    if cat.two_src.get(eta) != cat.id1[a] or cat.two_tgt.get(eta) != gf:
+    a, b = cat.h_src(f), cat.h_tgt(f)
+    gf, fg = cat.h_then(f, g), cat.h_then(g, f)
+    if eta not in cat.squares_with(cat.h_id(a), gf, cat.v_id(a), cat.v_id(a)):
         raise NotAnEquivalence(f"unit {eta!r} has wrong boundary")
-    if cat.two_src.get(eps) != fg or cat.two_tgt.get(eps) != cat.id1[b]:
+    if eps not in cat.squares_with(fg, cat.h_id(b), cat.v_id(b), cat.v_id(b)):
         raise NotAnEquivalence(f"counit {eps!r} has wrong boundary")
     eta_inv, eps_inv = cat.s_vinverse(eta), cat.s_vinverse(eps)
     if eta_inv is None or eps_inv is None:
@@ -477,12 +424,11 @@ def promote_equivalence(cat: FiniteTwoCategory, f, g, eta, eps):
     if cat.triangle_identities_hold(f, g, eta, eps):
         return f, g, eta, eps
 
-    middle = cat.hcomp2[(cat.id2[f], cat.hcomp2[(eta_inv, cat.id2[g])])]
-    for expand in (
-        cat.hcomp2[(eps_inv, cat.id2[fg])],  # eps_inv whiskered by fg on the source side
-        cat.hcomp2[(cat.id2[fg], eps_inv)],
-    ):
-        candidate = cat.vcomp2[(eps, cat.vcomp2[(middle, expand)])]
+    e_fg = cat.s_unit_h(fg)
+    middle = cat.s_hcomp(cat.s_hcomp(cat.s_unit_h(g), eta_inv), cat.s_unit_h(f))
+    # eps_inv whiskered by fg on either side
+    for expand in (cat.s_hcomp(e_fg, eps_inv), cat.s_hcomp(eps_inv, e_fg)):
+        candidate = cat.s_vcomp(cat.s_vcomp(expand, middle), eps)
         if cat.triangle_identities_hold(f, g, eta, candidate):
             return f, g, eta, candidate
     raise DisagreementBug("counit correction failed both whiskering conventions")
@@ -500,10 +446,10 @@ def is_biequivalence(functor: TwoFunctor):
 
     for a1 in src.objects:
         for a2 in src.objects:
-            for g in tgt.one_cells_between(om[a1], om[a2]):
+            for g in tgt.hmors_between(om[a1], om[a2]):
                 hit = False
-                for f in src.one_cells_between(a1, a2):
-                    for c in tgt.two_cells_between(fm[f], g):
+                for f in src.hmors_between(a1, a2):
+                    for c in tgt.squares_with(top=fm[f], bottom=g):
                         if tgt.is_invertible2(c):
                             hit = True
                             break
@@ -516,11 +462,11 @@ def is_biequivalence(functor: TwoFunctor):
         for g in src.one_cells:
             if src.one_src[f] != src.one_src[g] or src.one_tgt[f] != src.one_tgt[g]:
                 continue
-            upstairs = src.two_cells_between(f, g)
+            upstairs = src.squares_with(top=f, bottom=g)
             images = [cm[c] for c in upstairs]
             if len(set(images)) != len(images):
                 return False, ("two-cells-conflated", f, g)
-            downstairs = tgt.two_cells_between(fm[f], fm[g])
+            downstairs = tgt.squares_with(top=fm[f], bottom=fm[g])
             if set(images) != set(downstairs):
                 missing = sorted(set(downstairs) - set(images))[0]
                 return False, ("two-cell-not-reached", missing)
@@ -536,15 +482,15 @@ def is_trivial_fibration_two(functor: TwoFunctor):
         return False, ("object-not-hit", missing[0] if missing else None)
     for a1 in src.objects:
         for a2 in src.objects:
-            for g in tgt.one_cells_between(om[a1], om[a2]):
-                if not any(fm[f] == g for f in src.one_cells_between(a1, a2)):
+            for g in tgt.hmors_between(om[a1], om[a2]):
+                if not any(fm[f] == g for f in src.hmors_between(a1, a2)):
                     return False, ("one-cell-not-hit", g, a1, a2)
     for f in src.one_cells:
         for g in src.one_cells:
             if src.one_src[f] != src.one_src[g] or src.one_tgt[f] != src.one_tgt[g]:
                 continue
-            upstairs = src.two_cells_between(f, g)
-            for d in tgt.two_cells_between(fm[f], fm[g]):
+            upstairs = src.squares_with(top=f, bottom=g)
+            for d in tgt.squares_with(top=fm[f], bottom=fm[g]):
                 fiber = [c for c in upstairs if cm[c] == d]
                 if len(fiber) != 1:
                     return False, ("two-cell-fiber", f, g, d, len(fiber))

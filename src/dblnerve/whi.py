@@ -16,62 +16,16 @@ and memoized per double category.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .dblcat import DoubleFunctor, FiniteDoubleCategory, underlying
+from .dblcat import DoubleFunctor, FiniteDoubleCategory
 from .errors import DisagreementBug, NotAdjoint, NotWhi
+from .expr import HorizontalEquivalence
 from .twocat import promote_equivalence
 
 
-@dataclass(frozen=True)
-class HorizontalEquivalence:
-    f: str
-    g: str
-    eta: str  # vertically invertible square id_A ⇒ gf with trivial verticals
-    eps: str  # vertically invertible square fg ⇒ id_B
-    adjoint: bool
-
-    def as_tuple(self):
-        return (self.f, self.g, self.eta, self.eps)
-
-
 def horizontal_equivalences(dbl: FiniteDoubleCategory) -> tuple[HorizontalEquivalence, ...]:
-    cached = dbl.__dict__.get("_heq")
-    if cached is None:
-        cached = tuple(_enumerate_heq(dbl))
-        dbl.__dict__["_heq"] = cached
-    return cached
-
-
-def _enumerate_heq(dbl):
-    out = []
-    for f in dbl.hmors:
-        a, b = dbl.hsrc[f], dbl.htgt[f]
-        for g in dbl.hmors_between(b, a):
-            gf = dbl.h_then(f, g)
-            fg = dbl.h_then(g, f)
-            for eta in dbl.squares_with(
-                top=dbl.idh[a], bottom=gf, left=dbl.idv[a], right=dbl.idv[a]
-            ):
-                if dbl.s_vinverse(eta) is None:
-                    continue
-                for eps in dbl.squares_with(
-                    top=fg, bottom=dbl.idh[b], left=dbl.idv[b], right=dbl.idv[b]
-                ):
-                    if dbl.s_vinverse(eps) is None:
-                        continue
-                    out.append(
-                        HorizontalEquivalence(f, g, eta, eps, _triangles_hold(dbl, f, g, eta, eps))
-                    )
-    return sorted(out, key=lambda d: d.as_tuple())
-
-
-def _triangles_hold(dbl, f, g, eta, eps) -> bool:
-    e_f, e_g = dbl.e_sq[f], dbl.e_sq[g]
-    one = dbl.s_vcomp(dbl.s_hcomp(eta, e_f), dbl.s_hcomp(e_f, eps))
-    if one != e_f:
-        return False
-    two = dbl.s_vcomp(dbl.s_hcomp(e_g, eta), dbl.s_hcomp(eps, e_g))
-    return two == e_g
+    return dbl.h_equivalences()
 
 
 def equivalence_hmors(dbl) -> frozenset[str]:
@@ -105,34 +59,26 @@ class WhiWitness:
         return weak_inverse_equations_hold(dbl, self.alpha, self.beta, self.top_data, self.bottom_data)
 
 
-def _weak_inverse_candidates(dbl, alpha, data, data2):
+def _first_witness(dbl, alpha, adjoint_only: bool):
+    """The first weak inverse of α against horizontal equivalence data on
+    its top and bottom (adjoint data only, if asked), or None."""
+    datas = [d for d in horizontal_equivalences(dbl) if d.adjoint or not adjoint_only]
+    tops = [d for d in datas if d.f == dbl.stop[alpha]]
+    bottoms = [d for d in datas if d.f == dbl.sbottom[alpha]]
     u, v = dbl.sleft[alpha], dbl.sright[alpha]
-    return dbl.squares_with(top=data.g, bottom=data2.g, left=v, right=u)
+    for data, data2 in product(tops, bottoms):
+        for beta in dbl.squares_with(top=data.g, bottom=data2.g, left=v, right=u):
+            if weak_inverse_equations_hold(dbl, alpha, beta, data, data2):
+                return WhiWitness(alpha, beta, data, data2)
+    return None
 
 
 def is_whi_square(dbl: FiniteDoubleCategory, alpha: str):
     """Search for a WhiWitness of α; None when no witness exists."""
     cache = dbl.__dict__.setdefault("_whi", {})
-    if alpha in cache:
-        return cache[alpha]
-    witness = None
-    f, f2 = dbl.stop[alpha], dbl.sbottom[alpha]
-    for data in horizontal_equivalences(dbl):
-        if data.f != f:
-            continue
-        for data2 in horizontal_equivalences(dbl):
-            if data2.f != f2:
-                continue
-            for beta in _weak_inverse_candidates(dbl, alpha, data, data2):
-                if weak_inverse_equations_hold(dbl, alpha, beta, data, data2):
-                    witness = WhiWitness(alpha, beta, data, data2)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    cache[alpha] = witness
-    return witness
+    if alpha not in cache:
+        cache[alpha] = _first_witness(dbl, alpha, adjoint_only=False)
+    return cache[alpha]
 
 
 def whi_squares(dbl) -> frozenset[str]:
@@ -156,24 +102,10 @@ def weak_inverse(dbl, alpha, top_data: HorizontalEquivalence, bottom_data: Horiz
     if top_data.f != dbl.stop[alpha] or bottom_data.f != dbl.sbottom[alpha]:
         raise NotAdjoint("data does not match the horizontal boundaries of the square")
 
-    aux = None
-    for data in horizontal_equivalences(dbl):
-        if data.f != dbl.stop[alpha] or not data.adjoint:
-            continue
-        for data2 in horizontal_equivalences(dbl):
-            if data2.f != dbl.sbottom[alpha] or not data2.adjoint:
-                continue
-            for gamma in _weak_inverse_candidates(dbl, alpha, data, data2):
-                if weak_inverse_equations_hold(dbl, alpha, gamma, data, data2):
-                    aux = (gamma, data, data2)
-                    break
-            if aux:
-                break
-        if aux:
-            break
+    aux = _first_witness(dbl, alpha, adjoint_only=True)
     if aux is None:
         raise NotWhi(f"square {alpha!r} is not weakly horizontally invertible")
-    gamma, mid, mid2 = aux
+    gamma, mid, mid2 = aux.beta, aux.top_data, aux.bottom_data
 
     g, g2 = top_data.g, bottom_data.g
     h, h2 = mid.g, mid2.g
@@ -194,14 +126,9 @@ def weak_inverse(dbl, alpha, top_data: HorizontalEquivalence, bottom_data: Horiz
 
 def promote_witness(dbl, witness: WhiWitness) -> WhiWitness:
     """Replace the witness data by adjoint data with the same f, g and unit."""
-    horiz = underlying(dbl, "horizontal")
-    datas = []
-    for data in (witness.top_data, witness.bottom_data):
-        f, g, eta, eps = promote_equivalence(horiz, *data.as_tuple())
-        datas.append(HorizontalEquivalence(f, g, eta, eps, True))
-    top, bottom = datas
-    beta = weak_inverse(dbl, witness.alpha, top, bottom)
-    return WhiWitness(witness.alpha, beta, top, bottom)
+    top, bottom = (HorizontalEquivalence(*promote_equivalence(dbl, *data.as_tuple()), True)
+                   for data in (witness.top_data, witness.bottom_data))
+    return WhiWitness(witness.alpha, weak_inverse(dbl, witness.alpha, top, bottom), top, bottom)
 
 
 def vertical_inverse_of_flat_square(dbl, alpha):

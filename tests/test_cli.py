@@ -154,3 +154,73 @@ def test_invalid_budget_is_a_usage_error(value):
     assert code == 2
     assert out == ""
     assert "DBLNERVE_BUDGET" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("tfib", "h-iso.json", "iso.json", "h-iso-to-hsim.map.json"),
+    ("tfib", "iso.json", "iso.json", "h-iso-to-hsim.map.json"),
+    ("dbl-bieq", "iso.json", "iso.json", "h-iso-to-hsim.map.json"),
+    ("bieq", "h-iso.json", "hsim-iso.json", "h-iso-to-hsim.map.json"),
+    ("rlp", "iso.json", "iso.json", "h-iso-to-hsim.map.json", "--set", "I"),
+    ("rlp", "h-iso.json", "hsim-iso.json", "h-iso-to-hsim.map.json", "--set", "I2"),
+])
+def test_functor_endpoints_of_the_wrong_kind_are_usage_errors(args):
+    command, *files = args[:4]
+    code, out, err = run_cli(command, *(str(CORPUS / name) for name in files), *args[4:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
+def _corpus_doc(name, **changes):
+    return json.dumps({**json.loads((CORPUS / name).read_text()), **changes})
+
+
+def _malformed_cases():
+    hsim = json.loads((CORPUS / "hsim-iso.json").read_text())
+    functor = ("tfib", "h-iso.json", "hsim-iso.json")
+    weak = ("weak-inverse", "hsim-iso.json", "--square", "ee:x", "--data")
+    return {
+        "map-not-json": (functor, "{not json"),
+        "map-is-a-list": (functor, "[1, 2]"),
+        "data-not-json": (weak + ("{not json",), None),
+        "data-is-a-list": (weak + ("[1, 2]",), None),
+        "data-top-not-a-list": (weak + ('{"top": 5, "bottom": []}',), None),
+        "cell-entry-as-list": (("validate",), _corpus_doc(
+            "hsim-iso.json", squares=[list(hsim["squares"][0].values()), *hsim["squares"][1:]])),
+        "composition-with-two-items": (("validate",), _corpus_doc(
+            "hsim-iso.json", hcompose_sq=[hsim["hcompose_sq"][0][:2], *hsim["hcompose_sq"][1:]])),
+        "objects-as-a-string": (("validate",), _corpus_doc("iso.json", objects="xy")),
+    }
+
+
+MALFORMED = _malformed_cases()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_input_is_an_error(case, tmp_path):
+    """Each input names a file or option holding malformed JSON; the file
+    content, if any, goes last on the command line."""
+    args, content = MALFORMED[case]
+    argv = [str(CORPUS / a) if a.endswith(".json") else a for a in args]
+    if content is not None:
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        argv.append(str(bad))
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "error:" in lines[0], err
+
+
+@pytest.mark.parametrize("args", [
+    ("segal", str(CORPUS / "h-iso.json"), "--k", "-1"),
+    ("shapes", "emit", "--family", "plain", "--n", "-1"),
+    ("shapes", "emit", "--family", "v-inverted", "--n", "-1"),
+])
+def test_negative_sizes_are_rejected(args):
+    code, out, err = run_cli(*args)
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err

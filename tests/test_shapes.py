@@ -173,7 +173,9 @@ def _concrete_two_functor_count(dom, cod):
         om = dict(zip(dom.objects, objs))
         one_options = []
         for f in non_id_one:
-            one_options.append(cod.one_cells_between(om[dom.one_src[f]], om[dom.one_tgt[f]]))
+            a, b = om[dom.one_src[f]], om[dom.one_tgt[f]]
+            one_options.append([g for g in cod.one_cells
+                                if cod.one_src[g] == a and cod.one_tgt[g] == b])
         for ones in product(*one_options):
             fm = dict(zip(non_id_one, ones))
             for a in dom.objects:
@@ -186,7 +188,9 @@ def _concrete_two_functor_count(dom, cod):
             non_id_two = [c for c in dom.two_cells if c not in dom.id2.values()]
             two_options = []
             for c in non_id_two:
-                two_options.append(cod.two_cells_between(fm[dom.two_src[c]], fm[dom.two_tgt[c]]))
+                src, tgt = fm[dom.two_src[c]], fm[dom.two_tgt[c]]
+                two_options.append([d for d in cod.two_cells
+                                    if cod.two_src[d] == src and cod.two_tgt[d] == tgt])
             for twos in product(*two_options):
                 cm = dict(zip(non_id_two, twos))
                 for f in dom.one_cells:
