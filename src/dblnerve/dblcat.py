@@ -301,21 +301,31 @@ def validate_double_category(raw: dict) -> FiniteDoubleCategory:
     morphisms, and the shared double unit ``ee:A``.
     """
     objects = list(raw.get("objects", []))
+    if len(set(objects)) != len(objects):
+        raise DanglingReference("duplicate object names")
+
+    def declare(bounds, name, value):
+        """Add a cell; a name declared twice, or a unit's name declared
+        explicitly, is an error."""
+        if name in bounds:
+            raise DanglingReference(f"cell name {name!r} is declared twice or reserved")
+        bounds[name] = value
+
     h_bounds, v_bounds = {}, {}
     for entry in raw.get("hmor", []):
         if entry["src"] not in objects or entry["tgt"] not in objects:
             raise DanglingReference(f"h-morphism {entry['name']!r} has unknown endpoints")
-        h_bounds[entry["name"]] = (entry["src"], entry["tgt"])
+        declare(h_bounds, entry["name"], (entry["src"], entry["tgt"]))
     for entry in raw.get("vmor", []):
         if entry["src"] not in objects or entry["tgt"] not in objects:
             raise DanglingReference(f"v-morphism {entry['name']!r} has unknown endpoints")
-        v_bounds[entry["name"]] = (entry["src"], entry["tgt"])
+        declare(v_bounds, entry["name"], (entry["src"], entry["tgt"]))
     idh, idv = {}, {}
     for a in objects:
         idh[a] = idh_of(a)
         idv[a] = idv_of(a)
-        h_bounds[idh[a]] = (a, a)
-        v_bounds[idv[a]] = (a, a)
+        declare(h_bounds, idh[a], (a, a))
+        declare(v_bounds, idv[a], (a, a))
 
     sq_bounds = {}
     for entry in raw.get("squares", []):
@@ -324,22 +334,22 @@ def validate_double_category(raw: dict) -> FiniteDoubleCategory:
             raise DanglingReference(f"square {name!r} has unknown horizontal boundary")
         if entry["left"] not in v_bounds or entry["right"] not in v_bounds:
             raise DanglingReference(f"square {name!r} has unknown vertical boundary")
-        sq_bounds[name] = (entry["top"], entry["bottom"], entry["left"], entry["right"])
+        declare(sq_bounds, name, (entry["top"], entry["bottom"], entry["left"], entry["right"]))
 
     e_sq, i_sq = {}, {}
     for a in objects:
         shared = f"ee:{a}"
         e_sq[idh[a]] = shared
         i_sq[idv[a]] = shared
-        sq_bounds[shared] = (idh[a], idh[a], idv[a], idv[a])
+        declare(sq_bounds, shared, (idh[a], idh[a], idv[a], idv[a]))
     for f, (a, b) in list(h_bounds.items()):
         if f not in idh.values():
             e_sq[f] = f"e:{f}"
-            sq_bounds[f"e:{f}"] = (f, f, idv[a], idv[b])
+            declare(sq_bounds, e_sq[f], (f, f, idv[a], idv[b]))
     for u, (a, b) in list(v_bounds.items()):
         if u not in idv.values():
             i_sq[u] = f"i:{u}"
-            sq_bounds[f"i:{u}"] = (idh[a], idh[b], u, u)
+            declare(sq_bounds, i_sq[u], (idh[a], idh[b], u, u))
 
     def read_table(key):
         return {(g, f): h for f, g, h in raw.get(key, [])}

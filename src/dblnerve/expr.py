@@ -28,8 +28,9 @@ compositions, and the two boundary queries ``hmors_between(a, b)`` and
 ``squares_with(top, bottom, left, right)``.  A 2-category is the double
 category whose only vertical morphisms are identities: its vertical sides
 are objects.  ``CellAlgebra`` derives from the protocol the searches both
-kinds share: vertical and horizontal inverses, the triangle identities
-and horizontal equivalences.
+kinds share: vertical and horizontal inverses, the vertically invertible
+squares with identity vertical sides, the triangle identities and
+horizontal equivalences.
 """
 
 from __future__ import annotations
@@ -249,8 +250,8 @@ class CellAlgebra:
             found = []
             for a, b in product(self.objects, repeat=2):
                 for f, g in product(self.hmors_between(a, b), self.hmors_between(b, a)):
-                    etas = self._invertible_flat(self.h_id(a), self.h_then(f, g), a)
-                    epss = self._invertible_flat(self.h_then(g, f), self.h_id(b), b)
+                    etas = self.invertible_flat(self.h_id(a), self.h_then(f, g))
+                    epss = self.invertible_flat(self.h_then(g, f), self.h_id(b))
                     found.extend(
                         HorizontalEquivalence(f, g, eta, eps,
                                               self.triangle_identities_hold(f, g, eta, eps))
@@ -258,7 +259,9 @@ class CellAlgebra:
             found = self.__dict__["_heq"] = tuple(sorted(found, key=lambda d: d.as_tuple()))
         return found
 
-    def _invertible_flat(self, top, bottom, o):
-        side = self.v_id(o)
-        return [s for s in self.squares_with(top=top, bottom=bottom, left=side, right=side)
+    def invertible_flat(self, top, bottom):
+        """The vertically invertible squares top ⇒ bottom whose vertical
+        sides are the identities on the endpoints of ``top``."""
+        left, right = self.v_id(self.h_src(top)), self.v_id(self.h_tgt(top))
+        return [s for s in self.squares_with(top=top, bottom=bottom, left=left, right=right)
                 if self.s_vinverse(s) is not None]

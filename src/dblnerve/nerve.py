@@ -12,11 +12,19 @@ so agreement is literal set equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .dblcat import FiniteDoubleCategory, equivalence_embed, horizontal_embed, vertical_embed
+from .dblcat import (
+    FiniteDoubleCategory,
+    equivalence_embed,
+    horizontal_embed,
+    validate_double_functor,
+    vertical_embed,
+)
 from .errors import DisagreementBug, RangeExceeded
+from .expr import evaluate
 from .presentation import canonical, enumerate_functors
-from .pseudohom import pseudo_hom, Transformation
+from .pseudohom import Transformation, _functor_key, pseudo_hom
 from .shapes import (
     codegeneracy,
     coface,
@@ -25,8 +33,8 @@ from .shapes import (
     v_oriental_inv,
 )
 from .standard import chain_category, locally_discrete
-from .tensor import level_map, lx_presentations, x_presentation
-from .twocat import FiniteTwoCategory, validate_two_functor
+from .tensor import _qname, level_map, lx_presentations, x_presentation
+from .twocat import FiniteTwoCategory, is_trivial_fibration_two, validate_two_functor
 from .whi import (
     horizontal_equivalences,
     is_weakly_horizontally_invariant,
@@ -34,6 +42,8 @@ from .whi import (
 )
 
 ORACLE_GRID = {(m, k, n) for m in (0, 1) for k in (0, 1) for n in (0, 1, 2)}
+_AXIS = {"m": 0, "k": 1, "n": 2}
+_QUOTIENT = {"h": "l", "hsim": "lsim"}
 
 
 @dataclass(frozen=True)
@@ -55,36 +65,34 @@ def dbl_nerve_level(dbl: FiniteDoubleCategory, m: int, k: int, n: int,
 
 def dbl_nerve_face(dbl, level, direction, i, element):
     """d_i on a canonicalized element, by precomposition."""
-    src = _adjacent(level, direction, -1)
-    alpha = coface(src[{"m": 0, "k": 1, "n": 2}[direction]], i)
-    morphism = level_map("x", direction, alpha, src, level)
-    return canonical(morphism.precompose(dbl, dict(element)))
+    return _simplicial(dbl, "x", level, direction, i, element, face=True)
 
 
 def dbl_nerve_degeneracy(dbl, level, direction, j, element):
     """s_j on a canonicalized element."""
-    src = _adjacent(level, direction, +1)
-    alpha = codegeneracy(level[{"m": 0, "k": 1, "n": 2}[direction]], j)
-    morphism = level_map("x", direction, alpha, src, level)
-    return canonical(morphism.precompose(dbl, dict(element)))
+    return _simplicial(dbl, "x", level, direction, j, element, face=False)
 
 
 def two_nerve_face(cat2, variant, level, direction, i, element):
-    src = _adjacent(level, direction, -1)
-    alpha = coface(src[{"m": 0, "k": 1, "n": 2}[direction]], i)
-    morphism = level_map({"h": "l", "hsim": "lsim"}[variant], direction, alpha, src, level)
-    return canonical(morphism.precompose(cat2, dict(element)))
+    return _simplicial(cat2, _QUOTIENT[variant], level, direction, i, element, face=True)
 
 
 def two_nerve_degeneracy(cat2, variant, level, direction, j, element):
-    src = _adjacent(level, direction, +1)
-    alpha = codegeneracy(level[{"m": 0, "k": 1, "n": 2}[direction]], j)
-    morphism = level_map({"h": "l", "hsim": "lsim"}[variant], direction, alpha, src, level)
-    return canonical(morphism.precompose(cat2, dict(element)))
+    return _simplicial(cat2, _QUOTIENT[variant], level, direction, j, element, face=False)
+
+
+def _simplicial(alg, variant, level, direction, i, element, face):
+    """d_i (``face``) or s_i on a canonicalized element, by precomposition
+    with the ``variant`` level map of the cosimplicial operator."""
+    src = _adjacent(level, direction, -1 if face else +1)
+    axis = _AXIS[direction]
+    alpha = coface(src[axis], i) if face else codegeneracy(level[axis], i)
+    morphism = level_map(variant, direction, alpha, src, level)
+    return canonical(morphism.precompose(alg, dict(element)))
 
 
 def _adjacent(level, direction, delta):
-    index = {"m": 0, "k": 1, "n": 2}[direction]
+    index = _AXIS[direction]
     out = list(level)
     out[index] += delta
     if out[index] < 0:
@@ -95,8 +103,13 @@ def _adjacent(level, direction, delta):
 # -- structural oracle ----------------------------------------------------
 
 
-def _adjoint_data(dbl):
-    return [d for d in horizontal_equivalences(dbl) if d.adjoint]
+def _adjoint_by_ends(dbl):
+    """Adjoint horizontal equivalence data, looked up by the endpoints of f."""
+    index = {}
+    for d in horizontal_equivalences(dbl):
+        if d.adjoint:
+            index.setdefault((dbl.hsrc[d.f], dbl.htgt[d.f]), []).append(d)
+    return lambda a, b: index.get((a, b), [])
 
 
 def _data_env(prefix, data):
@@ -119,122 +132,64 @@ def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> Simpl
         (0, 1): _oracle_01,
         (1, 1): _oracle_11,
     }[(m, k)]
-    elements = build(dbl, n)
+    elements = build(dbl, _adjoint_by_ends(dbl), n)
     out = sorted(canonical(v) for v in elements)
     if len(set(out)) != len(out):
         raise DisagreementBug("oracle produced duplicate elements")
     return SimplexSet((m, k, n), tuple(out), "structural-oracle")
 
 
-def _oracle_00(dbl, n):
+def _covering_fillers(dbl, long, first, then):
+    """Vertically invertible squares long.f ⇒ (first.f then then.f) with
+    identity vertical sides."""
+    return dbl.invertible_flat(long.f, dbl.h_then(first.f, then.f))
+
+
+def _oracle_00(dbl, adj, n):
     if n == 0:
         return [{"o0.0.0": a} for a in dbl.objects]
     if n == 1:
-        out = []
-        for d in _adjoint_data(dbl):
-            env = {"o0.0.0": dbl.hsrc[d.f], "o0.0.1": dbl.htgt[d.f]}
-            env.update(_data_env("n01.0.0", d))
-            out.append(env)
-        return out
+        return [{"o0.0.0": a, "o0.0.1": b, **_data_env("n01.0.0", d)}
+                for a, b in product(dbl.objects, repeat=2) for d in adj(a, b)]
     out = []
-    data = _adjoint_data(dbl)
-    for d01 in data:
-        for d12 in data:
-            if dbl.htgt[d01.f] != dbl.hsrc[d12.f]:
-                continue
-            comp = dbl.h_then(d01.f, d12.f)
-            for d02 in data:
-                if dbl.hsrc[d02.f] != dbl.hsrc[d01.f] or dbl.htgt[d02.f] != dbl.htgt[d12.f]:
-                    continue
-                for mu in dbl.squares_with(
-                    top=d02.f, bottom=comp,
-                    left=dbl.idv[dbl.hsrc[d01.f]], right=dbl.idv[dbl.htgt[d12.f]],
-                ):
-                    if dbl.s_vinverse(mu) is None:
-                        continue
-                    env = {
-                        "o0.0.0": dbl.hsrc[d01.f],
-                        "o0.0.1": dbl.htgt[d01.f],
-                        "o0.0.2": dbl.htgt[d12.f],
-                        "N0.0": mu,
-                    }
-                    env.update(_data_env("n01.0.0", d01))
-                    env.update(_data_env("n12.0.0", d12))
-                    env.update(_data_env("n02.0.0", d02))
-                    out.append(env)
+    for a, b, c in product(dbl.objects, repeat=3):
+        for d01, d12, d02 in product(adj(a, b), adj(b, c), adj(a, c)):
+            for mu in _covering_fillers(dbl, d02, d01, d12):
+                env = {"o0.0.0": a, "o0.0.1": b, "o0.0.2": c, "N0.0": mu}
+                env.update(_data_env("n01.0.0", d01))
+                env.update(_data_env("n12.0.0", d12))
+                env.update(_data_env("n02.0.0", d02))
+                out.append(env)
     return out
 
 
 def _one_simplex_10(dbl, f, g, d0, d1):
     """Vertically invertible squares (d0.f then g) ⇒ (f then d1.f)."""
-    top = dbl.h_then(d0.f, g)
-    bottom = dbl.h_then(f, d1.f)
-    a, b = dbl.hsrc[f], dbl.htgt[g]
-    return [
-        s
-        for s in dbl.squares_with(top=top, bottom=bottom, left=dbl.idv[a], right=dbl.idv[b])
-        if dbl.s_vinverse(s) is not None
-    ]
+    return dbl.invertible_flat(dbl.h_then(d0.f, g), dbl.h_then(f, d1.f))
 
 
-def _oracle_10(dbl, n):
+def _oracle_10(dbl, adj, n):
+    s, t = dbl.hsrc, dbl.htgt
     if n == 0:
-        out = []
-        for f in dbl.hmors:
-            out.append({"o0.0.0": dbl.hsrc[f], "o1.0.0": dbl.htgt[f], "m01.0.0": f})
-        return out
-    data = _adjoint_data(dbl)
+        return [{"o0.0.0": s[f], "o1.0.0": t[f], "m01.0.0": f} for f in dbl.hmors]
     if n == 1:
         out = []
-        for f in dbl.hmors:
-            for g in dbl.hmors:
-                for d0 in data:
-                    if dbl.hsrc[d0.f] != dbl.hsrc[f] or dbl.htgt[d0.f] != dbl.hsrc[g]:
-                        continue
-                    for d1 in data:
-                        if dbl.hsrc[d1.f] != dbl.htgt[f] or dbl.htgt[d1.f] != dbl.htgt[g]:
-                            continue
-                        for sq in _one_simplex_10(dbl, f, g, d0, d1):
-                            env = {
-                                "o0.0.0": dbl.hsrc[f],
-                                "o1.0.0": dbl.htgt[f],
-                                "o0.0.1": dbl.hsrc[g],
-                                "o1.0.1": dbl.htgt[g],
-                                "m01.0.0": f,
-                                "m01.0.1": g,
-                                "X01.01.0": sq,
-                            }
-                            env.update(_data_env("n01.0.0", d0))
-                            env.update(_data_env("n01.1.0", d1))
-                            out.append(env)
+        for f, g in product(dbl.hmors, repeat=2):
+            for d0, d1 in product(adj(s[f], s[g]), adj(t[f], t[g])):
+                for sq in _one_simplex_10(dbl, f, g, d0, d1):
+                    env = {
+                        "o0.0.0": s[f], "o1.0.0": t[f], "o0.0.1": s[g], "o1.0.1": t[g],
+                        "m01.0.0": f, "m01.0.1": g, "X01.01.0": sq,
+                    }
+                    env.update(_data_env("n01.0.0", d0))
+                    env.update(_data_env("n01.1.0", d1))
+                    out.append(env)
         return out
     out = []
-    for f in dbl.hmors:
-        for g in dbl.hmors:
-            for h in dbl.hmors:
-                for phi0 in data:
-                    if dbl.hsrc[phi0.f] != dbl.hsrc[f] or dbl.htgt[phi0.f] != dbl.hsrc[g]:
-                        continue
-                    for phi1 in data:
-                        if dbl.hsrc[phi1.f] != dbl.htgt[f] or dbl.htgt[phi1.f] != dbl.htgt[g]:
-                            continue
-                        for psi0 in data:
-                            if dbl.hsrc[psi0.f] != dbl.hsrc[g] or dbl.htgt[psi0.f] != dbl.hsrc[h]:
-                                continue
-                            for psi1 in data:
-                                if dbl.hsrc[psi1.f] != dbl.htgt[g] or dbl.htgt[psi1.f] != dbl.htgt[h]:
-                                    continue
-                                for th0 in data:
-                                    if dbl.hsrc[th0.f] != dbl.hsrc[f] or dbl.htgt[th0.f] != dbl.hsrc[h]:
-                                        continue
-                                    for th1 in data:
-                                        if dbl.hsrc[th1.f] != dbl.htgt[f] or dbl.htgt[th1.f] != dbl.htgt[h]:
-                                            continue
-                                        out.extend(
-                                            _oracle_10_two(
-                                                dbl, f, g, h, phi0, phi1, psi0, psi1, th0, th1
-                                            )
-                                        )
+    for f, g, h in product(dbl.hmors, repeat=3):
+        for data in product(adj(s[f], s[g]), adj(t[f], t[g]), adj(s[g], s[h]),
+                            adj(t[g], t[h]), adj(s[f], s[h]), adj(t[f], t[h])):
+            out.extend(_oracle_10_two(dbl, f, g, h, *data))
     return out
 
 
@@ -244,18 +199,8 @@ def _oracle_10_two(dbl, f, g, h, phi0, phi1, psi0, psi1, th0, th1):
     for phi in _one_simplex_10(dbl, f, g, phi0, phi1):
         for psi in _one_simplex_10(dbl, g, h, psi0, psi1):
             for theta in _one_simplex_10(dbl, f, h, th0, th1):
-                for mu0 in dbl.squares_with(
-                    top=th0.f, bottom=dbl.h_then(phi0.f, psi0.f),
-                    left=dbl.idv[dbl.hsrc[f]], right=dbl.idv[dbl.hsrc[h]],
-                ):
-                    if dbl.s_vinverse(mu0) is None:
-                        continue
-                    for mu1 in dbl.squares_with(
-                        top=th1.f, bottom=dbl.h_then(phi1.f, psi1.f),
-                        left=dbl.idv[dbl.htgt[f]], right=dbl.idv[dbl.htgt[h]],
-                    ):
-                        if dbl.s_vinverse(mu1) is None:
-                            continue
+                for mu0 in _covering_fillers(dbl, th0, phi0, psi0):
+                    for mu1 in _covering_fillers(dbl, th1, phi1, psi1):
                         lhs = dbl.s_vcomp(
                             dbl.s_hcomp(mu0, e[h]),
                             dbl.s_vcomp(
@@ -293,61 +238,28 @@ def _whi_fillers(dbl, u, w, d_top, d_bot):
     ]
 
 
-def _oracle_01(dbl, n):
+def _oracle_01(dbl, adj, n):
+    s, t = dbl.vsrc, dbl.vtgt
     if n == 0:
-        return [
-            {"o0.0.0": dbl.vsrc[u], "o0.1.0": dbl.vtgt[u], "k01.0.0": u}
-            for u in dbl.vmors
-        ]
-    data = _adjoint_data(dbl)
+        return [{"o0.0.0": s[u], "o0.1.0": t[u], "k01.0.0": u} for u in dbl.vmors]
     if n == 1:
         out = []
-        for u in dbl.vmors:
-            for w in dbl.vmors:
-                for d0 in data:
-                    if dbl.hsrc[d0.f] != dbl.vsrc[u] or dbl.htgt[d0.f] != dbl.vsrc[w]:
-                        continue
-                    for d1 in data:
-                        if dbl.hsrc[d1.f] != dbl.vtgt[u] or dbl.htgt[d1.f] != dbl.vtgt[w]:
-                            continue
-                        for sq in _whi_fillers(dbl, u, w, d0, d1):
-                            env = {
-                                "o0.0.0": dbl.vsrc[u], "o0.1.0": dbl.vtgt[u],
-                                "o0.0.1": dbl.vsrc[w], "o0.1.1": dbl.vtgt[w],
-                                "k01.0.0": u, "k01.0.1": w,
-                                "B01.01.0": sq,
-                            }
-                            env.update(_data_env("n01.0.0", d0))
-                            env.update(_data_env("n01.0.1", d1))
-                            out.append(env)
+        for u, w in product(dbl.vmors, repeat=2):
+            for d0, d1 in product(adj(s[u], s[w]), adj(t[u], t[w])):
+                for sq in _whi_fillers(dbl, u, w, d0, d1):
+                    env = {
+                        "o0.0.0": s[u], "o0.1.0": t[u], "o0.0.1": s[w], "o0.1.1": t[w],
+                        "k01.0.0": u, "k01.0.1": w, "B01.01.0": sq,
+                    }
+                    env.update(_data_env("n01.0.0", d0))
+                    env.update(_data_env("n01.0.1", d1))
+                    out.append(env)
         return out
     out = []
-    for u in dbl.vmors:
-        for w in dbl.vmors:
-            for y in dbl.vmors:
-                for phi0 in data:
-                    if dbl.hsrc[phi0.f] != dbl.vsrc[u] or dbl.htgt[phi0.f] != dbl.vsrc[w]:
-                        continue
-                    for phi1 in data:
-                        if dbl.hsrc[phi1.f] != dbl.vtgt[u] or dbl.htgt[phi1.f] != dbl.vtgt[w]:
-                            continue
-                        for psi0 in data:
-                            if dbl.hsrc[psi0.f] != dbl.vsrc[w] or dbl.htgt[psi0.f] != dbl.vsrc[y]:
-                                continue
-                            for psi1 in data:
-                                if dbl.hsrc[psi1.f] != dbl.vtgt[w] or dbl.htgt[psi1.f] != dbl.vtgt[y]:
-                                    continue
-                                for th0 in data:
-                                    if dbl.hsrc[th0.f] != dbl.vsrc[u] or dbl.htgt[th0.f] != dbl.vsrc[y]:
-                                        continue
-                                    for th1 in data:
-                                        if dbl.hsrc[th1.f] != dbl.vtgt[u] or dbl.htgt[th1.f] != dbl.vtgt[y]:
-                                            continue
-                                        out.extend(
-                                            _oracle_01_two(
-                                                dbl, u, w, y, phi0, phi1, psi0, psi1, th0, th1
-                                            )
-                                        )
+    for u, w, y in product(dbl.vmors, repeat=3):
+        for data in product(adj(s[u], s[w]), adj(t[u], t[w]), adj(s[w], s[y]),
+                            adj(t[w], t[y]), adj(s[u], s[y]), adj(t[u], t[y])):
+            out.extend(_oracle_01_two(dbl, u, w, y, *data))
     return out
 
 
@@ -356,18 +268,8 @@ def _oracle_01_two(dbl, u, w, y, phi0, phi1, psi0, psi1, th0, th1):
     for phi in _whi_fillers(dbl, u, w, phi0, phi1):
         for psi in _whi_fillers(dbl, w, y, psi0, psi1):
             for theta in _whi_fillers(dbl, u, y, th0, th1):
-                for mu in dbl.squares_with(
-                    top=th0.f, bottom=dbl.h_then(phi0.f, psi0.f),
-                    left=dbl.idv[dbl.vsrc[u]], right=dbl.idv[dbl.vsrc[y]],
-                ):
-                    if dbl.s_vinverse(mu) is None:
-                        continue
-                    for mu2 in dbl.squares_with(
-                        top=th1.f, bottom=dbl.h_then(phi1.f, psi1.f),
-                        left=dbl.idv[dbl.vtgt[u]], right=dbl.idv[dbl.vtgt[y]],
-                    ):
-                        if dbl.s_vinverse(mu2) is None:
-                            continue
+                for mu in _covering_fillers(dbl, th0, phi0, psi0):
+                    for mu2 in _covering_fillers(dbl, th1, phi1, psi1):
                         if dbl.s_vcomp(mu, dbl.s_hcomp(phi, psi)) != dbl.s_vcomp(theta, mu2):
                             continue
                         env = {
@@ -388,23 +290,12 @@ def _oracle_01_two(dbl, u, w, y, phi0, phi1, psi0, psi1, th0, th1):
     return out
 
 
-def _oracle_11(dbl, n):
+def _oracle_11(dbl, adj, n):
     if n == 0:
-        out = []
-        for s in dbl.squares:
-            out.append(
-                {
-                    "o0.0.0": dbl.hsrc[dbl.stop[s]], "o1.0.0": dbl.htgt[dbl.stop[s]],
-                    "o0.1.0": dbl.hsrc[dbl.sbottom[s]], "o1.1.0": dbl.htgt[dbl.sbottom[s]],
-                    "m01.0.0": dbl.stop[s], "m01.1.0": dbl.sbottom[s],
-                    "k01.0.0": dbl.sleft[s], "k01.1.0": dbl.sright[s],
-                    "A01.01.0": s,
-                }
-            )
-        return out
+        return [_square_env(dbl, s, 0) for s in dbl.squares]
     if n == 1:
-        return _oracle_11_one(dbl)
-    return _oracle_11_two(dbl)
+        return _oracle_11_one(dbl, adj)
+    return _oracle_11_two(dbl, adj)
 
 
 def _square_env(dbl, s, z):
@@ -417,37 +308,28 @@ def _square_env(dbl, s, z):
     }
 
 
-def _one_simplices_11(dbl, alpha, beta):
+def _one_simplices_11(dbl, adj, alpha, beta):
     """The connecting data between two squares: four adjoint equivalences,
     two invertible interchangers, two weak-inverse-admitting fillers, and
     the single pasting equality."""
-    data = _adjoint_data(dbl)
+    s, t = dbl.hsrc, dbl.htgt
     f, f2 = dbl.stop[alpha], dbl.sbottom[alpha]
     g, g2 = dbl.stop[beta], dbl.sbottom[beta]
     u, v = dbl.sleft[alpha], dbl.sright[alpha]
     w, x_ = dbl.sleft[beta], dbl.sright[beta]
     out = []
-    for d00 in data:  # component at (0, 0): src f -> src g
-        if dbl.hsrc[d00.f] != dbl.hsrc[f] or dbl.htgt[d00.f] != dbl.hsrc[g]:
-            continue
-        for d10 in data:  # at (1, 0): tgt f -> tgt g
-            if dbl.hsrc[d10.f] != dbl.htgt[f] or dbl.htgt[d10.f] != dbl.htgt[g]:
-                continue
-            for d01 in data:  # at (0, 1)
-                if dbl.hsrc[d01.f] != dbl.hsrc[f2] or dbl.htgt[d01.f] != dbl.hsrc[g2]:
-                    continue
-                for d11 in data:  # at (1, 1)
-                    if dbl.hsrc[d11.f] != dbl.htgt[f2] or dbl.htgt[d11.f] != dbl.htgt[g2]:
-                        continue
-                    for phi in _one_simplex_10(dbl, f, g, d00, d10):
-                        for phi2 in _one_simplex_10(dbl, f2, g2, d01, d11):
-                            for t0 in _whi_fillers(dbl, u, w, d00, d01):
-                                for t1 in _whi_fillers(dbl, v, x_, d10, d11):
-                                    lhs = dbl.s_vcomp(phi, dbl.s_hcomp(alpha, t1))
-                                    rhs = dbl.s_vcomp(dbl.s_hcomp(t0, beta), phi2)
-                                    if lhs != rhs:
-                                        continue
-                                    out.append((d00, d10, d01, d11, phi, phi2, t0, t1))
+    # components at (0, 0), (1, 0), (0, 1), (1, 1): the corners of alpha to those of beta
+    for d00, d10, d01, d11 in product(adj(s[f], s[g]), adj(t[f], t[g]),
+                                      adj(s[f2], s[g2]), adj(t[f2], t[g2])):
+        for phi in _one_simplex_10(dbl, f, g, d00, d10):
+            for phi2 in _one_simplex_10(dbl, f2, g2, d01, d11):
+                for t0 in _whi_fillers(dbl, u, w, d00, d01):
+                    for t1 in _whi_fillers(dbl, v, x_, d10, d11):
+                        lhs = dbl.s_vcomp(phi, dbl.s_hcomp(alpha, t1))
+                        rhs = dbl.s_vcomp(dbl.s_hcomp(t0, beta), phi2)
+                        if lhs != rhs:
+                            continue
+                        out.append((d00, d10, d01, d11, phi, phi2, t0, t1))
     return out
 
 
@@ -466,11 +348,11 @@ def _edge_env_11(dbl, datum, z0, z1):
     return env
 
 
-def _oracle_11_one(dbl):
+def _oracle_11_one(dbl, adj):
     out = []
     for alpha in dbl.squares:
         for beta in dbl.squares:
-            for datum in _one_simplices_11(dbl, alpha, beta):
+            for datum in _one_simplices_11(dbl, adj, alpha, beta):
                 env = {}
                 env.update(_square_env(dbl, alpha, 0))
                 env.update(_square_env(dbl, beta, 1))
@@ -479,18 +361,18 @@ def _oracle_11_one(dbl):
     return out
 
 
-def _oracle_11_two(dbl):
+def _oracle_11_two(dbl, adj):
     out = []
     for alpha in dbl.squares:
         for beta in dbl.squares:
-            one_ab = _one_simplices_11(dbl, alpha, beta)
+            one_ab = _one_simplices_11(dbl, adj, alpha, beta)
             if not one_ab:
                 continue
             for gamma in dbl.squares:
-                one_bc = _one_simplices_11(dbl, beta, gamma)
+                one_bc = _one_simplices_11(dbl, adj, beta, gamma)
                 if not one_bc:
                     continue
-                one_ac = _one_simplices_11(dbl, alpha, gamma)
+                one_ac = _one_simplices_11(dbl, adj, alpha, gamma)
                 for phi_d in one_ab:
                     for psi_d in one_bc:
                         for th_d in one_ac:
@@ -508,19 +390,8 @@ def _oracle_11_two_fill(dbl, alpha, beta, gamma, phi_d, psi_d, th_d):
     f, f2 = dbl.stop[alpha], dbl.sbottom[alpha]
     h, h2 = dbl.stop[gamma], dbl.sbottom[gamma]
     out = []
-
-    def inv_fillers(dtheta, dphi, dpsi, a, b):
-        return [
-            s
-            for s in dbl.squares_with(
-                top=dtheta.f, bottom=dbl.h_then(dphi.f, dpsi.f),
-                left=dbl.idv[a], right=dbl.idv[b],
-            )
-            if dbl.s_vinverse(s) is not None
-        ]
-
-    for mu00 in inv_fillers(t00, p00, s00, dbl.hsrc[f], dbl.hsrc[h]):
-        for mu10 in inv_fillers(t10, p10, s10, dbl.htgt[f], dbl.htgt[h]):
+    for mu00 in _covering_fillers(dbl, t00, p00, s00):
+        for mu10 in _covering_fillers(dbl, t10, p10, s10):
             # condition along the top horizontal generator
             lhs = dbl.s_vcomp(
                 dbl.s_hcomp(mu00, e[h]),
@@ -528,11 +399,11 @@ def _oracle_11_two_fill(dbl, alpha, beta, gamma, phi_d, psi_d, th_d):
             )
             if lhs != dbl.s_vcomp(th_t, dbl.s_hcomp(e[f], mu10)):
                 continue
-            for mu01 in inv_fillers(t01, p01, s01, dbl.hsrc[f2], dbl.hsrc[h2]):
+            for mu01 in _covering_fillers(dbl, t01, p01, s01):
                 # condition along the left vertical generator
                 if dbl.s_vcomp(mu00, dbl.s_hcomp(pt0, st0)) != dbl.s_vcomp(tt0, mu01):
                     continue
-                for mu11 in inv_fillers(t11, p11, s11, dbl.htgt[f2], dbl.htgt[h2]):
+                for mu11 in _covering_fillers(dbl, t11, p11, s11):
                     if dbl.s_vcomp(mu10, dbl.s_hcomp(pt1, st1)) != dbl.s_vcomp(tt1, mu11):
                         continue
                     lhs = dbl.s_vcomp(
@@ -569,80 +440,42 @@ def _two_val_to_dbl(cat2, variant, dbl, valuation, level):
         tag = kind[0]
         if variant == "h":
             if tag == "obj":
-                out[name] = valuation[_q_of(kind)]
+                out[name] = valuation[_qname(kind[1], kind[3])]
             elif tag == "k":
-                out[name] = dbl.idv[valuation[_q_of(("obj", kind[2], 0, kind[3]))]]
+                out[name] = dbl.idv[valuation[_qname(kind[2], kind[3])]]
             else:
                 out[name] = valuation[name]
-        else:
-            if tag == "obj":
-                out[name] = valuation[name]
-            elif tag == "k":
-                quad = (
-                    valuation[name],
-                    valuation[name + "*"],
-                    valuation[name + ".unit"],
-                    valuation[name + ".counit"],
-                )
-                out[name] = dbl.__dict__["vmor_of_quad"][quad]
-            elif tag in ("m", "n", "n*"):
-                out[name] = valuation[name]
-            else:  # squares, including units of the n-direction
-                f = _sq_src_h(cat2, dbl, pres, valuation, g)
-                out[name] = f
+        elif tag == "k":
+            out[name] = dbl.vmor_of_quad[_quad(valuation, name)]
+        elif tag in ("obj", "m", "n", "n*"):
+            out[name] = valuation[name]
+        else:  # squares, including units of the n-direction
+            out[name] = _sq_src_h(cat2, dbl, valuation, g)
     return out
 
 
-def _q_of(kind):
-    from .tensor import _qname
+def _quad(valuation, name):
+    """The adjoint equivalence (f, g, unit, counit) a valuation gives the
+    generator ``name`` of the equivalence quotient."""
+    return tuple(valuation[name + suffix] for suffix in ("", "*", ".unit", ".counit"))
 
-    return _qname(kind[1], kind[3])
 
-
-def _sq_src_h(cat2, dbl, pres, valuation, gen):
+def _sq_src_h(cat2, dbl, valuation, gen):
     """Locate the square of the equivalence embedding carrying a given
     2-cell with given boundary generators."""
-    from . import expr as ex_mod
-    from .tensor import _tr_h_lsim
-
     top, bottom, left, right = gen.bounds
-    env2 = valuation
 
-    def eval_h(h):
-        return ex_mod.evaluate(cat2, _tr_h_lsim(h), env2)
-
-    def eval_quad(v):
+    def vmor(v):
         tag = v[0]
         if tag == "vid":
-            obj = ex_mod.evaluate(cat2, v[1], env2)
-            i = cat2.id1[obj]
-            return (i, i, cat2.id2[i], cat2.id2[i])
+            return dbl.idv[evaluate(cat2, v[1], valuation)]
         if tag == "vgen":
-            name = v[1]
-            return (
-                env2[name], env2[name + "*"], env2[name + ".unit"], env2[name + ".counit"]
-            )
-        first = eval_quad(v[1])
-        second = eval_quad(v[2])
-        u = dbl.__dict__["vmor_of_quad"][first]
-        w = dbl.__dict__["vmor_of_quad"][second]
-        composite = dbl.v_then(u, w)
-        return dbl.__dict__["quad_of_vmor"][composite]
+            return dbl.vmor_of_quad[_quad(valuation, v[1])]
+        return dbl.v_then(vmor(v[1]), vmor(v[2]))
 
-    f = eval_h(top)
-    f2 = eval_h(bottom)
-    uq = eval_quad(left)
-    vq = eval_quad(right)
-    cell = ex_mod.evaluate(cat2, _tr_sq_of_gen(gen), env2)
-    u = dbl.__dict__["vmor_of_quad"][uq]
-    w = dbl.__dict__["vmor_of_quad"][vq]
-    return dbl.__dict__["square_by_data"][(f, f2, u, w, cell)]
-
-
-def _tr_sq_of_gen(gen):
-    from . import expr as ex_mod
-
-    return ex_mod.sgen(gen.name)
+    data = (evaluate(cat2, top, valuation), evaluate(cat2, bottom, valuation),
+            vmor(left), vmor(right), valuation[gen.name])
+    return dbl.square_by_data[data]
 
 
 def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: int,
@@ -742,25 +575,16 @@ def inclusion_chain_to_invertible(k: int):
             continue
         i, j = int(chain.vsrc[u]), int(chain.vtgt[u])
         vm[u] = "[" + "".join(str(t) for t in range(i, j + 1)) + "]"
-    hm = {}
-    sm = {}
-    from .dblcat import validate_double_functor
-
-    return validate_double_functor(chain, target, om, hm, vm, sm)
+    return validate_double_functor(chain, target, om, {}, vm, {})
 
 
 def segal_tfib_check(dbl: FiniteDoubleCategory, k: int, budget: int | None = None):
     """The restriction 2-functor from maps out of the invertible vertical
     oriental to maps out of the vertical chain is surjective on objects,
     full on 1-cells, and fully faithful on 2-cells."""
-    from .twocat import is_trivial_fibration_two
-
     incl = inclusion_chain_to_invertible(k)
     ph_big = pseudo_hom(incl.target, dbl, budget)
     ph_small = pseudo_hom(incl.source, dbl, budget)
-
-    from .pseudohom import _functor_key
-
     small_names = {_functor_key(F): name for name, F in ph_small.functors.items()}
 
     def restrict_functor(F):
@@ -768,8 +592,6 @@ def segal_tfib_check(dbl: FiniteDoubleCategory, k: int, budget: int | None = Non
         hm = {f: F.h_map[incl.h_map[f]] for f in incl.source.hmors}
         vm = {u: F.v_map[incl.v_map[u]] for u in incl.source.vmors}
         sm = {s: F.sq_map[incl.sq_map[s]] for s in incl.source.squares}
-        from .dblcat import validate_double_functor
-
         return validate_double_functor(incl.source, dbl, om, hm, vm, sm)
 
     object_map = {}

@@ -171,13 +171,9 @@ def _transformations_between(dom, cod, fname, gname, F, G, budget, spent):
         for u in free_v
     ]
     variables += [
-        (("h", f), lambda env, f=f: [
-            s for s in cod.squares_with(
-                top=cod.h_then(env[("o", dom.hsrc[f])], G.h_map[f]),
-                bottom=cod.h_then(F.h_map[f], env[("o", dom.htgt[f])]),
-                left=cod.idv[F.object_map[dom.hsrc[f]]],
-                right=cod.idv[G.object_map[dom.htgt[f]]])
-            if cod.s_vinverse(s) is not None])
+        (("h", f), lambda env, f=f: cod.invertible_flat(
+            cod.h_then(env[("o", dom.hsrc[f])], G.h_map[f]),
+            cod.h_then(F.h_map[f], env[("o", dom.htgt[f])])))
         for f in free_h
     ]
     constraints: list = []

@@ -15,6 +15,9 @@ same cells built without any relation search.
 ``lx_presentations`` derives the two 2-categorical quotients (vertical
 generators collapsed, respectively turned into adjoint equivalences)
 together with the comparison generator maps in both directions.
+``level_map`` realizes the faces and degeneracies between levels: one
+image per generator of the double presentation, passed through the same
+translators into either quotient.
 """
 
 from __future__ import annotations
@@ -400,30 +403,19 @@ def _tr_v_as_h(v):
     raise RangeExceeded(f"not a v-expression: {v!r}")
 
 
-def _tr_h_lsim(h):
-    tag = h[0]
-    if tag in ("hgen", "hid"):
-        return h
-    if tag == "hcomp":
-        return ex.hcomp(_tr_h_lsim(h[1]), _tr_h_lsim(h[2]))
-    raise RangeExceeded(f"not an h-expression: {h!r}")
-
-
 def _tr_sq_lsim(pres, s):
     """Translate a square pasting of the tensor shape into the 2-cell pasting
     of its adjoint-equivalence quotient (squares α become 2-cells
     v·top ⇒ bottom·u, compositions conjugate accordingly)."""
     tag = s[0]
-    if tag == "sgen":
-        return ex.sgen(s[1])
-    if tag == "sid_h":
-        return ex.sid_h(_tr_h_lsim(s[1]))
+    if tag in ("sgen", "sid_h"):
+        return s
     if tag == "sid_v":
         return ex.sid_h(_tr_v_as_h(s[1]))
     if tag == "shcomp":
         left, right = s[1], s[2]
-        l_top = _tr_h_lsim(square_bounds(pres, left)[0])
-        r_bottom = _tr_h_lsim(square_bounds(pres, right)[1])
+        l_top = square_bounds(pres, left)[0]
+        r_bottom = square_bounds(pres, right)[1]
         return ex.svcomp(
             ex.shcomp(ex.sid_h(l_top), _tr_sq_lsim(pres, right)),
             ex.shcomp(_tr_sq_lsim(pres, left), ex.sid_h(r_bottom)),
@@ -511,8 +503,8 @@ def lx_presentations(m: int, k: int, n: int):
             bs.add_hgen(g.name, g.bounds[0], g.bounds[1], adjoint=True)
         else:
             top, bottom, left, right = g.bounds
-            src = ex.hcomp(_tr_h_lsim(top), _tr_v_as_h(right))
-            tgt = ex.hcomp(_tr_v_as_h(left), _tr_h_lsim(bottom))
+            src = ex.hcomp(top, _tr_v_as_h(right))
+            tgt = ex.hcomp(_tr_v_as_h(left), bottom)
             flags = sorted({flag_tr[f] for f in g.flags})
             bs.add_cell2(g.name, src, tgt, flags)
     seen = set()
@@ -839,225 +831,89 @@ def _reduce(expression):
 # -- cosimplicial maps between levels -------------------------------------
 
 
-def _image_descriptor(kind, direction, alpha):
-    """New coordinates plus a collapse marker for one generator under a
-    monotone map in one direction."""
+# directions of the coordinates of each generator kind in the metadata of
+# ``x_presentation``; a covering cell spans (0, 2) in the direction it lacks
+_AXES = {"obj": "mkn", "m": "mkn", "n": "nmk", "k": "kmn", "A": "mkn", "B": "nkm",
+         "X": "mnk", "T": "mn", "M": "kn", "N": "mk"}
+_KIND_OF_GAPS = {"": "obj", "m": "m", "n": "n", "k": "k", "mk": "A", "kn": "B", "mn": "X"}
+_NAMES = {"obj": _oname, "m": _mname, "n": _nname, "k": _kname, "A": _aname, "B": _bname,
+          "X": _xname, "T": _tname, "M": _mcov, "N": _ncov}
+_SORTS = {"obj": ex.ogen, "m": ex.hgen, "n": ex.hgen, "k": ex.vgen}
+
+
+def _gen(tag, at):
+    """The generator of kind ``tag`` at ``at`` (direction -> point or gap)."""
+    return _SORTS.get(tag, ex.sgen)(_NAMES[tag](*(at[d] for d in _AXES[tag])))
+
+
+def _image(kind, direction, alpha):
+    """Image in the double presentation of the generator of kind ``kind``
+    under the monotone map ``alpha`` in ``direction``.  A gap that ``alpha``
+    collapses, or the span of a covering cell in its own direction, leaves
+    the unit on the cell that remains."""
     tag = kind[0]
-
-    def ap(v):
-        return alpha[v]
-
-    if tag == "obj":
-        x, y, z = kind[1], kind[2], kind[3]
-        if direction == "m":
-            x = ap(x)
-        elif direction == "k":
-            y = ap(y)
-        else:
-            z = ap(z)
-        return ("obj", x, y, z, False)
-    if tag in ("m", "n", "n*", "n.unit", "n.counit", "k"):
-        gap, c1, c2 = kind[1], kind[2], kind[3]
-        own = {"m": "m", "n": "n", "n*": "n", "n.unit": "n", "n.counit": "n", "k": "k"}[tag]
-        if direction == own:
-            igap = (ap(gap[0]), ap(gap[1]))
-            return (tag, igap, c1, c2, igap[0] == igap[1])
-        if tag == "m":
-            return (tag, gap, ap(c1) if direction == "k" else c1,
-                    ap(c2) if direction == "n" else c2, False)
-        if tag.startswith("n"):
-            return (tag, gap, ap(c1) if direction == "m" else c1,
-                    ap(c2) if direction == "k" else c2, False)
-        return (tag, gap, ap(c1) if direction == "m" else c1,
-                ap(c2) if direction == "n" else c2, False)
-    if tag == "A":
-        mgap, kgap, z = kind[1], kind[2], kind[3]
-        if direction == "m":
-            igap = (ap(mgap[0]), ap(mgap[1]))
-            return ("A", igap, kgap, z, "m" if igap[0] == igap[1] else False)
-        if direction == "k":
-            igap = (ap(kgap[0]), ap(kgap[1]))
-            return ("A", mgap, igap, z, "k" if igap[0] == igap[1] else False)
-        return ("A", mgap, kgap, ap(z), False)
-    if tag == "B":
-        ngap, kgap, x = kind[1], kind[2], kind[3]
-        if direction == "n":
-            igap = (ap(ngap[0]), ap(ngap[1]))
-            return ("B", igap, kgap, x, "n" if igap[0] == igap[1] else False)
-        if direction == "k":
-            igap = (ap(kgap[0]), ap(kgap[1]))
-            return ("B", ngap, igap, x, "k" if igap[0] == igap[1] else False)
-        return ("B", ngap, kgap, ap(x), False)
-    if tag == "X":
-        mgap, ngap, y = kind[1], kind[2], kind[3]
-        if direction == "m":
-            igap = (ap(mgap[0]), ap(mgap[1]))
-            return ("X", igap, ngap, y, "m" if igap[0] == igap[1] else False)
-        if direction == "n":
-            igap = (ap(ngap[0]), ap(ngap[1]))
-            return ("X", mgap, igap, y, "n" if igap[0] == igap[1] else False)
-        return ("X", mgap, ngap, ap(y), False)
-    if tag == "T":
-        x, z = kind[1], kind[2]
-        if direction == "k":
-            igap = (ap(0), ap(2))
-            return ("T", x, z, igap, "k")
-        return ("T", ap(x) if direction == "m" else x,
-                ap(z) if direction == "n" else z, None, False)
-    if tag == "M":
-        y, z = kind[1], kind[2]
-        if direction == "m":
-            return ("M", y, z, (ap(0), ap(2)), "m")
-        return ("M", ap(y) if direction == "k" else y,
-                ap(z) if direction == "n" else z, None, False)
-    if tag == "N":
-        x, y = kind[1], kind[2]
-        if direction == "n":
-            return ("N", x, y, (ap(0), ap(2)), "n")
-        return ("N", ap(x) if direction == "m" else x,
-                ap(y) if direction == "k" else y, None, False)
-    raise RangeExceeded(f"unknown generator kind {kind!r}")
+    at = dict(zip(_AXES[tag], kind[1:]))
+    c = at.get(direction, (0, 2))
+    if not isinstance(c, tuple):
+        at[direction] = alpha[c]
+        return _gen(tag, at)
+    a, b = alpha[c[0]], alpha[c[1]]
+    if direction in at and a != b:
+        at[direction] = (a, b)
+        return _gen(tag, at)
+    at[direction] = a if a == b else (a, b)
+    rest = _KIND_OF_GAPS["".join(d for d in "mkn" if isinstance(at[d], tuple))]
+    cell = _gen(rest, at)
+    if rest == "obj":
+        return ex.vid(cell) if direction == "k" else ex.hid(cell)
+    return ex.sid_v(cell) if rest == "k" else ex.sid_h(cell)
 
 
-class _Vocab:
-    """Renders image descriptors into the three presentation vocabularies."""
+def _artifact(image, suffix):
+    """Image of the partner, unit or counit (``suffix``) of an adjoint
+    generator whose image is the 1-cell expression ``image``."""
+    if image[0] == "hgen":
+        return (ex.hgen if suffix == "*" else ex.sgen)(image[1] + suffix)
+    return image if suffix == "*" else ex.sid_h(image)
 
-    def __init__(self, variant):
-        self.variant = variant
 
-    def obj(self, x, y, z):
-        if self.variant == "l":
-            return ex.ogen(_qname(x, z))
-        return ex.ogen(_oname(x, y, z))
-
-    def hid_obj(self, x, y, z):
-        return ex.hid(self.obj(x, y, z))
-
-    def kcell(self, gap, x, z, suffix=""):
-        name = _kname(gap, x, z) + suffix
-        if self.variant == "l":
-            idq = ex.hid(ex.ogen(_qname(x, z)))
-            if suffix == "":
-                return idq
-            return idq if suffix == "*" else ex.sid_h(idq)
-        if self.variant == "lsim":
-            return ex.hgen(name) if suffix in ("", "*") else ex.sgen(name)
-        return ex.vgen(name) if suffix == "" else None  # x-level verticals carry no units
-
-    def k_identity(self, x, y, z):
-        # collapsed vertical generator
-        if self.variant == "x":
-            return ex.vid(ex.ogen(_oname(x, y, z)))
-        return self.hid_obj(x, y, z)
-
-    def sq_unit_v(self, gap, x, z):
-        # identity square on a vertical generator
-        if self.variant == "x":
-            return ex.sid_v(ex.vgen(_kname(gap, x, z)))
-        if self.variant == "lsim":
-            return ex.sid_h(ex.hgen(_kname(gap, x, z)))
-        return ex.sid_h(ex.hid(ex.ogen(_qname(x, z))))
+def _translate(variant, pres, meta, e):
+    """An expression of the double presentation ``pres`` in its ``variant``
+    quotient, by the translators of ``lx_presentations``."""
+    sort = e[0][0]
+    if variant == "l":
+        if sort == "o":
+            return _tr_obj_l(meta, e)
+        return _tr_h_l(meta, e) if sort == "h" else _tr_sq_l(pres, meta, e)
+    if variant == "lsim":
+        if sort == "v":
+            return _tr_v_as_h(e)
+        return _tr_sq_lsim(pres, e) if sort == "s" else e
+    return e
 
 
 def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> PresentationMorphism:
     """The presentation morphism realizing one cosimplicial operator between
     two tensor levels, for the double presentation ("x") or either
-    2-categorical quotient ("l", "lsim")."""
-    sp, smeta = x_presentation(*src_mkn)
-    tp, _tmeta = x_presentation(*tgt_mkn)
-    if variant == "x":
-        source, target = sp, tp
-    elif variant == "l":
-        source, target = lx_presentations(*src_mkn)[0], lx_presentations(*tgt_mkn)[0]
-    else:
-        source, target = lx_presentations(*src_mkn)[1], lx_presentations(*tgt_mkn)[1]
-    voc = _Vocab(variant)
+    2-categorical quotient ("l", "lsim").
 
+    Each generator's image is computed in the double presentation and
+    translated into the quotient; adjoint partners, units and counits follow
+    the image of their base generator."""
+    source, smeta = x_presentation(*src_mkn)
+    tp, tmeta = x_presentation(*tgt_mkn)
+    target = tp
+    if variant != "x":
+        which = ("l", "lsim").index(variant)
+        source, target = lx_presentations(*src_mkn)[which], lx_presentations(*tgt_mkn)[which]
     gen_map = {}
     for g in source.gens:
-        name = g.name
-        kind = smeta.get(name)
-        if kind is None:
-            if variant == "l" and g.sort == "object":
-                x, z = (int(v) for v in name[1:].split("."))
-                nx = alpha[x] if direction == "m" else x
-                nz = alpha[z] if direction == "n" else z
-                gen_map[name] = ex.ogen(_qname(nx, nz))
-                continue
-            base = _base_of_artifact(name)
-            bkind = smeta.get(base) if base else None
-            if bkind is None or bkind[0] != "k":
-                raise RangeExceeded(f"unclassified generator {name!r}")
-            gap, x, z = bkind[1], bkind[2], bkind[3]
-            suffix = name[len(base):]
-            tag2, igap, c1, c2, collapse = _image_descriptor(bkind, direction, alpha)
-            if collapse:
-                idq = voc.hid_obj(c1, igap[0], c2)
-                gen_map[name] = idq if suffix == "*" else ex.sid_h(idq)
-            else:
-                gen_map[name] = voc.kcell(igap, c1, c2, suffix)
-            continue
-        desc = _image_descriptor(kind, direction, alpha)
-        tag = desc[0]
-        if tag == "obj":
-            gen_map[name] = voc.obj(desc[1], desc[2], desc[3])
-        elif tag == "m":
-            gap, y, z, collapse = desc[1], desc[2], desc[3], desc[4]
-            gen_map[name] = voc.hid_obj(gap[0], y, z) if collapse else ex.hgen(_mname(gap, y, z))
-        elif tag in ("n", "n*", "n.unit", "n.counit"):
-            gap, x, y, collapse = desc[1], desc[2], desc[3], desc[4]
-            suffix = {"n": "", "n*": "*", "n.unit": ".unit", "n.counit": ".counit"}[tag]
-            if collapse:
-                idh = voc.hid_obj(x, y, gap[0])
-                gen_map[name] = idh if suffix in ("", "*") else ex.sid_h(idh)
-            else:
-                base = _nname(gap, x, y)
-                gen_map[name] = ex.hgen(base + suffix) if suffix in ("", "*") else ex.sgen(base + suffix)
-        elif tag == "k":
-            gap, x, z, collapse = desc[1], desc[2], desc[3], desc[4]
-            gen_map[name] = voc.k_identity(x, gap[0], z) if collapse else voc.kcell(gap, x, z)
-        elif tag == "A":
-            mgap, kgap, z, collapse = desc[1], desc[2], desc[3], desc[4]
-            if collapse == "m":
-                gen_map[name] = voc.sq_unit_v(kgap, mgap[0], z)
-            elif collapse == "k":
-                gen_map[name] = ex.sid_h(ex.hgen(_mname(mgap, kgap[0], z)))
-            else:
-                gen_map[name] = ex.sgen(_aname(mgap, kgap, z))
-        elif tag == "B":
-            ngap, kgap, x, collapse = desc[1], desc[2], desc[3], desc[4]
-            if collapse == "n":
-                gen_map[name] = voc.sq_unit_v(kgap, x, ngap[0])
-            elif collapse == "k":
-                gen_map[name] = ex.sid_h(ex.hgen(_nname(ngap, x, kgap[0])))
-            else:
-                gen_map[name] = ex.sgen(_bname(ngap, kgap, x))
-        elif tag == "X":
-            mgap, ngap, y, collapse = desc[1], desc[2], desc[3], desc[4]
-            if collapse == "m":
-                gen_map[name] = ex.sid_h(ex.hgen(_nname(ngap, mgap[0], y)))
-            elif collapse == "n":
-                gen_map[name] = ex.sid_h(ex.hgen(_mname(mgap, y, ngap[0])))
-            else:
-                gen_map[name] = ex.sgen(_xname(mgap, ngap, y))
-        elif tag == "T":
-            x, z, igap, collapse = desc[1], desc[2], desc[3], desc[4]
-            if collapse:
-                gen_map[name] = voc.sq_unit_v(igap, x, z)
-            else:
-                gen_map[name] = ex.sgen(_tname(x, z))
-        elif tag == "M":
-            y, z, igap, collapse = desc[1], desc[2], desc[3], desc[4]
-            if collapse:
-                gen_map[name] = ex.sid_h(ex.hgen(_mname(igap, y, z)))
-            else:
-                gen_map[name] = ex.sgen(_mcov(y, z))
-        elif tag == "N":
-            x, y, igap, collapse = desc[1], desc[2], desc[3], desc[4]
-            if collapse:
-                gen_map[name] = ex.sid_h(ex.hgen(_nname(igap, x, y)))
-            else:
-                gen_map[name] = ex.sgen(_ncov(x, y))
-        else:
-            raise RangeExceeded(f"unhandled descriptor {desc!r}")
+        base = _base_of_artifact(g.name) or g.name
+        if base in smeta:
+            kind = smeta[base]
+        else:  # an object of the plain quotient, the class of its y = 0 object
+            x, z = (int(v) for v in base[1:].split("."))
+            kind = ("obj", x, 0, z)
+        image = _translate(variant, tp, tmeta, _image(kind, direction, alpha))
+        gen_map[g.name] = image if base == g.name else _artifact(image, g.name[len(base):])
     return PresentationMorphism(source, target, gen_map)

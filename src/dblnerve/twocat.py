@@ -139,6 +139,8 @@ def validate_two_category(raw: dict) -> FiniteTwoCategory:
     ``[first, then, result]`` triples on non-identity composable pairs.
     """
     objects = list(raw.get("objects", []))
+    if len(set(objects)) != len(objects):
+        raise DanglingReference("duplicate object names")
     one_src, one_tgt, one_cells = {}, {}, []
     for entry in raw.get("one_cells", []):
         name = entry["name"]
@@ -151,6 +153,8 @@ def validate_two_category(raw: dict) -> FiniteTwoCategory:
     id1 = {}
     for a in objects:
         i = id1_of(a)
+        if i in one_src:
+            raise DanglingReference(f"reserved identity name {i!r} declared explicitly")
         one_src[i], one_tgt[i] = a, a
         id1[a] = i
         one_cells.append(i)
@@ -160,11 +164,15 @@ def validate_two_category(raw: dict) -> FiniteTwoCategory:
         name = entry["name"]
         if entry["src"] not in one_src or entry["tgt"] not in one_src:
             raise DanglingReference(f"2-cell {name!r} has unknown boundary 1-cells")
+        if name in two_src:
+            raise DanglingReference(f"duplicate 2-cell {name!r}")
         two_src[name], two_tgt[name] = entry["src"], entry["tgt"]
         two_cells.append(name)
     id2 = {}
     for f in one_cells:
         i = id2_of(f)
+        if i in two_src:
+            raise DanglingReference(f"reserved identity name {i!r} declared explicitly")
         two_src[i], two_tgt[i] = f, f
         id2[f] = i
         two_cells.append(i)
@@ -447,15 +455,7 @@ def is_biequivalence(functor: TwoFunctor):
     for a1 in src.objects:
         for a2 in src.objects:
             for g in tgt.hmors_between(om[a1], om[a2]):
-                hit = False
-                for f in src.hmors_between(a1, a2):
-                    for c in tgt.squares_with(top=fm[f], bottom=g):
-                        if tgt.is_invertible2(c):
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if not hit:
+                if not any(tgt.invertible_flat(fm[f], g) for f in src.hmors_between(a1, a2)):
                     return False, ("morphism-not-reached", g)
 
     for f in src.one_cells:

@@ -183,17 +183,7 @@ def is_double_biequivalence(functor: DoubleFunctor):
     for a1 in src.objects:
         for a2 in src.objects:
             for g in tgt.hmors_between(om[a1], om[a2]):
-                hit = False
-                for f in src.hmors_between(a1, a2):
-                    for c in tgt.squares_with(
-                        top=hm[f], bottom=g, left=tgt.idv[om[a1]], right=tgt.idv[om[a2]]
-                    ):
-                        if tgt.s_vinverse(c) is not None:
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if not hit:
+                if not any(tgt.invertible_flat(hm[f], g) for f in src.hmors_between(a1, a2)):
                     return False, ("h-morphism-not-reached", g)
 
     whis = whi_squares(tgt)

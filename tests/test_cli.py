@@ -214,6 +214,57 @@ def test_malformed_json_input_is_an_error(case, tmp_path):
     assert len(lines) == 1 and "error:" in lines[0], err
 
 
+def _bad_names_cases():
+    f = {"name": "f", "src": "a", "tgt": "b"}
+
+    def two(**fields):
+        return json.dumps({"kind": "two-category", "objects": ["a", "b"], **fields})
+
+    def double(**fields):
+        return json.dumps({"kind": "double-category", "objects": ["a", "b"], **fields})
+
+    def square(name, top, bottom, left, right):
+        return {"name": name, "top": top, "bottom": bottom, "left": left, "right": right}
+
+    nerve = ("nerve", "--m", "0", "--k", "0", "--n", "0", "--compare")
+    return {
+        "two-duplicate-object": (("validate",), two(objects=["a", "a"])),
+        "two-identity-1-cell-name": (("validate",), two(
+            one_cells=[{"name": "id:a", "src": "a", "tgt": "a"}])),
+        "two-identity-2-cell-name": (("validate",), two(
+            one_cells=[f], two_cells=[{"name": "id2:f", "src": "f", "tgt": "f"}])),
+        "two-duplicate-2-cell": (("validate",), two(
+            one_cells=[f, {**f, "name": "g"}],
+            two_cells=[{"name": "c", "src": "f", "tgt": "g"}] * 2)),
+        "double-duplicate-object": (("validate",), double(objects=["a", "a"])),
+        "double-duplicate-object-nerve": (nerve, double(objects=["a", "a"])),
+        "double-identity-hmor-name": (("validate",), double(
+            hmor=[{"name": "idh:a", "src": "a", "tgt": "a"}])),
+        "double-duplicate-hmor": (("validate",), double(hmor=[f, f])),
+        "double-unit-square-name": (("validate",), double(
+            squares=[square("ee:a", "idh:a", "idh:a", "idv:a", "idv:a")])),
+        "double-h-unit-square-name": (("validate",), double(
+            hmor=[f], squares=[square("e:f", "f", "f", "idv:a", "idv:b")])),
+    }
+
+
+BAD_NAMES = _bad_names_cases()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NAMES))
+def test_duplicate_and_reserved_names_are_rejected(case, tmp_path):
+    """A cell declared twice, or under the name of a synthesized identity
+    or unit, is bad input, not a code fault such as DisagreementBug."""
+    (command, *options), content = BAD_NAMES[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code, out, err = run_cli(command, str(bad), *options)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "error: DanglingReference" in lines[0], err
+
+
 @pytest.mark.parametrize("args", [
     ("segal", str(CORPUS / "h-iso.json"), "--k", "-1"),
     ("shapes", "emit", "--family", "plain", "--n", "-1"),

@@ -1,7 +1,13 @@
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dblnerve.cat import id_of, validate_category
+from dblnerve.dblcat import equivalence_embed, horizontal_embed, vertical_embed
 from dblnerve.errors import RangeExceeded
 from dblnerve.nerve import (
+    ORACLE_GRID,
     comparison_maps,
     dbl_nerve_degeneracy,
     dbl_nerve_face,
@@ -12,9 +18,14 @@ from dblnerve.nerve import (
     n2_face,
     n2_simplices,
     segal_tfib_check,
+    two_nerve_degeneracy,
+    two_nerve_face,
     two_nerve_level,
 )
 from dblnerve.presentation import canonical
+from dblnerve.standard import locally_discrete
+from dblnerve.twocat import validate_two_category
+from tests.test_twocat import naive_two_category_laws, one_object_document
 
 GRID = [(m, k, n) for m in (0, 1) for k in (0, 1) for n in (0, 1, 2)]
 
@@ -124,7 +135,7 @@ def test_functoriality_of_nerve_levels(iso2):
 def test_two_nerve_matches_double_route(iso2, arrow2):
     for cat in (iso2, arrow2):
         for variant in ("h", "hsim"):
-            for level in [(0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1)]:
+            for level in [(0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)]:
                 two_nerve_level(cat, variant, *level)  # asserts internally
 
 
@@ -147,24 +158,35 @@ def test_two_nerve_counts(iso2):
         )
 
 
-def test_two_nerve_faces_and_degeneracies(iso2):
-    from dblnerve.nerve import two_nerve_degeneracy, two_nerve_face
-
-    level = (1, 1, 1)
-    for variant in ("h", "hsim"):
-        elements = two_nerve_level(iso2, variant, *level).elements
-        for direction, low in (("n", (1, 1, 0)), ("m", (0, 1, 1)), ("k", (1, 0, 1))):
-            lower = set(two_nerve_level(iso2, variant, *low).elements)
-            top = level[{"m": 0, "k": 1, "n": 2}[direction]]
-            for element in elements:
-                for i in range(top + 1):
-                    assert two_nerve_face(iso2, variant, level, direction, i, element) in lower
-        # degeneracy then face is the identity in each direction
-        for direction, up in (("n", (1, 1, 2)), ("m", (2, 1, 1)), ("k", (1, 2, 1))):
-            for element in elements:
-                lifted = two_nerve_degeneracy(iso2, variant, level, direction, 0, element)
-                assert two_nerve_face(iso2, variant, up, direction, 0, lifted) == element
-                assert two_nerve_face(iso2, variant, up, direction, 1, lifted) == element
+def test_two_nerve_faces_and_degeneracies(iso2, arrow2):
+    """On every level with m + k + n ≤ 3, each face and each degeneracy of
+    the quotient level maps lands in its level (degeneracies from k = 1 to
+    k = 2 reach the covering cells T, M and N), and on every level with
+    m + k + n ≤ 3 a degeneracy followed by either adjacent face is the
+    identity."""
+    levels = [lvl for lvl in product(range(3), repeat=3) if sum(lvl) <= 3]
+    for cat, variant in product((iso2, arrow2), ("h", "hsim")):
+        sets = {lvl: two_nerve_level(cat, variant, *lvl, check_bijection=False).elements
+                for lvl in levels}
+        for level, direction in product(levels, "mkn"):
+            top = level["mkn".index(direction)]
+            if top > 0:
+                low = tuple(c - (axis == direction) for c, axis in zip(level, "mkn"))
+                lower = set(sets[low])
+                for element in sets[level]:
+                    for i in range(top + 1):
+                        face = two_nerve_face(cat, variant, level, direction, i, element)
+                        assert face in lower
+            if top == 2:
+                continue
+            up = tuple(c + (axis == direction) for c, axis in zip(level, "mkn"))
+            upper = set(sets.get(up, ()))
+            for element in sets[level]:
+                for j in range(top + 1):
+                    lifted = two_nerve_degeneracy(cat, variant, level, direction, j, element)
+                    assert up not in sets or lifted in upper
+                    for i in (j, j + 1):
+                        assert two_nerve_face(cat, variant, up, direction, i, lifted) == element
 
 
 def test_retract_identity(iso2, arrow2):
@@ -276,3 +298,66 @@ def test_fibrancy_fails_for_plain_embedding_with_nontrivial_equivalences(tri2):
     verdict, witness = fibrancy_vertical_check(horizontal_embed(tri2))
     assert verdict is False and witness is not None
     assert fibrancy_vertical_check(equivalence_embed(tri2))[0] is True
+
+
+# -- random double categories through both routes --------------------------
+
+EMBEDDINGS = (horizontal_embed, vertical_embed, equivalence_embed)
+LOW_GRID = sorted(level for level in ORACLE_GRID if sum(level) <= 2)
+
+
+@st.composite
+def preorder_categories(draw):
+    """A preorder on 1-3 objects as a category (transitive closure of a
+    drawn relation)."""
+    size = draw(st.integers(1, 3))
+    below = {(a, b) for a in range(size) for b in range(size)
+             if a == b or draw(st.booleans())}
+    for c, a, b in product(range(size), repeat=3):
+        if (a, c) in below and (c, b) in below:
+            below.add((a, b))
+
+    def arrow(a, b):
+        return id_of(str(a)) if a == b else f"a{a}{b}"
+
+    return validate_category({
+        "objects": [str(a) for a in range(size)],
+        "morphisms": [{"name": arrow(a, b), "src": str(a), "tgt": str(b)}
+                      for a, b in sorted(below) if a != b],
+        "compose": [[arrow(a, b), arrow(b, c), arrow(a, c)]
+                    for (a, b), (b2, c) in product(sorted(below), repeat=2)
+                    if b == b2 and a != b and b != c],
+    })
+
+
+def _lawful_one_object_tables():
+    """Every table pair the naive oracle accepts; by Eckmann-Hilton the two
+    compositions of a lawful one must agree, so only v = h is tried."""
+    cells = ("p", "q", "e")
+    out = []
+    for pp, pq, qp, qq in product(cells, repeat=4):
+        table = {"p": [pp, pq, "p"], "q": [qp, qq, "q"], "e": list(cells)}
+        raw = {"v": table, "h": table}
+        if naive_two_category_laws(raw):
+            out.append(raw)
+    return out
+
+
+def _check_both_routes(dbl):
+    for level in LOW_GRID:
+        generic = dbl_nerve_level(dbl, *level)
+        assert generic.elements == dbl_nerve_oracle(dbl, *level).elements, level
+    for level, direction in (((2, 0, 0), "m"), ((0, 2, 0), "k"), ((0, 0, 2), "n")):
+        _simplicial_identity_cases(dbl, level, direction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cat=preorder_categories(), embed=st.sampled_from(EMBEDDINGS))
+def test_random_preorders_agree_on_both_routes(cat, embed):
+    _check_both_routes(embed(locally_discrete(cat)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=st.sampled_from(_lawful_one_object_tables()), embed=st.sampled_from(EMBEDDINGS))
+def test_random_one_object_two_categories_agree_on_both_routes(raw, embed):
+    _check_both_routes(embed(validate_two_category(one_object_document(raw))))

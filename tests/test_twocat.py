@@ -202,19 +202,10 @@ def naive_two_category_laws(raw):
     return True
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_validator_accepts_exactly_lawful_two_categories(data):
-    cells = ["p", "q", "e"]
-    raw = {"v": {}, "h": {}}
-    for table in ("v", "h"):
-        for a in cells:
-            raw[table][a] = [data.draw(st.sampled_from(cells)) for _ in cells]
-        # units are synthesized by the loader, so force them here too
-        raw[table]["e"] = list(cells)
-        for a in cells:
-            raw[table][a][2] = a
-    doc = {
+def one_object_document(raw):
+    """The interchange document of the tables ``raw`` checked by
+    ``naive_two_category_laws``."""
+    return {
         "objects": ["*"],
         "one_cells": [],
         "two_cells": [
@@ -232,6 +223,21 @@ def test_validator_accepts_exactly_lawful_two_categories(data):
             for i, a in enumerate(("p", "q"))
         ],
     }
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_validator_accepts_exactly_lawful_two_categories(data):
+    cells = ["p", "q", "e"]
+    raw = {"v": {}, "h": {}}
+    for table in ("v", "h"):
+        for a in cells:
+            raw[table][a] = [data.draw(st.sampled_from(cells)) for _ in cells]
+        # units are synthesized by the loader, so force them here too
+        raw[table]["e"] = list(cells)
+        for a in cells:
+            raw[table][a][2] = a
+    doc = one_object_document(raw)
     lawful = naive_two_category_laws(raw)
     try:
         validate_two_category(doc)
