@@ -21,6 +21,13 @@ the "v" sort is unused.
 
 Evaluation happens against an *algebra* (a FiniteTwoCategory or
 FiniteDoubleCategory) and an environment mapping generator names to cells.
+``compile_expr`` reads an expression once and returns a closure over the
+algebra's protocol methods that evaluates it under any environment; it is
+the only evaluator, and ``evaluate`` compiles and runs it once.  Callers
+that evaluate the same expressions many times (the search's boundaries and
+relations, pullbacks along presentation morphisms) compile them once per
+call and keep no closure beyond it.
+
 An algebra provides the cell-algebra protocol: ``objects``,
 ``h_src/h_tgt/h_id/h_then``, ``v_src/v_tgt/v_id/v_then``, the square
 boundary maps ``s_top/s_bottom/s_left/s_right``, square units and
@@ -132,64 +139,73 @@ def from_json(doc):
     return tuple(from_json(part) if isinstance(part, list) else part for part in doc)
 
 
-def evaluate(alg, expr, env):
-    """Evaluate ``expr`` in the algebra ``alg`` under generator images ``env``.
+_GENERATORS = frozenset({"ogen", "hgen", "vgen", "sgen"})
+_UNITS = {"hid": "h_id", "vid": "v_id", "sid_h": "s_unit_h", "sid_v": "s_unit_v"}
+# tag -> (end of the first part, start of the second, composite, name of a mismatch)
+_COMPOSITES = {
+    "hcomp": ("h_tgt", "h_src", "h_then", "h-composition"),
+    "vcomp": ("v_tgt", "v_src", "v_then", "v-composition"),
+    "shcomp": ("s_right", "s_left", "s_hcomp", "horizontal pasting"),
+    "svcomp": ("s_bottom", "s_top", "s_vcomp", "vertical pasting"),
+}
+_INVERSES = {"sinv_v": ("s_vinverse", "vertical"), "sinv_h": ("s_hinverse", "horizontal")}
 
-    ``alg`` must provide the cell-algebra protocol (see the module
-    docstring) and the inverse searches of ``CellAlgebra``.  Raises
-    BoundaryMismatch at the offending node.
+
+def compile_expr(alg, expr):
+    """Compile ``expr`` into a function ``env -> cell`` that evaluates it in
+    the algebra ``alg`` under generator images ``env``.
+
+    The expression is read once; the returned closure holds ``alg``'s
+    protocol methods and runs no dispatch.  ``alg`` must provide the
+    cell-algebra protocol (see the module docstring) and the inverse
+    searches of ``CellAlgebra``.  Evaluation raises BoundaryMismatch at the
+    offending node and DanglingReference for an unassigned generator or an
+    unknown tag, children first and left to right.
     """
     tag = expr[0]
-    if tag in ("ogen", "hgen", "vgen", "sgen"):
+    if tag in _GENERATORS:
         name = expr[1]
-        if name not in env:
-            raise DanglingReference(f"unassigned generator {name!r}")
-        return env[name]
-    if tag == "hid":
-        return alg.h_id(evaluate(alg, expr[1], env))
-    if tag == "hcomp":
-        first = evaluate(alg, expr[1], env)
-        then = evaluate(alg, expr[2], env)
-        if alg.h_tgt(first) != alg.h_src(then):
-            raise BoundaryMismatch(f"h-composition mismatch at {expr!r}")
-        return alg.h_then(first, then)
-    if tag == "vid":
-        return alg.v_id(evaluate(alg, expr[1], env))
-    if tag == "vcomp":
-        first = evaluate(alg, expr[1], env)
-        then = evaluate(alg, expr[2], env)
-        if alg.v_tgt(first) != alg.v_src(then):
-            raise BoundaryMismatch(f"v-composition mismatch at {expr!r}")
-        return alg.v_then(first, then)
-    if tag == "sid_h":
-        return alg.s_unit_h(evaluate(alg, expr[1], env))
-    if tag == "sid_v":
-        return alg.s_unit_v(evaluate(alg, expr[1], env))
-    if tag == "shcomp":
-        left = evaluate(alg, expr[1], env)
-        right = evaluate(alg, expr[2], env)
-        if alg.s_right(left) != alg.s_left(right):
-            raise BoundaryMismatch(f"horizontal pasting mismatch at {expr!r}")
-        return alg.s_hcomp(left, right)
-    if tag == "svcomp":
-        top = evaluate(alg, expr[1], env)
-        bottom = evaluate(alg, expr[2], env)
-        if alg.s_bottom(top) != alg.s_top(bottom):
-            raise BoundaryMismatch(f"vertical pasting mismatch at {expr!r}")
-        return alg.s_vcomp(top, bottom)
-    if tag == "sinv_v":
-        inner = evaluate(alg, expr[1], env)
-        inv = alg.s_vinverse(inner)
-        if inv is None:
-            raise BoundaryMismatch(f"cell has no vertical inverse at {expr!r}")
-        return inv
-    if tag == "sinv_h":
-        inner = evaluate(alg, expr[1], env)
-        inv = alg.s_hinverse(inner)
-        if inv is None:
-            raise BoundaryMismatch(f"cell has no horizontal inverse at {expr!r}")
-        return inv
-    raise DanglingReference(f"unknown expression tag {tag!r}")
+
+        def generator(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise DanglingReference(f"unassigned generator {name!r}") from None
+        return generator
+    if tag in _UNITS:
+        unit, part = getattr(alg, _UNITS[tag]), compile_expr(alg, expr[1])
+        return lambda env: unit(part(env))
+    if tag in _COMPOSITES:
+        end_name, start_name, then_name, what = _COMPOSITES[tag]
+        end, start, then = getattr(alg, end_name), getattr(alg, start_name), getattr(alg, then_name)
+        first, second = compile_expr(alg, expr[1]), compile_expr(alg, expr[2])
+
+        def composite(env):
+            a, b = first(env), second(env)
+            if end(a) != start(b):
+                raise BoundaryMismatch(f"{what} mismatch at {expr!r}")
+            return then(a, b)
+        return composite
+    if tag in _INVERSES:
+        inverse_name, direction = _INVERSES[tag]
+        inverse, part = getattr(alg, inverse_name), compile_expr(alg, expr[1])
+
+        def inverted(env):
+            inv = inverse(part(env))
+            if inv is None:
+                raise BoundaryMismatch(f"cell has no {direction} inverse at {expr!r}")
+            return inv
+        return inverted
+
+    def unknown(env):
+        raise DanglingReference(f"unknown expression tag {tag!r}")
+    return unknown
+
+
+def evaluate(alg, expr, env):
+    """Evaluate ``expr`` once: ``compile_expr(alg, expr)(env)``.  A caller
+    that evaluates one expression under many environments compiles it once."""
+    return compile_expr(alg, expr)(env)
 
 
 @dataclass(frozen=True)

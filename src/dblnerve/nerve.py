@@ -12,7 +12,9 @@ so agreement is literal set equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
+from itertools import pairwise, product
+from operator import itemgetter
 
 from .dblcat import (
     FiniteDoubleCategory,
@@ -22,7 +24,7 @@ from .dblcat import (
     vertical_embed,
 )
 from .errors import DisagreementBug, RangeExceeded
-from .expr import evaluate
+from .expr import compile_expr
 from .presentation import canonical, enumerate_functors
 from .pseudohom import Transformation, _functor_key, pseudo_hom
 from .shapes import (
@@ -88,7 +90,7 @@ def _simplicial(alg, variant, level, direction, i, element, face):
     axis = _AXIS[direction]
     alpha = coface(src[axis], i) if face else codegeneracy(level[axis], i)
     morphism = level_map(variant, direction, alpha, src, level)
-    return canonical(morphism.precompose(alg, dict(element)))
+    return canonical(morphism.pullback(alg)(dict(element)))
 
 
 def _adjacent(level, direction, delta):
@@ -112,13 +114,15 @@ def _adjoint_by_ends(dbl):
     return lambda a, b: index.get((a, b), [])
 
 
+# Every element of an oracle level names its generators with the same keys;
+# the key names are built once, so the elements share them.
+@cache
+def _data_keys(prefix):
+    return prefix, prefix + "*", prefix + ".unit", prefix + ".counit"
+
+
 def _data_env(prefix, data):
-    return {
-        prefix: data.f,
-        prefix + "*": data.g,
-        prefix + ".unit": data.eta,
-        prefix + ".counit": data.eps,
-    }
+    return dict(zip(_data_keys(prefix), (data.f, data.g, data.eta, data.eps)))
 
 
 def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> SimplexSet:
@@ -132,9 +136,8 @@ def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> Simpl
         (0, 1): _oracle_01,
         (1, 1): _oracle_11,
     }[(m, k)]
-    elements = build(dbl, _adjoint_by_ends(dbl), n)
-    out = sorted(canonical(v) for v in elements)
-    if len(set(out)) != len(out):
+    out = sorted(canonical(v) for v in build(dbl, _adjoint_by_ends(dbl), n))
+    if any(a == b for a, b in pairwise(out)):
         raise DisagreementBug("oracle produced duplicate elements")
     return SimplexSet((m, k, n), tuple(out), "structural-oracle")
 
@@ -147,11 +150,12 @@ def _covering_fillers(dbl, long, first, then):
 
 def _oracle_00(dbl, adj, n):
     if n == 0:
-        return [{"o0.0.0": a} for a in dbl.objects]
+        yield from ({"o0.0.0": a} for a in dbl.objects)
+        return
     if n == 1:
-        return [{"o0.0.0": a, "o0.0.1": b, **_data_env("n01.0.0", d)}
-                for a, b in product(dbl.objects, repeat=2) for d in adj(a, b)]
-    out = []
+        yield from ({"o0.0.0": a, "o0.0.1": b, **_data_env("n01.0.0", d)}
+                    for a, b in product(dbl.objects, repeat=2) for d in adj(a, b))
+        return
     for a, b, c in product(dbl.objects, repeat=3):
         for d01, d12, d02 in product(adj(a, b), adj(b, c), adj(a, c)):
             for mu in _covering_fillers(dbl, d02, d01, d12):
@@ -159,8 +163,7 @@ def _oracle_00(dbl, adj, n):
                 env.update(_data_env("n01.0.0", d01))
                 env.update(_data_env("n12.0.0", d12))
                 env.update(_data_env("n02.0.0", d02))
-                out.append(env)
-    return out
+                yield env
 
 
 def _one_simplex_10(dbl, f, g, d0, d1):
@@ -171,9 +174,9 @@ def _one_simplex_10(dbl, f, g, d0, d1):
 def _oracle_10(dbl, adj, n):
     s, t = dbl.hsrc, dbl.htgt
     if n == 0:
-        return [{"o0.0.0": s[f], "o1.0.0": t[f], "m01.0.0": f} for f in dbl.hmors]
+        yield from ({"o0.0.0": s[f], "o1.0.0": t[f], "m01.0.0": f} for f in dbl.hmors)
+        return
     if n == 1:
-        out = []
         for f, g in product(dbl.hmors, repeat=2):
             for d0, d1 in product(adj(s[f], s[g]), adj(t[f], t[g])):
                 for sq in _one_simplex_10(dbl, f, g, d0, d1):
@@ -183,19 +186,16 @@ def _oracle_10(dbl, adj, n):
                     }
                     env.update(_data_env("n01.0.0", d0))
                     env.update(_data_env("n01.1.0", d1))
-                    out.append(env)
-        return out
-    out = []
+                    yield env
+        return
     for f, g, h in product(dbl.hmors, repeat=3):
         for data in product(adj(s[f], s[g]), adj(t[f], t[g]), adj(s[g], s[h]),
                             adj(t[g], t[h]), adj(s[f], s[h]), adj(t[f], t[h])):
-            out.extend(_oracle_10_two(dbl, f, g, h, *data))
-    return out
+            yield from _oracle_10_two(dbl, f, g, h, *data)
 
 
 def _oracle_10_two(dbl, f, g, h, phi0, phi1, psi0, psi1, th0, th1):
     e = dbl.e_sq
-    out = []
     for phi in _one_simplex_10(dbl, f, g, phi0, phi1):
         for psi in _one_simplex_10(dbl, g, h, psi0, psi1):
             for theta in _one_simplex_10(dbl, f, h, th0, th1):
@@ -225,8 +225,7 @@ def _oracle_10_two(dbl, f, g, h, phi0, phi1, psi0, psi1, th0, th1):
                         env.update(_data_env("n12.1.0", psi1))
                         env.update(_data_env("n02.0.0", th0))
                         env.update(_data_env("n02.1.0", th1))
-                        out.append(env)
-    return out
+                        yield env
 
 
 def _whi_fillers(dbl, u, w, d_top, d_bot):
@@ -241,9 +240,9 @@ def _whi_fillers(dbl, u, w, d_top, d_bot):
 def _oracle_01(dbl, adj, n):
     s, t = dbl.vsrc, dbl.vtgt
     if n == 0:
-        return [{"o0.0.0": s[u], "o0.1.0": t[u], "k01.0.0": u} for u in dbl.vmors]
+        yield from ({"o0.0.0": s[u], "o0.1.0": t[u], "k01.0.0": u} for u in dbl.vmors)
+        return
     if n == 1:
-        out = []
         for u, w in product(dbl.vmors, repeat=2):
             for d0, d1 in product(adj(s[u], s[w]), adj(t[u], t[w])):
                 for sq in _whi_fillers(dbl, u, w, d0, d1):
@@ -253,18 +252,15 @@ def _oracle_01(dbl, adj, n):
                     }
                     env.update(_data_env("n01.0.0", d0))
                     env.update(_data_env("n01.0.1", d1))
-                    out.append(env)
-        return out
-    out = []
+                    yield env
+        return
     for u, w, y in product(dbl.vmors, repeat=3):
         for data in product(adj(s[u], s[w]), adj(t[u], t[w]), adj(s[w], s[y]),
                             adj(t[w], t[y]), adj(s[u], s[y]), adj(t[u], t[y])):
-            out.extend(_oracle_01_two(dbl, u, w, y, *data))
-    return out
+            yield from _oracle_01_two(dbl, u, w, y, *data)
 
 
 def _oracle_01_two(dbl, u, w, y, phi0, phi1, psi0, psi1, th0, th1):
-    out = []
     for phi in _whi_fillers(dbl, u, w, phi0, phi1):
         for psi in _whi_fillers(dbl, w, y, psi0, psi1):
             for theta in _whi_fillers(dbl, u, y, th0, th1):
@@ -286,26 +282,26 @@ def _oracle_01_two(dbl, u, w, y, phi0, phi1, psi0, psi1, th0, th1):
                         env.update(_data_env("n12.0.1", psi1))
                         env.update(_data_env("n02.0.0", th0))
                         env.update(_data_env("n02.0.1", th1))
-                        out.append(env)
-    return out
+                        yield env
 
 
 def _oracle_11(dbl, adj, n):
     if n == 0:
-        return [_square_env(dbl, s, 0) for s in dbl.squares]
-    if n == 1:
-        return _oracle_11_one(dbl, adj)
-    return _oracle_11_two(dbl, adj)
+        return (_square_env(dbl, s, 0) for s in dbl.squares)
+    return _oracle_11_one(dbl, adj) if n == 1 else _oracle_11_two(dbl, adj)
+
+
+@cache
+def _square_keys(z):
+    return tuple(f"{stem}.{z}" for stem in ("o0.0", "o1.0", "o0.1", "o1.1", "m01.0",
+                                            "m01.1", "k01.0", "k01.1", "A01.01"))
 
 
 def _square_env(dbl, s, z):
-    return {
-        f"o0.0.{z}": dbl.hsrc[dbl.stop[s]], f"o1.0.{z}": dbl.htgt[dbl.stop[s]],
-        f"o0.1.{z}": dbl.hsrc[dbl.sbottom[s]], f"o1.1.{z}": dbl.htgt[dbl.sbottom[s]],
-        f"m01.0.{z}": dbl.stop[s], f"m01.1.{z}": dbl.sbottom[s],
-        f"k01.0.{z}": dbl.sleft[s], f"k01.1.{z}": dbl.sright[s],
-        f"A01.01.{z}": s,
-    }
+    top, bottom = dbl.stop[s], dbl.sbottom[s]
+    return dict(zip(_square_keys(z), (dbl.hsrc[top], dbl.htgt[top], dbl.hsrc[bottom],
+                                      dbl.htgt[bottom], top, bottom, dbl.sleft[s],
+                                      dbl.sright[s], s)))
 
 
 def _one_simplices_11(dbl, adj, alpha, beta):
@@ -333,36 +329,33 @@ def _one_simplices_11(dbl, adj, alpha, beta):
     return out
 
 
-def _edge_env_11(dbl, datum, z0, z1):
-    d00, d10, d01, d11, phi_t, phi_b, t0, t1 = datum
-    gap = f"{z0}{z1}"
-    env = {}
-    env.update(_data_env(f"n{gap}.0.0", d00))
-    env.update(_data_env(f"n{gap}.1.0", d10))
-    env.update(_data_env(f"n{gap}.0.1", d01))
-    env.update(_data_env(f"n{gap}.1.1", d11))
-    env[f"X01.{gap}.0"] = phi_t
-    env[f"X01.{gap}.1"] = phi_b
-    env[f"B{gap}.01.0"] = t0
-    env[f"B{gap}.01.1"] = t1
+@cache
+def _edge_keys(gap):
+    """The prefixes of the four adjoint equivalences of an edge across
+    ``gap``, in the order of a datum, and the keys of its four squares."""
+    return (tuple(f"n{gap}.{x}.{z}" for z in (0, 1) for x in (0, 1)),
+            (f"X01.{gap}.0", f"X01.{gap}.1", f"B{gap}.01.0", f"B{gap}.01.1"))
+
+
+def _edge_env_11(datum, gap):
+    prefixes, square_keys = _edge_keys(gap)
+    env = dict(zip(square_keys, datum[4:]))
+    for prefix, data in zip(prefixes, datum[:4]):
+        env.update(_data_env(prefix, data))
     return env
 
 
 def _oracle_11_one(dbl, adj):
-    out = []
     for alpha in dbl.squares:
         for beta in dbl.squares:
             for datum in _one_simplices_11(dbl, adj, alpha, beta):
-                env = {}
-                env.update(_square_env(dbl, alpha, 0))
+                env = _square_env(dbl, alpha, 0)
                 env.update(_square_env(dbl, beta, 1))
-                env.update(_edge_env_11(dbl, datum, 0, 1))
-                out.append(env)
-    return out
+                env.update(_edge_env_11(datum, "01"))
+                yield env
 
 
 def _oracle_11_two(dbl, adj):
-    out = []
     for alpha in dbl.squares:
         for beta in dbl.squares:
             one_ab = _one_simplices_11(dbl, adj, alpha, beta)
@@ -376,10 +369,8 @@ def _oracle_11_two(dbl, adj):
                 for phi_d in one_ab:
                     for psi_d in one_bc:
                         for th_d in one_ac:
-                            out.extend(
-                                _oracle_11_two_fill(dbl, alpha, beta, gamma, phi_d, psi_d, th_d)
-                            )
-    return out
+                            yield from _oracle_11_two_fill(dbl, alpha, beta, gamma,
+                                                           phi_d, psi_d, th_d)
 
 
 def _oracle_11_two_fill(dbl, alpha, beta, gamma, phi_d, psi_d, th_d):
@@ -389,7 +380,6 @@ def _oracle_11_two_fill(dbl, alpha, beta, gamma, phi_d, psi_d, th_d):
     t00, t10, t01, t11, th_t, th_b, tt0, tt1 = th_d
     f, f2 = dbl.stop[alpha], dbl.sbottom[alpha]
     h, h2 = dbl.stop[gamma], dbl.sbottom[gamma]
-    out = []
     for mu00 in _covering_fillers(dbl, t00, p00, s00):
         for mu10 in _covering_fillers(dbl, t10, p10, s10):
             # condition along the top horizontal generator
@@ -414,68 +404,75 @@ def _oracle_11_two_fill(dbl, alpha, beta, gamma, phi_d, psi_d, th_d):
                     )
                     if lhs != dbl.s_vcomp(th_b, dbl.s_hcomp(e[f2], mu11)):
                         continue
-                    env = {}
-                    env.update(_square_env(dbl, alpha, 0))
+                    env = _square_env(dbl, alpha, 0)
                     env.update(_square_env(dbl, beta, 1))
                     env.update(_square_env(dbl, gamma, 2))
-                    env.update(_edge_env_11(dbl, phi_d, 0, 1))
-                    env.update(_edge_env_11(dbl, psi_d, 1, 2))
-                    env.update(_edge_env_11(dbl, th_d, 0, 2))
+                    env.update(_edge_env_11(phi_d, "01"))
+                    env.update(_edge_env_11(psi_d, "12"))
+                    env.update(_edge_env_11(th_d, "02"))
                     env.update({"N0.0": mu00, "N1.0": mu10, "N0.1": mu01, "N1.1": mu11})
-                    out.append(env)
-    return out
+                    yield env
 
 
 # -- nerves of 2-categories ------------------------------------------------
 
 
-def _two_val_to_dbl(cat2, variant, dbl, valuation, level):
-    """Convert an element of the 2-categorical nerve to an element of the
-    double-categorical nerve of the embedded 2-category."""
+def _two_val_to_dbl(cat2, variant, dbl, level):
+    """The conversion of elements of the 2-categorical nerve to elements of
+    the double-categorical nerve of the embedded 2-category, as a function
+    valuation -> valuation built once for the level."""
     pres, meta = x_presentation(*level)
-    out = {}
+    parts = []
     for g in pres.gens:
         name = g.name
         kind = meta[name]
         tag = kind[0]
         if variant == "h":
             if tag == "obj":
-                out[name] = valuation[_qname(kind[1], kind[3])]
+                part = itemgetter(_qname(kind[1], kind[3]))
             elif tag == "k":
-                out[name] = dbl.idv[valuation[_qname(kind[2], kind[3])]]
+                part = _compose(dbl.idv.__getitem__, itemgetter(_qname(kind[2], kind[3])))
             else:
-                out[name] = valuation[name]
+                part = itemgetter(name)
         elif tag == "k":
-            out[name] = dbl.vmor_of_quad[_quad(valuation, name)]
+            part = _quad(dbl, name)
         elif tag in ("obj", "m", "n", "n*"):
-            out[name] = valuation[name]
+            part = itemgetter(name)
         else:  # squares, including units of the n-direction
-            out[name] = _sq_src_h(cat2, dbl, valuation, g)
-    return out
+            part = _sq_src_h(cat2, dbl, g)
+        parts.append((name, part))
+    return lambda valuation: {name: part(valuation) for name, part in parts}
 
 
-def _quad(valuation, name):
-    """The adjoint equivalence (f, g, unit, counit) a valuation gives the
-    generator ``name`` of the equivalence quotient."""
-    return tuple(valuation[name + suffix] for suffix in ("", "*", ".unit", ".counit"))
+def _compose(outer, inner):
+    return lambda valuation: outer(inner(valuation))
 
 
-def _sq_src_h(cat2, dbl, valuation, gen):
-    """Locate the square of the equivalence embedding carrying a given
-    2-cell with given boundary generators."""
+def _quad(dbl, name):
+    """The vertical morphism of the equivalence embedding that a valuation
+    gives the generator ``name`` of the equivalence quotient: its adjoint
+    equivalence (f, g, unit, counit)."""
+    quad = itemgetter(*(name + suffix for suffix in ("", "*", ".unit", ".counit")))
+    return _compose(dbl.vmor_of_quad.__getitem__, quad)
+
+
+def _sq_src_h(cat2, dbl, gen):
+    """The square of the equivalence embedding carrying the 2-cell that a
+    valuation gives ``gen``, with the boundary its generators give."""
     top, bottom, left, right = gen.bounds
 
     def vmor(v):
         tag = v[0]
         if tag == "vid":
-            return dbl.idv[evaluate(cat2, v[1], valuation)]
+            return _compose(dbl.idv.__getitem__, compile_expr(cat2, v[1]))
         if tag == "vgen":
-            return dbl.vmor_of_quad[_quad(valuation, v[1])]
-        return dbl.v_then(vmor(v[1]), vmor(v[2]))
+            return _quad(dbl, v[1])
+        first, then = vmor(v[1]), vmor(v[2])
+        return lambda valuation: dbl.v_then(first(valuation), then(valuation))
 
-    data = (evaluate(cat2, top, valuation), evaluate(cat2, bottom, valuation),
-            vmor(left), vmor(right), valuation[gen.name])
-    return dbl.square_by_data[data]
+    sides = (compile_expr(cat2, top), compile_expr(cat2, bottom), vmor(left), vmor(right),
+             itemgetter(gen.name))
+    return lambda valuation: dbl.square_by_data[tuple(side(valuation) for side in sides)]
 
 
 def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: int,
@@ -491,10 +488,8 @@ def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: in
     if check_bijection:
         dbl = horizontal_embed(cat2) if variant == "h" else equivalence_embed(cat2)
         direct = dbl_nerve_level(dbl, m, k, n, budget)
-        converted = sorted(
-            canonical(_two_val_to_dbl(cat2, variant, dbl, dict(v), (m, k, n)))
-            for v in out.elements
-        )
+        convert = _two_val_to_dbl(cat2, variant, dbl, (m, k, n))
+        converted = sorted(canonical(convert(dict(v))) for v in out.elements)
         if tuple(converted) != direct.elements:
             raise DisagreementBug(
                 f"two-nerve level {(m, k, n)} does not match the double route"
@@ -509,14 +504,16 @@ def comparison_maps(cat2: FiniteTwoCategory, m: int, k: int, n: int,
     plain, equivalence, collapse, section = lx_presentations(m, k, n)
     base = two_nerve_level(cat2, "h", m, k, n, budget, check_bijection=False)
 
+    collapse_back, section_back = collapse.pullback(cat2), section.pullback(cat2)
+
     def pi_star(element):
-        return canonical(collapse.precompose(cat2, dict(element)))
+        return canonical(collapse_back(dict(element)))
 
     def iota_star(element):
-        return canonical(section.precompose(cat2, dict(element)))
+        return canonical(section_back(dict(element)))
 
-    retract = all(iota_star(pi_star(el)) == el for el in base.elements)
     images = [pi_star(el) for el in base.elements]
+    retract = all(iota_star(image) == el for image, el in zip(images, base.elements))
     injective = len(set(images)) == len(images)
     return {
         "pi_star": pi_star,

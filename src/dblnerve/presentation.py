@@ -164,12 +164,16 @@ class PresentationMorphism:
     def __hash__(self):
         return id(self)
 
+    def pullback(self, alg):
+        """Pullback of valuations of the target in ``alg`` along this
+        morphism, as a function valuation -> valuation; the images are
+        compiled once, here."""
+        images = [(name, ex.compile_expr(alg, image)) for name, image in self.gen_map.items()]
+        return lambda valuation: {name: image(valuation) for name, image in images}
+
     def precompose(self, alg, valuation: dict) -> dict:
-        """Pull a valuation of the target back along this morphism."""
-        return {
-            name: ex.evaluate(alg, image, valuation)
-            for name, image in self.gen_map.items()
-        }
+        """Pull one valuation of the target back along this morphism."""
+        return self.pullback(alg)(valuation)
 
     def after(self, other: "PresentationMorphism") -> "PresentationMorphism":
         """other followed by self (source of other, target of self)."""
@@ -322,8 +326,11 @@ def _candidates(alg, kind: str, gen: Gen):
     if gen.sort == "object":
         return lambda env: _object_candidates(alg)
     query = {"h": _h_candidates, "v": _v_candidates, "sq": _sq_candidates}[gen.sort]
-    bounds = gen.bounds[:2] if kind == "two" else gen.bounds  # 2-cells: (src, tgt)
-    return lambda env: query(alg, *(ex.evaluate(alg, b, env) for b in bounds))
+    if kind == "two" or gen.sort != "sq":  # 2-cells: (src, tgt)
+        src, tgt = (ex.compile_expr(alg, b) for b in gen.bounds[:2])
+        return lambda env: query(alg, src(env), tgt(env))
+    top, bottom, left, right = (ex.compile_expr(alg, b) for b in gen.bounds)
+    return lambda env: query(alg, top(env), bottom(env), left(env), right(env))
 
 
 def enumerate_functors(pres: Presentation, alg, budget: int | None = None):
@@ -344,8 +351,8 @@ def enumerate_functors(pres: Presentation, alg, budget: int | None = None):
         inputs = ex.generators_of(lhs) | ex.generators_of(rhs)
         if not inputs <= names:
             raise DanglingReference(f"relation names unknown generators {sorted(inputs - names)}")
-        constraints.append((inputs, lambda env, lhs=lhs, rhs=rhs:
-                            ex.evaluate(alg, lhs, env) == ex.evaluate(alg, rhs, env)))
+        constraints.append((inputs, lambda env, lhs=ex.compile_expr(alg, lhs),
+                            rhs=ex.compile_expr(alg, rhs): lhs(env) == rhs(env)))
     out, _ = _search(variables, constraints, budget)
     out.sort(key=canonical)
     return out
@@ -376,18 +383,16 @@ def has_rlp(functor, morphism: PresentationMorphism, budget: int | None = None):
     tops = enumerate_functors(src_pres, A, budget)
     bottoms = enumerate_functors(tgt_pres, B, budget)
     lowers = enumerate_functors(tgt_pres, A, budget)
+    restrict_b, restrict_a = morphism.pullback(B), morphism.pullback(A)
+    restricted = [(canonical(b), canonical(restrict_b(b))) for b in bottoms]
+    # the images of the lower lifts, by their restriction to the source
+    lifts: dict[tuple, set] = {}
+    for c in lowers:
+        lifts.setdefault(canonical(restrict_a(c)), set()).add(canonical(push(tgt_pres, c)))
     for a in tops:
-        fa = canonical(push(src_pres, a))
-        for b in bottoms:
-            if canonical(morphism.precompose(B, b)) != fa:
-                continue
-            found = False
-            for c in lowers:
-                if canonical(morphism.precompose(A, c)) != canonical(a):
-                    continue
-                if canonical(push(tgt_pres, c)) == canonical(b):
-                    found = True
-                    break
-            if not found:
-                return False, (canonical(a), canonical(b))
+        fa, key = canonical(push(src_pres, a)), canonical(a)
+        lifted = lifts.get(key, ())
+        for b, fb in restricted:
+            if fb == fa and b not in lifted:
+                return False, (key, b)
     return True, None

@@ -892,6 +892,9 @@ def _translate(variant, pres, meta, e):
     return e
 
 
+_MAP_CACHE: dict = {}
+
+
 def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> PresentationMorphism:
     """The presentation morphism realizing one cosimplicial operator between
     two tensor levels, for the double presentation ("x") or either
@@ -900,6 +903,9 @@ def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> Presenta
     Each generator's image is computed in the double presentation and
     translated into the quotient; adjoint partners, units and counits follow
     the image of their base generator."""
+    key = (variant, direction, tuple(alpha), tuple(src_mkn), tuple(tgt_mkn))
+    if key in _MAP_CACHE:
+        return _MAP_CACHE[key]
     source, smeta = x_presentation(*src_mkn)
     tp, tmeta = x_presentation(*tgt_mkn)
     target = tp
@@ -916,4 +922,5 @@ def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> Presenta
             kind = ("obj", x, 0, z)
         image = _translate(variant, tp, tmeta, _image(kind, direction, alpha))
         gen_map[g.name] = image if base == g.name else _artifact(image, g.name[len(base):])
-    return PresentationMorphism(source, target, gen_map)
+    _MAP_CACHE[key] = PresentationMorphism(source, target, gen_map)
+    return _MAP_CACHE[key]

@@ -1,4 +1,5 @@
 import gc
+import json
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from dblnerve.errors import BudgetExceeded
 from dblnerve.io import load_path
 from dblnerve.presentation import (
     PresentationBuilder,
+    canonical,
     enumerate_functors,
     has_rlp,
     identity_morphism,
@@ -192,3 +194,68 @@ def test_two_categorical_lifting_sets(iso2, arrow2):
         {c: iso2.id2[iso2.id1["x"]] for c in arrow2.two_cells},
     )
     assert has_rlp(point, cofibs["i1"])[0] is False  # y is not hit
+
+
+def _has_rlp_by_triple_loop(functor, morphism):
+    """``has_rlp`` as a triple loop over tops, bottoms and lower lifts that
+    pulls every valuation back afresh: the reference for its indexed form."""
+    A, B = functor.source, functor.target
+    maps = {"object": functor.object_map, "h": functor.h_map, "v": functor.v_map,
+            "sq": functor.sq_map}
+
+    def push(pres, valuation):
+        return {g.name: maps[g.sort][valuation[g.name]] for g in pres.gens}
+
+    tops = enumerate_functors(morphism.source, A)
+    bottoms = enumerate_functors(morphism.target, B)
+    lowers = enumerate_functors(morphism.target, A)
+    for a in tops:
+        fa = canonical(push(morphism.source, a))
+        for b in bottoms:
+            if canonical(morphism.precompose(B, b)) != fa:
+                continue
+            if not any(canonical(morphism.precompose(A, c)) == canonical(a)
+                       and canonical(push(morphism.target, c)) == canonical(b)
+                       for c in lowers):
+                return False, (canonical(a), canonical(b))
+    return True, None
+
+
+def _lifting_functors():
+    """Identities and collapses to the point of the corpus double categories,
+    the corpus maps and the inclusion of h-iso into hsim-iso."""
+    corpus = Path(__file__).parent.parent / "corpus"
+    dbl = {path.stem: load_path(path) for path in sorted(corpus.glob("*.json"))
+           if not path.name.endswith(".map.json")}
+    dbl = {name: d for name, d in dbl.items() if hasattr(d, "vmors")}
+    point = dbl["point-double"]
+    functors = {}
+    for name, d in dbl.items():
+        functors[f"identity:{name}"] = validate_double_functor(
+            d, d, {a: a for a in d.objects}, {f: f for f in d.hmors},
+            {u: u for u in d.vmors}, {s: s for s in d.squares})
+        functors[f"to-point:{name}"] = validate_double_functor(
+            d, point, {a: "0" for a in d.objects}, {f: point.idh["0"] for f in d.hmors},
+            {u: point.idv["0"] for u in d.vmors}, {s: point.squares[0] for s in d.squares})
+    for name, (src, tgt) in {"h-iso-to-hsim": ("h-iso", "hsim-iso"),
+                             "square-to-point": ("free-square", "point-double")}.items():
+        doc = json.loads((corpus / f"{name}.map.json").read_text())
+        functors[f"map:{name}"] = validate_double_functor(
+            dbl[src], dbl[tgt], doc.get("objects", {}), doc.get("hmor", {}),
+            doc.get("vmor", {}), doc.get("squares", {}))
+    from tests.test_whi import _inclusion_h_to_hsim
+
+    functors["inclusion:h-to-hsim"] = _inclusion_h_to_hsim(load_path(corpus / "iso.json"))
+    return functors
+
+
+def test_has_rlp_matches_the_triple_loop(corpus_dbl, point_dbl, h_iso, hsim_iso, square_dbl):
+    functors = [*_lifting_functors().values(),
+                *_functor_corpus(corpus_dbl, point_dbl, h_iso, hsim_iso, square_dbl)]
+    verdicts = []
+    for functor in functors:
+        for j, morphism in sorted(generating_cofibrations_dbl().items()):
+            expected = _has_rlp_by_triple_loop(functor, morphism)
+            assert has_rlp(functor, morphism) == expected, j
+            verdicts.append(expected[0])
+    assert True in verdicts and False in verdicts
