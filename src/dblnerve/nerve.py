@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import pairwise, product
-from operator import itemgetter
 
 from .dblcat import (
     FiniteDoubleCategory,
@@ -24,7 +23,7 @@ from .dblcat import (
     vertical_embed,
 )
 from .errors import DisagreementBug, RangeExceeded
-from .expr import compile_expr
+from .expr import evaluate
 from .presentation import canonical, enumerate_functors
 from .pseudohom import Transformation, _functor_key, pseudo_hom
 from .shapes import (
@@ -90,7 +89,7 @@ def _simplicial(alg, variant, level, direction, i, element, face):
     axis = _AXIS[direction]
     alpha = coface(src[axis], i) if face else codegeneracy(level[axis], i)
     morphism = level_map(variant, direction, alpha, src, level)
-    return canonical(morphism.pullback(alg)(dict(element)))
+    return canonical(morphism.precompose(alg, dict(element)))
 
 
 def _adjacent(level, direction, delta):
@@ -417,62 +416,53 @@ def _oracle_11_two_fill(dbl, alpha, beta, gamma, phi_d, psi_d, th_d):
 # -- nerves of 2-categories ------------------------------------------------
 
 
-def _two_val_to_dbl(cat2, variant, dbl, level):
-    """The conversion of elements of the 2-categorical nerve to elements of
-    the double-categorical nerve of the embedded 2-category, as a function
-    valuation -> valuation built once for the level."""
+def _two_val_to_dbl(cat2, variant, dbl, valuation, level):
+    """Convert an element of the 2-categorical nerve to an element of the
+    double-categorical nerve of the embedded 2-category."""
     pres, meta = x_presentation(*level)
-    parts = []
+    out = {}
     for g in pres.gens:
         name = g.name
         kind = meta[name]
         tag = kind[0]
         if variant == "h":
             if tag == "obj":
-                part = itemgetter(_qname(kind[1], kind[3]))
+                out[name] = valuation[_qname(kind[1], kind[3])]
             elif tag == "k":
-                part = _compose(dbl.idv.__getitem__, itemgetter(_qname(kind[2], kind[3])))
+                out[name] = dbl.idv[valuation[_qname(kind[2], kind[3])]]
             else:
-                part = itemgetter(name)
+                out[name] = valuation[name]
         elif tag == "k":
-            part = _quad(dbl, name)
+            out[name] = dbl.vmor_of_quad[_quad(valuation, name)]
         elif tag in ("obj", "m", "n", "n*"):
-            part = itemgetter(name)
+            out[name] = valuation[name]
         else:  # squares, including units of the n-direction
-            part = _sq_src_h(cat2, dbl, g)
-        parts.append((name, part))
-    return lambda valuation: {name: part(valuation) for name, part in parts}
+            out[name] = _sq_src_h(cat2, dbl, valuation, g)
+    return out
 
 
-def _compose(outer, inner):
-    return lambda valuation: outer(inner(valuation))
+def _quad(valuation, name):
+    """The adjoint equivalence (f, g, unit, counit) a valuation gives the
+    generator ``name`` of the equivalence quotient."""
+    return tuple(valuation[name + suffix] for suffix in ("", "*", ".unit", ".counit"))
 
 
-def _quad(dbl, name):
-    """The vertical morphism of the equivalence embedding that a valuation
-    gives the generator ``name`` of the equivalence quotient: its adjoint
-    equivalence (f, g, unit, counit)."""
-    quad = itemgetter(*(name + suffix for suffix in ("", "*", ".unit", ".counit")))
-    return _compose(dbl.vmor_of_quad.__getitem__, quad)
-
-
-def _sq_src_h(cat2, dbl, gen):
-    """The square of the equivalence embedding carrying the 2-cell that a
-    valuation gives ``gen``, with the boundary its generators give."""
+def _sq_src_h(cat2, dbl, valuation, gen):
+    """Locate the square of the equivalence embedding carrying a given
+    2-cell with given boundary generators."""
     top, bottom, left, right = gen.bounds
 
     def vmor(v):
         tag = v[0]
         if tag == "vid":
-            return _compose(dbl.idv.__getitem__, compile_expr(cat2, v[1]))
+            return dbl.idv[evaluate(cat2, v[1], valuation)]
         if tag == "vgen":
-            return _quad(dbl, v[1])
-        first, then = vmor(v[1]), vmor(v[2])
-        return lambda valuation: dbl.v_then(first(valuation), then(valuation))
+            return dbl.vmor_of_quad[_quad(valuation, v[1])]
+        return dbl.v_then(vmor(v[1]), vmor(v[2]))
 
-    sides = (compile_expr(cat2, top), compile_expr(cat2, bottom), vmor(left), vmor(right),
-             itemgetter(gen.name))
-    return lambda valuation: dbl.square_by_data[tuple(side(valuation) for side in sides)]
+    data = (evaluate(cat2, top, valuation), evaluate(cat2, bottom, valuation),
+            vmor(left), vmor(right), valuation[gen.name])
+    return dbl.square_by_data[data]
 
 
 def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: int,
@@ -488,8 +478,10 @@ def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: in
     if check_bijection:
         dbl = horizontal_embed(cat2) if variant == "h" else equivalence_embed(cat2)
         direct = dbl_nerve_level(dbl, m, k, n, budget)
-        convert = _two_val_to_dbl(cat2, variant, dbl, (m, k, n))
-        converted = sorted(canonical(convert(dict(v))) for v in out.elements)
+        converted = sorted(
+            canonical(_two_val_to_dbl(cat2, variant, dbl, dict(v), (m, k, n)))
+            for v in out.elements
+        )
         if tuple(converted) != direct.elements:
             raise DisagreementBug(
                 f"two-nerve level {(m, k, n)} does not match the double route"
