@@ -355,16 +355,23 @@ def _oracle_11_one(dbl, adj):
 
 
 def _oracle_11_two(dbl, adj):
+    known: dict = {}  # the 1-simplices of each ordered pair, computed once
+
+    def one(alpha, beta):
+        if (alpha, beta) not in known:
+            known[alpha, beta] = _one_simplices_11(dbl, adj, alpha, beta)
+        return known[alpha, beta]
+
     for alpha in dbl.squares:
         for beta in dbl.squares:
-            one_ab = _one_simplices_11(dbl, adj, alpha, beta)
+            one_ab = one(alpha, beta)
             if not one_ab:
                 continue
             for gamma in dbl.squares:
-                one_bc = _one_simplices_11(dbl, adj, beta, gamma)
+                one_bc = one(beta, gamma)
                 if not one_bc:
                     continue
-                one_ac = _one_simplices_11(dbl, adj, alpha, gamma)
+                one_ac = one(alpha, gamma)
                 for phi_d in one_ab:
                     for psi_d in one_bc:
                         for th_d in one_ac:
@@ -642,10 +649,20 @@ def n2_simplices(cat2: FiniteTwoCategory, n: int, cap: int = 3,
 
 
 def n2_face(cat2, n, i, element):
-    morphism = oriental_presentation_map(coface(n - 1, i), n - 1, n)
-    return canonical(morphism.precompose(cat2, dict(element)))
+    return canonical(_n2_face_map(n, i).precompose(cat2, dict(element)))
 
 
 def n2_degeneracy(cat2, n, j, element):
-    morphism = oriental_presentation_map(codegeneracy(n, j), n + 1, n)
-    return canonical(morphism.precompose(cat2, dict(element)))
+    return canonical(_n2_degeneracy_map(n, j).precompose(cat2, dict(element)))
+
+
+@cache
+def _n2_face_map(n, i):
+    """The oriental map behind d_i on level n, built once."""
+    return oriental_presentation_map(coface(n - 1, i), n - 1, n)
+
+
+@cache
+def _n2_degeneracy_map(n, j):
+    """The oriental map behind s_j on level n, built once."""
+    return oriental_presentation_map(codegeneracy(n, j), n + 1, n)

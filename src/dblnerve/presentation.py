@@ -244,8 +244,11 @@ def _search(variables, constraints, budget: int | None, spent: int = 0):
     ``check(env)`` tests bound variables.  Each constraint is tested right
     after the last of its inputs is bound, in list order.  Every candidate
     tried counts against the budget, starting from ``spent``, so callers
-    can share one budget between searches.  Returns the solutions, in the
-    lexicographic order of the candidate lists, and the candidates spent.
+    can share one budget between searches.  Returns the solutions, as dicts
+    keyed in variable order and listed in the lexicographic order of the
+    candidate lists, and the candidates spent.  Until the search is over a
+    solution is held as the tuple of its values, which ``env`` keeps in
+    depth order, so that a search cut by the budget holds less memory.
     """
     budget = _environment_budget() if budget is None else budget
     if not variables:
@@ -269,16 +272,21 @@ def _search(variables, constraints, budget: int | None, spent: int = 0):
             continue
         spent += 1
         if spent > budget:
-            raise BudgetExceeded(f"search exceeded budget {budget}")
+            raise BudgetExceeded(
+                f"search exceeded budget {budget} trying {name!r} at depth "
+                f"{depth + 1} of {len(variables)}, {len(solutions)} solutions found")
         env[name] = image
         for check in ready[depth]:
             if not check(env):
                 break
         else:
             if depth == last:
-                solutions.append(dict(env))
+                solutions.append(tuple(env.values()))
             else:
                 stack.append(iter(variables[depth + 1][1](env)))
+    names = list(position)
+    for i, values in enumerate(solutions):
+        solutions[i] = dict(zip(names, values))
     return solutions, spent
 
 
@@ -297,28 +305,22 @@ def _environment_budget() -> int:
 
 
 def _schedule(pres: Presentation) -> list[Gen]:
-    """Generators in search order.  Objects come lazily, right before the
-    first generator whose boundary mentions them: failing morphism
-    assignments then prune the object search instead of enumerating full
-    object tuples first."""
-    by_name = {g.name: g for g in pres.gens}
-    gens: list[Gen] = []
-    scheduled: set[str] = set()
-    for g in pres.gens:
-        if g.sort == "object":
-            continue
-        wanted: set[str] = set()
-        for bound in g.bounds:
-            if isinstance(bound, tuple):
-                wanted |= ex.generators_of(bound)
-        for name in sorted(wanted - scheduled):
-            if by_name[name].sort == "object":
-                gens.append(by_name[name])
-                scheduled.add(name)
-        gens.append(g)
-        scheduled.add(g.name)
-    gens.extend(g for g in pres.gens if g.sort == "object" and g.name not in scheduled)
-    return gens
+    """Generators in search order.  Objects keep presentation order; every
+    other generator comes right after the last object its boundary depends
+    on, directly or through the generators it names, so it is bound once
+    per choice of the objects up to there, not of every object.  Ties keep
+    presentation order, which lists each generator after those it names; a
+    generator whose boundary reaches no object comes first."""
+    last: dict[str, int] = {}  # generator -> position of the last object it depends on
+    for i, g in enumerate(pres.gens):
+        named = set().union(*(ex.generators_of(b) for b in g.bounds if isinstance(b, tuple)))
+        if not named <= last.keys():
+            raise DanglingReference(
+                f"boundary of {g.name!r} names {sorted(named - last.keys())}, "
+                "which are not generators listed before it")
+        last[g.name] = i if g.sort == "object" else max((last[n] for n in named), default=-1)
+    # an object sorts before the generators that come right after it
+    return sorted(pres.gens, key=lambda g: (last[g.name], g.sort != "object"))
 
 
 def _candidates(alg, kind: str, gen: Gen):

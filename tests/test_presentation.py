@@ -6,10 +6,12 @@ import pytest
 
 from dblnerve import expr as ex
 from dblnerve.dblcat import validate_double_functor
-from dblnerve.errors import BudgetExceeded
+from dblnerve.errors import BudgetExceeded, DanglingReference
 from dblnerve.io import load_path
 from dblnerve.presentation import (
     PresentationBuilder,
+    _schedule,
+    _search,
     canonical,
     enumerate_functors,
     has_rlp,
@@ -241,3 +243,148 @@ def test_has_rlp_matches_the_triple_loop(corpus_dbl, point_dbl, h_iso, hsim_iso,
             assert has_rlp(functor, morphism) == expected, j
             verdicts.append(expected[0])
     assert True in verdicts and False in verdicts
+
+
+# -- search order -------------------------------------------------------
+
+CORPUS = Path(__file__).parent.parent / "corpus"
+SMALL_LEVELS = [(m, k, n) for m in range(3) for k in range(3) for n in range(3)
+                if m + k + n <= 3]
+
+
+def _lazy_schedule(pres):
+    """The earlier search order: each object right before the first
+    generator whose boundary names it, other generators in presentation
+    order.  The reference for the sameness test."""
+    by_name = {g.name: g for g in pres.gens}
+    gens, scheduled = [], set()
+    for g in pres.gens:
+        if g.sort == "object":
+            continue
+        wanted = set()
+        for bound in g.bounds:
+            if isinstance(bound, tuple):
+                wanted |= ex.generators_of(bound)
+        for name in sorted(wanted - scheduled):
+            if by_name[name].sort == "object":
+                gens.append(by_name[name])
+                scheduled.add(name)
+        gens.append(g)
+        scheduled.add(g.name)
+    gens.extend(g for g in pres.gens if g.sort == "object" and g.name not in scheduled)
+    return gens
+
+
+def _schedule_presentations():
+    from dblnerve.shapes import oriental_adjoint_presentation, oriental_inv_presentation
+    from dblnerve.tensor import lx_presentations, x_presentation
+
+    for level in SMALL_LEVELS:
+        yield x_presentation(*level)[0]
+        yield from lx_presentations(*level)[:2]
+    for n in range(4):
+        yield oriental_adjoint_presentation(n)
+        yield oriental_inv_presentation(n)
+
+
+def test_schedule_binds_each_generator_after_its_last_object():
+    for pres in _schedule_presentations():
+        order = _schedule(pres)
+        assert sorted(g.name for g in order) == sorted(pres.names()), pres.label
+        at = {g.name: i for i, g in enumerate(order)}
+        closure: dict[str, set] = {}
+        for g in pres.gens:
+            closure[g.name] = {g.name} if g.sort == "object" else set()
+            for name in set().union(*(ex.generators_of(b) for b in g.bounds
+                                      if isinstance(b, tuple))):
+                assert at[name] < at[g.name], (pres.label, g.name, name)
+                closure[g.name] |= closure[name]
+        objects = [g.name for g in order if g.sort == "object"]
+        assert objects == [g.name for g in pres.gens if g.sort == "object"]
+        for g in order:
+            if g.sort == "object":
+                continue
+            before = [name for name in objects if at[name] < at[g.name]]
+            last = max(closure[g.name], key=at.get, default=None)
+            assert (before[-1] if before else None) == last, (pres.label, g.name)
+
+
+def test_schedule_rejects_a_boundary_naming_no_earlier_generator(iso2):
+    b = PresentationBuilder("two")
+    a = b.add_object("a")
+    b.add_cell2("s", ex.hgen("f"), ex.hid(a))
+    with pytest.raises(DanglingReference, match="'f'"):
+        enumerate_functors(b.build(), iso2)
+
+
+def _corpus_levels():
+    """Every tensor level with m + k + n <= 3 into the corpus: the double
+    presentation into each double category, both quotients into each
+    2-category."""
+    from dblnerve.dblcat import FiniteDoubleCategory
+    from dblnerve.tensor import lx_presentations, x_presentation
+    from dblnerve.twocat import FiniteTwoCategory
+
+    for path in sorted(CORPUS.glob("*.json")):
+        if path.name.endswith(".map.json"):
+            continue
+        target = load_path(path)
+        for level in SMALL_LEVELS:
+            if isinstance(target, FiniteDoubleCategory):
+                yield path.stem, x_presentation(*level)[0], target
+            elif isinstance(target, FiniteTwoCategory):
+                for pres in lx_presentations(*level)[:2]:
+                    yield path.stem, pres, target
+
+
+def test_schedule_leaves_every_small_corpus_level_unchanged(monkeypatch):
+    import dblnerve.presentation as presentation
+
+    checked = 0
+    for name, pres, target in _corpus_levels():
+        now = enumerate_functors(pres, target)
+        with monkeypatch.context() as patch:
+            patch.setattr(presentation, "_schedule", _lazy_schedule)
+            before = enumerate_functors(pres, target)
+        assert now == before, (name, pres.label)
+        checked += 1
+    assert checked == 255
+
+
+def test_search_returns_dicts_keyed_in_variable_order():
+    variables = [(name, lambda env: [0, 1]) for name in ("c", "a", "b")]
+    found, spent = _search(variables, [(("c", "a"), lambda env: env["c"] <= env["a"])], None)
+    assert all(type(s) is dict and list(s) == ["c", "a", "b"] for s in found)
+    assert [tuple(s.values()) for s in found] == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
+    assert spent == 2 + 4 + 6
+
+
+def test_budget_message_says_where_the_search_stopped(iso2):
+    b = PresentationBuilder("two")
+    for name in ("a0", "a1", "a2"):
+        b.add_object(name)
+    # 2 + 4 + 8 candidates in all; the 11th tries a2 after five solutions
+    with pytest.raises(BudgetExceeded) as caught:
+        enumerate_functors(b.build(), iso2, budget=10)
+    assert str(caught.value) == (
+        "search exceeded budget 10 trying 'a2' at depth 3 of 3, 5 solutions found")
+
+
+def test_search_spends_the_pinned_candidates(monkeypatch, hsim_iso, h_iso, square_dbl):
+    """Candidates are counted, not timed, so a change to the search order
+    that changes what it spends fails here on every run."""
+    import dblnerve.presentation as presentation
+    from dblnerve.tensor import x_presentation
+
+    spent = []
+
+    def counting(variables, constraints, budget, start=0):
+        out, total = _search(variables, constraints, budget, start)
+        spent.append(total - start)
+        return out, total
+
+    monkeypatch.setattr(presentation, "_search", counting)
+    for target, level in ((hsim_iso, (1, 1, 2)), (h_iso, (2, 2, 2)), (square_dbl, (2, 2, 2))):
+        enumerate_functors(x_presentation(*level)[0], target)
+    assert spent == [104_102, 73_342, 4_910]
