@@ -215,13 +215,13 @@ def is_free_category(cat: FiniteCategory):
     counts = {m: 0 for m in cat.morphisms}
     for a in cat.objects:
         counts[cat.identity[a]] += 1  # the empty path at a
-    stack = [(e, e) for e in indec]
+    stack = list(indec)
     while stack:
-        value, last = stack.pop()
+        value = stack.pop()
         counts[value] += 1
         for e in indec:
             if cat.src[e] == cat.tgt[value]:
-                stack.append((cat.compose[(e, value)], e))
+                stack.append(cat.compose[(e, value)])
     for m in cat.morphisms:
         if counts[m] != 1:
             return False, m

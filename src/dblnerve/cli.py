@@ -144,7 +144,7 @@ def cmd_rlp(args):
     results = {}
     verdict = True
     for name, morphism in sorted(morphisms.items()):
-        ok, witness = has_rlp(functor, morphism)
+        ok, _ = has_rlp(functor, morphism)
         results[name] = ok
         verdict = verdict and ok
     return _emit({"set": args.set, "rlp": results, "all": verdict}, verdict)

@@ -359,10 +359,7 @@ def validate_double_category(raw: dict) -> FiniteDoubleCategory:
     hcomp_sq = read_table("hcompose_sq")
     vcomp_sq = read_table("vcompose_sq")
 
-    for table, mors, ident, srcm, tgtm in (
-        (hcomp_h, h_bounds, idh, 0, 1),
-        (vcomp_v, v_bounds, idv, 0, 1),
-    ):
+    for table, mors, ident in ((hcomp_h, h_bounds, idh), (vcomp_v, v_bounds, idv)):
         for m, bounds in mors.items():
             for pair, value in (
                 ((m, ident[bounds[0]]), m),

@@ -125,7 +125,8 @@ def generators_of(expr) -> set[str]:
         return {expr[1]}
     out: set[str] = set()
     for child in expr[1:]:
-        out |= generators_of(child)
+        if isinstance(child, tuple):
+            out |= generators_of(child)
     return out
 
 
@@ -134,7 +135,8 @@ def to_json(expr):
 
 
 def from_json(doc):
-    if not isinstance(doc, list) or not doc or not isinstance(doc[0], str):
+    if (not isinstance(doc, list) or not doc or not isinstance(doc[0], str)
+            or (doc[0] in _GENERATORS and (len(doc) != 2 or not isinstance(doc[1], str)))):
         raise DanglingReference(f"malformed expression {doc!r}")
     return tuple(from_json(part) if isinstance(part, list) else part for part in doc)
 

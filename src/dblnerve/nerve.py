@@ -500,7 +500,7 @@ def comparison_maps(cat2: FiniteTwoCategory, m: int, k: int, n: int,
                     budget: int | None = None):
     """Pullbacks along the collapse/section pair between the two quotients,
     the retract verdict, and injectivity of the comparison."""
-    plain, equivalence, collapse, section = lx_presentations(m, k, n)
+    _, _, collapse, section = lx_presentations(m, k, n)
     base = two_nerve_level(cat2, "h", m, k, n, budget, check_bijection=False)
 
     collapse_back, section_back = collapse.pullback(cat2), section.pullback(cat2)

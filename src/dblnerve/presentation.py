@@ -146,6 +146,20 @@ class PresentationBuilder:
         )
 
     def build(self) -> Presentation:
+        """The presentation.  A boundary may name only generators listed
+        before it, and a relation only generators listed at all."""
+        listed: set[str] = set()
+        for g in self.gens:
+            named = set().union(*(ex.generators_of(b) for b in g.bounds if isinstance(b, tuple)))
+            if not named <= listed:
+                raise DanglingReference(
+                    f"boundary of {g.name!r} names {sorted(named - listed)}, "
+                    "which are not generators listed before it")
+            listed.add(g.name)
+        for lhs, rhs in self.relations:
+            inputs = ex.generators_of(lhs) | ex.generators_of(rhs)
+            if not inputs <= listed:
+                raise DanglingReference(f"relation names unknown generators {sorted(inputs - listed)}")
         return Presentation(
             self.kind,
             tuple(self.gens),
@@ -314,10 +328,6 @@ def _schedule(pres: Presentation) -> list[Gen]:
     last: dict[str, int] = {}  # generator -> position of the last object it depends on
     for i, g in enumerate(pres.gens):
         named = set().union(*(ex.generators_of(b) for b in g.bounds if isinstance(b, tuple)))
-        if not named <= last.keys():
-            raise DanglingReference(
-                f"boundary of {g.name!r} names {sorted(named - last.keys())}, "
-                "which are not generators listed before it")
         last[g.name] = i if g.sort == "object" else max((last[n] for n in named), default=-1)
     # an object sorts before the generators that come right after it
     return sorted(pres.gens, key=lambda g: (last[g.name], g.sort != "object"))
@@ -352,11 +362,8 @@ def enumerate_functors(pres: Presentation, alg, budget: int | None = None):
         ((g.name,), lambda env, g=g: _flag_ok(alg, g.flags, env[g.name]))
         for g in pres.gens if g.sort == "sq" and g.flags
     ]
-    names = set(pres.names())
     for lhs, rhs in pres.relations:
         inputs = ex.generators_of(lhs) | ex.generators_of(rhs)
-        if not inputs <= names:
-            raise DanglingReference(f"relation names unknown generators {sorted(inputs - names)}")
         constraints.append((inputs, lambda env, lhs=ex.compile_expr(alg, lhs),
                             rhs=ex.compile_expr(alg, rhs): lhs(env) == rhs(env)))
     out, _ = _search(variables, constraints, budget)

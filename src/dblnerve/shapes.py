@@ -6,9 +6,10 @@ containing subsets, composition by union), their invertible variants
 categories, and the vertical double categories on them.
 
 Presented shapes: the adjoint family (all gap edges adjoint equivalences,
-covering cells invertible), the three-directional tensor levels used by
-the nerve, and their one-sided quotients used by the 2-categorical nerve,
-together with the comparison generator maps in both directions.
+covering cells invertible) with the maps between its levels, the
+free-living 2-categorical shapes, and the generating cofibrations of both
+model structures.  The three-directional tensor levels, their one-sided
+quotients and the comparison maps between those live in ``tensor``.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def _materialize_variant(n, variant, t, invertible):
         id1[str(x)] = _one_name((x,))
 
     covers = {}
-    for f, s in subset_of.items():
-        for g, u in subset_of.items():
+    for s in subset_of.values():
+        for u in subset_of.values():
             if set(s) < set(u) and len(u) == len(s) + 1 and s[0] == u[0] and s[-1] == u[-1]:
                 if _variant_cover_present(n, variant, t, s, u):
                     covers.setdefault((s[0], s[-1]), []).append((s, u))
@@ -225,13 +226,13 @@ def _materialize_variant(n, variant, t, invertible):
 
     vcomp2 = {}
     for c, (s1, t1, p1) in path_cells.items():
-        for d, (s2, t2, p2) in path_cells.items():
+        for d, (s2, _, p2) in path_cells.items():
             if t1 == s2:
                 vcomp2[(d, c)] = _path_name(s1, p1 + p2)
 
     hcomp2 = {}
     for c, (s1, t1, p1) in path_cells.items():
-        for d, (s2, t2, p2) in path_cells.items():
+        for d, (s2, _, p2) in path_cells.items():
             if s1[-1] != s2[0]:
                 continue
             whisk1 = tuple((_union(lo, s2), _union(hi, s2)) for lo, hi in p1)

@@ -12,6 +12,12 @@ generators.  The supported grid is m, k, n ≤ 2; the nerve engine
 cross-checks these presentations against structural descriptions of the
 same cells built without any relation search.
 
+The m- and n-directions are both horizontal over the vertical
+k-direction, so their generators, naturality squares (A against B),
+covering cells (M against N) and section images are written once, over
+one coordinate table (``_AXES``, ``_NAMES``) that names each generator
+by the point or gap it occupies in each direction.
+
 ``lx_presentations`` derives the two 2-categorical quotients (vertical
 generators collapsed, respectively turned into adjoint equivalences)
 together with the comparison generator maps in both directions.
@@ -79,6 +85,33 @@ def _gaps(size):
     return [(a, b) for a in range(size + 1) for b in range(size + 1) if a < b]
 
 
+# directions of the coordinates of each generator kind in the metadata of
+# ``x_presentation``; a covering cell spans (0, 2) in the direction it lacks
+_AXES = {"obj": "mkn", "m": "mkn", "n": "nmk", "k": "kmn", "A": "mkn", "B": "nkm",
+         "X": "mnk", "T": "mn", "M": "kn", "N": "mk"}
+_KIND_OF_GAPS = {"": "obj", "m": "m", "n": "n", "k": "k", "mk": "A", "kn": "B", "mn": "X"}
+_NAMES = {"obj": _oname, "m": _mname, "n": _nname, "k": _kname, "A": _aname, "B": _bname,
+          "X": _xname, "T": _tname, "M": _mcov, "N": _ncov}
+_SORTS = {"obj": ex.ogen, "m": ex.hgen, "n": ex.hgen, "k": ex.vgen}
+# the naturality squares of each horizontal direction against the k-direction
+_NATURALITY = {"m": "A", "n": "B"}
+
+
+def _coords(tag, at):
+    return tuple(at[d] for d in _AXES[tag])
+
+
+def _name(tag, at):
+    """The name of the generator of kind ``tag`` at ``at`` (direction ->
+    point or gap)."""
+    return _NAMES[tag](*_coords(tag, at))
+
+
+def _gen(tag, at):
+    """The generator of kind ``tag`` at ``at``, as an expression."""
+    return _SORTS.get(tag, ex.sgen)(_name(tag, at))
+
+
 _X_CACHE: dict = {}
 
 
@@ -93,14 +126,40 @@ def x_presentation(m: int, k: int, n: int):
     b = PresentationBuilder("double", f"x{key}")
     meta: dict[str, tuple] = {}
 
+    def add(tag, at, adder, *bounds, **options):
+        name = _name(tag, at)
+        adder(name, *bounds, **options)
+        meta[name] = (tag, *_coords(tag, at))
+
     def o(x, y, z):
         return ex.ogen(_oname(x, y, z))
 
     for x, y, z in product(range(m + 1), range(k + 1), range(n + 1)):
-        b.add_object(_oname(x, y, z))
-        meta[_oname(x, y, z)] = ("obj", x, y, z)
+        add("obj", {"m": x, "k": y, "n": z}, b.add_object)
 
     mgaps, kgaps, ngaps = _gaps(m), _gaps(k), _gaps(n)
+
+    def horizontal(d, at):
+        """The generators in direction ``d`` over the gap ``at[d]``, one per
+        height, then their naturality squares against the k-direction.  In
+        the n-direction the generators are adjoint equivalences and the
+        squares admit weak inverses."""
+        lo, hi = ({**at, d: c} for c in at[d])
+        for y in range(k + 1):
+            add(d, {**at, "k": y}, b.add_hgen, _gen("obj", {**lo, "k": y}),
+                _gen("obj", {**hi, "k": y}), adjoint=d == "n")
+        for kgap in kgaps:
+            add(_NATURALITY[d], {**at, "k": kgap}, b.add_square,
+                _gen(d, {**at, "k": kgap[0]}), _gen(d, {**at, "k": kgap[1]}),
+                _gen("k", {**lo, "k": kgap}), _gen("k", {**hi, "k": kgap}),
+                flags=("whi",) if d == "n" else ())
+
+    def cover(d, at):
+        """The invertible covering cell of the width-two gap in direction ``d``."""
+        add(d.upper(), at, b.add_square, _gen(d, {**at, d: (0, 2)}),
+            ex.hpath(_gen(d, {**at, d: (0, 1)}), _gen(d, {**at, d: (1, 2)})),
+            ex.vid(_gen("obj", {**at, d: 0})), ex.vid(_gen("obj", {**at, d: 2})),
+            flags=("invertible",))
 
     # emit generators in coordinate-local blocks so that, during the
     # backtracking enumeration, constraints between nearby cells fire before
@@ -108,102 +167,46 @@ def x_presentation(m: int, k: int, n: int):
     for z in range(n + 1):
         for x in range(m + 1):
             for gap in kgaps:
-                name = _kname(gap, x, z)
-                b.add_vgen(name, o(x, gap[0], z), o(x, gap[1], z))
-                meta[name] = ("k", gap, x, z)
+                add("k", {"k": gap, "m": x, "n": z}, b.add_vgen, o(x, gap[0], z), o(x, gap[1], z))
             if k == 2:
-                name = _tname(x, z)
-                b.add_square(
-                    name,
-                    ex.hid(o(x, 0, z)),
-                    ex.hid(o(x, 2, z)),
+                add("T", {"m": x, "n": z}, b.add_square, ex.hid(o(x, 0, z)), ex.hid(o(x, 2, z)),
                     ex.vgen(_kname((0, 2), x, z)),
                     ex.vpath(ex.vgen(_kname((0, 1), x, z)), ex.vgen(_kname((1, 2), x, z))),
-                    flags=("h_invertible",),
-                )
-                meta[name] = ("T", x, z)
+                    flags=("h_invertible",))
             for mgap in [g for g in mgaps if g[1] == x]:
-                for y in range(k + 1):
-                    name = _mname(mgap, y, z)
-                    b.add_hgen(name, o(mgap[0], y, z), o(mgap[1], y, z))
-                    meta[name] = ("m", mgap, y, z)
-                for kgap in kgaps:
-                    name = _aname(mgap, kgap, z)
-                    b.add_square(
-                        name,
-                        ex.hgen(_mname(mgap, kgap[0], z)),
-                        ex.hgen(_mname(mgap, kgap[1], z)),
-                        ex.vgen(_kname(kgap, mgap[0], z)),
-                        ex.vgen(_kname(kgap, mgap[1], z)),
-                    )
-                    meta[name] = ("A", mgap, kgap, z)
+                horizontal("m", {"m": mgap, "n": z})
             if m == 2 and x == 2:
                 for y in range(k + 1):
-                    name = _mcov(y, z)
-                    b.add_square(
-                        name,
-                        ex.hgen(_mname((0, 2), y, z)),
-                        ex.hpath(ex.hgen(_mname((0, 1), y, z)), ex.hgen(_mname((1, 2), y, z))),
-                        ex.vid(o(0, y, z)),
-                        ex.vid(o(2, y, z)),
-                        flags=("invertible",),
-                    )
-                    meta[name] = ("M", y, z)
+                    cover("m", {"k": y, "n": z})
         for ngap in [g for g in ngaps if g[1] == z]:
             for x in range(m + 1):
-                for y in range(k + 1):
-                    name = _nname(ngap, x, y)
-                    b.add_hgen(name, o(x, y, ngap[0]), o(x, y, ngap[1]), adjoint=True)
-                    meta[name] = ("n", ngap, x, y)
-                for kgap in kgaps:
-                    name = _bname(ngap, kgap, x)
-                    b.add_square(
-                        name,
-                        ex.hgen(_nname(ngap, x, kgap[0])),
-                        ex.hgen(_nname(ngap, x, kgap[1])),
-                        ex.vgen(_kname(kgap, x, ngap[0])),
-                        ex.vgen(_kname(kgap, x, ngap[1])),
-                        flags=("whi",),
-                    )
-                    meta[name] = ("B", ngap, kgap, x)
+                horizontal("n", {"n": ngap, "m": x})
                 for mgap in [g for g in mgaps if g[1] == x]:
                     for y in range(k + 1):
-                        name = _xname(mgap, ngap, y)
-                        b.add_square(
-                            name,
+                        add("X", {"m": mgap, "n": ngap, "k": y}, b.add_square,
                             ex.hpath(ex.hgen(_nname(ngap, mgap[0], y)), ex.hgen(_mname(mgap, y, ngap[1]))),
                             ex.hpath(ex.hgen(_mname(mgap, y, ngap[0])), ex.hgen(_nname(ngap, mgap[1], y))),
                             ex.vid(o(mgap[0], y, ngap[0])),
                             ex.vid(o(mgap[1], y, ngap[1])),
-                            flags=("invertible",),
-                        )
-                        meta[name] = ("X", mgap, ngap, y)
+                            flags=("invertible",))
         if n == 2 and z == 2:
-            for x in range(m + 1):
-                for y in range(k + 1):
-                    name = _ncov(x, y)
-                    b.add_square(
-                        name,
-                        ex.hgen(_nname((0, 2), x, y)),
-                        ex.hpath(ex.hgen(_nname((0, 1), x, y)), ex.hgen(_nname((1, 2), x, y))),
-                        ex.vid(o(x, y, 0)),
-                        ex.vid(o(x, y, 2)),
-                        flags=("invertible",),
-                    )
-                    meta[name] = ("N", x, y)
+            for x, y in product(range(m + 1), range(k + 1)):
+                cover("n", {"m": x, "k": y})
 
-    sg, sh, sv = ex.sgen, ex.sid_h, ex.sid_v
+    sg, sh = ex.sgen, ex.sid_h
 
-    # pseudo-naturality of m-direction transformations against the
-    # k-direction covering square
+    def against_t(d, at):
+        """Pseudo-naturality of the d-direction transformation over the gap
+        ``at[d]`` against the k-direction covering square."""
+        nat = _NATURALITY[d]
+        lo, hi = ({**at, d: c} for c in at[d])
+        chain = ex.svcomp(_gen(nat, {**at, "k": (0, 1)}), _gen(nat, {**at, "k": (1, 2)}))
+        b.add_relation(ex.shcomp(_gen("T", lo), chain),
+                       ex.shcomp(_gen(nat, {**at, "k": (0, 2)}), _gen("T", hi)))
+
     if k == 2:
-        for mgap in mgaps:
-            for z in range(n + 1):
-                chain = ex.svcomp(sg(_aname(mgap, (0, 1), z)), sg(_aname(mgap, (1, 2), z)))
-                b.add_relation(
-                    ex.shcomp(sg(_tname(mgap[0], z)), chain),
-                    ex.shcomp(sg(_aname(mgap, (0, 2), z)), sg(_tname(mgap[1], z))),
-                )
+        for mgap, z in product(mgaps, range(n + 1)):
+            against_t("m", {"m": mgap, "n": z})
 
     # pseudo-naturality of n-direction transformations against the mixed
     # naturality squares (the square-space pasting equality)
@@ -221,16 +224,9 @@ def x_presentation(m: int, k: int, n: int):
                 )
                 b.add_relation(lhs, rhs)
 
-    # n-direction transformations against the k-covering square
     if k == 2:
-        for ngap in ngaps:
-            for x in range(m + 1):
-                z, z2 = ngap
-                chain = ex.svcomp(sg(_bname(ngap, (0, 1), x)), sg(_bname(ngap, (1, 2), x)))
-                b.add_relation(
-                    ex.shcomp(sg(_tname(x, z)), chain),
-                    ex.shcomp(sg(_bname(ngap, (0, 2), x)), sg(_tname(x, z2))),
-                )
+        for ngap, x in product(ngaps, range(m + 1)):
+            against_t("n", {"n": ngap, "m": x})
 
     # n-direction transformations against the m-covering cell
     if m == 2:
@@ -251,27 +247,20 @@ def x_presentation(m: int, k: int, n: int):
                 )
                 b.add_relation(lhs, rhs)
 
-    # m-covering modification against the k-direction verticals
-    if m == 2:
-        for kgap in kgaps:
-            for z in range(n + 1):
-                lhs = ex.svcomp(sg(_aname((0, 2), kgap, z)), sg(_mcov(kgap[1], z)))
-                rhs = ex.svcomp(
-                    sg(_mcov(kgap[0], z)),
-                    ex.shcomp(sg(_aname((0, 1), kgap, z)), sg(_aname((1, 2), kgap, z))),
-                )
-                b.add_relation(lhs, rhs)
-
-    # n-covering modification against the k-direction verticals
-    if n == 2:
-        for kgap in kgaps:
-            for x in range(m + 1):
-                lhs = ex.svcomp(sg(_bname((0, 2), kgap, x)), sg(_ncov(x, kgap[1])))
-                rhs = ex.svcomp(
-                    sg(_ncov(x, kgap[0])),
-                    ex.shcomp(sg(_bname((0, 1), kgap, x)), sg(_bname((1, 2), kgap, x))),
-                )
-                b.add_relation(lhs, rhs)
+    # m- and n-covering modifications against the k-direction verticals
+    size = {"m": m, "n": n}
+    for d, e in ("mn", "nm"):
+        if size[d] < 2:
+            continue
+        nat, cov = _NATURALITY[d], d.upper()
+        for kgap, p in product(kgaps, range(size[e] + 1)):
+            at = {"k": kgap, e: p}
+            lhs = ex.svcomp(_gen(nat, {**at, d: (0, 2)}), _gen(cov, {**at, "k": kgap[1]}))
+            rhs = ex.svcomp(
+                _gen(cov, {**at, "k": kgap[0]}),
+                ex.shcomp(_gen(nat, {**at, d: (0, 1)}), _gen(nat, {**at, d: (1, 2)})),
+            )
+            b.add_relation(lhs, rhs)
 
     # n-covering modification against the m-direction generators
     if n == 2:
@@ -304,26 +293,16 @@ def x_presentation(m: int, k: int, n: int):
 # -- symbolic boundaries -------------------------------------------------
 
 
-def _h_ends(pres: Presentation, h):
-    tag = h[0]
-    if tag == "hgen":
-        return pres.gen(h[1]).bounds
-    if tag == "hid":
-        return (h[1], h[1])
-    if tag == "hcomp":
-        return (_h_ends(pres, h[1])[0], _h_ends(pres, h[2])[1])
-    raise RangeExceeded(f"not an h-expression: {h!r}")
-
-
-def _v_ends(pres: Presentation, v):
-    tag = v[0]
-    if tag == "vgen":
-        return pres.gen(v[1]).bounds
-    if tag == "vid":
-        return (v[1], v[1])
-    if tag == "vcomp":
-        return (_v_ends(pres, v[1])[0], _v_ends(pres, v[2])[1])
-    raise RangeExceeded(f"not a v-expression: {v!r}")
+def _ends(pres: Presentation, e):
+    """Source and target objects of a horizontal or vertical 1-cell expression."""
+    tag = e[0]
+    if tag in ("hgen", "vgen"):
+        return pres.gen(e[1]).bounds
+    if tag in ("hid", "vid"):
+        return (e[1], e[1])
+    if tag in ("hcomp", "vcomp"):
+        return (_ends(pres, e[1])[0], _ends(pres, e[2])[1])
+    raise RangeExceeded(f"not a 1-cell expression: {e!r}")
 
 
 def square_bounds(pres: Presentation, s):
@@ -333,11 +312,11 @@ def square_bounds(pres: Presentation, s):
         return pres.gen(s[1]).bounds
     if tag == "sid_h":
         h = s[1]
-        a, b = _h_ends(pres, h)
+        a, b = _ends(pres, h)
         return (h, h, ex.vid(a), ex.vid(b))
     if tag == "sid_v":
         v = s[1]
-        a, b = _v_ends(pres, v)
+        a, b = _ends(pres, v)
         return (ex.hid(a), ex.hid(b), v, v)
     if tag == "shcomp":
         lt, lb, ll, _ = square_bounds(pres, s[1])
@@ -383,7 +362,7 @@ def _tr_sq_l(pres, meta, s):
     if tag == "sid_h":
         return ex.sid_h(_tr_h_l(meta, s[1]))
     if tag == "sid_v":
-        a, _ = _v_ends(pres, s[1])
+        a, _ = _ends(pres, s[1])
         return ex.sid_h(ex.hid(_tr_obj_l(meta, a)))
     if tag in ("shcomp", "svcomp"):
         return (tag, _tr_sq_l(pres, meta, s[1]), _tr_sq_l(pres, meta, s[2]))
@@ -452,9 +431,6 @@ def lx_presentations(m: int, k: int, n: int):
         return _LX_CACHE[key]
     xp, meta = x_presentation(m, k, n)
     expansion = {name for name, desc in meta.items() if desc[0] in ("n*", "n.unit", "n.counit")}
-    tri = set(getattr(xp, "expansion_relations", ()))
-
-    flag_tr = {"whi": "invertible", "h_invertible": "invertible", "invertible": "invertible"}
 
     # plain quotient: objects collapse along the vertical direction
     bl = PresentationBuilder("two", f"lx{key}")
@@ -464,30 +440,12 @@ def lx_presentations(m: int, k: int, n: int):
     for g in xp.gens:
         if g.name in expansion or g.sort in ("object", "v"):
             continue
-        kind = meta[g.name]
         if g.sort == "h":
-            if kind[0] == "m":
-                gap, y, z = kind[1], kind[2], kind[3]
-                bl.add_hgen(g.name, ex.ogen(_qname(gap[0], z)), ex.ogen(_qname(gap[1], z)))
-            else:
-                gap, x, y = kind[1], kind[2], kind[3]
-                bl.add_hgen(
-                    g.name, ex.ogen(_qname(x, gap[0])), ex.ogen(_qname(x, gap[1])), adjoint=True
-                )
+            src, tgt = (_tr_obj_l(meta, end) for end in g.bounds)
+            bl.add_hgen(g.name, src, tgt, adjoint=meta[g.name][0] == "n")
         else:
-            flags = sorted({flag_tr[f] for f in g.flags})
-            bl.add_cell2(
-                g.name, _tr_h_l(meta, g.bounds[0]), _tr_h_l(meta, g.bounds[1]), flags
-            )
-    seen = set()
-    for idx, (lhs, rhs) in enumerate(xp.relations):
-        if idx in tri:
-            continue
-        pair = (_tr_sq_l(xp, meta, lhs), _tr_sq_l(xp, meta, rhs))
-        if pair not in seen:
-            seen.add(pair)
-            bl.add_relation(*pair)
-    plain = bl.build()
+            bl.add_cell2(g.name, _tr_h_l(meta, g.bounds[0]), _tr_h_l(meta, g.bounds[1]),
+                         ["invertible"] if g.flags else [])
 
     # equivalence quotient: vertical generators become adjoint equivalences
     bs = PresentationBuilder("two", f"lsimx{key}")
@@ -496,29 +454,29 @@ def lx_presentations(m: int, k: int, n: int):
             continue
         if g.sort == "object":
             bs.add_object(g.name)
-        elif g.sort == "h":
-            adjoint = meta[g.name][0] == "n"
-            bs.add_hgen(g.name, g.bounds[0], g.bounds[1], adjoint=adjoint)
-        elif g.sort == "v":
-            bs.add_hgen(g.name, g.bounds[0], g.bounds[1], adjoint=True)
+        elif g.sort in ("h", "v"):
+            bs.add_hgen(g.name, *g.bounds, adjoint=meta[g.name][0] in ("n", "k"))
         else:
             top, bottom, left, right = g.bounds
-            src = ex.hcomp(top, _tr_v_as_h(right))
-            tgt = ex.hcomp(_tr_v_as_h(left), bottom)
-            flags = sorted({flag_tr[f] for f in g.flags})
-            bs.add_cell2(g.name, src, tgt, flags)
-    seen = set()
-    for idx, (lhs, rhs) in enumerate(xp.relations):
-        if idx in tri:
-            continue
-        pair = (_tr_sq_lsim(xp, lhs), _tr_sq_lsim(xp, rhs))
-        if pair not in seen:
-            seen.add(pair)
-            bs.add_relation(*pair)
-    equivalence = bs.build()
+            bs.add_cell2(g.name, ex.hcomp(top, _tr_v_as_h(right)),
+                         ex.hcomp(_tr_v_as_h(left), bottom), ["invertible"] if g.flags else [])
 
-    collapse = _collapse_map(xp, meta, equivalence, plain)
-    section = _section_map(m, k, n, xp, meta, plain, equivalence)
+    # the relations but the triangle laws, translated into each quotient,
+    # where two of them may coincide
+    for builder, translate in ((bl, lambda s: _tr_sq_l(xp, meta, s)),
+                               (bs, lambda s: _tr_sq_lsim(xp, s))):
+        seen = set()
+        for idx, (lhs, rhs) in enumerate(xp.relations):
+            if idx in xp.expansion_relations:
+                continue
+            pair = (translate(lhs), translate(rhs))
+            if pair not in seen:
+                seen.add(pair)
+                builder.add_relation(*pair)
+    plain, equivalence = bl.build(), bs.build()
+
+    collapse = _collapse_map(meta, equivalence, plain)
+    section = _section_map(meta, plain, equivalence)
 
     # collapse ∘ section must be the identity generator-wise, except where a
     # cell routes through the k = 2 vertical covering loop
@@ -546,31 +504,18 @@ def _base_of_artifact(name: str):
     return None
 
 
-def _collapse_map(xp, meta, equivalence, plain) -> PresentationMorphism:
+def _collapse_map(meta, equivalence, plain) -> PresentationMorphism:
     gen_map = {}
     for g in equivalence.gens:
-        name = g.name
-        kind = meta.get(name)
-        if kind is None:
-            # adjoint-expansion artifact of a former vertical generator
-            base = _base_of_artifact(name)
-            base_kind = meta.get(base) if base else None
-            if base_kind is None or base_kind[0] != "k":
-                raise RangeExceeded(f"unclassified generator {name!r}")
-            _gap, x, z = base_kind[1], base_kind[2], base_kind[3]
-            idq = ex.hid(ex.ogen(_qname(x, z)))
-            gen_map[name] = idq if name.endswith("*") else ex.sid_h(idq)
-            continue
-        tag = kind[0]
-        if tag == "obj":
-            gen_map[name] = ex.ogen(_qname(kind[1], kind[3]))
-        elif tag == "k":
-            _gap, x, z = kind[1], kind[2], kind[3]
-            gen_map[name] = ex.hid(ex.ogen(_qname(x, z)))
-        elif tag in ("m", "n", "n*"):
-            gen_map[name] = ex.hgen(name)
+        base = _base_of_artifact(g.name) or g.name
+        kind = meta[base]
+        if kind[0] == "obj":
+            image = _tr_obj_l(meta, ex.ogen(base))
+        elif kind[0] == "k":  # a vertical generator, the identity on its class
+            image = ex.hid(ex.ogen(_qname(kind[2], kind[3])))
         else:
-            gen_map[name] = ex.sgen(name)
+            image = _SORTS.get(kind[0], ex.sgen)(base)
+        gen_map[g.name] = image if base == g.name else _artifact(image, g.name[len(base):])
     return PresentationMorphism(equivalence, plain, gen_map)
 
 
@@ -605,7 +550,7 @@ def _mate_reverse(p, q, r, t_cell):
     return ex.svcomp(m1, ex.svcomp(m2, ex.svcomp(m3, m4)))
 
 
-def _section_map(m, k, n, xp, meta, plain, equivalence) -> PresentationMorphism:
+def _section_map(meta, plain, equivalence) -> PresentationMorphism:
     """The generator-level section of the collapse map.
 
     Morphism generators are conjugated through the (0, y) vertical-gap
@@ -614,11 +559,15 @@ def _section_map(m, k, n, xp, meta, plain, equivalence) -> PresentationMorphism:
     (1, 2) gap additionally route through the vertical covering cell, whose
     collapse-image is a possibly non-identity loop; the composite with the
     collapse map is then the identity only up to that loop (exactly on
-    locally discrete targets).
+    locally discrete targets).  The m- and n-directions follow one rule,
+    keyed on the direction ``d`` that a kind spans.
     """
 
-    def conj(x, y, z):
-        return None if y == 0 else _kname((0, y), x, z)
+    def conj(at, **move):
+        """The vertical generator over the (0, y) gap at ``at`` moved by
+        ``move``, y its k-coordinate; None at y = 0."""
+        c = {**at, **move}
+        return None if c["k"] == 0 else _name("k", {**c, "k": (0, c["k"])})
 
     gen_map = {}
     for g in plain.gens:
@@ -627,17 +576,13 @@ def _section_map(m, k, n, xp, meta, plain, equivalence) -> PresentationMorphism:
             x, z = name[1:].split(".")
             gen_map[name] = ex.ogen(_oname(int(x), 0, int(z)))
             continue
-        kind = meta.get(name)
-        if kind is None:
-            raise RangeExceeded(f"unclassified plain generator {name!r}")
-
-        tag = kind[0]
+        tag = meta[name][0]
+        at = dict(zip(_AXES[tag[0]], meta[name][1:]))
+        d = "m" if tag in ("m", "A", "M") else "n"
         if tag in ("n*", "n.unit", "n.counit"):
-            gap, x, y = kind[1], kind[2], kind[3]
-            z, z2 = gap
-            h = _nname(gap, x, y)
-            gcj, gcj2 = conj(x, y, z), conj(x, y, z2)
-            if y == 0:
+            h = _name("n", at)
+            gcj, gcj2 = (conj(at, n=c) for c in at["n"])
+            if at["k"] == 0:
                 gen_map[name] = _H(name) if tag == "n*" else ex.sgen(name)
             elif tag == "n*":
                 gen_map[name] = ex.hpath(_H(gcj2), _H(name), _Hs(gcj))
@@ -659,77 +604,41 @@ def _section_map(m, k, n, xp, meta, plain, equivalence) -> PresentationMorphism:
                 s2 = _W(_H(gcj2), ex.sgen(h + ".counit"), _Hs(gcj2))
                 s3 = ex.sinv_v(ex.sgen(gcj2 + ".unit"))
                 gen_map[name] = ex.svcomp(s1, ex.svcomp(s2, s3))
-        elif tag == "m":
-            gap, y, z = kind[1], kind[2], kind[3]
-            if y == 0:
+        elif tag in ("m", "n"):
+            if at["k"] == 0:
                 gen_map[name] = _H(name)
             else:
-                gen_map[name] = ex.hpath(_H(conj(gap[0], y, z)), _H(name), _Hs(conj(gap[1], y, z)))
-        elif tag == "n":
-            gap, x, y = kind[1], kind[2], kind[3]
-            if y == 0:
-                gen_map[name] = _H(name)
-            else:
-                gen_map[name] = ex.hpath(_H(conj(x, y, gap[0])), _H(name), _Hs(conj(x, y, gap[1])))
-        elif tag == "A":
-            mgap, kgap, z = kind[1], kind[2], kind[3]
-            x, x2 = mgap
+                lo, hi = (conj(at, **{d: c}) for c in at[d])
+                gen_map[name] = ex.hpath(_H(lo), _H(name), _Hs(hi))
+        elif tag in ("A", "B"):
+            lo, hi = ({**at, d: c} for c in at[d])
+            kgap = at["k"]
             if kgap[0] == 0:
-                v = conj(x2, kgap[1], z)
-                top = _mname(mgap, 0, z)
-                s1 = ex.shcomp(ex.sid_h(_H(top)), ex.sgen(v + ".unit"))
+                v = conj(hi, k=kgap[1])
+                s1 = ex.shcomp(ex.sid_h(_gen(d, {**at, "k": 0})), ex.sgen(v + ".unit"))
                 s2 = ex.shcomp(ex.sgen(name), ex.sid_h(_Hs(v)))
                 gen_map[name] = ex.svcomp(s1, s2)
             else:  # the (1, 2) gap at k = 2 routes through the covering cell
-                g1, g1p = conj(x, 1, z), conj(x2, 1, z)
-                g2, g2p = conj(x, 2, z), conj(x2, 2, z)
-                u, v = _kname((1, 2), x, z), _kname((1, 2), x2, z)
-                m1, m2_ = _mname(mgap, 1, z), _mname(mgap, 2, z)
-                s1 = _W(ex.hpath(_H(g1), _H(m1)), ex.sgen(v + ".unit"), _Hs(g1p))
+                g1, g1p, g2, g2p = conj(lo, k=1), conj(hi, k=1), conj(lo, k=2), conj(hi, k=2)
+                v = _name("k", {**hi, "k": (1, 2)})
+                h1, h2 = _gen(d, {**at, "k": 1}), _gen(d, {**at, "k": 2})
+                s1 = _W(ex.hpath(_H(g1), h1), ex.sgen(v + ".unit"), _Hs(g1p))
                 s2 = _W(_H(g1), ex.sgen(name), ex.hpath(_Hs(v), _Hs(g1p)))
-                s3 = ex.shcomp(
-                    ex.sgen(_tname(x, z)),
-                    ex.sid_h(ex.hpath(_H(m2_), _Hs(v), _Hs(g1p))),
-                )
+                s3 = ex.shcomp(_gen("T", lo), ex.sid_h(ex.hpath(h2, _Hs(v), _Hs(g1p))))
                 s4 = ex.shcomp(
-                    ex.sid_h(ex.hpath(_H(g2), _H(m2_))),
-                    _mate_reverse(g1p, v, g2p, ex.sgen(_tname(x2, z))),
-                )
-                gen_map[name] = ex.svcomp(s1, ex.svcomp(s2, ex.svcomp(s3, s4)))
-        elif tag == "B":
-            ngap, kgap, x = kind[1], kind[2], kind[3]
-            z, z2 = ngap
-            if kgap[0] == 0:
-                v = conj(x, kgap[1], z2)
-                top = _nname(ngap, x, 0)
-                s1 = ex.shcomp(ex.sid_h(_H(top)), ex.sgen(v + ".unit"))
-                s2 = ex.shcomp(ex.sgen(name), ex.sid_h(_Hs(v)))
-                gen_map[name] = ex.svcomp(s1, s2)
-            else:
-                g1, g1p = conj(x, 1, z), conj(x, 1, z2)
-                g2, g2p = conj(x, 2, z), conj(x, 2, z2)
-                u, v = _kname((1, 2), x, z), _kname((1, 2), x, z2)
-                n1, n2_ = _nname(ngap, x, 1), _nname(ngap, x, 2)
-                s1 = _W(ex.hpath(_H(g1), _H(n1)), ex.sgen(v + ".unit"), _Hs(g1p))
-                s2 = _W(_H(g1), ex.sgen(name), ex.hpath(_Hs(v), _Hs(g1p)))
-                s3 = ex.shcomp(
-                    ex.sgen(_tname(x, z)),
-                    ex.sid_h(ex.hpath(_H(n2_), _Hs(v), _Hs(g1p))),
-                )
-                s4 = ex.shcomp(
-                    ex.sid_h(ex.hpath(_H(g2), _H(n2_))),
-                    _mate_reverse(g1p, v, g2p, ex.sgen(_tname(x, z2))),
+                    ex.sid_h(ex.hpath(_H(g2), h2)),
+                    _mate_reverse(g1p, v, g2p, _gen("T", hi)),
                 )
                 gen_map[name] = ex.svcomp(s1, ex.svcomp(s2, ex.svcomp(s3, s4)))
         elif tag == "X":
-            mgap, ngap, y = kind[1], kind[2], kind[3]
+            mgap, ngap, y = meta[name][1:]
             x, x2 = mgap
             z, z2 = ngap
             if y == 0:
                 gen_map[name] = ex.sgen(name)
             else:
-                g1, g2 = conj(x, y, z), conj(x, y, z2)
-                g3, g4 = conj(x2, y, z2), conj(x2, y, z)
+                g1, g2 = conj(at, m=x, n=z), conj(at, m=x, n=z2)
+                g3, g4 = conj(at, m=x2, n=z2), conj(at, m=x2, n=z)
                 s1 = _W(
                     ex.hpath(_H(g1), _H(_nname(ngap, x, y))),
                     ex.sgen(g2 + ".counit"),
@@ -743,37 +652,22 @@ def _section_map(m, k, n, xp, meta, plain, equivalence) -> PresentationMorphism:
                 )
                 gen_map[name] = ex.svcomp(s1, ex.svcomp(s2, s3))
         elif tag == "T":
-            x, z = kind[1], kind[2]
-            g2 = conj(x, 2, z)
+            g2 = conj(at, k=2)
             s1 = ex.sgen(g2 + ".unit")
             s2 = ex.shcomp(ex.sinv_v(ex.sgen(name)), ex.sid_h(_Hs(g2)))
             s3 = ex.shcomp(ex.sgen(name), ex.sid_h(_Hs(g2)))
             s4 = ex.sinv_v(ex.sgen(g2 + ".unit"))
             gen_map[name] = ex.svcomp(s1, ex.svcomp(s2, ex.svcomp(s3, s4)))
-        elif tag == "M":
-            y, z = kind[1], kind[2]
-            if y == 0:
+        elif tag in ("M", "N"):
+            if at["k"] == 0:
                 gen_map[name] = ex.sgen(name)
             else:
-                g0, g1m, g2m = conj(0, y, z), conj(1, y, z), conj(2, y, z)
-                s1 = _W(_H(g0), ex.sgen(name), _Hs(g2m))
+                g0, g1, g2 = (conj(at, **{d: c}) for c in range(3))
+                s1 = _W(_H(g0), ex.sgen(name), _Hs(g2))
                 s2 = _W(
-                    ex.hpath(_H(g0), _H(_mname((0, 1), y, z))),
-                    ex.sinv_v(ex.sgen(g1m + ".counit")),
-                    ex.hpath(_H(_mname((1, 2), y, z)), _Hs(g2m)),
-                )
-                gen_map[name] = ex.svcomp(s1, s2)
-        elif tag == "N":
-            x, y = kind[1], kind[2]
-            if y == 0:
-                gen_map[name] = ex.sgen(name)
-            else:
-                g0, g1z, g2z = conj(x, y, 0), conj(x, y, 1), conj(x, y, 2)
-                s1 = _W(_H(g0), ex.sgen(name), _Hs(g2z))
-                s2 = _W(
-                    ex.hpath(_H(g0), _H(_nname((0, 1), x, y))),
-                    ex.sinv_v(ex.sgen(g1z + ".counit")),
-                    ex.hpath(_H(_nname((1, 2), x, y)), _Hs(g2z)),
+                    ex.hpath(_H(g0), _gen(d, {**at, d: (0, 1)})),
+                    ex.sinv_v(ex.sgen(g1 + ".counit")),
+                    ex.hpath(_gen(d, {**at, d: (1, 2)}), _Hs(g2)),
                 )
                 gen_map[name] = ex.svcomp(s1, s2)
         else:
@@ -829,21 +723,6 @@ def _reduce(expression):
 
 
 # -- cosimplicial maps between levels -------------------------------------
-
-
-# directions of the coordinates of each generator kind in the metadata of
-# ``x_presentation``; a covering cell spans (0, 2) in the direction it lacks
-_AXES = {"obj": "mkn", "m": "mkn", "n": "nmk", "k": "kmn", "A": "mkn", "B": "nkm",
-         "X": "mnk", "T": "mn", "M": "kn", "N": "mk"}
-_KIND_OF_GAPS = {"": "obj", "m": "m", "n": "n", "k": "k", "mk": "A", "kn": "B", "mn": "X"}
-_NAMES = {"obj": _oname, "m": _mname, "n": _nname, "k": _kname, "A": _aname, "B": _bname,
-          "X": _xname, "T": _tname, "M": _mcov, "N": _ncov}
-_SORTS = {"obj": ex.ogen, "m": ex.hgen, "n": ex.hgen, "k": ex.vgen}
-
-
-def _gen(tag, at):
-    """The generator of kind ``tag`` at ``at`` (direction -> point or gap)."""
-    return _SORTS.get(tag, ex.sgen)(_NAMES[tag](*(at[d] for d in _AXES[tag])))
 
 
 def _image(kind, direction, alpha):

@@ -172,7 +172,7 @@ def is_weakly_horizontally_invariant(dbl: FiniteDoubleCategory):
 def is_double_biequivalence(functor: DoubleFunctor):
     """Verdict plus first failing datum for the four clauses."""
     src, tgt = functor.source, functor.target
-    om, hm, vm, sm = functor.object_map, functor.h_map, functor.v_map, functor.sq_map
+    om, hm, vm = functor.object_map, functor.h_map, functor.v_map
 
     image_objects = set(om.values())
     reachable = {d.f for d in horizontal_equivalences(tgt)}

@@ -226,8 +226,19 @@ def _bad_names_cases():
     def square(name, top, bottom, left, right):
         return {"name": name, "top": top, "bottom": bottom, "left": left, "right": right}
 
+    def presentation(**fields):
+        return json.dumps({"kind": "presentation", "flavor": "double", "objects": ["a"], **fields})
+
+    unit_a = {"top": ["hid", ["ogen", "a"]], "bottom": ["hid", ["ogen", "a"]],
+              "left": ["vid", ["ogen", "a"]]}
     nerve = ("nerve", "--m", "0", "--k", "0", "--n", "0", "--compare")
     return {
+        "presentation-boundary-names-undeclared": (("validate",), presentation(
+            squares=[{"name": "s", **unit_a, "right": ["vid", ["ogen", "b"]]}])),
+        "presentation-relation-names-undeclared": (("validate",), presentation(
+            relations=[[["sgen", "x"], ["sgen", "y"]]])),
+        "presentation-generator-without-a-name": (("validate",), presentation(
+            hgens=[{"name": "f", "src": ["ogen"], "tgt": ["ogen", "a"]}])),
         "two-duplicate-object": (("validate",), two(objects=["a", "a"])),
         "two-identity-1-cell-name": (("validate",), two(
             one_cells=[{"name": "id:a", "src": "a", "tgt": "a"}])),
@@ -253,8 +264,10 @@ BAD_NAMES = _bad_names_cases()
 
 @pytest.mark.parametrize("case", sorted(BAD_NAMES))
 def test_duplicate_and_reserved_names_are_rejected(case, tmp_path):
-    """A cell declared twice, or under the name of a synthesized identity
-    or unit, is bad input, not a code fault such as DisagreementBug."""
+    """A cell declared twice or under the name of a synthesized identity or
+    unit, and a presentation naming a generator it does not declare before
+    the name is used, is bad input, not a code fault such as
+    DisagreementBug or a crash."""
     (command, *options), content = BAD_NAMES[case]
     bad = tmp_path / "bad.json"
     bad.write_text(content)

@@ -197,6 +197,28 @@ def test_retract_identity(iso2, arrow2):
             assert report["retract"], (cat, level)
 
 
+# (count, retract) of the comparison on a target that is not locally
+# discrete, at every level the default budget decides: the retract fails
+# exactly at k = 2, where the section routes through the vertical covering
+# cell, whose collapse-image is a non-identity loop
+TRI_COMPARISON = {
+    (0, 0, 0): (3, True), (0, 0, 1): (6, True), (0, 0, 2): (24, True),
+    (0, 1, 0): (3, True), (0, 1, 1): (12, True), (0, 1, 2): (1032, True),
+    (0, 2, 0): (4, False), (0, 2, 1): (132, False),
+    (1, 0, 0): (5, True), (1, 0, 1): (24, True), (1, 0, 2): (1088, True),
+    (1, 1, 0): (6, True), (1, 1, 1): (528, True), (1, 2, 0): (20, False),
+    (2, 0, 0): (10, True), (2, 0, 1): (192, True), (2, 1, 0): (24, True),
+    (2, 2, 0): (1032, False),
+}
+
+
+def test_comparison_on_a_target_that_is_not_locally_discrete(tri2):
+    for level, expected in TRI_COMPARISON.items():
+        report = comparison_maps(tri2, *level)
+        assert (len(report["base"].elements), report["retract"]) == expected, level
+        assert report["injective"], level
+
+
 def test_comparison_bijective_at_k_zero(iso2):
     for n in (0, 1, 2):
         report = comparison_maps(iso2, 0, 0, n)
