@@ -26,7 +26,11 @@ algebra's protocol methods that evaluates it under any environment; it is
 the only evaluator, and ``evaluate`` compiles and runs it once.  Callers
 that evaluate the same expressions many times (the search's boundaries and
 relations, pullbacks along presentation morphisms) compile them once per
-call and keep no closure beyond it.
+call.  A closure reads only the images of the generators the expression
+names, so those callers memoize its results on those images: the search
+for the length of one ``enumerate_functors`` call, a pullback for as long
+as the function ``pullback`` returns lives.  No closure or memo is kept
+on a presentation, an algebra or a module.
 
 An algebra provides the cell-algebra protocol: ``objects``,
 ``h_src/h_tgt/h_id/h_then``, ``v_src/v_tgt/v_id/v_then``, the square
@@ -135,8 +139,7 @@ def to_json(expr):
 
 
 def from_json(doc):
-    if (not isinstance(doc, list) or not doc or not isinstance(doc[0], str)
-            or (doc[0] in _GENERATORS and (len(doc) != 2 or not isinstance(doc[1], str)))):
+    if not isinstance(doc, list) or not doc or not isinstance(doc[0], str):
         raise DanglingReference(f"malformed expression {doc!r}")
     return tuple(from_json(part) if isinstance(part, list) else part for part in doc)
 

@@ -16,12 +16,16 @@ adjoint equivalences of the target.
 
 Enumeration runs on ``_search``, a depth-first search kernel with an
 explicit stack and one candidate budget, which ``pseudohom`` also uses.
+``enumerate_functors`` memoizes each candidate list, flag check and
+relation verdict on the images of the generators it reads, for the length
+of the call.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import expr as ex
 from .dblcat import FiniteDoubleCategory
@@ -146,20 +150,22 @@ class PresentationBuilder:
         )
 
     def build(self) -> Presentation:
-        """The presentation.  A boundary may name only generators listed
-        before it, and a relation only generators listed at all."""
-        listed: set[str] = set()
+        """The presentation, once every boundary and relation is checked: a
+        boundary may name only generators listed before it, a relation only
+        generators listed at all, and every expression must be well-formed
+        and of the sort its place takes (DanglingReference otherwise)."""
+        sorts: dict[str, str] = {}
         for g in self.gens:
-            named = set().union(*(ex.generators_of(b) for b in g.bounds if isinstance(b, tuple)))
-            if not named <= listed:
-                raise DanglingReference(
-                    f"boundary of {g.name!r} names {sorted(named - listed)}, "
-                    "which are not generators listed before it")
-            listed.add(g.name)
+            wanted = _BOUNDARY_SORTS[g.sort]
+            if g.sort == "sq" and self.kind == "two":
+                wanted = wanted[:2] + (None, None)  # 2-cells: (src, tgt)
+            for b, want in zip(g.bounds, wanted):
+                if (None if b is None else _sort(b, sorts)) != want:
+                    raise DanglingReference(f"boundary {b!r} of {g.name!r} is not of sort {want}")
+            sorts[g.name] = g.sort
         for lhs, rhs in self.relations:
-            inputs = ex.generators_of(lhs) | ex.generators_of(rhs)
-            if not inputs <= listed:
-                raise DanglingReference(f"relation names unknown generators {sorted(inputs - listed)}")
+            if _sort(lhs, sorts) != _sort(rhs, sorts):
+                raise DanglingReference(f"relation sides {lhs!r} and {rhs!r} differ in sort")
         return Presentation(
             self.kind,
             tuple(self.gens),
@@ -167,6 +173,42 @@ class PresentationBuilder:
             self.label,
             frozenset(self.expansion_relation_idx),
         )
+
+
+_BOUNDARY_SORTS = {"object": (), "h": ("object", "object"), "v": ("object", "object"),
+                   "sq": ("h", "h", "v", "v")}  # sq: (top, bottom, left, right)
+_LEAF_SORTS = {"ogen": "object", "hgen": "h", "vgen": "v", "sgen": "sq"}
+# tag -> (the sorts of its parts, its sort)
+_SIGNATURES = {
+    "hid": (("object",), "h"), "vid": (("object",), "v"),
+    "hcomp": (("h", "h"), "h"), "vcomp": (("v", "v"), "v"),
+    "sid_h": (("h",), "sq"), "sid_v": (("v",), "sq"),
+    "shcomp": (("sq", "sq"), "sq"), "svcomp": (("sq", "sq"), "sq"),
+    "sinv_v": (("sq",), "sq"), "sinv_h": (("sq",), "sq"),
+}
+
+
+def _sort(expression, sorts: dict) -> str:
+    """The sort of ``expression`` given the sorts of the generators listed
+    so far; DanglingReference if a tag is unknown, an arity wrong, a part of
+    the wrong sort or a generator leaf names none of them of its sort."""
+    tag = expression[0] if isinstance(expression, tuple) and expression else None
+    if tag in _LEAF_SORTS:
+        sort = _LEAF_SORTS[tag]
+        if len(expression) != 2 or not isinstance(expression[1], str):
+            raise DanglingReference(f"malformed expression {expression!r}")
+        if sorts.get(expression[1]) != sort:
+            raise DanglingReference(f"{expression!r} names no {sort} generator listed before it")
+        return sort
+    if tag not in _SIGNATURES:
+        raise DanglingReference(f"malformed expression {expression!r}")
+    parts, sort = _SIGNATURES[tag]
+    if len(expression) != 1 + len(parts):
+        raise DanglingReference(f"{tag!r} takes {len(parts)} parts in {expression!r}")
+    for part, want in zip(expression[1:], parts):
+        if _sort(part, sorts) != want:
+            raise DanglingReference(f"{tag!r} takes parts of sort {want} in {expression!r}")
+    return sort
 
 
 @dataclass(frozen=True)
@@ -180,9 +222,11 @@ class PresentationMorphism:
 
     def pullback(self, alg):
         """Pullback of valuations of the target in ``alg`` along this
-        morphism, as a function valuation -> valuation; the images are
-        compiled once, here."""
-        images = [(name, ex.compile_expr(alg, image)) for name, image in self.gen_map.items()]
+        morphism, as a function valuation -> valuation.  The images are
+        compiled once, here, and each is memoized on the images of the
+        generators it names for as long as the returned function lives."""
+        images = [(name, _by_inputs(ex.generators_of(image), ex.compile_expr(alg, image)))
+                  for name, image in self.gen_map.items()]
         return lambda valuation: {name: image(valuation) for name, image in images}
 
     def precompose(self, alg, valuation: dict) -> dict:
@@ -216,20 +260,27 @@ def identity_morphism(pres: Presentation) -> PresentationMorphism:
 # -- enumeration --------------------------------------------------------
 
 
-def _object_candidates(alg):
-    return sorted(alg.objects)
+_MISSING = object()
 
 
-def _h_candidates(alg, a, b):
-    return sorted(alg.hmors_between(a, b))
+def _by_inputs(inputs, compute):
+    """``compute``, a function of bindings that reads only the generators
+    in ``inputs`` (at least one, as a well-formed expression names),
+    memoized on their images in a dict of its own.  Bindings that lack one
+    of them go to ``compute``, which names it in the error it raises; a
+    call that raises is not memoized."""
+    key, memo = itemgetter(*inputs), {}
 
-
-def _v_candidates(alg, a, b):
-    return sorted(alg.vmors_between(a, b))
-
-
-def _sq_candidates(alg, top, bottom, left=None, right=None):
-    return sorted(alg.squares_with(top=top, bottom=bottom, left=left, right=right))
+    def memoized(env):
+        try:
+            images = key(env)
+        except KeyError:
+            return compute(env)
+        value = memo.get(images, _MISSING)
+        if value is _MISSING:
+            value = memo[images] = compute(env)
+        return value
+    return memoized
 
 
 def _flag_ok(alg, flags, image):
@@ -334,19 +385,17 @@ def _schedule(pres: Presentation) -> list[Gen]:
 
 
 def _candidates(alg, kind: str, gen: Gen):
-    """The candidate images of ``gen`` given images of its boundary."""
+    """The candidate images of ``gen`` given images of its boundary, sorted
+    and memoized on the generators the boundary names."""
     if gen.sort == "object":
-        return lambda env: _object_candidates(alg)
-    query = {"h": _h_candidates, "v": _v_candidates, "sq": _sq_candidates}[gen.sort]
+        objects = sorted(alg.objects)
+        return lambda env: objects
+    query = getattr(alg, {"h": "hmors_between", "v": "vmors_between",
+                          "sq": "squares_with"}[gen.sort])
     bounds = gen.bounds[:2] if kind == "two" else gen.bounds  # 2-cells: (src, tgt)
     compiled = [ex.compile_expr(alg, b) for b in bounds]
-    # Spelled out: the closure runs at every search node, where unpacking a
-    # list of the boundaries costs about a tenth of the search.
-    if len(compiled) == 2:
-        src, tgt = compiled
-        return lambda env: query(alg, src(env), tgt(env))
-    top, bottom, left, right = compiled
-    return lambda env: query(alg, top(env), bottom(env), left(env), right(env))
+    return _by_inputs(set().union(*map(ex.generators_of, bounds)),
+                      lambda env: sorted(query(*[b(env) for b in compiled])))
 
 
 def enumerate_functors(pres: Presentation, alg, budget: int | None = None):
@@ -359,13 +408,15 @@ def enumerate_functors(pres: Presentation, alg, budget: int | None = None):
     variables = [(g.name, _candidates(alg, pres.kind, g)) for g in _schedule(pres)]
     # flag checks come first so that relations only see flagged images
     constraints = [
-        ((g.name,), lambda env, g=g: _flag_ok(alg, g.flags, env[g.name]))
+        ((g.name,), _by_inputs((g.name,),
+                               lambda env, g=g: _flag_ok(alg, g.flags, env[g.name])))
         for g in pres.gens if g.sort == "sq" and g.flags
     ]
     for lhs, rhs in pres.relations:
         inputs = ex.generators_of(lhs) | ex.generators_of(rhs)
-        constraints.append((inputs, lambda env, lhs=ex.compile_expr(alg, lhs),
-                            rhs=ex.compile_expr(alg, rhs): lhs(env) == rhs(env)))
+        constraints.append((inputs, _by_inputs(inputs, lambda env, lhs=ex.compile_expr(alg, lhs),
+                                               rhs=ex.compile_expr(alg, rhs):
+                                               lhs(env) == rhs(env))))
     out, _ = _search(variables, constraints, budget)
     out.sort(key=canonical)
     return out

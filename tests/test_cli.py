@@ -231,6 +231,7 @@ def _bad_names_cases():
 
     unit_a = {"top": ["hid", ["ogen", "a"]], "bottom": ["hid", ["ogen", "a"]],
               "left": ["vid", ["ogen", "a"]]}
+    loop = {"name": "f", "src": ["ogen", "a"], "tgt": ["ogen", "a"]}
     nerve = ("nerve", "--m", "0", "--k", "0", "--n", "0", "--compare")
     return {
         "presentation-boundary-names-undeclared": (("validate",), presentation(
@@ -239,6 +240,14 @@ def _bad_names_cases():
             relations=[[["sgen", "x"], ["sgen", "y"]]])),
         "presentation-generator-without-a-name": (("validate",), presentation(
             hgens=[{"name": "f", "src": ["ogen"], "tgt": ["ogen", "a"]}])),
+        "presentation-unknown-tag": (("validate",), presentation(
+            hgens=[{**loop, "src": ["bogus", ["ogen", "a"]]}])),
+        "presentation-boundaries-of-the-wrong-sort": (("validate",), presentation(
+            hgens=[loop], squares=[{"name": "s", **unit_a, "top": ["ogen", "a"],
+                                    "right": ["vid", ["ogen", "a"]], "left": ["hgen", "f"]}])),
+        "presentation-unit-on-no-expression": (("validate",), presentation(
+            squares=[{"name": "s", **unit_a, "top": ["hid", ""],
+                      "right": ["vid", ["ogen", "a"]]}])),
         "two-duplicate-object": (("validate",), two(objects=["a", "a"])),
         "two-identity-1-cell-name": (("validate",), two(
             one_cells=[{"name": "id:a", "src": "a", "tgt": "a"}])),
@@ -265,9 +274,10 @@ BAD_NAMES = _bad_names_cases()
 @pytest.mark.parametrize("case", sorted(BAD_NAMES))
 def test_duplicate_and_reserved_names_are_rejected(case, tmp_path):
     """A cell declared twice or under the name of a synthesized identity or
-    unit, and a presentation naming a generator it does not declare before
-    the name is used, is bad input, not a code fault such as
-    DisagreementBug or a crash."""
+    unit, a presentation naming a generator it does not declare before the
+    name is used, and one holding an expression with an unknown tag, a
+    wrong arity or a part of the wrong sort, is bad input, not a code fault
+    such as DisagreementBug or a crash."""
     (command, *options), content = BAD_NAMES[case]
     bad = tmp_path / "bad.json"
     bad.write_text(content)

@@ -1,12 +1,13 @@
 import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 from dblnerve import expr as ex
 from dblnerve.dblcat import validate_double_functor
-from dblnerve.errors import BudgetExceeded, DanglingReference
+from dblnerve.errors import BoundaryMismatch, BudgetExceeded, DanglingReference
 from dblnerve.io import load_path
 from dblnerve.presentation import (
     PresentationBuilder,
@@ -388,3 +389,79 @@ def test_search_spends_the_pinned_candidates(monkeypatch, hsim_iso, h_iso, squar
     for target, level in ((hsim_iso, (1, 1, 2)), (h_iso, (2, 2, 2)), (square_dbl, (2, 2, 2))):
         enumerate_functors(x_presentation(*level)[0], target)
     assert spent == [104_102, 73_342, 4_910]
+
+
+def test_pullback_names_what_is_wrong_with_a_valuation():
+    """A valuation that lacks a generator, or whose images break a boundary,
+    fails with the error that evaluating the images one by one raises,
+    also after the pullback has seen valid valuations."""
+    from dblnerve.tensor import lx_presentations
+
+    iso = load_path(CORPUS / "iso.json")
+    _, equivalence, _, section = lx_presentations(1, 1, 1)
+    valid = enumerate_functors(equivalence, iso)[-1]
+    pull = section.pullback(iso)
+    pull(valid)
+    for run in (pull, lambda valuation: section.precompose(iso, valuation)):
+        for lacking in ({}, {k: v for k, v in valid.items() if k != "o0.0.0"}):
+            with pytest.raises(DanglingReference) as caught:
+                run(lacking)
+            assert str(caught.value) == "unassigned generator 'o0.0.0'"
+        with pytest.raises(BoundaryMismatch) as caught:
+            run({**valid, "n01.0.0": "id:x"})
+        assert str(caught.value) == (
+            "horizontal pasting mismatch at ('shcomp', ('sid_h', ('hgen', 'n01.0.0')), "
+            "('sgen', 'k01.0.1.unit'))")
+
+
+def _hsim_iso_level_112():
+    from dblnerve.tensor import x_presentation
+
+    enumerate_functors(x_presentation(1, 1, 2)[0], load_path(CORPUS / "hsim-iso.json"))
+
+
+def _comparison_222():
+    from dblnerve.nerve import comparison_maps
+
+    comparison_maps(load_path(CORPUS / "iso.json"), 2, 2, 2)
+
+
+@pytest.mark.parametrize("run, bound", [(_hsim_iso_level_112, 100_000), (_comparison_222, 300_000)],
+                         ids=["hsim-iso-1-1-2", "comparison-iso-2-2-2"])
+def test_searches_and_pullbacks_evaluate_each_input_once(monkeypatch, run, bound):
+    """Calls of compiled expressions are counted, not timed: a search or a
+    pullback that evaluates again what it has seen fails here."""
+    calls = 0
+    compile_expr = ex.compile_expr
+
+    def counting(alg, expression):
+        compiled = compile_expr(alg, expression)
+
+        def counted(env):
+            nonlocal calls
+            calls += 1
+            return compiled(env)
+        return counted
+
+    monkeypatch.setattr(ex, "compile_expr", counting)
+    run()
+    assert calls < bound
+
+
+def test_no_memo_outlives_its_search_or_pullback():
+    """Once a search's result and a pullback function are dropped, reference
+    counting alone frees the algebra they ran in."""
+    from dblnerve.tensor import lx_presentations
+
+    _, equivalence, _, section = lx_presentations(1, 1, 1)
+    gc.disable()
+    try:
+        iso = load_path(CORPUS / "iso.json")
+        freed = weakref.ref(iso)
+        found = enumerate_functors(equivalence, iso)
+        pull = section.pullback(iso)
+        assert len({canonical(pull(valuation)) for valuation in found}) == 16
+        del iso, found, pull
+        assert freed() is None
+    finally:
+        gc.enable()
