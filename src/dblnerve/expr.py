@@ -123,9 +123,14 @@ def sinv_h(s):
     return ("sinv_h", s)
 
 
+# the tag of the generator leaf of each sort
+LEAF_TAGS = {"object": "ogen", "h": "hgen", "v": "vgen", "sq": "sgen"}
+_GENERATORS = frozenset(LEAF_TAGS.values())
+
+
 def generators_of(expr) -> set[str]:
     tag = expr[0]
-    if tag in ("ogen", "hgen", "vgen", "sgen"):
+    if tag in _GENERATORS:
         return {expr[1]}
     out: set[str] = set()
     for child in expr[1:]:
@@ -144,7 +149,6 @@ def from_json(doc):
     return tuple(from_json(part) if isinstance(part, list) else part for part in doc)
 
 
-_GENERATORS = frozenset({"ogen", "hgen", "vgen", "sgen"})
 _UNITS = {"hid": "h_id", "vid": "v_id", "sid_h": "s_unit_h", "sid_v": "s_unit_v"}
 # tag -> (end of the first part, start of the second, composite, name of a mismatch)
 _COMPOSITES = {

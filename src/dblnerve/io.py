@@ -17,7 +17,6 @@ from .errors import SchemaError
 from .presentation import Presentation, PresentationBuilder
 from .twocat import FiniteTwoCategory, validate_two_category
 
-KINDS = ("category", "two-category", "double-category", "presentation")
 LIST_FIELDS = (
     "objects", "morphisms", "compose", "one_cells", "two_cells", "hcompose_one", "vcompose",
     "hcompose_two", "hmor", "vmor", "squares", "hcompose_h", "vcompose_v", "hcompose_sq",
@@ -265,15 +264,7 @@ def _serialize_double(dbl: FiniteDoubleCategory) -> dict:
 
 
 def _serialize_presentation(pres: Presentation) -> dict:
-    expansion_gens = set()
-    for g in pres.gens:
-        for suffix in ("*", ".unit", ".counit"):
-            base = g.name[: -len(suffix)] if g.name.endswith(suffix) else None
-            if base and any(h.name == base and h.sort == "h" for h in pres.gens):
-                expansion_gens.add(g.name)
-    adjoint_bases = {
-        name[:-1] for name in expansion_gens if name.endswith("*")
-    }
+    expansion = pres.expansion_gens()
     doc = {
         "kind": "presentation",
         "flavor": pres.kind,
@@ -289,7 +280,7 @@ def _serialize_presentation(pres: Presentation) -> dict:
         ],
     }
     for g in pres.gens:
-        if g.name in expansion_gens:
+        if g.name in expansion:
             continue
         if g.sort == "object":
             doc["objects"].append(g.name)
@@ -299,7 +290,7 @@ def _serialize_presentation(pres: Presentation) -> dict:
                     "name": g.name,
                     "src": ex.to_json(g.bounds[0]),
                     "tgt": ex.to_json(g.bounds[1]),
-                    "adjoint": g.name in adjoint_bases,
+                    "adjoint": bool(g.adjoint),
                 }
             )
         elif g.sort == "v":

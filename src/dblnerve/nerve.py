@@ -43,6 +43,7 @@ from .whi import (
 )
 
 ORACLE_GRID = {(m, k, n) for m in (0, 1) for k in (0, 1) for n in (0, 1, 2)}
+N2_CAP = 3  # the largest n of the 2-categorical nerve's simplices
 _AXIS = {"m": 0, "k": 1, "n": 2}
 _QUOTIENT = {"h": "l", "hsim": "lsim"}
 
@@ -637,12 +638,11 @@ def segal_tfib_check(dbl: FiniteDoubleCategory, k: int, budget: int | None = Non
 # -- low-dimensional 2-categorical nerve -----------------------------------
 
 
-def n2_simplices(cat2: FiniteTwoCategory, n: int, cap: int = 3,
-                 budget: int | None = None) -> SimplexSet:
+def n2_simplices(cat2: FiniteTwoCategory, n: int, budget: int | None = None) -> SimplexSet:
     """Simplices of the 2-categorical nerve: 2-functors out of the adjoint
-    oriental family."""
-    if n > cap:
-        raise RangeExceeded(f"n = {n} above the configured cap {cap}")
+    oriental family, for n ≤ N2_CAP."""
+    if n > N2_CAP:
+        raise RangeExceeded(f"n = {n} above the cap {N2_CAP}")
     pres = oriental_adjoint_presentation(n)
     vals = enumerate_functors(pres, cat2, budget)
     return SimplexSet((n,), tuple(canonical(v) for v in vals), "two-categorical-nerve")

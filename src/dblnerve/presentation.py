@@ -12,7 +12,9 @@ enumeration:
 Adjoint-equivalence-flagged morphism generators are expanded structurally:
 adding one introduces the partner generator, invertible unit and counit
 cells, and the two triangle relations, so enumeration ranges exactly over
-adjoint equivalences of the target.
+adjoint equivalences of the target.  The base generator records the names
+of its partner, unit and counit; ``adjoint_morphism`` reads that record to
+send them after the image of their base.
 
 Enumeration runs on ``_search``, a depth-first search kernel with an
 explicit stack and one candidate budget, which ``pseudohom`` also uses.
@@ -42,6 +44,7 @@ class Gen:
     sort: str  # "object" | "h" | "v" | "sq"
     bounds: tuple  # h/v: (src, tgt) object exprs; sq: (top, bottom, left, right)
     flags: frozenset = frozenset()
+    adjoint: tuple = ()  # adjoint h-generator: the (partner, unit, counit) its expansion added
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,10 @@ class Presentation:
     def names(self):
         return [g.name for g in self.gens]
 
+    def expansion_gens(self) -> set[str]:
+        """The partners, units and counits that adjoint expansions added."""
+        return {name for g in self.gens for name in g.adjoint}
+
 
 class PresentationBuilder:
     """Accumulates generators and relations; adjoint flags auto-expand."""
@@ -71,9 +78,6 @@ class PresentationBuilder:
         self.label = label
         self.gens: list[Gen] = []
         self.relations: list[tuple] = []
-        self.adjoint_partner: dict[str, str] = {}
-        self.adjoint_unit: dict[str, str] = {}
-        self.adjoint_counit: dict[str, str] = {}
         self.expansion_relation_idx: set[int] = set()
         self._names: set[str] = set()
 
@@ -88,9 +92,10 @@ class PresentationBuilder:
         return ex.ogen(name)
 
     def add_hgen(self, name, src, tgt, adjoint=False):
-        self._add(Gen(name, "h", (src, tgt)))
         if adjoint:
             self._expand_adjoint(name, src, tgt)
+        else:
+            self._add(Gen(name, "h", (src, tgt)))
         return ex.hgen(name)
 
     def add_vgen(self, name, src, tgt):
@@ -113,12 +118,11 @@ class PresentationBuilder:
         self.relations.append((lhs, rhs))
 
     def _expand_adjoint(self, name, src, tgt):
-        partner = f"{name}*"
-        unit = f"{name}.unit"
-        counit = f"{name}.counit"
-        self.adjoint_partner[name] = partner
-        self.adjoint_unit[name] = unit
-        self.adjoint_counit[name] = counit
+        """Add ``name`` as an adjoint equivalence: the base, which records the
+        names of the partner, unit and counit added after it, then the two
+        triangle laws."""
+        partner, unit, counit = f"{name}*", f"{name}.unit", f"{name}.counit"
+        self._add(Gen(name, "h", (src, tgt), adjoint=(partner, unit, counit)))
         self._add(Gen(partner, "h", (tgt, src)))
         fwd, bwd = ex.hgen(name), ex.hgen(partner)
         trivial = self.kind == "two"
@@ -177,7 +181,7 @@ class PresentationBuilder:
 
 _BOUNDARY_SORTS = {"object": (), "h": ("object", "object"), "v": ("object", "object"),
                    "sq": ("h", "h", "v", "v")}  # sq: (top, bottom, left, right)
-_LEAF_SORTS = {"ogen": "object", "hgen": "h", "vgen": "v", "sgen": "sq"}
+_LEAF_SORTS = {tag: sort for sort, tag in ex.LEAF_TAGS.items()}
 # tag -> (the sorts of its parts, its sort)
 _SIGNATURES = {
     "hid": (("object",), "h"), "vid": (("object",), "v"),
@@ -244,7 +248,7 @@ class PresentationMorphism:
 
 def substitute(expression, gen_map):
     tag = expression[0]
-    if tag in ("ogen", "hgen", "vgen", "sgen"):
+    if tag in _LEAF_SORTS:
         return gen_map[expression[1]]
     return tuple(
         substitute(part, gen_map) if isinstance(part, tuple) else part
@@ -253,8 +257,39 @@ def substitute(expression, gen_map):
 
 
 def identity_morphism(pres: Presentation) -> PresentationMorphism:
-    tags = {"object": ex.ogen, "h": ex.hgen, "v": ex.vgen, "sq": ex.sgen}
-    return PresentationMorphism(pres, pres, {g.name: tags[g.sort](g.name) for g in pres.gens})
+    return PresentationMorphism(pres, pres,
+                                {g.name: (ex.LEAF_TAGS[g.sort], g.name) for g in pres.gens})
+
+
+def adjoint_morphism(source: Presentation, target: Presentation, image_of) -> PresentationMorphism:
+    """The morphism sending each generator ``g`` of ``source`` that no
+    adjoint expansion added to ``image_of(g)``.  The partner, unit and
+    counit of an adjoint generator follow the image of their base: to the
+    partner, unit and counit that ``target`` records for a generator image,
+    and to the image itself and its unit square for an identity image.  Any
+    other image raises DanglingReference."""
+    added = source.expansion_gens()
+    gen_map = {}
+    for g in source.gens:
+        if g.name in added:
+            continue
+        image = gen_map[g.name] = image_of(g)
+        if g.adjoint:
+            gen_map.update(zip(g.adjoint, _adjoint_images(target, g.name, image)))
+    return PresentationMorphism(source, target, gen_map)
+
+
+def _adjoint_images(target: Presentation, name, image):
+    """The images of the partner, unit and counit of the adjoint generator
+    ``name`` whose image is ``image``."""
+    if image[0] == "hid":
+        return image, ex.sid_h(image), ex.sid_h(image)
+    adjoint = target.gen(image[1]).adjoint if image[0] == "hgen" else ()
+    if not adjoint:
+        raise DanglingReference(f"adjoint generator {name!r} sent to {image!r}, neither an "
+                                f"adjoint generator of {target.label!r} nor an identity")
+    partner, unit, counit = adjoint
+    return ex.hgen(partner), ex.sgen(unit), ex.sgen(counit)
 
 
 # -- enumeration --------------------------------------------------------

@@ -19,7 +19,7 @@ from itertools import combinations
 from . import expr as ex
 from .dblcat import FiniteDoubleCategory, vertical_embed
 from .errors import DanglingReference, RangeExceeded
-from .presentation import Presentation, PresentationBuilder, PresentationMorphism
+from .presentation import Presentation, PresentationBuilder, PresentationMorphism, adjoint_morphism
 from .twocat import FiniteTwoCategory, assemble_two_category, validate_two_functor
 
 # -- subsets ------------------------------------------------------------
@@ -81,12 +81,6 @@ def oriental(n: int, invertible: bool = False) -> FiniteTwoCategory:
     for f, s in subset_of.items():
         id2[f] = _two_name(s, s)
 
-    hcomp1 = {}
-    for f, s in subset_of.items():
-        for g, t in subset_of.items():
-            if s[-1] == t[0]:
-                hcomp1[(g, f)] = _one_name(tuple(sorted(set(s) | set(t))))
-
     vcomp2 = {}
     for c, (f1, g1) in two_bounds.items():
         for d, (f2, g2) in two_bounds.items():
@@ -99,11 +93,10 @@ def oriental(n: int, invertible: bool = False) -> FiniteTwoCategory:
         for d, (f2, g2) in two_bounds.items():
             s2, t2 = subset_of[f2], subset_of[g2]
             if s1[-1] == s2[0]:
-                lo = tuple(sorted(set(s1) | set(s2)))
-                hi = tuple(sorted(set(t1) | set(t2)))
-                hcomp2[(d, c)] = _two_name(lo, hi)
+                hcomp2[(d, c)] = _two_name(_union(s1, s2), _union(t1, t2))
 
-    cat = assemble_two_category(objects, one_bounds, two_bounds, id1, id2, hcomp1, vcomp2, hcomp2)
+    cat = assemble_two_category(objects, one_bounds, two_bounds, id1, id2,
+                                _union_hcomp1(subset_of), vcomp2, hcomp2)
     _ORIENTAL_CACHE[(n, invertible)] = cat
     return cat
 
@@ -373,22 +366,21 @@ def codegeneracy(n: int, j: int):
     return [x if x <= j else x - 1 for x in range(n + 2)]
 
 
+def _subset_image(alpha, subset):
+    return tuple(sorted({alpha[v] for v in subset}))
+
+
 def oriental_functor(alpha, n_src, n_tgt, invertible=False):
     """2-functor between materialized orientals induced by a monotone map."""
     src = oriental(n_src, invertible)
     tgt = oriental(n_tgt, invertible)
     om = {str(x): str(alpha[x]) for x in range(n_src + 1)}
-
-    def subset_image(s):
-        return tuple(sorted({alpha[v] for v in s}))
-
     one_map, two_map = {}, {}
     for f in src.one_cells:
-        s = _subset_from_name(f)
-        one_map[f] = _one_name(subset_image(s))
+        one_map[f] = _one_name(_subset_image(alpha, _subset_from_name(f)))
     for c in src.two_cells:
         lo, hi = _subsets_from_two_name(c)
-        two_map[c] = _two_name(subset_image(lo), subset_image(hi))
+        two_map[c] = _two_name(_subset_image(alpha, lo), _subset_image(alpha, hi))
     return validate_two_functor(src, tgt, om, one_map, two_map)
 
 
@@ -401,50 +393,19 @@ def _subsets_from_two_name(name):
     return _subset_from_name(lo), _subset_from_name(hi)
 
 
-def oriental_presentation_map(alpha, n_src, n_tgt, source: Presentation | None = None,
-                              target: Presentation | None = None,
-                              adjoint=True) -> PresentationMorphism:
-    """Presentation morphism between presented oriental families induced by
-    a monotone map on vertices."""
-    make = oriental_adjoint_presentation if adjoint else oriental_inv_presentation
-    source = source or make(n_src)
-    target = target or make(n_tgt)
+def oriental_presentation_map(alpha, n_src, n_tgt) -> PresentationMorphism:
+    """Presentation morphism between adjoint orientals induced by a monotone
+    map on vertices."""
 
-    def subset_image(s):
-        return tuple(sorted({alpha[v] for v in s}))
-
-    gen_map = {}
-    for g in source.gens:
-        name = g.name
+    def image_of(g):
         if g.sort == "object":
-            gen_map[name] = ex.ogen(str(alpha[int(name)]))
-        elif g.sort == "h":
-            partner = name.endswith("*")
-            base = name[:-1] if partner else name
-            a, c = _subset_from_name(base)
-            ia, ic = alpha[a], alpha[c]
-            if ia == ic:
-                gen_map[name] = ex.hid(ex.ogen(str(ia)))
-            else:
-                img = _one_name((ia, ic))
-                gen_map[name] = ex.hgen(img + "*" if partner else img)
-        else:
-            if name.endswith(".unit") or name.endswith(".counit"):
-                suffix = ".unit" if name.endswith(".unit") else ".counit"
-                a, c = _subset_from_name(name[: -len(suffix)])
-                ia, ic = alpha[a], alpha[c]
-                if ia == ic:
-                    gen_map[name] = ex.sid_h(ex.hid(ex.ogen(str(ia))))
-                else:
-                    gen_map[name] = ex.sgen(_one_name((ia, ic)) + suffix)
-            else:
-                lo, hi = _subsets_from_two_name(name)
-                ilo, ihi = subset_image(lo), subset_image(hi)
-                if ilo == ihi:
-                    gen_map[name] = ex.sid_h(_subset_expr(ilo))
-                else:
-                    gen_map[name] = ex.sgen(_two_name(ilo, ihi))
-    return PresentationMorphism(source, target, gen_map)
+            return ex.ogen(str(alpha[int(g.name)]))
+        if g.sort == "h":  # a gap edge, sent to the edge or vertex it spans
+            return _subset_expr(_subset_image(alpha, _subset_from_name(g.name)))
+        lo, hi = (_subset_image(alpha, s) for s in _subsets_from_two_name(g.name))
+        return ex.sid_h(_subset_expr(lo)) if lo == hi else ex.sgen(_two_name(lo, hi))
+    return adjoint_morphism(oriental_adjoint_presentation(n_src),
+                            oriental_adjoint_presentation(n_tgt), image_of)
 
 
 # -- free-living 2-categorical shapes and generating cofibrations ---------

@@ -36,6 +36,7 @@ from .presentation import (
     Presentation,
     PresentationBuilder,
     PresentationMorphism,
+    adjoint_morphism,
 )
 
 GRID = (2, 2, 2)
@@ -282,10 +283,9 @@ def x_presentation(m: int, k: int, n: int):
                 b.add_relation(lhs, rhs)
 
     pres = b.build()
-    for base, partner in b.adjoint_partner.items():
-        meta[partner] = ("n*",) + meta[base][1:]
-        meta[b.adjoint_unit[base]] = ("n.unit",) + meta[base][1:]
-        meta[b.adjoint_counit[base]] = ("n.counit",) + meta[base][1:]
+    for g in pres.gens:
+        for tag, name in zip(("n*", "n.unit", "n.counit"), g.adjoint):
+            meta[name] = (tag,) + meta[g.name][1:]
     _X_CACHE[key] = (pres, meta)
     return _X_CACHE[key]
 
@@ -430,7 +430,7 @@ def lx_presentations(m: int, k: int, n: int):
     if key in _LX_CACHE:
         return _LX_CACHE[key]
     xp, meta = x_presentation(m, k, n)
-    expansion = {name for name, desc in meta.items() if desc[0] in ("n*", "n.unit", "n.counit")}
+    expansion = xp.expansion_gens()
 
     # plain quotient: objects collapse along the vertical direction
     bl = PresentationBuilder("two", f"lx{key}")
@@ -442,7 +442,7 @@ def lx_presentations(m: int, k: int, n: int):
             continue
         if g.sort == "h":
             src, tgt = (_tr_obj_l(meta, end) for end in g.bounds)
-            bl.add_hgen(g.name, src, tgt, adjoint=meta[g.name][0] == "n")
+            bl.add_hgen(g.name, src, tgt, adjoint=bool(g.adjoint))
         else:
             bl.add_cell2(g.name, _tr_h_l(meta, g.bounds[0]), _tr_h_l(meta, g.bounds[1]),
                          ["invertible"] if g.flags else [])
@@ -455,7 +455,7 @@ def lx_presentations(m: int, k: int, n: int):
         if g.sort == "object":
             bs.add_object(g.name)
         elif g.sort in ("h", "v"):
-            bs.add_hgen(g.name, *g.bounds, adjoint=meta[g.name][0] in ("n", "k"))
+            bs.add_hgen(g.name, *g.bounds, adjoint=bool(g.adjoint) or g.sort == "v")
         else:
             top, bottom, left, right = g.bounds
             bs.add_cell2(g.name, ex.hcomp(top, _tr_v_as_h(right)),
@@ -481,9 +481,8 @@ def lx_presentations(m: int, k: int, n: int):
     # collapse ∘ section must be the identity generator-wise, except where a
     # cell routes through the k = 2 vertical covering loop
     composite = collapse.after(section)
-    tags = {"object": ex.ogen, "h": ex.hgen, "sq": ex.sgen}
     for g in plain.gens:
-        if _reduce(composite.gen_map[g.name]) == tags[g.sort](g.name):
+        if _reduce(composite.gen_map[g.name]) == (ex.LEAF_TAGS[g.sort], g.name):
             continue
         kind = meta.get(g.name, ("?",))
         if kind[0] == "T" or (kind[0] in ("A", "B") and kind[2] == (1, 2)):
@@ -494,29 +493,15 @@ def lx_presentations(m: int, k: int, n: int):
     return _LX_CACHE[key]
 
 
-def _base_of_artifact(name: str):
-    if name.endswith("*"):
-        return name[:-1]
-    if name.endswith(".unit"):
-        return name[: -len(".unit")]
-    if name.endswith(".counit"):
-        return name[: -len(".counit")]
-    return None
-
-
 def _collapse_map(meta, equivalence, plain) -> PresentationMorphism:
-    gen_map = {}
-    for g in equivalence.gens:
-        base = _base_of_artifact(g.name) or g.name
-        kind = meta[base]
+    def image_of(g):
+        kind = meta[g.name]
         if kind[0] == "obj":
-            image = _tr_obj_l(meta, ex.ogen(base))
-        elif kind[0] == "k":  # a vertical generator, the identity on its class
-            image = ex.hid(ex.ogen(_qname(kind[2], kind[3])))
-        else:
-            image = _SORTS.get(kind[0], ex.sgen)(base)
-        gen_map[g.name] = image if base == g.name else _artifact(image, g.name[len(base):])
-    return PresentationMorphism(equivalence, plain, gen_map)
+            return _tr_obj_l(meta, ex.ogen(g.name))
+        if kind[0] == "k":  # a vertical generator, the identity on its class
+            return ex.hid(ex.ogen(_qname(kind[2], kind[3])))
+        return _SORTS.get(kind[0], ex.sgen)(g.name)
+    return adjoint_morphism(equivalence, plain, image_of)
 
 
 def _H(name):
@@ -748,14 +733,6 @@ def _image(kind, direction, alpha):
     return ex.sid_v(cell) if rest == "k" else ex.sid_h(cell)
 
 
-def _artifact(image, suffix):
-    """Image of the partner, unit or counit (``suffix``) of an adjoint
-    generator whose image is the 1-cell expression ``image``."""
-    if image[0] == "hgen":
-        return (ex.hgen if suffix == "*" else ex.sgen)(image[1] + suffix)
-    return image if suffix == "*" else ex.sid_h(image)
-
-
 def _translate(variant, pres, meta, e):
     """An expression of the double presentation ``pres`` in its ``variant``
     quotient, by the translators of ``lx_presentations``."""
@@ -791,15 +768,13 @@ def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> Presenta
     if variant != "x":
         which = ("l", "lsim").index(variant)
         source, target = lx_presentations(*src_mkn)[which], lx_presentations(*tgt_mkn)[which]
-    gen_map = {}
-    for g in source.gens:
-        base = _base_of_artifact(g.name) or g.name
-        if base in smeta:
-            kind = smeta[base]
+
+    def image_of(g):
+        if g.name in smeta:
+            kind = smeta[g.name]
         else:  # an object of the plain quotient, the class of its y = 0 object
-            x, z = (int(v) for v in base[1:].split("."))
+            x, z = (int(v) for v in g.name[1:].split("."))
             kind = ("obj", x, 0, z)
-        image = _translate(variant, tp, tmeta, _image(kind, direction, alpha))
-        gen_map[g.name] = image if base == g.name else _artifact(image, g.name[len(base):])
-    _MAP_CACHE[key] = PresentationMorphism(source, target, gen_map)
+        return _translate(variant, tp, tmeta, _image(kind, direction, alpha))
+    _MAP_CACHE[key] = adjoint_morphism(source, target, image_of)
     return _MAP_CACHE[key]

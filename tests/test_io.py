@@ -6,6 +6,7 @@ import pytest
 from dblnerve.dblcat import equivalence_embed, horizontal_embed
 from dblnerve.errors import SchemaError, ValidationError
 from dblnerve.io import dump, load_document, load_path, serialize
+from dblnerve.presentation import PresentationBuilder
 from dblnerve.shapes import oriental, shape_2cat
 from dblnerve.standard import (
     free_iso_category,
@@ -39,6 +40,18 @@ def test_round_trip_canonicalizes_assembled_objects(iso2):
 def test_presentation_round_trip():
     doc = serialize(shape_2cat("E_adj"))
     assert dump(serialize(load_document(doc))) == dump(doc)
+
+
+def test_presentation_round_trip_keeps_plain_starred_generators():
+    b = PresentationBuilder("two")
+    a, c = b.add_object("a"), b.add_object("b")
+    b.add_hgen("f", a, c)
+    b.add_hgen("f*", c, a)
+    pres = b.build()
+    doc = serialize(pres)
+    assert [(e["name"], e["adjoint"]) for e in doc["hgens"]] == [("f", False), ("f*", False)]
+    back = load_document(doc)
+    assert back.gens == pres.gens and back.relations == ()
 
 
 def test_corpus_files_load():

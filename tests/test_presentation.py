@@ -13,6 +13,7 @@ from dblnerve.presentation import (
     PresentationBuilder,
     _schedule,
     _search,
+    adjoint_morphism,
     canonical,
     enumerate_functors,
     has_rlp,
@@ -46,6 +47,33 @@ def test_adjoint_flag_images_pass_validator(iso2, tri2):
         quads = set(cat.adjoint_equivalences())
         for val in enumerate_functors(e_adj, cat):
             assert (val["f"], val["f*"], val["f.unit"], val["f.counit"]) in quads
+
+
+def test_adjoint_morphism_sends_the_expansion_after_its_base():
+    e_adj = shape_2cat("E_adj")
+    assert e_adj.gen("f").adjoint == ("f*", "f.unit", "f.counit")
+    assert [g.name for g in e_adj.gens if g.adjoint] == ["f"]
+    same = adjoint_morphism(e_adj, e_adj, lambda g: (ex.LEAF_TAGS[g.sort], g.name))
+    assert same.gen_map == identity_morphism(e_adj).gen_map
+    b = PresentationBuilder("two", "point")
+    b.add_object("a")
+    a = ex.ogen("a")
+    onto_point = adjoint_morphism(e_adj, b.build(), lambda g: a if g.sort == "object" else ex.hid(a))
+    assert onto_point.gen_map == {"a": a, "b": a, "f": ex.hid(a), "f*": ex.hid(a),
+                                  "f.unit": ex.sid_h(ex.hid(a)), "f.counit": ex.sid_h(ex.hid(a))}
+
+
+def test_adjoint_morphism_rejects_other_images_of_an_adjoint_generator():
+    b = PresentationBuilder("two", "two-adjoints")
+    x, y, z = (b.add_object(name) for name in "xyz")
+    g, h = b.add_hgen("g", x, y, adjoint=True), b.add_hgen("h", y, z, adjoint=True)
+    b.add_hgen("p", x, z)
+    target = b.build()
+    ends = {"a": x, "b": z}
+    for image in (ex.hcomp(g, h), ex.hgen("p")):
+        with pytest.raises(DanglingReference, match="neither an adjoint generator"):
+            adjoint_morphism(shape_2cat("E_adj"), target,
+                             lambda gen: ends[gen.name] if gen.sort == "object" else image)
 
 
 def test_budget_guard(hsim_iso):

@@ -3,8 +3,13 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).parent.parent / "src" / "dblnerve"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "dblnerve"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# module-level definitions kept although nothing names them, as module.name
+UNNAMED_ON_PURPOSE = {
+    "cat.validate_cat_functor",  # the only validator of the exported CatFunctor
+}
 
 
 def _own_nodes(function):
@@ -54,3 +59,55 @@ def test_no_function_assigns_a_local_it_never_reads():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.name}: {function}: {name}" for function, name in dead_locals(tree)]
     assert found == []
+
+
+def module_definitions(tree):
+    """The names a module defines at its top level: functions, classes and
+    assigned names."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def names_read(tree):
+    """Every name ``tree`` reads: names it loads, attributes, imported names
+    and the dotted parts of its string constants (``"twocat.squares_with"``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def test_unnamed_definitions_are_flagged():
+    tree = ast.parse(
+        "import a.b\n"
+        "X = 1\n"
+        "Y: int = 2\n"
+        "def f():\n"
+        "    return X\n"
+        "class C:\n"
+        "    pass\n"
+        "g = getattr(a, 'b.g')\n"
+        "C.f = f\n")
+    assert sorted(set(module_definitions(tree)) - set(names_read(tree))) == ["Y"]
+
+
+def test_every_module_level_definition_is_named_somewhere():
+    paths = [path for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    named = set().union(*(names_read(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                          for path in paths))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.stem}.{name}" for name in module_definitions(tree)
+                  if not name.startswith("__") and name not in named]
+    assert sorted(set(found) - UNNAMED_ON_PURPOSE) == []
