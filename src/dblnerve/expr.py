@@ -27,9 +27,9 @@ the only evaluator, and ``evaluate`` compiles and runs it once.  Callers
 that evaluate the same expressions many times (the search's boundaries and
 relations, pullbacks along presentation morphisms) compile them once per
 call.  A closure reads only the images of the generators the expression
-names, so those callers memoize its results on those images: the search
-for the length of one ``enumerate_functors`` call, a pullback for as long
-as the function ``pullback`` returns lives.  No closure or memo is kept
+names, so those callers memoize on those images: the search what each of
+its depths accepts, for the length of one search, and a pullback each
+image, for as long as the function ``pullback`` returns lives.  No closure or memo is kept
 on a presentation, an algebra or a module.
 
 An algebra provides the cell-algebra protocol: ``objects``,

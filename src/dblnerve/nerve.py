@@ -5,8 +5,9 @@ The generic route enumerates functors out of the presented tensor shapes;
 the oracle route builds the same sets structurally from the explicit
 low-dimensional descriptions (horizontal adjoint equivalences, weak-
 inverse-admitting squares, invertible interchangers, and their pasting
-conditions).  Elements are canonicalized as sorted generator-image pairs
-so agreement is literal set equality.
+conditions).  Elements are canonical tuples, the generator-image pairs in
+one key order per level (the sorted generator names), so agreement is
+literal set equality.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .dblcat import (
 )
 from .errors import DisagreementBug, RangeExceeded
 from .expr import evaluate
-from .presentation import canonical, enumerate_functors
+from .presentation import canonical, enumerate_canonical
 from .pseudohom import Transformation, _functor_key, pseudo_hom
 from .shapes import (
     codegeneracy,
@@ -61,8 +62,8 @@ class SimplexSet:
 def dbl_nerve_level(dbl: FiniteDoubleCategory, m: int, k: int, n: int,
                     budget: int | None = None) -> SimplexSet:
     pres, _meta = x_presentation(m, k, n)
-    vals = enumerate_functors(pres, dbl, budget)
-    return SimplexSet((m, k, n), tuple(canonical(v) for v in vals), "generic-enumeration")
+    return SimplexSet((m, k, n), tuple(enumerate_canonical(pres, dbl, budget)),
+                      "generic-enumeration")
 
 
 def dbl_nerve_face(dbl, level, direction, i, element):
@@ -136,10 +137,25 @@ def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> Simpl
         (0, 1): _oracle_01,
         (1, 1): _oracle_11,
     }[(m, k)]
-    out = sorted(canonical(v) for v in build(dbl, _adjoint_by_ends(dbl), n))
+    out = _in_one_key_order(build(dbl, _adjoint_by_ends(dbl), n))
+    out.sort()
     if any(a == b for a, b in pairwise(out)):
         raise DisagreementBug("oracle produced duplicate elements")
     return SimplexSet((m, k, n), tuple(out), "structural-oracle")
+
+
+def _in_one_key_order(elements):
+    """Dict elements with the same keys as canonical tuples, built through
+    one key order, the sorted keys of the first; DisagreementBug if an
+    element has other keys."""
+    out, names, keys = [], None, None
+    for env in elements:
+        if names is None:
+            names, keys = sorted(env), env.keys()
+        elif env.keys() != keys:
+            raise DisagreementBug(f"element keys {sorted(env)} differ from {names}")
+        out.append(tuple(zip(names, map(env.__getitem__, names))))
+    return out
 
 
 def _covering_fillers(dbl, long, first, then):
@@ -480,16 +496,14 @@ def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: in
     set through the embedded double category and asserts the bijection."""
     plain, equivalence, _c, _s = lx_presentations(m, k, n)
     pres = plain if variant == "h" else equivalence
-    vals = enumerate_functors(pres, cat2, budget)
-    out = SimplexSet((m, k, n), tuple(canonical(v) for v in vals),
+    out = SimplexSet((m, k, n), tuple(enumerate_canonical(pres, cat2, budget)),
                      f"two-nerve-{variant}")
     if check_bijection:
         dbl = horizontal_embed(cat2) if variant == "h" else equivalence_embed(cat2)
         direct = dbl_nerve_level(dbl, m, k, n, budget)
-        converted = sorted(
-            canonical(_two_val_to_dbl(cat2, variant, dbl, dict(v), (m, k, n)))
-            for v in out.elements
-        )
+        converted = _in_one_key_order(
+            _two_val_to_dbl(cat2, variant, dbl, dict(v), (m, k, n)) for v in out.elements)
+        converted.sort()
         if tuple(converted) != direct.elements:
             raise DisagreementBug(
                 f"two-nerve level {(m, k, n)} does not match the double route"
@@ -643,9 +657,8 @@ def n2_simplices(cat2: FiniteTwoCategory, n: int, budget: int | None = None) -> 
     oriental family, for n ≤ N2_CAP."""
     if n > N2_CAP:
         raise RangeExceeded(f"n = {n} above the cap {N2_CAP}")
-    pres = oriental_adjoint_presentation(n)
-    vals = enumerate_functors(pres, cat2, budget)
-    return SimplexSet((n,), tuple(canonical(v) for v in vals), "two-categorical-nerve")
+    return SimplexSet((n,), tuple(enumerate_canonical(oriental_adjoint_presentation(n), cat2,
+                                                      budget)), "two-categorical-nerve")
 
 
 def n2_face(cat2, n, i, element):

@@ -18,9 +18,14 @@ send them after the image of their base.
 
 Enumeration runs on ``_search``, a depth-first search kernel with an
 explicit stack and one candidate budget, which ``pseudohom`` also uses.
-``enumerate_functors`` memoizes each candidate list, flag check and
-relation verdict on the images of the generators it reads, for the length
-of the call.
+Each variable declares the earlier variables its candidates read, and each
+depth memoizes, for the length of the search, which of its candidates pass
+the checks that become ready there, keyed on the images of what both read;
+a depth that accepts only the last of its candidates is bound without a
+stack frame.  Solutions come back as tuples in variable order;
+``enumerate_canonical`` puts them in one key order, the sorted generator
+names, and sorts them once, and ``enumerate_functors`` returns them as
+dicts.
 """
 
 from __future__ import annotations
@@ -234,8 +239,9 @@ class PresentationMorphism:
         return lambda valuation: {name: image(valuation) for name, image in images}
 
     def precompose(self, alg, valuation: dict) -> dict:
-        """Pull one valuation of the target back along this morphism."""
-        return self.pullback(alg)(valuation)
+        """Pull one valuation of the target back along this morphism,
+        compiling and evaluating each image once."""
+        return {name: ex.evaluate(alg, image, valuation) for name, image in self.gen_map.items()}
 
     def after(self, other: "PresentationMorphism") -> "PresentationMorphism":
         """other followed by self (source of other, target of self)."""
@@ -332,62 +338,131 @@ def _flag_ok(alg, flags, image):
     return True
 
 
-_EXHAUSTED = object()
-
-
 def _search(variables, constraints, budget: int | None, spent: int = 0):
     """Depth-first search over ordered variables with an explicit stack.
 
-    ``variables`` is a list of ``(name, candidates)`` where
-    ``candidates(env)`` lists the images to try given the bindings made so
-    far; ``constraints`` is a list of ``(inputs, check)`` where
-    ``check(env)`` tests bound variables.  Each constraint is tested right
-    after the last of its inputs is bound, in list order.  Every candidate
-    tried counts against the budget, starting from ``spent``, so callers
-    can share one budget between searches.  Returns the solutions, as dicts
-    keyed in variable order and listed in the lexicographic order of the
-    candidate lists, and the candidates spent.  Until the search is over a
-    solution is held as the tuple of its values, which ``env`` keeps in
-    depth order, so that a search cut by the budget holds less memory.
+    ``variables`` is a list of ``(name, inputs, candidates)``:
+    ``candidates(env)`` lists the images to try and reads only the bindings
+    of ``inputs``, earlier variables (DanglingReference otherwise).
+    ``constraints`` is a list of ``(inputs, check)``; each ``check(env)`` is
+    tested right after the last of its inputs is bound, in list order.
+    Every candidate tried counts against the budget, starting from
+    ``spent``, so callers can share one budget between searches.  Returns
+    the solutions, as tuples in variable order listed in the lexicographic
+    order of the candidate lists, and the candidates spent.
+
+    Each depth memoizes, on the images of what its candidates and checks
+    read, the candidates it accepts (``_accept``).  Rejected candidates are
+    charged before the accepted one after them, or after the subtrees of
+    the last, so the search spends and stops where trying candidates one at
+    a time would.  A depth that accepts only its last candidate is bound
+    without a stack frame.  ``env`` is never popped: its keys stay in depth
+    order, and a deeper binding is overwritten before it is read again.
     """
     budget = _environment_budget() if budget is None else budget
     if not variables:
-        return [{}], spent
-    position = {name: i for i, (name, _) in enumerate(variables)}
-    ready: list[list] = [[] for _ in variables]
+        return [()], spent
+    position: dict = {}
+    reads: list[set] = []
+    for depth, (name, inputs, _) in enumerate(variables):
+        for read in inputs:
+            if read not in position:
+                raise DanglingReference(f"variable {name!r} reads {read!r}, "
+                                        f"which is not a variable before it")
+        reads.append(set(inputs))
+        position[name] = depth
+    checks: list[list] = [[] for _ in variables]
     for inputs, check in constraints:
-        ready[max(position[name] for name in inputs)].append(check)
+        depth = max(position[read] for read in inputs)
+        checks[depth].append(check)
+        reads[depth].update(inputs)
+    names = list(position)
+    keys = []
+    for depth, name in enumerate(names):
+        read = sorted(reads[depth] - {name}, key=position.get)
+        keys.append(itemgetter(*read) if read else _no_key)
+    memos: list[dict] = [{} for _ in variables]
 
-    solutions = []
+    solutions: list[tuple] = []
     env: dict = {}
+    stack: list = []  # (depth, the accepted candidates left, the candidates after them)
     last = len(variables) - 1
-    stack = [iter(variables[0][1](env))]
-    while stack:
-        depth = len(stack) - 1
-        name = variables[depth][0]
-        image = next(stack[-1], _EXHAUSTED)
-        if image is _EXHAUSTED:
-            stack.pop()
-            env.pop(name, None)
-            continue
-        spent += 1
+    depth = 0
+    while True:
+        memo, key = memos[depth], keys[depth](env)
+        try:
+            cost, image, rest = memo[key]
+        except KeyError:
+            cost, image, rest = memo[key] = _accept(variables[depth][2], checks[depth],
+                                                    names[depth], env)
+        spent += cost
         if spent > budget:
-            raise BudgetExceeded(
-                f"search exceeded budget {budget} trying {name!r} at depth "
-                f"{depth + 1} of {len(variables)}, {len(solutions)} solutions found")
+            raise _exceeded(budget, names, depth, solutions)
+        if image is not _NONE_ACCEPTED:
+            env[names[depth]] = image
+            if rest is not None:
+                stack.append((depth, iter(rest[0]), rest[1]))
+            if depth < last:
+                depth += 1
+                continue
+            solutions.append(tuple(env.values()))
+        while stack:
+            depth, accepted, tail = stack[-1]
+            step = next(accepted, None)
+            if step is None:
+                stack.pop()
+                spent += tail
+                if spent > budget:
+                    raise _exceeded(budget, names, depth, solutions)
+                continue
+            cost, image = step
+            spent += cost
+            if spent > budget:
+                raise _exceeded(budget, names, depth, solutions)
+            env[names[depth]] = image
+            if depth < last:
+                depth += 1
+                break
+            solutions.append(tuple(env.values()))
+        else:
+            return solutions, spent
+
+
+def _no_key(env):
+    return None
+
+
+_NONE_ACCEPTED = object()
+
+
+def _accept(candidates, checks, name, env):
+    """One depth's memo entry ``(cost, image, rest)``: ``image`` is the
+    first candidate at ``name`` that passes ``checks`` and ``cost`` the
+    number tried up to it.  ``rest`` is None if ``image`` was tried last;
+    otherwise it holds the later accepted candidates, each with the number
+    tried since the one before, and the number tried after them.  With
+    none accepted, ``image`` is ``_NONE_ACCEPTED`` and ``cost`` the number
+    tried."""
+    accepted, cost = [], 0
+    for image in candidates(env):
+        cost += 1
         env[name] = image
-        for check in ready[depth]:
+        for check in checks:
             if not check(env):
                 break
         else:
-            if depth == last:
-                solutions.append(tuple(env.values()))
-            else:
-                stack.append(iter(variables[depth + 1][1](env)))
-    names = list(position)
-    for i, values in enumerate(solutions):
-        solutions[i] = dict(zip(names, values))
-    return solutions, spent
+            accepted.append((cost, image))
+            cost = 0
+    if not accepted:
+        return cost, _NONE_ACCEPTED, None
+    (first_cost, first), later = accepted[0], accepted[1:]
+    return first_cost, first, (later, cost) if later or cost else None
+
+
+def _exceeded(budget, names, depth, solutions):
+    return BudgetExceeded(
+        f"search exceeded budget {budget} trying {names[depth]!r} at depth "
+        f"{depth + 1} of {len(names)}, {len(solutions)} solutions found")
 
 
 def _environment_budget() -> int:
@@ -420,41 +495,50 @@ def _schedule(pres: Presentation) -> list[Gen]:
 
 
 def _candidates(alg, kind: str, gen: Gen):
-    """The candidate images of ``gen`` given images of its boundary, sorted
-    and memoized on the generators the boundary names."""
+    """The generators the boundary of ``gen`` names, and the function that
+    lists the candidate images of ``gen``, sorted, given their images."""
     if gen.sort == "object":
         objects = sorted(alg.objects)
-        return lambda env: objects
+        return (), lambda env: objects
     query = getattr(alg, {"h": "hmors_between", "v": "vmors_between",
                           "sq": "squares_with"}[gen.sort])
     bounds = gen.bounds[:2] if kind == "two" else gen.bounds  # 2-cells: (src, tgt)
     compiled = [ex.compile_expr(alg, b) for b in bounds]
-    return _by_inputs(set().union(*map(ex.generators_of, bounds)),
-                      lambda env: sorted(query(*[b(env) for b in compiled])))
+    return (set().union(*map(ex.generators_of, bounds)),
+            lambda env: sorted(query(*[b(env) for b in compiled])))
 
 
-def enumerate_functors(pres: Presentation, alg, budget: int | None = None):
+def enumerate_canonical(pres: Presentation, alg, budget: int | None = None) -> list[tuple]:
     """All generator valuations into ``alg`` satisfying boundaries, flags,
-    and relations; returned as a sorted list of dicts."""
+    and relations, as sorted canonical tuples: the (generator, image)
+    pairs of each valuation in one key order, the sorted generator names."""
     if pres.kind == "two" and isinstance(alg, FiniteDoubleCategory):
         raise DanglingReference("two-category presentation needs a 2-category target")
     if pres.kind == "double" and isinstance(alg, FiniteTwoCategory):
         raise DanglingReference("double presentation needs a double category target")
-    variables = [(g.name, _candidates(alg, pres.kind, g)) for g in _schedule(pres)]
+    order = _schedule(pres)
+    variables = [(g.name, *_candidates(alg, pres.kind, g)) for g in order]
     # flag checks come first so that relations only see flagged images
-    constraints = [
-        ((g.name,), _by_inputs((g.name,),
-                               lambda env, g=g: _flag_ok(alg, g.flags, env[g.name])))
-        for g in pres.gens if g.sort == "sq" and g.flags
-    ]
+    constraints = [((g.name,), lambda env, name=g.name, flags=g.flags:
+                    _flag_ok(alg, flags, env[name]))
+                   for g in pres.gens if g.sort == "sq" and g.flags]
     for lhs, rhs in pres.relations:
         inputs = ex.generators_of(lhs) | ex.generators_of(rhs)
         constraints.append((inputs, _by_inputs(inputs, lambda env, lhs=ex.compile_expr(alg, lhs),
                                                rhs=ex.compile_expr(alg, rhs):
                                                lhs(env) == rhs(env))))
-    out, _ = _search(variables, constraints, budget)
-    out.sort(key=canonical)
-    return out
+    rows, _ = _search(variables, constraints, budget)
+    names = sorted(g.name for g in order)
+    if len(names) > 1:  # from search order to name order
+        at = {g.name: i for i, g in enumerate(order)}
+        rows = list(map(itemgetter(*[at[name] for name in names]), rows))
+    rows.sort()
+    return [tuple(zip(names, row)) for row in rows]
+
+
+def enumerate_functors(pres: Presentation, alg, budget: int | None = None) -> list[dict]:
+    """The valuations of ``enumerate_canonical``, as dicts in the same order."""
+    return [dict(element) for element in enumerate_canonical(pres, alg, budget)]
 
 
 def canonical(valuation: dict) -> tuple:

@@ -161,17 +161,17 @@ def _transformations_between(dom, cod, fname, gname, F, G, budget, spent):
         return ("o", unit_h[f]) if f in unit_h else ("h", f)
 
     variables = [
-        (("o", a), lambda env, a=a: cod.hmors_between(F.object_map[a], G.object_map[a]))
+        (("o", a), (), lambda env, a=a: cod.hmors_between(F.object_map[a], G.object_map[a]))
         for a in dom.objects
     ]
     variables += [
-        (("v", u), lambda env, u=u: cod.squares_with(
+        (("v", u), (("o", dom.vsrc[u]), ("o", dom.vtgt[u])), lambda env, u=u: cod.squares_with(
             top=env[("o", dom.vsrc[u])], bottom=env[("o", dom.vtgt[u])],
             left=F.v_map[u], right=G.v_map[u]))
         for u in free_v
     ]
     variables += [
-        (("h", f), lambda env, f=f: cod.invertible_flat(
+        (("h", f), (("o", dom.hsrc[f]), ("o", dom.htgt[f])), lambda env, f=f: cod.invertible_flat(
             cod.h_then(env[("o", dom.hsrc[f])], G.h_map[f]),
             cod.h_then(F.h_map[f], env[("o", dom.htgt[f])])))
         for f in free_h
@@ -203,10 +203,11 @@ def _transformations_between(dom, cod, fname, gname, F, G, budget, spent):
                 cod.s_vcomp(top, cod.s_hcomp(Fs, right))
                 == cod.s_vcomp(cod.s_hcomp(left, Gs), bottom))
     found, spent = _search(variables, constraints, budget, spent)
+    v_at, h_at = len(dom.objects), len(dom.objects) + len(free_v)
     return [
-        Transformation(fname, gname, {a: env[("o", a)] for a in dom.objects},
-                       {u: env[("v", u)] for u in free_v}, {f: env[("h", f)] for f in free_h})
-        for env in found
+        Transformation(fname, gname, dict(zip(dom.objects, row)),
+                       dict(zip(free_v, row[v_at:])), dict(zip(free_h, row[h_at:])))
+        for row in found
     ], spent
 
 
@@ -215,7 +216,7 @@ def _modifications_between(dom, cod, F, G, t1, t2, budget, spent):
     spent so far."""
     free_v, free_h = _free_cells(dom)
     variables = [
-        (a, lambda env, a=a: cod.squares_with(
+        (a, (), lambda env, a=a: cod.squares_with(
             top=t1.at_obj[a], bottom=t2.at_obj[a],
             left=cod.idv[F.object_map[a]], right=cod.idv[G.object_map[a]]))
         for a in dom.objects
@@ -231,7 +232,8 @@ def _modifications_between(dom, cod, F, G, t1, t2, budget, spent):
          cod.s_vcomp(t1.at_v[u], mu[j]) == cod.s_vcomp(mu[i], t2.at_v[u]))
         for u in free_v
     ]
-    return _search(variables, constraints, budget, spent)
+    found, spent = _search(variables, constraints, budget, spent)
+    return [dict(zip(dom.objects, row)) for row in found], spent
 
 
 def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,

@@ -242,49 +242,52 @@ def validate_two_category(raw: dict) -> FiniteTwoCategory:
 
 
 def check_two_category_laws(cat: FiniteTwoCategory) -> None:
+    """Raise on the first law that fails.  Composable pairs and triples are
+    visited through indexes of the cells by the boundary they compose
+    along, in the order of the cell lists."""
     oneset, twoset = set(cat.one_cells), set(cat.two_cells)
 
+    def grouped(cells, boundary):
+        index: dict = {}
+        for c in cells:
+            index.setdefault(boundary(c), []).append(c)
+        return lambda b: index.get(b, ())
+
     # 1-cell layer is a category
+    ones_from = grouped(cat.one_cells, cat.one_src.__getitem__)
     for f in cat.one_cells:
-        for g in cat.one_cells:
-            if cat.one_tgt[f] == cat.one_src[g]:
-                if (g, f) not in cat.hcomp1:
-                    raise MissingComposite(f"no 1-cell composite for ({f!r} then {g!r})")
-                h = cat.hcomp1[(g, f)]
-                if h not in oneset or cat.one_src[h] != cat.one_src[f] or cat.one_tgt[h] != cat.one_tgt[g]:
-                    raise MissingComposite(f"bad 1-cell composite for ({f!r}, {g!r})")
+        for g in ones_from(cat.one_tgt[f]):
+            if (g, f) not in cat.hcomp1:
+                raise MissingComposite(f"no 1-cell composite for ({f!r} then {g!r})")
+            h = cat.hcomp1[(g, f)]
+            if h not in oneset or cat.one_src[h] != cat.one_src[f] or cat.one_tgt[h] != cat.one_tgt[g]:
+                raise MissingComposite(f"bad 1-cell composite for ({f!r}, {g!r})")
     for f in cat.one_cells:
-        for g in cat.one_cells:
-            if cat.one_tgt[f] != cat.one_src[g]:
-                continue
-            for h in cat.one_cells:
-                if cat.one_tgt[g] != cat.one_src[h]:
-                    continue
+        for g in ones_from(cat.one_tgt[f]):
+            for h in ones_from(cat.one_tgt[g]):
                 if cat.hcomp1[(h, cat.hcomp1[(g, f)])] != cat.hcomp1[(cat.hcomp1[(h, g)], f)]:
                     raise NonAssociative(f"1-cell associativity fails on ({f!r}, {g!r}, {h!r})")
 
     # hom-categories: vertical composition
+    twos_from = grouped(cat.two_cells, cat.two_src.__getitem__)
     for a in cat.two_cells:
-        for b in cat.two_cells:
-            if cat.two_tgt[a] == cat.two_src[b]:
-                if (b, a) not in cat.vcomp2:
-                    raise MissingComposite(f"no vertical composite for ({a!r} then {b!r})")
-                c = cat.vcomp2[(b, a)]
-                if c not in twoset or cat.two_src[c] != cat.two_src[a] or cat.two_tgt[c] != cat.two_tgt[b]:
-                    raise MissingComposite(f"bad vertical composite for ({a!r}, {b!r})")
-    vpairs = [(a, b) for (b, a) in cat.vcomp2]
+        for b in twos_from(cat.two_tgt[a]):
+            if (b, a) not in cat.vcomp2:
+                raise MissingComposite(f"no vertical composite for ({a!r} then {b!r})")
+            c = cat.vcomp2[(b, a)]
+            if c not in twoset or cat.two_src[c] != cat.two_src[a] or cat.two_tgt[c] != cat.two_tgt[b]:
+                raise MissingComposite(f"bad vertical composite for ({a!r}, {b!r})")
+    # with no 2-cells, a pair naming unknown cells fails at interchange instead
+    vpairs = [(a, b) for (b, a) in cat.vcomp2] if cat.two_cells else []
     for a, b in vpairs:
-        for c in cat.two_cells:
-            if cat.two_tgt[b] != cat.two_src[c]:
-                continue
+        for c in twos_from(cat.two_tgt[b]):
             if cat.vcomp2[(c, cat.vcomp2[(b, a)])] != cat.vcomp2[(cat.vcomp2[(c, b)], a)]:
                 raise NonAssociative(f"vertical associativity fails on ({a!r}, {b!r}, {c!r})")
 
     # horizontal composition of 2-cells
+    twos_left_at = grouped(cat.two_cells, cat.s_left)
     for a in cat.two_cells:
-        for b in cat.two_cells:
-            if cat.s_right(a) != cat.s_left(b):
-                continue
+        for b in twos_left_at(cat.s_right(a)):
             if (b, a) not in cat.hcomp2:
                 raise MissingComposite(f"no horizontal composite for ({a!r}, {b!r})")
             c = cat.hcomp2[(b, a)]
@@ -293,20 +296,15 @@ def check_two_category_laws(cat: FiniteTwoCategory) -> None:
             if c not in twoset or cat.two_src[c] != want_src or cat.two_tgt[c] != want_tgt:
                 raise MissingComposite(f"bad horizontal composite for ({a!r}, {b!r})")
     for a in cat.two_cells:
-        for b in cat.two_cells:
-            if cat.s_right(a) != cat.s_left(b):
-                continue
+        for b in twos_left_at(cat.s_right(a)):
             ba = cat.hcomp2[(b, a)]
-            for c in cat.two_cells:
-                if cat.s_right(b) != cat.s_left(c):
-                    continue
+            for c in twos_left_at(cat.s_right(b)):
                 if cat.hcomp2[(c, ba)] != cat.hcomp2[(cat.hcomp2[(c, b)], a)]:
                     raise NonAssociative(f"horizontal associativity fails on ({a!r}, {b!r}, {c!r})")
     for f in cat.one_cells:
-        for g in cat.one_cells:
-            if cat.one_tgt[f] == cat.one_src[g]:
-                if cat.hcomp2[(cat.id2[g], cat.id2[f])] != cat.id2[cat.hcomp1[(g, f)]]:
-                    raise BadIdentity(f"identity 2-cells do not compose to identity on ({f!r}, {g!r})")
+        for g in ones_from(cat.one_tgt[f]):
+            if cat.hcomp2[(cat.id2[g], cat.id2[f])] != cat.id2[cat.hcomp1[(g, f)]]:
+                raise BadIdentity(f"identity 2-cells do not compose to identity on ({f!r}, {g!r})")
     for a in cat.two_cells:
         left = cat.s_unit_v(cat.s_left(a))
         right = cat.s_unit_v(cat.s_right(a))
@@ -314,10 +312,10 @@ def check_two_category_laws(cat: FiniteTwoCategory) -> None:
             raise BadIdentity(f"horizontal unit law fails at {a!r}")
 
     # interchange on all composable quadruples
-    for (b, a) in list(cat.vcomp2):
-        for (bb, aa) in list(cat.vcomp2):
-            if cat.s_right(a) != cat.s_left(aa):
-                continue
+    vertical = list(cat.vcomp2)
+    vertical_left_at = grouped(vertical, lambda pair: cat.s_left(pair[1]))
+    for (b, a) in vertical:
+        for (bb, aa) in vertical_left_at(cat.s_right(a)):
             lhs = cat.hcomp2[(cat.vcomp2[(bb, aa)], cat.vcomp2[(b, a)])]
             rhs = cat.vcomp2[(cat.hcomp2[(bb, b)], cat.hcomp2[(aa, a)])]
             if lhs != rhs:

@@ -380,13 +380,22 @@ def test_schedule_leaves_every_small_corpus_level_unchanged(monkeypatch):
     assert checked == 255
 
 
-def test_search_returns_dicts_keyed_in_variable_order():
-    variables = [(name, lambda env: [0, 1]) for name in ("c", "a", "b")]
+def test_search_returns_tuples_in_variable_order():
+    variables = [(name, (), lambda env: [0, 1]) for name in ("c", "a", "b")]
     found, spent = _search(variables, [(("c", "a"), lambda env: env["c"] <= env["a"])], None)
-    assert all(type(s) is dict and list(s) == ["c", "a", "b"] for s in found)
-    assert [tuple(s.values()) for s in found] == [
-        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
+    assert all(type(s) is tuple for s in found)
+    assert found == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
     assert spent == 2 + 4 + 6
+
+
+@pytest.mark.parametrize("inputs", [("b",), ("c",), ("z",)], ids=["itself", "later", "unknown"])
+def test_search_rejects_inputs_that_are_not_earlier_variables(inputs):
+    variables = [("a", (), lambda env: [0]), ("b", inputs, lambda env: [0]),
+                 ("c", ("a",), lambda env: [0])]
+    with pytest.raises(DanglingReference) as caught:
+        _search(variables, [], None)
+    assert str(caught.value) == (
+        f"variable 'b' reads {inputs[0]!r}, which is not a variable before it")
 
 
 def test_budget_message_says_where_the_search_stopped(iso2):
@@ -417,6 +426,63 @@ def test_search_spends_the_pinned_candidates(monkeypatch, hsim_iso, h_iso, squar
     for target, level in ((hsim_iso, (1, 1, 2)), (h_iso, (2, 2, 2)), (square_dbl, (2, 2, 2))):
         enumerate_functors(x_presentation(*level)[0], target)
     assert spent == [104_102, 73_342, 4_910]
+
+
+# Where the budget ran out when the search tried and charged its candidates
+# one at a time: for each level, the candidates its whole search spends,
+# the number of its variables, and (budget, variable tried, its depth,
+# solutions found so far) at budgets across that spend.  On tri-invertible,
+# budget 58 runs out in the rejected tail of a depth and 60 on a rejected
+# candidate before the only one its depth accepts; on the other levels
+# every candidate is accepted, and 1869 on hsim-iso runs out on a depth
+# with a single candidate.
+_PINNED_BUDGETS = [
+    ("hsim-iso", "x", (1, 1, 1), 3734, 38, [
+        (0, "o0.0.0", 1, 0), (373, "m01.1.1", 31, 24), (746, "A01.01.0", 28, 50),
+        (1119, "n01.1.0", 20, 76), (1492, "m01.1.1", 31, 101), (1865, "B01.01.1", 37, 127),
+        (1869, "n01.0.0", 3, 128), (2238, "o1.1.1", 29, 152), (2611, "k01.1.0", 26, 178),
+        (2984, "o1.0.1", 18, 204), (3357, "o1.1.1", 29, 229), (3730, "n01.1.1.unit", 35, 255),
+        (3733, "X01.01.1", 38, 255)]),
+    ("h-iso", "x", (1, 1, 2), 3566, 91, [
+        (0, "o0.0.0", 1, 0), (356, "n02.1.0.unit", 52, 6), (712, "A01.01.0", 64, 12),
+        (1068, "o1.1.2", 75, 18), (1424, "B12.01.1", 89, 24), (1780, "X01.12.1", 90, 31),
+        (2136, "o1.0.2", 48, 38), (2492, "o1.1.0", 61, 44), (2848, "n01.1.1.unit", 71, 50),
+        (3204, "n12.1.1", 85, 56), (3560, "n12.1.1*", 86, 63), (3565, "N1.1", 91, 63)]),
+    ("free-square", "x", (1, 1, 1), 448, 38, [
+        (0, "o0.0.0", 1, 0), (44, "o1.1.0", 25, 1), (88, "o0.1.1", 9, 2), (132, "o1.1.0", 25, 3),
+        (176, "o0.1.1", 9, 4), (220, "k01.1.1", 30, 4), (264, "A01.01.1", 32, 5),
+        (308, "n01.1.0*", 21, 6), (352, "o1.0.0", 16, 7), (396, "n01.0.0.unit", 5, 8),
+        (440, "m01.1.1", 31, 8), (447, "X01.01.1", 38, 8)]),
+    ("iso", "lsim", (1, 1, 1), 4958, 50, [
+        (0, "o0.0.0", 1, 0), (495, "k01.1.1.counit", 42, 24), (990, "k01.1.0.counit", 35, 50),
+        (1485, "n01.1.0", 26, 76), (1980, "k01.1.1", 39, 101), (2475, "n01.1.1.unit", 47, 127),
+        (2970, "o1.1.1", 38, 152), (3465, "o1.1.0", 31, 178), (3960, "B01.01.1", 49, 203),
+        (4455, "n01.1.1.counit", 48, 228), (4950, "m01.1.1", 43, 255),
+        (4957, "X01.01.1", 50, 255)]),
+    ("tri-invertible", "l", (0, 1, 1), 80, 11, [
+        (0, "q0.0", 1, 0), (8, "n01.0.1.unit", 9, 0), (16, "n01.0.1", 7, 1), (24, "n01.0.0", 3, 2),
+        (32, "B01.01.0", 11, 2), (40, "n01.0.1.unit", 9, 3), (48, "n01.0.0", 3, 4),
+        (55, "n01.0.1.counit", 10, 4), (56, "B01.01.0", 11, 4), (57, "B01.01.0", 11, 5),
+        (58, "n01.0.1.counit", 10, 6), (59, "n01.0.1.unit", 9, 6), (60, "n01.0.1.counit", 10, 6),
+        (61, "n01.0.1.counit", 10, 6), (62, "B01.01.0", 11, 6), (63, "B01.01.0", 11, 7),
+        (64, "n01.0.0.counit", 6, 8), (72, "B01.01.0", 11, 8), (79, "B01.01.0", 11, 11)]),
+]
+
+
+@pytest.mark.parametrize("target, quotient, level, total, depths, pinned", _PINNED_BUDGETS,
+                         ids=[f"{t}-{q}-{''.join(map(str, lv))}" for t, q, lv, *_ in _PINNED_BUDGETS])
+def test_budget_messages_are_pinned(target, quotient, level, total, depths, pinned):
+    from dblnerve.tensor import lx_presentations, x_presentation
+
+    alg = load_path(CORPUS / f"{target}.json")
+    pres = (x_presentation(*level)[0] if quotient == "x"
+            else lx_presentations(*level)[quotient == "lsim"])
+    for budget, name, depth, found in pinned:
+        with pytest.raises(BudgetExceeded) as caught:
+            enumerate_functors(pres, alg, budget=budget)
+        assert str(caught.value) == (f"search exceeded budget {budget} trying {name!r} at depth "
+                                     f"{depth} of {depths}, {found} solutions found")
+    enumerate_functors(pres, alg, budget=total)
 
 
 def test_pullback_names_what_is_wrong_with_a_valuation():

@@ -245,3 +245,49 @@ def test_validator_accepts_exactly_lawful_two_categories(data):
     except ValidationError:
         accepted = False
     assert accepted == lawful
+
+
+# One broken composition-table entry of a corpus 2-category and the first
+# law check it fails, as each message reads when every pair and triple of
+# cells is filtered by its boundary (None deletes the entry).
+_BROKEN_ENTRIES = [
+    ("iso", "hcomp1", ("id:x", "id:x"), None,
+     "no 1-cell composite for ('id:x' then 'id:x')"),
+    ("arrow", "hcomp1", ("id:1", "id:1"), "id:0", "bad 1-cell composite for ('id:1', 'id:1')"),
+    ("iso", "vcomp2", ("id2:id:x", "id2:id:x"), None,
+     "no vertical composite for ('id2:id:x' then 'id2:id:x')"),
+    ("arrow", "vcomp2", ("id2:id:1", "id2:id:1"), "id2:id:0",
+     "bad vertical composite for ('id2:id:1', 'id2:id:1')"),
+    ("arrow", "hcomp2", ("id2:id:1", "id2:id:1"), None,
+     "no horizontal composite for ('id2:id:1', 'id2:id:1')"),
+    ("iso", "hcomp2", ("id2:id:x", "id2:id:x"), "id2:id:y",
+     "bad horizontal composite for ('id2:id:x', 'id2:id:x')"),
+    ("tri-invertible", "vcomp2", ("id2:id:C", "id2:id:C"), "t",
+     "vertical associativity fails on ('t', 't', 'id2:id:C')"),
+    ("tri-invertible", "vcomp2", ("t", "id2:id:C"), "id2:id:C",
+     "vertical associativity fails on ('t', 't', 't')"),
+    ("tri-invertible", "hcomp2", ("t", "id2:id:C"), "id2:id:C",
+     "horizontal associativity fails on ('t', 'id2:id:C', 't')"),
+    ("tri-invertible", "hcomp2", ("t", "t"), "t",
+     "interchange fails on ('t', 't', 'id2:id:C', 't')"),
+]
+
+
+@pytest.mark.parametrize("name, table, key, value, message", _BROKEN_ENTRIES)
+def test_law_check_reports_the_first_failing_cells(name, table, key, value, message):
+    import dataclasses
+    from pathlib import Path
+
+    from dblnerve.errors import ValidationError
+    from dblnerve.io import load_path
+    from dblnerve.twocat import check_two_category_laws
+
+    cat = load_path(Path(__file__).parent.parent / "corpus" / f"{name}.json")
+    broken = dict(getattr(cat, table))
+    if value is None:
+        del broken[key]
+    else:
+        broken[key] = value
+    with pytest.raises(ValidationError) as caught:
+        check_two_category_laws(dataclasses.replace(cat, **{table: broken}))
+    assert str(caught.value) == message
