@@ -177,7 +177,7 @@ def cmd_nerve(args):
         "provenance": level.provenance,
     }
     if args.list:
-        report["elements"] = [dict(el) for el in level.elements]
+        report["elements"] = [dict(zip(level.keys, row)) for row in level.elements]
     verdict = None
     if args.oracle or args.compare:
         oracle = dbl_nerve_oracle(dbl, args.m, args.k, args.n)
@@ -198,7 +198,7 @@ def cmd_nerve2(args):
         "count": level.count(),
     }
     if args.list:
-        report["elements"] = [dict(el) for el in level.elements]
+        report["elements"] = [dict(zip(level.keys, row)) for row in level.elements]
     verdict = None
     if args.compare_retract:
         cm = comparison_maps(cat2, args.m, args.k, args.n)

@@ -20,17 +20,18 @@ the "v" sort is unused.
     ("sinv_h", s)                 horizontal inverse
 
 Evaluation happens against an *algebra* (a FiniteTwoCategory or
-FiniteDoubleCategory) and an environment mapping generator names to cells.
-``compile_expr`` reads an expression once and returns a closure over the
-algebra's protocol methods that evaluates it under any environment; it is
-the only evaluator, and ``evaluate`` compiles and runs it once.  Callers
-that evaluate the same expressions many times (the search's boundaries and
-relations, pullbacks along presentation morphisms) compile them once per
+FiniteDoubleCategory) and generator images: a dict by name, or a row, the
+images in one key order, read by position.  ``compile_expr`` reads an
+expression once and returns a closure over the algebra's protocol methods
+that evaluates it under any environment; it is the only evaluator, and
+``evaluate`` compiles and runs it once.  Callers that evaluate the same
+expressions many times (the search's boundaries and relations on dicts,
+pullbacks along presentation morphisms on rows) compile them once per
 call.  A closure reads only the images of the generators the expression
 names, so those callers memoize on those images: the search what each of
 its depths accepts, for the length of one search, and a pullback each
-image, for as long as the function ``pullback`` returns lives.  No closure or memo is kept
-on a presentation, an algebra or a module.
+image, for as long as the function ``pullback`` returns lives.  No closure
+or memo is kept on a presentation, an algebra or a module.
 
 An algebra provides the cell-algebra protocol: ``objects``,
 ``h_src/h_tgt/h_id/h_then``, ``v_src/v_tgt/v_id/v_then``, the square
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from .errors import BoundaryMismatch, DanglingReference
 
@@ -160,9 +162,10 @@ _COMPOSITES = {
 _INVERSES = {"sinv_v": ("s_vinverse", "vertical"), "sinv_h": ("s_hinverse", "horizontal")}
 
 
-def compile_expr(alg, expr):
+def compile_expr(alg, expr, at=None):
     """Compile ``expr`` into a function ``env -> cell`` that evaluates it in
-    the algebra ``alg`` under generator images ``env``.
+    the algebra ``alg`` under generator images ``env``: a dict by name or,
+    given ``at``, the position of each generator name, a row.
 
     The expression is read once; the returned closure holds ``alg``'s
     protocol methods and runs no dispatch.  ``alg`` must provide the
@@ -174,6 +177,8 @@ def compile_expr(alg, expr):
     tag = expr[0]
     if tag in _GENERATORS:
         name = expr[1]
+        if at is not None:
+            return itemgetter(at[name])
 
         def generator(env):
             try:
@@ -182,12 +187,12 @@ def compile_expr(alg, expr):
                 raise DanglingReference(f"unassigned generator {name!r}") from None
         return generator
     if tag in _UNITS:
-        unit, part = getattr(alg, _UNITS[tag]), compile_expr(alg, expr[1])
+        unit, part = getattr(alg, _UNITS[tag]), compile_expr(alg, expr[1], at)
         return lambda env: unit(part(env))
     if tag in _COMPOSITES:
         end_name, start_name, then_name, what = _COMPOSITES[tag]
         end, start, then = getattr(alg, end_name), getattr(alg, start_name), getattr(alg, then_name)
-        first, second = compile_expr(alg, expr[1]), compile_expr(alg, expr[2])
+        first, second = compile_expr(alg, expr[1], at), compile_expr(alg, expr[2], at)
 
         def composite(env):
             a, b = first(env), second(env)
@@ -197,7 +202,7 @@ def compile_expr(alg, expr):
         return composite
     if tag in _INVERSES:
         inverse_name, direction = _INVERSES[tag]
-        inverse, part = getattr(alg, inverse_name), compile_expr(alg, expr[1])
+        inverse, part = getattr(alg, inverse_name), compile_expr(alg, expr[1], at)
 
         def inverted(env):
             inv = inverse(part(env))

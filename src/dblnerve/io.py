@@ -64,6 +64,9 @@ def _load_presentation(doc):
     flavor = doc.get("flavor")
     if flavor not in ("double", "two"):
         raise SchemaError("presentation needs flavor 'double' or 'two'")
+    for key in ("hgens", "vgens", "squares"):
+        if not all(isinstance(entry, dict) for entry in doc.get(key, [])):
+            raise SchemaError(f"each entry of {key!r} must be an object")
     b = PresentationBuilder(flavor, doc.get("label", ""))
     for name in doc.get("objects", []):
         b.add_object(name)

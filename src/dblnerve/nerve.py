@@ -5,9 +5,11 @@ The generic route enumerates functors out of the presented tensor shapes;
 the oracle route builds the same sets structurally from the explicit
 low-dimensional descriptions (horizontal adjoint equivalences, weak-
 inverse-admitting squares, invertible interchangers, and their pasting
-conditions).  Elements are canonical tuples, the generator-image pairs in
-one key order per level (the sorted generator names), so agreement is
-literal set equality.
+conditions).  A level holds one key order, the sorted generator names of
+its presentation, and its elements as rows, their images in that order;
+both routes build their rows in the same key order, so agreement is
+literal equality of the sorted rows.  Faces and degeneracies pull rows
+back along the level maps (``PresentationMorphism.pullback``).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import pairwise, product
+from operator import itemgetter
 
 from .dblcat import (
     FiniteDoubleCategory,
@@ -24,8 +27,8 @@ from .dblcat import (
     vertical_embed,
 )
 from .errors import DisagreementBug, RangeExceeded
-from .expr import evaluate
-from .presentation import canonical, enumerate_canonical
+from .expr import compile_expr
+from .presentation import enumerate_canonical
 from .pseudohom import Transformation, _functor_key, pseudo_hom
 from .shapes import (
     codegeneracy,
@@ -52,7 +55,8 @@ _QUOTIENT = {"h": "l", "hsim": "lsim"}
 @dataclass(frozen=True)
 class SimplexSet:
     level: tuple[int, int, int]
-    elements: tuple[tuple, ...]  # canonicalized valuations
+    keys: tuple[str, ...]  # the generator names, sorted
+    elements: tuple[tuple, ...]  # sorted rows: the images in key order
     provenance: str
 
     def count(self) -> int:
@@ -62,17 +66,17 @@ class SimplexSet:
 def dbl_nerve_level(dbl: FiniteDoubleCategory, m: int, k: int, n: int,
                     budget: int | None = None) -> SimplexSet:
     pres, _meta = x_presentation(m, k, n)
-    return SimplexSet((m, k, n), tuple(enumerate_canonical(pres, dbl, budget)),
+    return SimplexSet((m, k, n), pres.keys, tuple(enumerate_canonical(pres, dbl, budget)),
                       "generic-enumeration")
 
 
 def dbl_nerve_face(dbl, level, direction, i, element):
-    """d_i on a canonicalized element, by precomposition."""
+    """d_i on a row of ``level``, by pullback."""
     return _simplicial(dbl, "x", level, direction, i, element, face=True)
 
 
 def dbl_nerve_degeneracy(dbl, level, direction, j, element):
-    """s_j on a canonicalized element."""
+    """s_j on a row of ``level``."""
     return _simplicial(dbl, "x", level, direction, j, element, face=False)
 
 
@@ -85,13 +89,12 @@ def two_nerve_degeneracy(cat2, variant, level, direction, j, element):
 
 
 def _simplicial(alg, variant, level, direction, i, element, face):
-    """d_i (``face``) or s_i on a canonicalized element, by precomposition
-    with the ``variant`` level map of the cosimplicial operator."""
+    """d_i (``face``) or s_i on a row of ``level``, by pullback along the
+    ``variant`` level map of the cosimplicial operator."""
     src = _adjacent(level, direction, -1 if face else +1)
     axis = _AXIS[direction]
     alpha = coface(src[axis], i) if face else codegeneracy(level[axis], i)
-    morphism = level_map(variant, direction, alpha, src, level)
-    return canonical(morphism.precompose(alg, dict(element)))
+    return level_map(variant, direction, alpha, src, level).pullback(alg)(element)
 
 
 def _adjacent(level, direction, delta):
@@ -115,8 +118,7 @@ def _adjoint_by_ends(dbl):
     return lambda a, b: index.get((a, b), [])
 
 
-# Every element of an oracle level names its generators with the same keys;
-# the key names are built once, so the elements share them.
+# The oracle names the same keys for every element; each prefix's are built once.
 @cache
 def _data_keys(prefix):
     return prefix, prefix + "*", prefix + ".unit", prefix + ".counit"
@@ -137,24 +139,22 @@ def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> Simpl
         (0, 1): _oracle_01,
         (1, 1): _oracle_11,
     }[(m, k)]
-    out = _in_one_key_order(build(dbl, _adjoint_by_ends(dbl), n))
+    keys = x_presentation(m, k, n)[0].keys
+    out = _rows(build(dbl, _adjoint_by_ends(dbl), n), keys)
     out.sort()
     if any(a == b for a, b in pairwise(out)):
         raise DisagreementBug("oracle produced duplicate elements")
-    return SimplexSet((m, k, n), tuple(out), "structural-oracle")
+    return SimplexSet((m, k, n), keys, tuple(out), "structural-oracle")
 
 
-def _in_one_key_order(elements):
-    """Dict elements with the same keys as canonical tuples, built through
-    one key order, the sorted keys of the first; DisagreementBug if an
-    element has other keys."""
-    out, names, keys = [], None, None
+def _rows(elements, keys):
+    """Dict elements as rows in the level's key order ``keys``;
+    DisagreementBug if an element has other keys."""
+    wanted, out = set(keys), []
     for env in elements:
-        if names is None:
-            names, keys = sorted(env), env.keys()
-        elif env.keys() != keys:
-            raise DisagreementBug(f"element keys {sorted(env)} differ from {names}")
-        out.append(tuple(zip(names, map(env.__getitem__, names))))
+        if env.keys() != wanted:
+            raise DisagreementBug(f"element keys {sorted(env)} differ from {list(keys)}")
+        out.append(tuple(map(env.__getitem__, keys)))
     return out
 
 
@@ -440,53 +440,42 @@ def _oracle_11_two_fill(dbl, alpha, beta, gamma, phi_d, psi_d, th_d):
 # -- nerves of 2-categories ------------------------------------------------
 
 
-def _two_val_to_dbl(cat2, variant, dbl, valuation, level):
-    """Convert an element of the 2-categorical nerve to an element of the
-    double-categorical nerve of the embedded 2-category."""
+def _two_rows_to_dbl(cat2, variant, dbl, quotient, level):
+    """The map from rows of ``quotient``, the ``variant`` quotient of
+    ``level``, in ``cat2`` to rows of the double level in ``dbl``, the
+    embedded double category, compiled once: one function of the quotient
+    row per generator of the double presentation, in its key order."""
     pres, meta = x_presentation(*level)
-    out = {}
-    for g in pres.gens:
-        name = g.name
-        kind = meta[name]
-        tag = kind[0]
-        if variant == "h":
-            if tag == "obj":
-                out[name] = valuation[_qname(kind[1], kind[3])]
-            elif tag == "k":
-                out[name] = dbl.idv[valuation[_qname(kind[2], kind[3])]]
-            else:
-                out[name] = valuation[name]
-        elif tag == "k":
-            out[name] = dbl.vmor_of_quad[_quad(valuation, name)]
-        elif tag in ("obj", "m", "n", "n*"):
-            out[name] = valuation[name]
-        else:  # squares, including units of the n-direction
-            out[name] = _sq_src_h(cat2, dbl, valuation, g)
-    return out
-
-
-def _quad(valuation, name):
-    """The adjoint equivalence (f, g, unit, counit) a valuation gives the
-    generator ``name`` of the equivalence quotient."""
-    return tuple(valuation[name + suffix] for suffix in ("", "*", ".unit", ".counit"))
-
-
-def _sq_src_h(cat2, dbl, valuation, gen):
-    """Locate the square of the equivalence embedding carrying a given
-    2-cell with given boundary generators."""
-    top, bottom, left, right = gen.bounds
+    at = {name: i for i, name in enumerate(quotient.keys)}
+    if variant == "h":  # an object reads its class in the plain quotient
+        at.update((name, at[_qname(kind[1], kind[3])])
+                  for name, kind in meta.items() if kind[0] == "obj")
 
     def vmor(v):
-        tag = v[0]
-        if tag == "vid":
-            return dbl.idv[evaluate(cat2, v[1], valuation)]
-        if tag == "vgen":
-            return dbl.vmor_of_quad[_quad(valuation, v[1])]
-        return dbl.v_then(vmor(v[1]), vmor(v[2]))
+        """The vertical morphism of ``dbl`` that a row gives the v-expression ``v``."""
+        if v[0] == "vid":
+            obj = compile_expr(cat2, v[1], at)
+            return lambda row: dbl.idv[obj(row)]
+        if v[0] == "vgen":  # the adjoint equivalence (f, g, unit, counit) of the quotient
+            quad = itemgetter(*(at[v[1] + end] for end in ("", "*", ".unit", ".counit")))
+            return lambda row: dbl.vmor_of_quad[quad(row)]
+        first, then = vmor(v[1]), vmor(v[2])
+        return lambda row: dbl.v_then(first(row), then(row))
 
-    data = (evaluate(cat2, top, valuation), evaluate(cat2, bottom, valuation),
-            vmor(left), vmor(right), valuation[gen.name])
-    return dbl.square_by_data[data]
+    def part(g):
+        tag = meta[g.name][0]
+        if tag == "k":
+            return vmor(("vid", g.bounds[0]) if variant == "h" else ("vgen", g.name))
+        if variant == "h" or tag in ("obj", "m", "n", "n*"):
+            return itemgetter(at[g.name])
+        # a square, including the units of the n-direction: the square of the
+        # equivalence embedding with its boundary and 2-cell
+        data = [compile_expr(cat2, b, at) for b in g.bounds[:2]]
+        data += [vmor(b) for b in g.bounds[2:]] + [itemgetter(at[g.name])]
+        return lambda row: dbl.square_by_data[tuple([d(row) for d in data])]
+
+    parts = [part(pres.gen(name)) for name in pres.keys]
+    return lambda row: tuple([part(row) for part in parts])
 
 
 def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: int,
@@ -496,14 +485,13 @@ def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: in
     set through the embedded double category and asserts the bijection."""
     plain, equivalence, _c, _s = lx_presentations(m, k, n)
     pres = plain if variant == "h" else equivalence
-    out = SimplexSet((m, k, n), tuple(enumerate_canonical(pres, cat2, budget)),
+    out = SimplexSet((m, k, n), pres.keys, tuple(enumerate_canonical(pres, cat2, budget)),
                      f"two-nerve-{variant}")
     if check_bijection:
         dbl = horizontal_embed(cat2) if variant == "h" else equivalence_embed(cat2)
         direct = dbl_nerve_level(dbl, m, k, n, budget)
-        converted = _in_one_key_order(
-            _two_val_to_dbl(cat2, variant, dbl, dict(v), (m, k, n)) for v in out.elements)
-        converted.sort()
+        converted = sorted(map(_two_rows_to_dbl(cat2, variant, dbl, pres, (m, k, n)),
+                               out.elements))
         if tuple(converted) != direct.elements:
             raise DisagreementBug(
                 f"two-nerve level {(m, k, n)} does not match the double route"
@@ -514,18 +502,13 @@ def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: in
 def comparison_maps(cat2: FiniteTwoCategory, m: int, k: int, n: int,
                     budget: int | None = None):
     """Pullbacks along the collapse/section pair between the two quotients,
-    the retract verdict, and injectivity of the comparison."""
+    the retract verdict, and injectivity of the comparison.  ``pi_star``
+    maps rows of the plain quotient's level ``base`` to rows of the
+    equivalence quotient's, and ``iota_star`` maps them back."""
     _, _, collapse, section = lx_presentations(m, k, n)
     base = two_nerve_level(cat2, "h", m, k, n, budget, check_bijection=False)
 
-    collapse_back, section_back = collapse.pullback(cat2), section.pullback(cat2)
-
-    def pi_star(element):
-        return canonical(collapse_back(dict(element)))
-
-    def iota_star(element):
-        return canonical(section_back(dict(element)))
-
+    pi_star, iota_star = collapse.pullback(cat2), section.pullback(cat2)
     images = [pi_star(el) for el in base.elements]
     retract = all(iota_star(image) == el for image, el in zip(images, base.elements))
     injective = len(set(images)) == len(images)
@@ -657,16 +640,17 @@ def n2_simplices(cat2: FiniteTwoCategory, n: int, budget: int | None = None) -> 
     oriental family, for n ≤ N2_CAP."""
     if n > N2_CAP:
         raise RangeExceeded(f"n = {n} above the cap {N2_CAP}")
-    return SimplexSet((n,), tuple(enumerate_canonical(oriental_adjoint_presentation(n), cat2,
-                                                      budget)), "two-categorical-nerve")
+    pres = oriental_adjoint_presentation(n)
+    return SimplexSet((n,), pres.keys, tuple(enumerate_canonical(pres, cat2, budget)),
+                      "two-categorical-nerve")
 
 
 def n2_face(cat2, n, i, element):
-    return canonical(_n2_face_map(n, i).precompose(cat2, dict(element)))
+    return _n2_face_map(n, i).pullback(cat2)(element)
 
 
 def n2_degeneracy(cat2, n, j, element):
-    return canonical(_n2_degeneracy_map(n, j).precompose(cat2, dict(element)))
+    return _n2_degeneracy_map(n, j).pullback(cat2)(element)
 
 
 @cache

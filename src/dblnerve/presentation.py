@@ -22,16 +22,17 @@ Each variable declares the earlier variables its candidates read, and each
 depth memoizes, for the length of the search, which of its candidates pass
 the checks that become ready there, keyed on the images of what both read;
 a depth that accepts only the last of its candidates is bound without a
-stack frame.  Solutions come back as tuples in variable order;
-``enumerate_canonical`` puts them in one key order, the sorted generator
-names, and sorts them once, and ``enumerate_functors`` returns them as
-dicts.
+stack frame.  ``enumerate_canonical`` returns the solutions as sorted
+rows, their images in one key order, the sorted generator names
+(``Presentation.keys``), and ``enumerate_functors`` as dicts; pullback
+along a presentation morphism maps rows to rows.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from . import expr as ex
@@ -60,15 +61,17 @@ class Presentation:
     label: str = ""
     expansion_relations: frozenset = frozenset()  # indices of auto-added triangle laws
 
-    def gen(self, name: str) -> Gen:
-        table = self.__dict__.get("_by_name")
-        if table is None:
-            table = {g.name: g for g in self.gens}
-            self.__dict__["_by_name"] = table
-        return table[name]
+    @cached_property
+    def _by_name(self):
+        return {g.name: g for g in self.gens}
 
-    def names(self):
-        return [g.name for g in self.gens]
+    def gen(self, name: str) -> Gen:
+        return self._by_name[name]
+
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        """The key order of this presentation's rows: the sorted generator names."""
+        return tuple(sorted(g.name for g in self.gens))
 
     def expansion_gens(self) -> set[str]:
         """The partners, units and counits that adjoint expansions added."""
@@ -230,18 +233,29 @@ class PresentationMorphism:
         return id(self)
 
     def pullback(self, alg):
-        """Pullback of valuations of the target in ``alg`` along this
-        morphism, as a function valuation -> valuation.  The images are
-        compiled once, here, and each is memoized on the images of the
-        generators it names for as long as the returned function lives."""
-        images = [(name, _by_inputs(ex.generators_of(image), ex.compile_expr(alg, image)))
-                  for name, image in self.gen_map.items()]
-        return lambda valuation: {name: image(valuation) for name, image in images}
+        """Pullback along this morphism, in ``alg``, as a function from rows
+        of the target to rows of the source, compiled once, here: a
+        generator image becomes the position it reads, any other image a
+        closure over positions memoized on the images it reads for as long
+        as the function lives.  A row of the wrong length raises
+        DanglingReference."""
+        at = {name: i for i, name in enumerate(self.target.keys)}
+        parts = []
+        for name in self.source.keys:
+            image = self.gen_map[name]
+            if image[0] in _LEAF_SORTS:
+                parts.append(itemgetter(at[image[1]]))
+            else:
+                parts.append(_by_inputs([at[read] for read in ex.generators_of(image)],
+                                        ex.compile_expr(alg, image, at)))
+        width = len(at)
 
-    def precompose(self, alg, valuation: dict) -> dict:
-        """Pull one valuation of the target back along this morphism,
-        compiling and evaluating each image once."""
-        return {name: ex.evaluate(alg, image, valuation) for name, image in self.gen_map.items()}
+        def pull(row):
+            if len(row) != width:
+                raise DanglingReference(f"a row of {len(row)} images pulled back along a "
+                                        f"morphism whose target has {width} generators")
+            return tuple([part(row) for part in parts])
+        return pull
 
     def after(self, other: "PresentationMorphism") -> "PresentationMorphism":
         """other followed by self (source of other, target of self)."""
@@ -305,18 +319,14 @@ _MISSING = object()
 
 
 def _by_inputs(inputs, compute):
-    """``compute``, a function of bindings that reads only the generators
-    in ``inputs`` (at least one, as a well-formed expression names),
-    memoized on their images in a dict of its own.  Bindings that lack one
-    of them go to ``compute``, which names it in the error it raises; a
-    call that raises is not memoized."""
+    """``compute``, a function of bindings that reads only those at
+    ``inputs`` (names of a dict or positions of a row, at least one),
+    memoized on their images in a dict of its own.  A call that raises is
+    not memoized."""
     key, memo = itemgetter(*inputs), {}
 
     def memoized(env):
-        try:
-            images = key(env)
-        except KeyError:
-            return compute(env)
+        images = key(env)
         value = memo.get(images, _MISSING)
         if value is _MISSING:
             value = memo[images] = compute(env)
@@ -510,8 +520,7 @@ def _candidates(alg, kind: str, gen: Gen):
 
 def enumerate_canonical(pres: Presentation, alg, budget: int | None = None) -> list[tuple]:
     """All generator valuations into ``alg`` satisfying boundaries, flags,
-    and relations, as sorted canonical tuples: the (generator, image)
-    pairs of each valuation in one key order, the sorted generator names."""
+    and relations, as sorted rows in the key order ``pres.keys``."""
     if pres.kind == "two" and isinstance(alg, FiniteDoubleCategory):
         raise DanglingReference("two-category presentation needs a 2-category target")
     if pres.kind == "double" and isinstance(alg, FiniteTwoCategory):
@@ -528,54 +537,52 @@ def enumerate_canonical(pres: Presentation, alg, budget: int | None = None) -> l
                                                rhs=ex.compile_expr(alg, rhs):
                                                lhs(env) == rhs(env))))
     rows, _ = _search(variables, constraints, budget)
-    names = sorted(g.name for g in order)
-    if len(names) > 1:  # from search order to name order
+    keys = pres.keys
+    if len(keys) > 1:  # from search order to key order, in place: one copy of the rows
         at = {g.name: i for i, g in enumerate(order)}
-        rows = list(map(itemgetter(*[at[name] for name in names]), rows))
+        reorder = itemgetter(*[at[name] for name in keys])
+        for i, row in enumerate(rows):
+            rows[i] = reorder(row)
     rows.sort()
-    return [tuple(zip(names, row)) for row in rows]
+    return rows
 
 
 def enumerate_functors(pres: Presentation, alg, budget: int | None = None) -> list[dict]:
     """The valuations of ``enumerate_canonical``, as dicts in the same order."""
-    return [dict(element) for element in enumerate_canonical(pres, alg, budget)]
-
-
-def canonical(valuation: dict) -> tuple:
-    return tuple(sorted(valuation.items()))
+    keys = pres.keys
+    return [dict(zip(keys, row)) for row in enumerate_canonical(pres, alg, budget)]
 
 
 def has_rlp(functor, morphism: PresentationMorphism, budget: int | None = None):
     """Right lifting property of a (double or 2-) functor against a
-    presentation morphism: every commuting square admits a diagonal filler."""
+    presentation morphism: every commuting square admits a diagonal filler.
+    The witness of a failure is a top and a bottom row without a lift."""
     src_pres, tgt_pres = morphism.source, morphism.target
     A, B = functor.source, functor.target
     if isinstance(A, FiniteDoubleCategory):
-        maps = (functor.object_map, functor.h_map, functor.v_map, functor.sq_map)
-        sort_map = {"object": 0, "h": 1, "v": 2, "sq": 3}
+        maps = {"object": functor.object_map, "h": functor.h_map, "v": functor.v_map,
+                "sq": functor.sq_map}
     else:
-        maps = (functor.object_map, functor.one_map, None, functor.two_map)
-        sort_map = {"object": 0, "h": 1, "sq": 3}
+        maps = {"object": functor.object_map, "h": functor.one_map, "sq": functor.two_map}
 
-    def push(pres, valuation):
-        out = {}
-        for g in pres.gens:
-            out[g.name] = maps[sort_map[g.sort]][valuation[g.name]]
-        return out
+    def push(pres):
+        """The functor on rows of ``pres``: one cell map per key position."""
+        at_key = [maps[pres.gen(name).sort] for name in pres.keys]
+        return lambda row: tuple([cells[image] for cells, image in zip(at_key, row)])
 
-    tops = enumerate_functors(src_pres, A, budget)
-    bottoms = enumerate_functors(tgt_pres, B, budget)
-    lowers = enumerate_functors(tgt_pres, A, budget)
+    tops = enumerate_canonical(src_pres, A, budget)
+    bottoms = enumerate_canonical(tgt_pres, B, budget)
+    lowers = enumerate_canonical(tgt_pres, A, budget)
+    push_src, push_tgt = push(src_pres), push(tgt_pres)
     restrict_b, restrict_a = morphism.pullback(B), morphism.pullback(A)
-    restricted = [(canonical(b), canonical(restrict_b(b))) for b in bottoms]
+    restricted = [(b, restrict_b(b)) for b in bottoms]
     # the images of the lower lifts, by their restriction to the source
     lifts: dict[tuple, set] = {}
     for c in lowers:
-        lifts.setdefault(canonical(restrict_a(c)), set()).add(canonical(push(tgt_pres, c)))
+        lifts.setdefault(restrict_a(c), set()).add(push_tgt(c))
     for a in tops:
-        fa, key = canonical(push(src_pres, a)), canonical(a)
-        lifted = lifts.get(key, ())
+        fa, lifted = push_src(a), lifts.get(a, ())
         for b, fb in restricted:
             if fb == fa and b not in lifted:
-                return False, (key, b)
+                return False, (a, b)
     return True, None

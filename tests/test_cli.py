@@ -191,6 +191,9 @@ def _malformed_cases():
         "composition-with-two-items": (("validate",), _corpus_doc(
             "hsim-iso.json", hcompose_sq=[hsim["hcompose_sq"][0][:2], *hsim["hcompose_sq"][1:]])),
         "objects-as-a-string": (("validate",), _corpus_doc("iso.json", objects="xy")),
+        **{f"presentation-{key}-entry-as-a-string": (("validate",), json.dumps(
+            {"kind": "presentation", "flavor": "double", "objects": ["a"], key: ["zz"]}))
+           for key in ("hgens", "vgens", "squares")},
     }
 
 

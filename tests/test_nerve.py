@@ -3,9 +3,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dblnerve import nerve
 from dblnerve.cat import id_of, validate_category
 from dblnerve.dblcat import equivalence_embed, horizontal_embed, vertical_embed
-from dblnerve.errors import RangeExceeded
+from dblnerve.errors import DisagreementBug, RangeExceeded
 from dblnerve.nerve import (
     ORACLE_GRID,
     comparison_maps,
@@ -22,7 +23,6 @@ from dblnerve.nerve import (
     two_nerve_face,
     two_nerve_level,
 )
-from dblnerve.presentation import canonical
 from dblnerve.standard import locally_discrete
 from dblnerve.twocat import validate_two_category
 from tests.test_twocat import naive_two_category_laws, one_object_document
@@ -52,6 +52,24 @@ def test_low_level_cells_are_cells(square_dbl, h_iso, hsim_iso, point_dbl):
 def test_oracle_range_guard(h_iso):
     with pytest.raises(RangeExceeded):
         dbl_nerve_oracle(h_iso, 2, 0, 0)
+
+
+@pytest.mark.parametrize("change", [lambda keys: keys[:3] + (keys[3] + "'",),
+                                    lambda keys: keys[:3]],
+                         ids=["renamed-key", "missing-key"])
+def test_oracle_rejects_an_element_with_other_keys(monkeypatch, hsim_iso, change):
+    """One oracle element whose adjoint data carries other keys than the
+    level's fails the cross-check instead of being compared."""
+    keys, calls = nerve._data_keys, []
+
+    def changed_once(prefix):
+        calls.append(prefix)
+        return change(keys(prefix)) if len(calls) == 2 else keys(prefix)
+
+    monkeypatch.setattr(nerve, "_data_keys", changed_once)
+    with pytest.raises(DisagreementBug):
+        dbl_nerve_oracle(hsim_iso, 0, 0, 1)
+    assert len(calls) >= 2
 
 
 def _simplicial_identity_cases(dbl, level, direction):
@@ -113,11 +131,11 @@ def test_functoriality_of_nerve_levels(iso2):
 
     def push(level, element):
         pres, meta = x_presentation(*level)
-        out = {}
-        for g in pres.gens:
-            sort = {"object": "obj", "h": "h", "v": "v", "sq": "sq"}[g.sort]
-            out[g.name] = maps[sort][dict(element)[g.name]]
-        return canonical(out)
+        out = []
+        for name, image in zip(pres.keys, element):
+            sort = {"object": "obj", "h": "h", "v": "v", "sq": "sq"}[pres.gen(name).sort]
+            out.append(maps[sort][image])
+        return tuple(out)
 
     level = (1, 1, 1)
     src, tgt = incl.source, incl.target
@@ -146,15 +164,15 @@ def test_two_nerve_counts(iso2):
     assert two_nerve_level(iso2, "h", 1, 1, 0).count() == len(iso2.two_cells)
     # the space direction does not depend on the variant at k = 0 (the two
     # quotients differ only in object bookkeeping there)
-    def strip_objects(elements):
+    def strip_objects(level):
         return sorted(
-            tuple(sorted((k, v) for k, v in el if not k.startswith(("q", "o"))))
-            for el in elements
+            tuple((k, v) for k, v in zip(level.keys, row) if not k.startswith(("q", "o")))
+            for row in level.elements
         )
 
     for n in (0, 1, 2):
-        assert strip_objects(two_nerve_level(iso2, "h", 0, 0, n).elements) == strip_objects(
-            two_nerve_level(iso2, "hsim", 0, 0, n).elements
+        assert strip_objects(two_nerve_level(iso2, "h", 0, 0, n)) == strip_objects(
+            two_nerve_level(iso2, "hsim", 0, 0, n)
         )
 
 
@@ -230,8 +248,9 @@ def test_comparison_bijective_at_k_zero(iso2):
 
 def test_pi_star_at_vertical_level(iso2, hsim_iso):
     report = comparison_maps(iso2, 0, 1, 0)
+    keys = two_nerve_level(iso2, "hsim", 0, 1, 0).keys
     for element in report["base"].elements:
-        image = dict(report["pi_star"](element))
+        image = dict(zip(keys, report["pi_star"](element)))
         # each object is sent to its identity adjoint equivalence
         quad = hsim_iso.quad_of_vmor[hsim_iso.idv[image["o0.0.0"]]]
         assert (image["k01.0.0"], image["k01.0.0*"]) == (quad[0], quad[1])

@@ -14,7 +14,7 @@ from dblnerve.presentation import (
     _schedule,
     _search,
     adjoint_morphism,
-    canonical,
+    enumerate_canonical,
     enumerate_functors,
     has_rlp,
     identity_morphism,
@@ -240,26 +240,25 @@ def test_two_categorical_lifting_sets(iso2, arrow2):
 
 def _has_rlp_by_triple_loop(functor, morphism):
     """``has_rlp`` as a triple loop over tops, bottoms and lower lifts that
-    pulls every valuation back afresh: the reference for its indexed form."""
+    pulls every row back afresh: the reference for its indexed form."""
     A, B = functor.source, functor.target
     maps = {"object": functor.object_map, "h": functor.h_map, "v": functor.v_map,
             "sq": functor.sq_map}
 
-    def push(pres, valuation):
-        return {g.name: maps[g.sort][valuation[g.name]] for g in pres.gens}
+    def push(pres, row):
+        return tuple(maps[pres.gen(name).sort][image] for name, image in zip(pres.keys, row))
 
-    tops = enumerate_functors(morphism.source, A)
-    bottoms = enumerate_functors(morphism.target, B)
-    lowers = enumerate_functors(morphism.target, A)
+    tops = enumerate_canonical(morphism.source, A)
+    bottoms = enumerate_canonical(morphism.target, B)
+    lowers = enumerate_canonical(morphism.target, A)
     for a in tops:
-        fa = canonical(push(morphism.source, a))
+        fa = push(morphism.source, a)
         for b in bottoms:
-            if canonical(morphism.precompose(B, b)) != fa:
+            if morphism.pullback(B)(b) != fa:
                 continue
-            if not any(canonical(morphism.precompose(A, c)) == canonical(a)
-                       and canonical(push(morphism.target, c)) == canonical(b)
+            if not any(morphism.pullback(A)(c) == a and push(morphism.target, c) == b
                        for c in lowers):
-                return False, (canonical(a), canonical(b))
+                return False, (a, b)
     return True, None
 
 
@@ -319,7 +318,7 @@ def _schedule_presentations():
 def test_schedule_binds_each_generator_after_its_last_object():
     for pres in _schedule_presentations():
         order = _schedule(pres)
-        assert sorted(g.name for g in order) == sorted(pres.names()), pres.label
+        assert sorted(g.name for g in order) == list(pres.keys), pres.label
         at = {g.name: i for i, g in enumerate(order)}
         closure: dict[str, set] = {}
         for g in pres.gens:
@@ -486,26 +485,30 @@ def test_budget_messages_are_pinned(target, quotient, level, total, depths, pinn
 
 
 def test_pullback_names_what_is_wrong_with_a_valuation():
-    """A valuation that lacks a generator, or whose images break a boundary,
-    fails with the error that evaluating the images one by one raises,
-    also after the pullback has seen valid valuations."""
+    """A row of the wrong length fails with a DanglingReference that names
+    both lengths, and a row whose images break a boundary with the
+    BoundaryMismatch that names the generators of the failing image, also
+    after the pullback has seen valid rows."""
     from dblnerve.tensor import lx_presentations
 
     iso = load_path(CORPUS / "iso.json")
     _, equivalence, _, section = lx_presentations(1, 1, 1)
-    valid = enumerate_functors(equivalence, iso)[-1]
+    valid = enumerate_canonical(equivalence, iso)[-1]
     pull = section.pullback(iso)
     pull(valid)
-    for run in (pull, lambda valuation: section.precompose(iso, valuation)):
-        for lacking in ({}, {k: v for k, v in valid.items() if k != "o0.0.0"}):
-            with pytest.raises(DanglingReference) as caught:
-                run(lacking)
-            assert str(caught.value) == "unassigned generator 'o0.0.0'"
-        with pytest.raises(BoundaryMismatch) as caught:
-            run({**valid, "n01.0.0": "id:x"})
-        assert str(caught.value) == (
-            "horizontal pasting mismatch at ('shcomp', ('sid_h', ('hgen', 'n01.0.0')), "
-            "('sgen', 'k01.0.1.unit'))")
+    width = len(equivalence.keys)
+    for wrong in ((), valid[:-1], valid + valid[:1]):
+        with pytest.raises(DanglingReference) as caught:
+            pull(wrong)
+        assert str(caught.value) == (f"a row of {len(wrong)} images pulled back along a "
+                                     f"morphism whose target has {width} generators")
+    broken = list(valid)
+    broken[equivalence.keys.index("n01.0.0")] = "id:x"
+    with pytest.raises(BoundaryMismatch) as caught:
+        pull(tuple(broken))
+    assert str(caught.value) == (
+        "horizontal pasting mismatch at ('shcomp', ('sid_h', ('hgen', 'n01.0.0')), "
+        "('sgen', 'k01.0.1.unit'))")
 
 
 def _hsim_iso_level_112():
@@ -528,8 +531,8 @@ def test_searches_and_pullbacks_evaluate_each_input_once(monkeypatch, run, bound
     calls = 0
     compile_expr = ex.compile_expr
 
-    def counting(alg, expression):
-        compiled = compile_expr(alg, expression)
+    def counting(alg, expression, *at):
+        compiled = compile_expr(alg, expression, *at)
 
         def counted(env):
             nonlocal calls
@@ -552,9 +555,9 @@ def test_no_memo_outlives_its_search_or_pullback():
     try:
         iso = load_path(CORPUS / "iso.json")
         freed = weakref.ref(iso)
-        found = enumerate_functors(equivalence, iso)
+        found = enumerate_canonical(equivalence, iso)
         pull = section.pullback(iso)
-        assert len({canonical(pull(valuation)) for valuation in found}) == 16
+        assert len({pull(row) for row in found}) == 16
         del iso, found, pull
         assert freed() is None
     finally:

@@ -211,10 +211,10 @@ def _concrete_two_functor_count(dom, cod):
 
 def test_adjoint_presentation_cosimplicial_identities(iso2):
     """dd-identities act correctly on enumerated simplices of the adjoint
-    family (checked through precomposition on a test target)."""
-    from dblnerve.presentation import canonical
+    family (checked through pullback on a test target)."""
+    from dblnerve.presentation import enumerate_canonical
 
-    two = enumerate_functors(oriental_adjoint_presentation(2), iso2)
+    two = enumerate_canonical(oriental_adjoint_presentation(2), iso2)
     for element in two:
         for j in range(0, 3):
             for i in range(0, j):
@@ -222,9 +222,9 @@ def test_adjoint_presentation_cosimplicial_identities(iso2):
                 one_i = oriental_presentation_map(coface(1, i), 1, 2)
                 zero_i = oriental_presentation_map(coface(0, i), 0, 1)
                 zero_jm = oriental_presentation_map(coface(0, j - 1), 0, 1)
-                lhs = zero_i.precompose(iso2, one_j.precompose(iso2, element))
-                rhs = zero_jm.precompose(iso2, one_i.precompose(iso2, element))
-                assert canonical(lhs) == canonical(rhs)
+                lhs = zero_i.pullback(iso2)(one_j.pullback(iso2)(element))
+                rhs = zero_jm.pullback(iso2)(one_i.pullback(iso2)(element))
+                assert lhs == rhs
 
 
 def test_v_oriental_counts():
