@@ -29,7 +29,7 @@ from .dblcat import (
 from .errors import DisagreementBug, RangeExceeded
 from .expr import compile_expr
 from .presentation import enumerate_canonical
-from .pseudohom import Transformation, _functor_key, pseudo_hom
+from .pseudohom import pseudo_hom, restriction
 from .shapes import (
     codegeneracy,
     coface,
@@ -39,7 +39,7 @@ from .shapes import (
 )
 from .standard import chain_category, locally_discrete
 from .tensor import _qname, level_map, lx_presentations, x_presentation
-from .twocat import FiniteTwoCategory, is_trivial_fibration_two, validate_two_functor
+from .twocat import FiniteTwoCategory, is_trivial_fibration_two
 from .whi import (
     horizontal_equivalences,
     is_weakly_horizontally_invariant,
@@ -577,59 +577,8 @@ def segal_tfib_check(dbl: FiniteDoubleCategory, k: int, budget: int | None = Non
     oriental to maps out of the vertical chain is surjective on objects,
     full on 1-cells, and fully faithful on 2-cells."""
     incl = inclusion_chain_to_invertible(k)
-    ph_big = pseudo_hom(incl.target, dbl, budget)
-    ph_small = pseudo_hom(incl.source, dbl, budget)
-    small_names = {_functor_key(F): name for name, F in ph_small.functors.items()}
-
-    def restrict_functor(F):
-        om = {a: F.object_map[incl.object_map[a]] for a in incl.source.objects}
-        hm = {f: F.h_map[incl.h_map[f]] for f in incl.source.hmors}
-        vm = {u: F.v_map[incl.v_map[u]] for u in incl.source.vmors}
-        sm = {s: F.sq_map[incl.sq_map[s]] for s in incl.source.squares}
-        return validate_double_functor(incl.source, dbl, om, hm, vm, sm)
-
-    object_map = {}
-    for name, F in ph_big.functors.items():
-        object_map[name] = small_names[_functor_key(restrict_functor(F))]
-
-    def derived_at_v(tr, hom, u):
-        if u in tr.at_v:
-            return tr.at_v[u]
-        for a, i in hom.idv.items():
-            if i == u:
-                return dbl.e_sq[tr.at_obj[a]]
-        raise RangeExceeded(f"missing component at {u!r}")
-
-    small_trans = {
-        tr.key(): name for name, tr in ph_small.transformations.items()
-    }
-    one_map = {}
-    for name, tr in ph_big.transformations.items():
-        at_obj = {a: tr.at_obj[incl.object_map[a]] for a in incl.source.objects}
-        at_v = {
-            u: derived_at_v(tr, incl.target, incl.v_map[u])
-            for u in incl.source.vmors
-            if u not in incl.source.idv.values()
-        }
-        restricted = Transformation(
-            object_map[tr.source], object_map[tr.target], at_obj, at_v, {}
-        )
-        one_map[name] = small_trans[restricted.key()]
-
-    small_mods = {
-        (d["src"], d["tgt"], tuple(sorted(d["components"].items()))): name
-        for name, d in ph_small.modifications.items()
-    }
-    two_map = {}
-    for name, d in ph_big.modifications.items():
-        mu = {a: d["components"][incl.object_map[a]] for a in incl.source.objects}
-        key = (one_map[d["src"]], one_map[d["tgt"]], tuple(sorted(mu.items())))
-        two_map[name] = small_mods[key]
-
-    restriction = validate_two_functor(
-        ph_big.two_cat, ph_small.two_cat, object_map, one_map, two_map
-    )
-    return is_trivial_fibration_two(restriction)
+    big, small = pseudo_hom(incl.target, dbl, budget), pseudo_hom(incl.source, dbl, budget)
+    return is_trivial_fibration_two(restriction(incl, big, small))
 
 
 # -- low-dimensional 2-categorical nerve -----------------------------------

@@ -12,6 +12,14 @@ All three searches run on the kernel of ``presentation``, which tests each
 condition as soon as the components it reads are chosen.  Every candidate
 tried counts against the budget; the transformation and modification
 searches of one ``pseudo_hom`` call share a single budget.
+
+A transformation is identified by its source and target functors plus its
+search row: its components at ``dom.objects``, then at the free vertical,
+then at the free horizontal morphisms (``_row_cells``).  A modification is
+identified by its source and target transformations plus its components
+in ``dom.objects`` order.  Identities, composites and restrictions along a
+double functor (``restriction``) are computed as rows and looked up by
+these keys; only this module knows the row order.
 """
 
 from __future__ import annotations
@@ -20,9 +28,9 @@ from dataclasses import dataclass, field
 
 from . import expr as ex
 from .dblcat import DoubleFunctor, FiniteDoubleCategory, validate_double_functor
-from .errors import MissingComposite
+from .errors import DisagreementBug, MissingComposite
 from .presentation import PresentationBuilder, _search, enumerate_functors
-from .twocat import FiniteTwoCategory, assemble_two_category
+from .twocat import FiniteTwoCategory, TwoFunctor, assemble_two_category, validate_two_functor
 from .whi import whi_squares
 
 
@@ -95,13 +103,13 @@ def enumerate_double_functors_concrete(dom: FiniteDoubleCategory, cod: FiniteDou
     return out
 
 
+def _maps(F: DoubleFunctor):
+    return F.object_map, F.h_map, F.v_map, F.sq_map
+
+
 def _functor_key(F: DoubleFunctor):
-    return (
-        tuple(sorted(F.object_map.items())),
-        tuple(sorted(F.h_map.items())),
-        tuple(sorted(F.v_map.items())),
-        tuple(sorted(F.sq_map.items())),
-    )
+    """F's images, each map's in the sorted order of its keys."""
+    return tuple(images[c] for images in _maps(F) for c in sorted(images))
 
 
 @dataclass(frozen=True)
@@ -109,20 +117,11 @@ class Transformation:
     source: str  # functor name
     target: str
     at_obj: dict[str, str] = field(hash=False)  # object of dom -> hmor of cod
-    at_v: dict[str, str] = field(hash=False)  # vmor of dom -> square of cod
-    at_h: dict[str, str] = field(hash=False)  # hmor of dom -> square of cod
+    at_v: dict[str, str] = field(hash=False)  # free vmor of dom -> square of cod
+    at_h: dict[str, str] = field(hash=False)  # free hmor of dom -> square of cod
 
     def __hash__(self):
         return id(self)
-
-    def key(self):
-        return (
-            self.source,
-            self.target,
-            tuple(sorted(self.at_obj.items())),
-            tuple(sorted(self.at_v.items())),
-            tuple(sorted(self.at_h.items())),
-        )
 
 
 @dataclass(frozen=True)
@@ -133,6 +132,8 @@ class PseudoHom:
     functors: dict[str, DoubleFunctor] = field(hash=False)
     transformations: dict[str, Transformation] = field(hash=False)
     modifications: dict[str, dict] = field(hash=False)  # name -> components per object
+    # transformation or modification name -> (source, target, row), the key it is found by
+    keys: dict[str, tuple] = field(hash=False)
 
     def __hash__(self):
         return id(self)
@@ -145,21 +146,28 @@ def _free_cells(dom):
             [f for f in sorted(dom.hmors) if f not in unit_h])
 
 
-def _transformations_between(dom, cod, fname, gname, F, G, budget, spent):
-    """Horizontal pseudo-natural transformations F => G by component search,
-    and the budget spent so far."""
+def _row_cells(dom):
+    """The variables of a transformation out of ``dom`` in row order: its
+    objects, then its free vertical, then its free horizontal morphisms."""
     free_v, free_h = _free_cells(dom)
-    unit_v = {i: a for a, i in dom.idv.items()}
-    unit_h = {i: a for a, i in dom.idh.items()}
+    return [("o", a) for a in dom.objects] + [("v", u) for u in free_v] + [("h", f) for f in free_h]
 
-    # The component at an identity is the unit square of the object's
-    # component, so it is read from that object's variable.
-    def var_v(u):
-        return ("o", unit_v[u]) if u in unit_v else ("v", u)
 
-    def var_h(f):
-        return ("o", unit_h[f]) if f in unit_h else ("h", f)
+def _variable(dom):
+    """The variable of a transformation's component at an object ("o"), a
+    vertical ("v") or a horizontal ("h") morphism of ``dom``.  At an
+    identity it is the object's variable: that component is the unit square
+    of the object's component."""
+    units = {"o": {}, "v": {i: a for a, i in dom.idv.items()},
+             "h": {i: a for a, i in dom.idh.items()}}
+    return lambda sort, cell: ("o", units[sort][cell]) if cell in units[sort] else (sort, cell)
 
+
+def _transformations_between(dom, cod, F, G, budget, spent):
+    """The rows of the horizontal pseudo-natural transformations F => G by
+    component search, and the budget spent so far."""
+    free_v, free_h = _free_cells(dom)
+    var = _variable(dom)
     variables = [
         (("o", a), (), lambda env, a=a: cod.hmors_between(F.object_map[a], G.object_map[a]))
         for a in dom.objects
@@ -183,13 +191,14 @@ def _transformations_between(dom, cod, fname, gname, F, G, budget, spent):
         constraints.append((cells, lambda env: test(
             *[cod.e_sq[env[c]] if c[0] == "o" else env[c] for c in cells])))
 
+    unit_v, unit_h = set(dom.idv.values()), set(dom.idh.values())
     for (w, u), z in dom.vcomp_v.items():  # strict vertical functoriality
         if u not in unit_v and w not in unit_v:
-            require((var_v(u), var_v(w), var_v(z)),
+            require((var("v", u), var("v", w), var("v", z)),
                     lambda first, then, composite: cod.s_vcomp(first, then) == composite)
     for (g, f), h in dom.hcomp_h.items():  # horizontal pseudo-functoriality
         if f not in unit_h and g not in unit_h:
-            require((var_h(f), var_h(g), var_h(h)),
+            require((var("h", f), var("h", g), var("h", h)),
                     lambda first, then, composite, e_g=cod.e_sq[G.h_map[g]],
                     e_f=cod.e_sq[F.h_map[f]]: cod.s_vcomp(
                         cod.s_hcomp(first, e_g), cod.s_hcomp(e_f, then)) == composite)
@@ -197,23 +206,17 @@ def _transformations_between(dom, cod, fname, gname, F, G, budget, spent):
     for s in sorted(dom.squares):  # naturality against every non-unit square
         if s in unit_squares:
             continue
-        require((var_h(dom.stop[s]), var_h(dom.sbottom[s]),
-                 var_v(dom.sleft[s]), var_v(dom.sright[s])),
+        require((var("h", dom.stop[s]), var("h", dom.sbottom[s]),
+                 var("v", dom.sleft[s]), var("v", dom.sright[s])),
                 lambda top, bottom, left, right, Fs=F.sq_map[s], Gs=G.sq_map[s]:
                 cod.s_vcomp(top, cod.s_hcomp(Fs, right))
                 == cod.s_vcomp(cod.s_hcomp(left, Gs), bottom))
-    found, spent = _search(variables, constraints, budget, spent)
-    v_at, h_at = len(dom.objects), len(dom.objects) + len(free_v)
-    return [
-        Transformation(fname, gname, dict(zip(dom.objects, row)),
-                       dict(zip(free_v, row[v_at:])), dict(zip(free_h, row[h_at:])))
-        for row in found
-    ], spent
+    return _search(variables, constraints, budget, spent)
 
 
 def _modifications_between(dom, cod, F, G, t1, t2, budget, spent):
-    """Modifications t1 => t2 as components per object, and the budget
-    spent so far."""
+    """The rows of the modifications t1 => t2, their components in
+    ``dom.objects`` order, and the budget spent so far."""
     free_v, free_h = _free_cells(dom)
     variables = [
         (a, (), lambda env, a=a: cod.squares_with(
@@ -232,8 +235,7 @@ def _modifications_between(dom, cod, F, G, t1, t2, budget, spent):
          cod.s_vcomp(t1.at_v[u], mu[j]) == cod.s_vcomp(mu[i], t2.at_v[u]))
         for u in free_v
     ]
-    found, spent = _search(variables, constraints, budget, spent)
-    return [dict(zip(dom.objects, row)) for row in found], spent
+    return _search(variables, constraints, budget, spent)
 
 
 def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
@@ -242,104 +244,119 @@ def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
     functor_list = enumerate_double_functors_concrete(dom, cod, budget)
     fnames = {f"F{i}": F for i, F in enumerate(functor_list)}
     free_v, free_h = _free_cells(dom)
+    n, h_at = len(dom.objects), len(dom.objects) + len(free_v)  # where a row's blocks start
     spent = 0  # shared by every transformation and modification search
 
     transformations: dict[str, Transformation] = {}
-    by_key = {}
-    trans_names: dict[tuple, list[str]] = {}
+    keys: dict[str, tuple] = {}
+    parallel: list[list[str]] = []  # the transformations F => G, per pair of functors
     for fname, F in sorted(fnames.items()):
         for gname, G in sorted(fnames.items()):
-            found, spent = _transformations_between(dom, cod, fname, gname, F, G, budget, spent)
-            for tr in found:
+            rows, spent = _transformations_between(dom, cod, F, G, budget, spent)
+            parallel.append([])
+            for row in rows:
                 name = f"t{len(transformations)}"
-                transformations[name] = tr
-                by_key[tr.key()] = name
-                trans_names.setdefault((fname, gname), []).append(name)
-
-    def identity_of(fname):
-        F = fnames[fname]
-        tr = Transformation(
-            fname,
-            fname,
-            {a: cod.idh[F.object_map[a]] for a in dom.objects},
-            {u: cod.i_sq[F.v_map[u]] for u in free_v},
-            {f: cod.e_sq[F.h_map[f]] for f in free_h},
-        )
-        return by_key[tr.key()]
-
-    def compose(t1name, t2name):
-        t1, t2 = transformations[t1name], transformations[t2name]
-        at_obj = {a: cod.h_then(t1.at_obj[a], t2.at_obj[a]) for a in dom.objects}
-        at_v = {u: cod.s_hcomp(t1.at_v[u], t2.at_v[u]) for u in free_v}
-        at_h = {}
-        for f in free_h:
-            i, j = dom.hsrc[f], dom.htgt[f]
-            row1 = cod.s_hcomp(cod.e_sq[t1.at_obj[i]], t2.at_h[f])
-            row2 = cod.s_hcomp(t1.at_h[f], cod.e_sq[t2.at_obj[j]])
-            at_h[f] = cod.s_vcomp(row1, row2)
-        key = Transformation(t1.source, t2.target, at_obj, at_v, at_h).key()
-        if key not in by_key:
-            raise MissingComposite("composite transformation missing from enumeration")
-        return by_key[key]
+                transformations[name] = Transformation(
+                    fname, gname, dict(zip(dom.objects, row)), dict(zip(free_v, row[n:])),
+                    dict(zip(free_h, row[h_at:])))
+                keys[name] = (fname, gname, row)
+                parallel[-1].append(name)
 
     modifications: dict[str, dict] = {}
-    mod_by_key = {}
-    for (fname, gname), names in sorted(trans_names.items()):
-        F, G = fnames[fname], fnames[gname]
+    for names in parallel:
         for t1name in names:
             for t2name in names:
                 t1, t2 = transformations[t1name], transformations[t2name]
-                found, spent = _modifications_between(dom, cod, F, G, t1, t2, budget, spent)
-                for mu in found:
+                rows, spent = _modifications_between(
+                    dom, cod, fnames[t1.source], fnames[t1.target], t1, t2, budget, spent)
+                for row in rows:
                     name = f"u{len(modifications)}"
-                    modifications[name] = {"src": t1name, "tgt": t2name, "components": mu}
-                    mod_by_key[(t1name, t2name, tuple(sorted(mu.items())))] = name
+                    modifications[name] = {"src": t1name, "tgt": t2name,
+                                           "components": dict(zip(dom.objects, row))}
+                    keys[name] = (t1name, t2name, row)
 
-    one_bounds = {name: (tr.source, tr.target) for name, tr in transformations.items()}
-    two_bounds = {
-        name: (data["src"], data["tgt"]) for name, data in modifications.items()
+    named = {key: name for name, key in keys.items()}
+
+    def lookup(source, target, row):
+        try:
+            return named[(source, target, row)]
+        except KeyError:
+            raise MissingComposite(
+                f"no cell {source} => {target} with components {row} in the enumeration") from None
+
+    # transformations by source functor, modifications by source transformation
+    out_of: dict[str, list[str]] = {name: [] for name in (*fnames, *transformations)}
+    for name, (source, _, _) in keys.items():
+        out_of[source].append(name)
+    # modifications by the source functor of their source transformation
+    at_functor: dict[str, list[str]] = {name: [] for name in fnames}
+    for name in modifications:
+        at_functor[keys[keys[name][0]][0]].append(name)
+
+    ends = [(dom.objects.index(dom.hsrc[f]), dom.objects.index(dom.htgt[f])) for f in free_h]
+
+    def then(r1, r2):
+        """The row of the composite of the transformations with rows r1, then r2."""
+        return (*map(cod.h_then, r1[:n], r2[:n]),
+                *map(cod.s_hcomp, r1[n:h_at], r2[n:h_at]),
+                *(cod.s_vcomp(cod.s_hcomp(cod.e_sq[r1[i]], y), cod.s_hcomp(x, cod.e_sq[r2[j]]))
+                  for (i, j), x, y in zip(ends, r1[h_at:], r2[h_at:])))
+
+    id1 = {
+        fname: lookup(fname, fname, (*(cod.idh[F.object_map[a]] for a in dom.objects),
+                                     *(cod.i_sq[F.v_map[u]] for u in free_v),
+                                     *(cod.e_sq[F.h_map[f]] for f in free_h)))
+        for fname, F in fnames.items()
     }
-    id1 = {fname: identity_of(fname) for fname in fnames}
-    id2 = {}
-    for tname, tr in transformations.items():
-        mu = {a: cod.e_sq[tr.at_obj[a]] for a in dom.objects}
-        id2[tname] = mod_by_key[(tname, tname, tuple(sorted(mu.items())))]
-
+    id2 = {t: lookup(t, t, tuple(cod.e_sq[x] for x in keys[t][2][:n])) for t in transformations}
     hcomp1 = {}
-    for t1name, t1 in transformations.items():
-        for t2name, t2 in transformations.items():
-            if t1.target == t2.source:
-                hcomp1[(t2name, t1name)] = compose(t1name, t2name)
-
-    vcomp2 = {}
-    for m1, d1 in modifications.items():
-        for m2, d2 in modifications.items():
-            if d1["tgt"] == d2["src"]:
-                mu = {
-                    a: cod.s_vcomp(d1["components"][a], d2["components"][a])
-                    for a in dom.objects
-                }
-                vcomp2[(m2, m1)] = mod_by_key[(d1["src"], d2["tgt"], tuple(sorted(mu.items())))]
-
-    hcomp2 = {}
-    for m1, d1 in modifications.items():
-        t1 = transformations[d1["src"]]
-        for m2, d2 in modifications.items():
-            t2 = transformations[d2["src"]]
-            if t1.target != t2.source:
-                continue
-            mu = {
-                a: cod.s_hcomp(d1["components"][a], d2["components"][a])
-                for a in dom.objects
-            }
-            src = compose(d1["src"], d2["src"])
-            tgt = compose(d1["tgt"], d2["tgt"])
-            hcomp2[(m2, m1)] = mod_by_key[(src, tgt, tuple(sorted(mu.items())))]
+    for t1 in transformations:
+        source, middle, r1 = keys[t1]
+        for t2 in out_of[middle]:
+            _, target, r2 = keys[t2]
+            hcomp1[(t2, t1)] = lookup(source, target, then(r1, r2))
+    vcomp2, hcomp2 = {}, {}
+    for m1 in modifications:
+        s1, t1, r1 = keys[m1]
+        for m2 in out_of[t1]:
+            _, t2, r2 = keys[m2]
+            vcomp2[(m2, m1)] = lookup(s1, t2, tuple(map(cod.s_vcomp, r1, r2)))
+        for m2 in at_functor[keys[s1][1]]:
+            s2, t2, r2 = keys[m2]
+            hcomp2[(m2, m1)] = lookup(hcomp1[(s2, s1)], hcomp1[(t2, t1)],
+                                      tuple(map(cod.s_hcomp, r1, r2)))
 
     two_cat = assemble_two_category(
-        sorted(fnames), one_bounds, two_bounds, id1, id2, hcomp1, vcomp2, hcomp2
+        sorted(fnames), {t: keys[t][:2] for t in transformations},
+        {m: keys[m][:2] for m in modifications}, id1, id2, hcomp1, vcomp2, hcomp2
     )
-    return PseudoHom(dom, cod, two_cat, fnames, transformations, modifications)
+    return PseudoHom(dom, cod, two_cat, fnames, transformations, modifications, keys)
+
+
+def restriction(incl: DoubleFunctor, big: PseudoHom, small: PseudoHom) -> TwoFunctor:
+    """The 2-functor ``big`` -> ``small`` that precomposes with ``incl``;
+    ``big`` and ``small`` are the pseudo-homs out of its target and out of
+    its source into one codomain."""
+    functor_names = {_functor_key(F): name for name, F in small.functors.items()}
+    image = {
+        name: functor_names[tuple(images[along[c]] for images, along in zip(_maps(F), _maps(incl))
+                                  for c in sorted(along))]
+        for name, F in big.functors.items()
+    }
+    var, along = _variable(big.dom), {"o": incl.object_map, "v": incl.v_map, "h": incl.h_map}
+    position = {cell: p for p, cell in enumerate(_row_cells(big.dom))}
+    reads = []  # per component of a small row: its position in a big row, and if a unit
+    for sort, c in _row_cells(small.dom):
+        cell = var(sort, along[sort][c])
+        reads.append((position[cell], cell[0] != sort))
+    named = {key: name for name, key in small.keys.items()}
+    for name, (source, target, row) in big.keys.items():
+        at = reads if name in big.transformations else reads[:len(small.dom.objects)]
+        image[name] = named[(image[source], image[target], tuple(
+            big.cod.e_sq[row[p]] if unit else row[p] for p, unit in at))]
+    return validate_two_functor(
+        big.two_cat, small.two_cat, {F: image[F] for F in big.functors},
+        {t: image[t] for t in big.transformations}, {m: image[m] for m in big.modifications})
 
 
 def is_hpnt_equivalence(ph: PseudoHom, tname: str) -> bool:
@@ -349,8 +366,6 @@ def is_hpnt_equivalence(ph: PseudoHom, tname: str) -> bool:
     counit exists) and as weak invertibility of every vertical component;
     the two runs must agree.
     """
-    from .errors import DisagreementBug
-
     by_definition, all_whi = hpnt_equivalence_report(ph, tname)
     if by_definition != all_whi:
         raise DisagreementBug(
@@ -363,14 +378,11 @@ def is_hpnt_equivalence(ph: PseudoHom, tname: str) -> bool:
 def hpnt_equivalence_report(ph: PseudoHom, tname: str):
     """(equivalence-by-definition, all-vertical-components-whi) for a 1-cell."""
     tr = ph.transformations[tname]
-    by_definition = any(e[0] == tname for e in ph.two_cat.equivalences())
+    by_definition = any(d.f == tname for d in ph.two_cat.h_equivalences())
     whis = whi_squares(ph.cod)
-    components = []
-    for u in ph.dom.vmors:
-        if u in ph.dom.idv.values():
-            a = next(x for x, i in ph.dom.idv.items() if i == u)
-            components.append(ph.cod.e_sq[tr.at_obj[a]])
-        else:
-            components.append(tr.at_v[u])
-    all_whi = all(s in whis for s in components)
+    unit_v = {i: a for a, i in ph.dom.idv.items()}
+    all_whi = all(
+        (ph.cod.e_sq[tr.at_obj[unit_v[u]]] if u in unit_v else tr.at_v[u]) in whis
+        for u in ph.dom.vmors
+    )
     return by_definition, all_whi

@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from dblnerve import cli
 
 ROOT = Path(__file__).parent.parent
 CORPUS = ROOT / "corpus"
@@ -301,3 +308,108 @@ def test_negative_sizes_are_rejected(args):
     assert code == 2
     assert out == ""
     assert "non-negative" in err
+
+
+SHAPES = {
+    "adjoint-1": ("--family", "adjoint", "--n", "1"),
+    "adjoint-2": ("--family", "adjoint", "--n", "2"),
+    "adjoint-horn-1-0": ("--family", "adjoint", "--n", "1", "--variant", "horn", "--t", "0"),
+}
+CORPUS_DOUBLE = ("free-square", "h-iso", "hsim-arrow", "hsim-iso", "parallel-squares",
+                 "point-double", "square-boundary")
+DOUBLE_MAPS = (("h-iso", "hsim-iso", "h-iso-to-hsim.map"),
+               ("free-square", "point-double", "square-to-point.map"))
+
+
+def _in_process(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@cache
+def _documents():
+    """Every corpus file, each emitted shape presentation and an identity map
+    of iso.json (the corpus holds no map between 2-categories), by name."""
+    docs = {path.name.removesuffix(".json"): json.loads(path.read_text())
+            for path in sorted(CORPUS.glob("*.json"))}
+    for name, options in SHAPES.items():
+        docs[name] = json.loads(_in_process(["shapes", "emit", *options])[1])
+    docs["iso-identity.map"] = {"objects": {"x": "x", "y": "y"},
+                                "one_cells": {"xy": "xy", "yx": "yx"}, "two_cells": {}}
+    return docs
+
+
+RUNS = [
+    *(("validate", (name,), ()) for name in sorted(_documents()) if not name.endswith(".map")),
+    *((command, (name,), options) for name in CORPUS_DOUBLE for command, options in (
+        ("whi-check", ()), ("fibrancy", ()), ("nerve", ("--m", "1", "--k", "0", "--n", "0", "--compare")),
+        ("segal", ("--k", "1")))),
+    *((command, files, ()) for command in ("tfib", "dbl-bieq", "bieq") for files in DOUBLE_MAPS),
+    ("bieq", ("iso", "iso", "iso-identity.map"), ()),
+]
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.just([]), st.just({}),
+                 st.sampled_from(["", "zz", "x", "0", "id:x", "idh:0", "ee:0"]))
+
+
+def _paths(doc, path=()):
+    """The path to every node below ``doc``'s root, as keys and indices."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+def _mutate(doc, path, how, junk):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``junk``,
+    deleted or duplicated: a list item next to itself, a dict value onto
+    the next key of its dict."""
+    doc = copy.deepcopy(doc)
+    *above, key = path
+    parent = doc
+    for step in above:
+        parent = parent[step]
+    if how == "junk":
+        parent[key] = junk
+    elif how == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        keys = list(parent)
+        parent[keys[(keys.index(key) + 1) % len(keys)]] = copy.deepcopy(parent[key])
+    return doc
+
+
+@st.composite
+def mutated_runs(draw):
+    """A command with its files, one of which has one node mutated."""
+    command, files, options = draw(st.sampled_from(RUNS))
+    docs = [_documents()[name] for name in files]
+    target = draw(st.integers(0, len(files) - 1))
+    path = draw(st.sampled_from(list(_paths(docs[target]))))
+    how = draw(st.sampled_from(["junk", "delete", "duplicate"]))
+    docs[target] = _mutate(docs[target], path, how, draw(JUNK) if how == "junk" else None)
+    return command, docs, options
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=mutated_runs())
+def test_cli_contract_holds_under_mutated_inputs(run, tmp_path, monkeypatch):
+    """Exit 0 or 1 with one JSON report on stdout, or exit 2 with a message
+    on stderr; no exception escapes ``cli.main``."""
+    monkeypatch.setenv("DBLNERVE_BUDGET", "20000")
+    command, docs, options = run
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(str(tmp_path / f"{i}.json"))
+        Path(paths[-1]).write_text(json.dumps(doc))
+    code, out, err = _in_process([command, *paths, *options])
+    if code == 2:
+        assert out == "" and err.strip()
+    else:
+        assert code in (0, 1) and err == ""
+        assert isinstance(json.loads(out), dict)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import product
 from pathlib import Path
 
@@ -6,11 +8,13 @@ import pytest
 from dblnerve.dblcat import horizontal_embed, underlying, validate_double_functor, vertical_embed
 from dblnerve.errors import BudgetExceeded, ValidationError
 from dblnerve.io import load_path
+from dblnerve.nerve import inclusion_chain_to_invertible
 from dblnerve.pseudohom import (
     _functor_key,
     enumerate_double_functors_concrete,
     hpnt_equivalence_report,
     pseudo_hom,
+    restriction,
 )
 from dblnerve.shapes import v_oriental_inv
 from dblnerve.cat import validate_category
@@ -177,3 +181,139 @@ def test_pseudo_hom_leaves_no_cyclic_garbage(square_dbl, hsim_iso):
     from tests.test_presentation import cyclic_garbage
 
     assert cyclic_garbage(lambda: pseudo_hom(square_dbl, hsim_iso)) == 0
+
+
+def _fingerprint(ph):
+    """sha256 of the names, boundaries and components of every functor,
+    transformation and modification, and of the five 2-category tables."""
+    two = ph.two_cat
+    dump = {
+        "functors": {name: [F.object_map, F.h_map, F.v_map, F.sq_map]
+                     for name, F in ph.functors.items()},
+        "transformations": {name: [t.source, t.target, t.at_obj, t.at_v, t.at_h]
+                            for name, t in ph.transformations.items()},
+        "modifications": {name: [d["src"], d["tgt"], d["components"]]
+                          for name, d in ph.modifications.items()},
+        "id1": two.id1,
+        "id2": two.id2,
+        **{table: sorted([*pair, cell] for pair, cell in getattr(two, table).items())
+           for table in ("hcomp1", "vcomp2", "hcomp2")},
+    }
+    return hashlib.sha256(json.dumps(dump, sort_keys=True).encode()).hexdigest()
+
+
+# pseudo_hom(free-square, X) for each corpus double category X, and the two
+# pseudo-homs of segal_tfib_check(hsim-iso, 2): out of the invertible
+# vertical oriental ("segal-big") and out of the vertical chain ("segal-small")
+FINGERPRINTS = {
+    "free-square": "5fef579dd4020f25f880663761169711168e8b00bdbc95fa659970d5447865b1",
+    "h-iso": "074f69d7794c35d0f2bae6bc2a828b2ff45dd2651e4f47a0f0c8eabd5df70507",
+    "hsim-arrow": "fd693bd38a3de7abdc04d5e775c9cbc1fbdfd870112c0192252667f8fed020b3",
+    "hsim-iso": "895f81391843632ca6f14a671d3f53e1d1e34e4980fffad6f24df628148eeddf",
+    "parallel-squares": "401640a4158b6db52d55adafa318ee2810f47cc7c1494d49ec531d10a9a30587",
+    "point-double": "5ae2f49bd054ee9a92dd40fb27498f1046312f38e278c7c5e2c8503e713a12c5",
+    "square-boundary": "03495f6db6237dd7ad341509985d85de39bbc2a228f7314031b09288478f65fb",
+    "segal-big": "7a782200a1729d4201ebe2e1c30a2f171b6943a3ba8f588c68bf544d5fc4e3c8",
+    "segal-small": "07770dab93dadd935c40c6f16eaa640fda7b7955ddef6ed6badf2ab2a5abdd3c",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned(corpus_files):
+    """The pseudo-hom of each pinned case, built once for this module."""
+    def build(case):
+        if case.startswith("segal-"):
+            incl = inclusion_chain_to_invertible(2)
+            dom = incl.target if case == "segal-big" else incl.source
+            return pseudo_hom(dom, corpus_files["hsim-iso"])
+        return pseudo_hom(corpus_files["free-square"], corpus_files[case])
+
+    return {case: build(case) for case in FINGERPRINTS}
+
+
+@pytest.mark.parametrize("case", sorted(FINGERPRINTS))
+def test_pseudo_hom_is_pinned_byte_for_byte(case, pinned):
+    assert _fingerprint(pinned[case]) == FINGERPRINTS[case]
+
+
+def _composite(ph, t1, t2):
+    """The components of t1 then t2, from theirs, by the definition of
+    horizontal composition of pseudo-natural transformations."""
+    dom, cod = ph.dom, ph.cod
+    return (
+        {a: cod.h_then(t1.at_obj[a], t2.at_obj[a]) for a in dom.objects},
+        {u: cod.s_hcomp(t1.at_v[u], t2.at_v[u]) for u in t1.at_v},
+        {f: cod.s_vcomp(cod.s_hcomp(cod.e_sq[t1.at_obj[dom.hsrc[f]]], t2.at_h[f]),
+                        cod.s_hcomp(t1.at_h[f], cod.e_sq[t2.at_obj[dom.htgt[f]]]))
+         for f in t1.at_h},
+    )
+
+
+def _cells(t):
+    return t.at_obj, t.at_v, t.at_h
+
+
+@pytest.mark.parametrize("case", sorted(FINGERPRINTS))
+def test_composites_have_the_components_of_their_operands(case, pinned):
+    """Every entry of hcomp1, vcomp2 and hcomp2 names the cell whose
+    components are recomputed here from its operands' components."""
+    ph = pinned[case]
+    cod, two = ph.cod, ph.two_cat
+    trans, mods = ph.transformations, ph.modifications
+    for (t2, t1), t in two.hcomp1.items():
+        assert (trans[t].source, trans[t].target) == (trans[t1].source, trans[t2].target)
+        assert _cells(trans[t]) == _composite(ph, trans[t1], trans[t2]), (t2, t1)
+    for (m2, m1), m in two.vcomp2.items():
+        assert (mods[m]["src"], mods[m]["tgt"]) == (mods[m1]["src"], mods[m2]["tgt"])
+        assert mods[m]["components"] == {
+            a: cod.s_vcomp(mods[m1]["components"][a], mods[m2]["components"][a])
+            for a in ph.dom.objects}, (m2, m1)
+    for (m2, m1), m in two.hcomp2.items():
+        for end in ("src", "tgt"):
+            t1, t2 = trans[mods[m1][end]], trans[mods[m2][end]]
+            assert _cells(trans[mods[m][end]]) == _composite(ph, t1, t2), (m2, m1, end)
+        assert mods[m]["components"] == {
+            a: cod.s_hcomp(mods[m1]["components"][a], mods[m2]["components"][a])
+            for a in ph.dom.objects}, (m2, m1)
+
+
+@pytest.mark.parametrize("case", ["segal-inclusion", "collapse"])
+def test_restriction_reads_components_through_the_functor(case, corpus_files, v_arrow, point_dbl):
+    """Each cell's image under ``restriction`` has the components read
+    through the double functor; a component at an identity is the unit
+    square of the object's component (the collapse sends the vertical
+    arrow to an identity)."""
+    cod = corpus_files["hsim-iso"]
+    if case == "segal-inclusion":
+        incl = inclusion_chain_to_invertible(2)
+    else:
+        incl = validate_double_functor(v_arrow, point_dbl, {"0": "0", "1": "0"}, {},
+                                       {"a01": point_dbl.idv["0"]}, {})
+    big, small = pseudo_hom(incl.target, cod), pseudo_hom(incl.source, cod)
+    image = restriction(incl, big, small)
+    src, tgt = incl.source, incl.target
+    free_v = [u for u in src.vmors if u not in src.idv.values()]
+    free_h = [f for f in src.hmors if f not in src.idh.values()]
+
+    def at(t, components, units, cell):
+        """t's component at a morphism of the target, identities included."""
+        if cell in components:
+            return components[cell]
+        return cod.e_sq[t.at_obj[next(a for a, i in units.items() if i == cell)]]
+
+    for name, F in big.functors.items():
+        G = small.functors[image.object_map[name]]
+        assert G.object_map == {a: F.object_map[incl.object_map[a]] for a in src.objects}
+        assert G.h_map == {f: F.h_map[incl.h_map[f]] for f in src.hmors}
+        assert G.v_map == {u: F.v_map[incl.v_map[u]] for u in src.vmors}
+        assert G.sq_map == {s: F.sq_map[incl.sq_map[s]] for s in src.squares}
+    for name, t in big.transformations.items():
+        r = small.transformations[image.one_map[name]]
+        assert (r.source, r.target) == (image.object_map[t.source], image.object_map[t.target])
+        assert r.at_obj == {a: t.at_obj[incl.object_map[a]] for a in src.objects}
+        assert r.at_v == {u: at(t, t.at_v, tgt.idv, incl.v_map[u]) for u in free_v}
+        assert r.at_h == {f: at(t, t.at_h, tgt.idh, incl.h_map[f]) for f in free_h}
+    for name, d in big.modifications.items():
+        e = small.modifications[image.two_map[name]]
+        assert (e["src"], e["tgt"]) == (image.one_map[d["src"]], image.one_map[d["tgt"]])
+        assert e["components"] == {a: d["components"][incl.object_map[a]] for a in src.objects}

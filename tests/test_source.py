@@ -61,6 +61,41 @@ def test_no_function_assigns_a_local_it_never_reads():
     assert found == []
 
 
+def unread_imports(tree):
+    """The names ``tree`` imports, anywhere in it, and never loads; imports
+    from ``__future__`` are exempt."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - loaded)
+
+
+def test_unread_imports_are_flagged():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from .a import b, c as d, e\n"
+        "def f():\n"
+        "    from .g import h\n"
+        "    return os.sep, d, e\n")
+    assert unread_imports(tree) == ["b", "h", "j"]
+
+
+def test_every_module_reads_what_it_imports():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            found += [f"{path.stem}: {name}" for name in unread_imports(tree)]
+    assert found == []
+
+
 def module_definitions(tree):
     """The names a module defines at its top level: functions, classes and
     assigned names."""
