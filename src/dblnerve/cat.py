@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadIdentity, DanglingReference, MissingComposite, NonAssociative
+from .errors import BadIdentity, DanglingReference, MissingComposite, NonAssociative, SchemaError
 
 
 def id_of(obj: str) -> str:
@@ -50,6 +50,22 @@ class FiniteCategory:
         return [m for m in self.morphisms if self.src[m] == a and self.tgt[m] == b]
 
 
+def read_composition_table(raw: dict, key: str) -> dict[tuple[str, str], str]:
+    """The ``[first, then, result]`` entries under ``key``, keyed ``(then,
+    first)``.  An entry that is not a list of three names, or a pair listed
+    twice, is an error."""
+    table: dict[tuple[str, str], str] = {}
+    for entry in raw.get(key, []):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(isinstance(name, str) for name in entry)):
+            raise SchemaError(f"each entry of {key!r} must be a list of three names")
+        f, g, h = entry
+        if (g, f) in table:
+            raise MissingComposite(f"duplicate {key} entry for ({f!r}, {g!r})")
+        table[(g, f)] = h
+    return table
+
+
 def validate_category(raw: dict) -> FiniteCategory:
     """Validate raw tables and return a FiniteCategory.
 
@@ -85,16 +101,13 @@ def validate_category(raw: dict) -> FiniteCategory:
         identity[a] = i
     all_morphisms = morphisms + [identity[a] for a in objects]
 
-    compose: dict[tuple[str, str], str] = {}
-    for f, g, h in raw.get("compose", []):
+    compose = read_composition_table(raw, "compose")
+    for (g, f), h in compose.items():
         for m in (f, g, h):
             if m not in src:
                 raise DanglingReference(f"compose entry references unknown morphism {m!r}")
         if tgt[f] != src[g]:
             raise MissingComposite(f"pair ({f!r} then {g!r}) is not composable")
-        if (g, f) in compose:
-            raise MissingComposite(f"duplicate compose entry for ({f!r}, {g!r})")
-        compose[(g, f)] = h
 
     # Identities act as units; inferred entries must not clash with given ones.
     for m in all_morphisms:

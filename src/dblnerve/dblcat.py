@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cat import read_composition_table
 from .errors import (
     BadIdentity,
     DanglingReference,
@@ -351,13 +352,10 @@ def validate_double_category(raw: dict) -> FiniteDoubleCategory:
             i_sq[u] = f"i:{u}"
             declare(sq_bounds, i_sq[u], (idh[a], idh[b], u, u))
 
-    def read_table(key):
-        return {(g, f): h for f, g, h in raw.get(key, [])}
-
-    hcomp_h = read_table("hcompose_h")
-    vcomp_v = read_table("vcompose_v")
-    hcomp_sq = read_table("hcompose_sq")
-    vcomp_sq = read_table("vcompose_sq")
+    hcomp_h = read_composition_table(raw, "hcompose_h")
+    vcomp_v = read_composition_table(raw, "vcompose_v")
+    hcomp_sq = read_composition_table(raw, "hcompose_sq")
+    vcomp_sq = read_composition_table(raw, "vcompose_sq")
 
     for table, mors, ident in ((hcomp_h, h_bounds, idh), (vcomp_v, v_bounds, idv)):
         for m, bounds in mors.items():

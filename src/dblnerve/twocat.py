@@ -4,13 +4,15 @@ A FiniteTwoCategory stores flat cell sets plus three composition tables:
 ``hcomp1`` on 1-cells, ``vcomp2`` and ``hcomp2`` on 2-cells, all keyed
 ``(then, first)``.  The validator checks unitality, associativity of all
 three, functoriality of identities, and the interchange law on every
-composable quadruple.
+composable quadruple, reading composites from per-cell rows of the three
+tables that each check builds for itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cat import read_composition_table
 from .errors import (
     BadIdentity,
     DanglingReference,
@@ -177,15 +179,9 @@ def validate_two_category(raw: dict) -> FiniteTwoCategory:
         id2[f] = i
         two_cells.append(i)
 
-    def read_table(key):
-        table = {}
-        for f, g, h in raw.get(key, []):
-            table[(g, f)] = h
-        return table
-
-    hcomp1 = read_table("hcompose_one")
-    vcomp2 = read_table("vcompose")
-    hcomp2 = read_table("hcompose_two")
+    hcomp1 = read_composition_table(raw, "hcompose_one")
+    vcomp2 = read_composition_table(raw, "vcompose")
+    hcomp2 = read_composition_table(raw, "hcompose_two")
 
     for (g, f), h in list(hcomp1.items()):
         for m in (g, f, h):
@@ -241,11 +237,33 @@ def validate_two_category(raw: dict) -> FiniteTwoCategory:
     return cat
 
 
+def _rows(table, cells):
+    """A ``(then, first)`` composition table as rows ``{first: {then:
+    composite}}``, with a row for every cell."""
+    rows = {c: {} for c in cells}
+    for (then, first), composite in table.items():
+        rows.setdefault(first, {})[then] = composite
+    return rows
+
+
+def _read(rows, then, first):
+    """``table[(then, first)]`` read from its rows, failing as the table would."""
+    try:
+        return rows[first][then]
+    except KeyError:
+        raise KeyError((then, first)) from None
+
+
 def check_two_category_laws(cat: FiniteTwoCategory) -> None:
-    """Raise on the first law that fails.  Composable pairs and triples are
-    visited through indexes of the cells by the boundary they compose
-    along, in the order of the cell lists."""
+    """Raise on the first law that fails.  Composable pairs, triples and
+    quadruples are visited through indexes of the cells by the boundary
+    they compose along, in the order of the cell lists.  Composites are
+    read from rows of the three tables built for this check: directly
+    where the checks before have shown the pair composable, through
+    ``_read`` where a malformed table may lack it."""
     oneset, twoset = set(cat.one_cells), set(cat.two_cells)
+    one_src, one_tgt, two_src, two_tgt = cat.one_src, cat.one_tgt, cat.two_src, cat.two_tgt
+    id1, id2 = cat.id1, cat.id2
 
     def grouped(cells, boundary):
         index: dict = {}
@@ -254,70 +272,81 @@ def check_two_category_laws(cat: FiniteTwoCategory) -> None:
         return lambda b: index.get(b, ())
 
     # 1-cell layer is a category
-    ones_from = grouped(cat.one_cells, cat.one_src.__getitem__)
+    ones_from = grouped(cat.one_cells, one_src.__getitem__)
+    after1 = _rows(cat.hcomp1, cat.one_cells)
     for f in cat.one_cells:
-        for g in ones_from(cat.one_tgt[f]):
-            if (g, f) not in cat.hcomp1:
+        row, src = after1[f], one_src[f]
+        for g in ones_from(one_tgt[f]):
+            if g not in row:
                 raise MissingComposite(f"no 1-cell composite for ({f!r} then {g!r})")
-            h = cat.hcomp1[(g, f)]
-            if h not in oneset or cat.one_src[h] != cat.one_src[f] or cat.one_tgt[h] != cat.one_tgt[g]:
+            h = row[g]
+            if h not in oneset or one_src[h] != src or one_tgt[h] != one_tgt[g]:
                 raise MissingComposite(f"bad 1-cell composite for ({f!r}, {g!r})")
     for f in cat.one_cells:
-        for g in ones_from(cat.one_tgt[f]):
-            for h in ones_from(cat.one_tgt[g]):
-                if cat.hcomp1[(h, cat.hcomp1[(g, f)])] != cat.hcomp1[(cat.hcomp1[(h, g)], f)]:
+        row_f = after1[f]
+        for g in ones_from(one_tgt[f]):
+            row_gf, row_g = after1[row_f[g]], after1[g]
+            for h in ones_from(one_tgt[g]):
+                if row_gf[h] != row_f[row_g[h]]:
                     raise NonAssociative(f"1-cell associativity fails on ({f!r}, {g!r}, {h!r})")
 
     # hom-categories: vertical composition
-    twos_from = grouped(cat.two_cells, cat.two_src.__getitem__)
+    twos_from = grouped(cat.two_cells, two_src.__getitem__)
+    after2 = _rows(cat.vcomp2, cat.two_cells)
     for a in cat.two_cells:
-        for b in twos_from(cat.two_tgt[a]):
-            if (b, a) not in cat.vcomp2:
+        row, src = after2[a], two_src[a]
+        for b in twos_from(two_tgt[a]):
+            if b not in row:
                 raise MissingComposite(f"no vertical composite for ({a!r} then {b!r})")
-            c = cat.vcomp2[(b, a)]
-            if c not in twoset or cat.two_src[c] != cat.two_src[a] or cat.two_tgt[c] != cat.two_tgt[b]:
+            c = row[b]
+            if c not in twoset or two_src[c] != src or two_tgt[c] != two_tgt[b]:
                 raise MissingComposite(f"bad vertical composite for ({a!r}, {b!r})")
     # with no 2-cells, a pair naming unknown cells fails at interchange instead
-    vpairs = [(a, b) for (b, a) in cat.vcomp2] if cat.two_cells else []
-    for a, b in vpairs:
-        for c in twos_from(cat.two_tgt[b]):
-            if cat.vcomp2[(c, cat.vcomp2[(b, a)])] != cat.vcomp2[(cat.vcomp2[(c, b)], a)]:
+    vertical = list(cat.vcomp2.items())
+    for (b, a), ba in vertical if cat.two_cells else ():
+        for c in twos_from(two_tgt[b]):
+            if _read(after2, c, ba) != _read(after2, _read(after2, c, b), a):
                 raise NonAssociative(f"vertical associativity fails on ({a!r}, {b!r}, {c!r})")
 
     # horizontal composition of 2-cells
-    twos_left_at = grouped(cat.two_cells, cat.s_left)
+    left = {a: one_src[two_src[a]] for a in cat.two_cells}
+    right = {a: one_tgt[two_src[a]] for a in cat.two_cells}
+    twos_left_at = grouped(cat.two_cells, left.__getitem__)
+    across = _rows(cat.hcomp2, cat.two_cells)
     for a in cat.two_cells:
-        for b in twos_left_at(cat.s_right(a)):
-            if (b, a) not in cat.hcomp2:
+        row, src_row, tgt_a = across[a], after1[two_src[a]], two_tgt[a]
+        for b in twos_left_at(right[a]):
+            if b not in row:
                 raise MissingComposite(f"no horizontal composite for ({a!r}, {b!r})")
-            c = cat.hcomp2[(b, a)]
-            want_src = cat.hcomp1[(cat.two_src[b], cat.two_src[a])]
-            want_tgt = cat.hcomp1[(cat.two_tgt[b], cat.two_tgt[a])]
-            if c not in twoset or cat.two_src[c] != want_src or cat.two_tgt[c] != want_tgt:
+            c = row[b]
+            want_src = src_row[two_src[b]]
+            want_tgt = _read(after1, two_tgt[b], tgt_a)
+            if c not in twoset or two_src[c] != want_src or two_tgt[c] != want_tgt:
                 raise MissingComposite(f"bad horizontal composite for ({a!r}, {b!r})")
     for a in cat.two_cells:
-        for b in twos_left_at(cat.s_right(a)):
-            ba = cat.hcomp2[(b, a)]
-            for c in twos_left_at(cat.s_right(b)):
-                if cat.hcomp2[(c, ba)] != cat.hcomp2[(cat.hcomp2[(c, b)], a)]:
+        row_a = across[a]
+        for b in twos_left_at(right[a]):
+            row_ba, row_b = across[row_a[b]], across[b]
+            for c in twos_left_at(right[b]):
+                if row_ba[c] != row_a[row_b[c]]:
                     raise NonAssociative(f"horizontal associativity fails on ({a!r}, {b!r}, {c!r})")
     for f in cat.one_cells:
-        for g in ones_from(cat.one_tgt[f]):
-            if cat.hcomp2[(cat.id2[g], cat.id2[f])] != cat.id2[cat.hcomp1[(g, f)]]:
+        row_f = after1[f]
+        for g in ones_from(one_tgt[f]):
+            if _read(across, id2[g], id2[f]) != id2[row_f[g]]:
                 raise BadIdentity(f"identity 2-cells do not compose to identity on ({f!r}, {g!r})")
     for a in cat.two_cells:
-        left = cat.s_unit_v(cat.s_left(a))
-        right = cat.s_unit_v(cat.s_right(a))
-        if cat.hcomp2[(a, left)] != a or cat.hcomp2[(right, a)] != a:
+        left_unit = id2[id1[left[a]]]
+        right_unit = id2[id1[right[a]]]
+        if _read(across, a, left_unit) != a or _read(across, right_unit, a) != a:
             raise BadIdentity(f"horizontal unit law fails at {a!r}")
 
     # interchange on all composable quadruples
-    vertical = list(cat.vcomp2)
-    vertical_left_at = grouped(vertical, lambda pair: cat.s_left(pair[1]))
-    for (b, a) in vertical:
-        for (bb, aa) in vertical_left_at(cat.s_right(a)):
-            lhs = cat.hcomp2[(cat.vcomp2[(bb, aa)], cat.vcomp2[(b, a)])]
-            rhs = cat.vcomp2[(cat.hcomp2[(bb, b)], cat.hcomp2[(aa, a)])]
+    vertical_left_at = grouped(vertical, lambda entry: left[entry[0][1]])
+    for (b, a), ba in vertical:
+        for (bb, aa), bbaa in vertical_left_at(right[a]):
+            lhs = _read(across, bbaa, ba)
+            rhs = _read(after2, _read(across, bb, b), _read(across, aa, a))
             if lhs != rhs:
                 raise InterchangeFailure(f"interchange fails on ({a!r}, {b!r}, {aa!r}, {bb!r})")
 

@@ -185,6 +185,10 @@ def _corpus_doc(name, **changes):
 
 def _malformed_cases():
     hsim = json.loads((CORPUS / "hsim-iso.json").read_text())
+    tri = json.loads((CORPUS / "tri-invertible.json").read_text())
+    h_iso = json.loads((CORPUS / "h-iso.json").read_text())
+    chain = [{"name": "f", "src": "a", "tgt": "b"}, {"name": "g", "src": "b", "tgt": "c"},
+             {"name": "h", "src": "a", "tgt": "c"}]
     functor = ("tfib", "h-iso.json", "hsim-iso.json")
     weak = ("weak-inverse", "hsim-iso.json", "--square", "ee:x", "--data")
     return {
@@ -198,6 +202,16 @@ def _malformed_cases():
         "composition-with-two-items": (("validate",), _corpus_doc(
             "hsim-iso.json", hcompose_sq=[hsim["hcompose_sq"][0][:2], *hsim["hcompose_sq"][1:]])),
         "objects-as-a-string": (("validate",), _corpus_doc("iso.json", objects="xy")),
+        "two-composition-pair-listed-twice": (("validate",), _corpus_doc(
+            "tri-invertible.json", hcompose_two=[["t", "t", "t"], *tri["hcompose_two"]])),
+        "double-composition-pair-listed-twice": (("validate",), _corpus_doc(
+            "h-iso.json", hcompose_h=[["xy", "yx", "xy"], *h_iso["hcompose_h"]])),
+        "two-composition-entry-as-a-string": (("validate",), json.dumps(
+            {"kind": "two-category", "objects": ["a", "b", "c"], "one_cells": chain,
+             "hcompose_one": ["fgh"]})),
+        "category-composition-entry-as-a-string": (("validate",), json.dumps(
+            {"kind": "category", "objects": ["a", "b", "c"], "morphisms": chain,
+             "compose": ["fgh"]})),
         **{f"presentation-{key}-entry-as-a-string": (("validate",), json.dumps(
             {"kind": "presentation", "flavor": "double", "objects": ["a"], key: ["zz"]}))
            for key in ("hgens", "vgens", "squares")},

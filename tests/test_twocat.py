@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from dblnerve import expr as ex
@@ -291,3 +295,78 @@ def test_law_check_reports_the_first_failing_cells(name, table, key, value, mess
     with pytest.raises(ValidationError) as caught:
         check_two_category_laws(dataclasses.replace(cat, **{table: broken}))
     assert str(caught.value) == message
+
+
+def _law_check_outcomes(cats, stride=1):
+    """The first failure the law check reports on each single-entry
+    mutation of each 2-category in ``cats``: every ``stride``-th entry of
+    each composition table is deleted, redirected to the next cell of its
+    kind, and redirected to every other cell with its boundary."""
+    import dataclasses
+
+    from dblnerve.twocat import check_two_category_laws
+
+    outcomes = []
+    for name, cat in cats.items():
+        check_two_category_laws(cat)
+        for table, cells, bounds in (
+            ("hcomp1", cat.one_cells, lambda f: (cat.one_src[f], cat.one_tgt[f])),
+            ("vcomp2", cat.two_cells, lambda a: (cat.two_src[a], cat.two_tgt[a])),
+            ("hcomp2", cat.two_cells, lambda a: (cat.two_src[a], cat.two_tgt[a])),
+        ):
+            flat = getattr(cat, table)
+            parallel: dict = {}
+            for c in cells:
+                parallel.setdefault(bounds(c), []).append(c)
+            for pair in list(flat)[::stride]:
+                value = flat[pair]
+                next_cell = cells[(cells.index(value) + 1) % len(cells)]
+                redirects = {next_cell, *parallel[bounds(value)]} - {value}
+                for replacement in [None, *sorted(redirects)]:
+                    broken = dict(flat)
+                    if replacement is None:
+                        del broken[pair]
+                    else:
+                        broken[pair] = replacement
+                    try:
+                        check_two_category_laws(dataclasses.replace(cat, **{table: broken}))
+                        failure = None
+                    except Exception as err:  # the type is part of what is pinned
+                        failure = [type(err).__name__, str(err)]
+                    outcomes.append([name, table, list(pair), replacement, failure])
+    return sorted(outcomes, key=json.dumps)
+
+
+def _segal_pseudo_homs(k):
+    from dblnerve.io import load_path
+    from dblnerve.nerve import inclusion_chain_to_invertible
+    from dblnerve.pseudohom import pseudo_hom
+
+    hsim = load_path(Path(__file__).parent.parent / "corpus" / "hsim-iso.json")
+    incl = inclusion_chain_to_invertible(k)
+    return {f"segal:hsim-iso:{k}:{end}": pseudo_hom(dom, hsim).two_cat
+            for end, dom in (("big", incl.target), ("small", incl.source))}
+
+
+# sha256 of the sorted JSON outcomes, computed with the law check that
+# looked every pair up in the flat tables
+_LAW_CHECK_PINS = [
+    ("corpus", 1, "0e44affb1961b1977987f44eedf9a0a3037a536c774717af48befa48b79dc7bf"),
+    ("segal-1", 1, "5101ec6a0fe041f202d54ce0ef790644d16d3cc4d89baf334d166a75e55ca8fe"),
+    ("segal-2", 7, "74c5907393848652a127ec9d000157a22e41acbf57cb6bf54cfaaef0a48a9f8a"),
+]
+
+
+@pytest.mark.parametrize("cases, stride, digest", _LAW_CHECK_PINS,
+                         ids=[cases for cases, _, _ in _LAW_CHECK_PINS])
+def test_law_check_first_failure_is_pinned(cases, stride, digest):
+    from dblnerve.io import load_path
+
+    if cases == "corpus":
+        cats = {name: load_path(Path(__file__).parent.parent / "corpus" / f"{name}.json")
+                for name in ("arrow", "iso", "point", "tri-invertible")}
+    else:
+        cats = _segal_pseudo_homs(int(cases[-1]))
+    outcomes = _law_check_outcomes(cats, stride)
+    dump = json.dumps(outcomes, sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == digest
