@@ -42,28 +42,44 @@ class FiniteCategory:
             self.__dict__["_ids"] = cached
         return cached
 
-    def then(self, f: str, g: str) -> str:
-        """Composite of f followed by g."""
-        return self.compose[(g, f)]
 
-    def hom(self, a: str, b: str) -> list[str]:
-        return [m for m in self.morphisms if self.src[m] == a and self.tgt[m] == b]
-
-
-def read_composition_table(raw: dict, key: str) -> dict[tuple[str, str], str]:
+def read_composition_table(raw: dict, key: str, cells) -> dict[tuple[str, str], str]:
     """The ``[first, then, result]`` entries under ``key``, keyed ``(then,
-    first)``.  An entry that is not a list of three names, or a pair listed
-    twice, is an error."""
+    first)``.  An entry that is not a list of three names, names a cell not
+    in ``cells``, or lists a pair twice, is an error."""
     table: dict[tuple[str, str], str] = {}
     for entry in raw.get(key, []):
         if not (isinstance(entry, list) and len(entry) == 3
                 and all(isinstance(name, str) for name in entry)):
             raise SchemaError(f"each entry of {key!r} must be a list of three names")
+        for name in entry:
+            if name not in cells:
+                raise DanglingReference(f"{key} entry references unknown cell {name!r}")
         f, g, h = entry
         if (g, f) in table:
             raise MissingComposite(f"duplicate {key} entry for ({f!r}, {g!r})")
         table[(g, f)] = h
     return table
+
+
+def fill_implicit(tables: dict, entries) -> None:
+    """Add each implicit entry ``(key, pair, composite, law, where)`` to the
+    table read from ``key``.  A pair the file lists with another composite
+    breaks the law: ``BadIdentity`` with ``law`` formatted by ``where``, the
+    listed and the implicit composite."""
+    for key, pair, value, law, where in entries:
+        got = tables[key].setdefault(pair, value)
+        if got != value:
+            raise BadIdentity(law.format(where, got, value))
+
+
+def implicit_entries(morphisms, src, tgt, identity):
+    """The entries a category file leaves implicit, in the order the loader
+    fills them: both unit laws of each morphism."""
+    law = "identity law fails at {0}: got {1!r}, need {2!r}"
+    for m in morphisms:
+        for pair in ((m, identity[src[m]]), (identity[tgt[m]], m)):
+            yield "compose", pair, m, law, pair
 
 
 def validate_category(raw: dict) -> FiniteCategory:
@@ -101,20 +117,11 @@ def validate_category(raw: dict) -> FiniteCategory:
         identity[a] = i
     all_morphisms = morphisms + [identity[a] for a in objects]
 
-    compose = read_composition_table(raw, "compose")
-    for (g, f), h in compose.items():
-        for m in (f, g, h):
-            if m not in src:
-                raise DanglingReference(f"compose entry references unknown morphism {m!r}")
+    compose = read_composition_table(raw, "compose", src)
+    for g, f in compose:
         if tgt[f] != src[g]:
             raise MissingComposite(f"pair ({f!r} then {g!r}) is not composable")
-
-    # Identities act as units; inferred entries must not clash with given ones.
-    for m in all_morphisms:
-        for pair, value in (((m, identity[src[m]]), m), ((identity[tgt[m]], m), m)):
-            if pair in compose and compose[pair] != value:
-                raise BadIdentity(f"identity law fails at {pair}: got {compose[pair]!r}, need {value!r}")
-            compose[pair] = value
+    fill_implicit({"compose": compose}, implicit_entries(all_morphisms, src, tgt, identity))
 
     cat = FiniteCategory(
         objects=tuple(objects),

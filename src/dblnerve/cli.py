@@ -30,9 +30,8 @@ from .presentation import has_rlp
 from .shapes import (
     generating_cofibrations_dbl,
     generating_cofibrations_two,
-    oriental,
-    oriental_adjoint_presentation,
     oriental_variant,
+    shape_2cat,
     v_oriental_inv,
 )
 from .twocat import FiniteTwoCategory, is_biequivalence, validate_two_functor
@@ -229,18 +228,10 @@ def cmd_segal(args):
 def cmd_shapes_emit(args):
     family = args.family
     if family in ("E_adj", "C", "C_inv", "C2", "dC"):
-        from .shapes import shape_2cat
-
         return _emit(serialize(shape_2cat(family)))
     if family == "v-inverted":
         return _emit(serialize(v_oriental_inv(args.n)))
-    if family == "adjoint" and (args.variant or "full") == "full":
-        return _emit(serialize(oriental_adjoint_presentation(args.n)))
-    variant = args.variant or "full"
-    if variant == "full" and family in ("plain", "inverted"):
-        return _emit(serialize(oriental(args.n, family == "inverted")))
-    shape = oriental_variant(family, args.n, variant, args.t)
-    return _emit(serialize(shape))
+    return _emit(serialize(oriental_variant(family, args.n, args.variant or "full", args.t)))
 
 
 def _need_double(obj):

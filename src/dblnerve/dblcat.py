@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cat import read_composition_table
+from .cat import fill_implicit, read_composition_table
 from .errors import (
     BadIdentity,
     DanglingReference,
@@ -29,6 +29,19 @@ def idh_of(obj: str) -> str:
 
 def idv_of(obj: str) -> str:
     return f"idv:{obj}"
+
+
+def ee_of(obj: str) -> str:
+    """The unit square shared by both identities of an object."""
+    return f"ee:{obj}"
+
+
+def e_of(hmor: str) -> str:
+    return f"e:{hmor}"
+
+
+def i_of(vmor: str) -> str:
+    return f"i:{vmor}"
 
 
 @dataclass(frozen=True)
@@ -339,54 +352,55 @@ def validate_double_category(raw: dict) -> FiniteDoubleCategory:
 
     e_sq, i_sq = {}, {}
     for a in objects:
-        shared = f"ee:{a}"
-        e_sq[idh[a]] = shared
-        i_sq[idv[a]] = shared
-        declare(sq_bounds, shared, (idh[a], idh[a], idv[a], idv[a]))
+        e_sq[idh[a]] = i_sq[idv[a]] = ee_of(a)
+        declare(sq_bounds, ee_of(a), (idh[a], idh[a], idv[a], idv[a]))
     for f, (a, b) in list(h_bounds.items()):
         if f not in idh.values():
-            e_sq[f] = f"e:{f}"
+            e_sq[f] = e_of(f)
             declare(sq_bounds, e_sq[f], (f, f, idv[a], idv[b]))
     for u, (a, b) in list(v_bounds.items()):
         if u not in idv.values():
-            i_sq[u] = f"i:{u}"
+            i_sq[u] = i_of(u)
             declare(sq_bounds, i_sq[u], (idh[a], idh[b], u, u))
 
-    hcomp_h = read_composition_table(raw, "hcompose_h")
-    vcomp_v = read_composition_table(raw, "vcompose_v")
-    hcomp_sq = read_composition_table(raw, "hcompose_sq")
-    vcomp_sq = read_composition_table(raw, "vcompose_sq")
-
-    for table, mors, ident in ((hcomp_h, h_bounds, idh), (vcomp_v, v_bounds, idv)):
-        for m, bounds in mors.items():
-            for pair, value in (
-                ((m, ident[bounds[0]]), m),
-                ((ident[bounds[1]], m), m),
-            ):
-                if table.get(pair, value) != value:
-                    raise BadIdentity(f"identity law fails at {pair}")
-                table[pair] = value
-
-    # unit-square fills: unit laws and functoriality of the unit families
-    def fill(table, pair, value, reason):
-        if table.get(pair, value) != value:
-            raise BadIdentity(f"{reason}: conflicting entry at {pair}")
-        table[pair] = value
-
-    for (g, f), h in list(hcomp_h.items()):
-        fill(hcomp_sq, (e_sq[g], e_sq[f]), e_sq[h], "unit squares along h-composition")
-    for (w, u), z in list(vcomp_v.items()):
-        fill(vcomp_sq, (i_sq[w], i_sq[u]), i_sq[z], "unit squares along v-composition")
-    for s, (top, bottom, left, right) in sq_bounds.items():
-        fill(hcomp_sq, (s, i_sq[left]), s, "horizontal unit law")
-        fill(hcomp_sq, (i_sq[right], s), s, "horizontal unit law")
-        fill(vcomp_sq, (s, e_sq[top]), s, "vertical unit law")
-        fill(vcomp_sq, (e_sq[bottom], s), s, "vertical unit law")
-
+    tables = {key: read_composition_table(raw, key, cells) for key, cells in (
+        ("hcompose_h", h_bounds), ("vcompose_v", v_bounds),
+        ("hcompose_sq", sq_bounds), ("vcompose_sq", sq_bounds))}
+    hcomp_h, vcomp_v = tables["hcompose_h"], tables["vcompose_v"]
+    fill_implicit(tables, implicit_entries(
+        h_bounds, v_bounds, sq_bounds, idh, idv, e_sq, i_sq, hcomp_h, vcomp_v))
     return assemble_double_category(
         objects, h_bounds, v_bounds, sq_bounds, idh, idv, e_sq, i_sq,
-        hcomp_h, vcomp_v, hcomp_sq, vcomp_sq,
+        hcomp_h, vcomp_v, tables["hcompose_sq"], tables["vcompose_sq"],
     )
+
+
+def implicit_entries(h_bounds, v_bounds, sq_bounds, idh, idv, e_sq, i_sq, hcomp_h, vcomp_v):
+    """The entries a double-category file leaves implicit, in the order the
+    loader fills them (see ``cat.fill_implicit``): the unit laws of both
+    morphism layers, the unit squares along composites, then the unit laws
+    of each square.  The bounds map cells to (src, tgt) and squares to
+    (top, bottom, left, right)."""
+    law = "identity law fails at {0}"
+    for key, bounds, ident in (("hcompose_h", h_bounds, idh), ("vcompose_v", v_bounds, idv)):
+        for m, (a, b) in bounds.items():
+            for pair in ((m, ident[a]), (ident[b], m)):
+                yield key, pair, m, law, pair
+    for key, table, unit, law in (
+        ("hcompose_sq", hcomp_h, e_sq, "unit squares along h-composition: conflicting entry at {0}"),
+        ("vcompose_sq", vcomp_v, i_sq, "unit squares along v-composition: conflicting entry at {0}"),
+    ):
+        for (g, f), h in table.items():
+            pair = unit[g], unit[f]
+            yield key, pair, unit[h], law, pair
+    h_law = "horizontal unit law: conflicting entry at {0}"
+    v_law = "vertical unit law: conflicting entry at {0}"
+    for s, (top, bottom, left, right) in sq_bounds.items():
+        for key, pair, law in (
+            ("hcompose_sq", (s, i_sq[left]), h_law), ("hcompose_sq", (i_sq[right], s), h_law),
+            ("vcompose_sq", (s, e_sq[top]), v_law), ("vcompose_sq", (e_sq[bottom], s), v_law),
+        ):
+            yield key, pair, s, law, pair
 
 
 @dataclass(frozen=True)

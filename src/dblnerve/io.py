@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 
 from . import expr as ex
-from .cat import FiniteCategory, validate_category
-from .dblcat import FiniteDoubleCategory, validate_double_category
+from .cat import FiniteCategory, id_of, validate_category
+from .cat import implicit_entries as cat_implicit
+from .dblcat import FiniteDoubleCategory, e_of, ee_of, i_of, idh_of, idv_of, validate_double_category
+from .dblcat import implicit_entries as double_implicit
 from .errors import SchemaError
 from .presentation import Presentation, PresentationBuilder
-from .twocat import FiniteTwoCategory, validate_two_category
+from .twocat import FiniteTwoCategory, id2_of, validate_two_category
+from .twocat import implicit_entries as two_implicit
 
 LIST_FIELDS = (
     "objects", "morphisms", "compose", "one_cells", "two_cells", "hcompose_one", "vcompose",
@@ -114,123 +117,86 @@ def serialize(obj) -> dict:
     raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 
+def _listed(key, table, implicit, name):
+    """The entries of ``table`` a file lists under ``key``: those its kind's
+    loader does not fill, with their cells renamed."""
+    return sorted([name(f), name(g), name(h)] for (g, f), h in table.items()
+                  if (key, (g, f)) not in implicit)
+
+
 def _serialize_category(cat: FiniteCategory) -> dict:
-    rename = {}
-    for a in cat.objects:
-        rename[cat.identity[a]] = f"id:{a}"
-    name = lambda m: rename.get(m, m)
-    idset = set(cat.identity.values())
+    units = {cat.identity[a]: id_of(a) for a in cat.objects}
+    implicit = {entry[:2] for entry in cat_implicit(cat.morphisms, cat.src, cat.tgt, cat.identity)}
     return {
         "kind": "category",
         "objects": sorted(cat.objects),
         "morphisms": [
             {"name": m, "src": cat.src[m], "tgt": cat.tgt[m]}
             for m in sorted(cat.morphisms)
-            if m not in idset
+            if m not in units
         ],
-        "compose": sorted(
-            [f, g, name(h)]
-            for (g, f), h in cat.compose.items()
-            if f not in idset and g not in idset
-        ),
+        "compose": _listed("compose", cat.compose, implicit, lambda m: units.get(m, m)),
     }
 
 
 def _serialize_two(cat: FiniteTwoCategory) -> dict:
-    r1 = {cat.id1[a]: f"id:{a}" for a in cat.objects}
+    r1 = {cat.id1[a]: id_of(a) for a in cat.objects}
     n1 = lambda f: r1.get(f, f)
-    r2 = {cat.id2[f]: f"id2:{n1(f)}" for f in cat.one_cells}
+    r2 = {cat.id2[f]: id2_of(n1(f)) for f in cat.one_cells}
     n2 = lambda c: r2.get(c, c)
-    id1set, id2set = set(cat.id1.values()), set(cat.id2.values())
-    unit_on_id = {cat.id2[cat.id1[a]] for a in cat.objects}
-
-    hcomp_two = []
-    for (b, a), c in cat.hcomp2.items():
-        if a in id2set and b in id2set:
-            continue
-        if a in unit_on_id or b in unit_on_id:
-            continue
-        hcomp_two.append([n2(a), n2(b), n2(c)])
+    implicit = {entry[:2] for entry in two_implicit(
+        {f: (cat.one_src[f], cat.one_tgt[f]) for f in cat.one_cells},
+        {c: (cat.two_src[c], cat.two_tgt[c]) for c in cat.two_cells},
+        cat.id1, cat.id2, cat.hcomp1)}
     return {
         "kind": "two-category",
         "objects": sorted(cat.objects),
         "one_cells": [
             {"name": f, "src": cat.one_src[f], "tgt": cat.one_tgt[f]}
             for f in sorted(cat.one_cells)
-            if f not in id1set
+            if f not in r1
         ],
         "two_cells": [
             {"name": c, "src": n1(cat.two_src[c]), "tgt": n1(cat.two_tgt[c])}
             for c in sorted(cat.two_cells)
-            if c not in id2set
+            if c not in r2
         ],
-        "hcompose_one": sorted(
-            [n1(f), n1(g), n1(h)]
-            for (g, f), h in cat.hcomp1.items()
-            if f not in id1set and g not in id1set
-        ),
-        "vcompose": sorted(
-            [n2(a), n2(b), n2(c)]
-            for (b, a), c in cat.vcomp2.items()
-            if a not in id2set and b not in id2set
-        ),
-        "hcompose_two": sorted(hcomp_two),
+        "hcompose_one": _listed("hcompose_one", cat.hcomp1, implicit, n1),
+        "vcompose": _listed("vcompose", cat.vcomp2, implicit, n2),
+        "hcompose_two": _listed("hcompose_two", cat.hcomp2, implicit, n2),
     }
 
 
 def _serialize_double(dbl: FiniteDoubleCategory) -> dict:
-    rh = {dbl.idh[a]: f"idh:{a}" for a in dbl.objects}
-    rv = {dbl.idv[a]: f"idv:{a}" for a in dbl.objects}
-    nh = lambda f: rh.get(f, f)
-    nv = lambda u: rv.get(u, u)
-    rs = {}
-    for a in dbl.objects:
-        rs[dbl.e_sq[dbl.idh[a]]] = f"ee:{a}"
+    rh = {dbl.idh[a]: idh_of(a) for a in dbl.objects}
+    rv = {dbl.idv[a]: idv_of(a) for a in dbl.objects}
+    rs = {dbl.e_sq[dbl.idh[a]]: ee_of(a) for a in dbl.objects}
     for f in dbl.hmors:
         if f not in rh:
-            rs.setdefault(dbl.e_sq[f], f"e:{nh(f)}")
+            rs.setdefault(dbl.e_sq[f], e_of(f))
     for u in dbl.vmors:
         if u not in rv:
-            rs.setdefault(dbl.i_sq[u], f"i:{nv(u)}")
+            rs.setdefault(dbl.i_sq[u], i_of(u))
+    nh = lambda f: rh.get(f, f)
+    nv = lambda u: rv.get(u, u)
     ns = lambda s: rs.get(s, s)
-    idh_set, idv_set = set(dbl.idh.values()), set(dbl.idv.values())
-    unit_sqs = set(dbl.e_sq.values()) | set(dbl.i_sq.values())
-
-    def keep_h_sq(pair):
-        t, s = pair
-        if s in unit_sqs and t in unit_sqs:
-            # only unit-by-unit horizontal composites are derivable
-            return not (s in dbl.e_sq.values() and t in dbl.e_sq.values()) and not (
-                s == dbl.i_sq[dbl.sleft[t]] or t == dbl.i_sq[dbl.sright[s]]
-            )
-        if s in dbl.i_sq.values() and dbl.i_sq[dbl.sleft[t]] == s:
-            return False
-        if t in dbl.i_sq.values() and dbl.i_sq[dbl.sright[s]] == t:
-            return False
-        return True
-
-    def keep_v_sq(pair):
-        t, s = pair
-        if s in dbl.i_sq.values() and t in dbl.i_sq.values():
-            return False
-        if s in dbl.e_sq.values() and dbl.e_sq[dbl.stop[t]] == s:
-            return False
-        if t in dbl.e_sq.values() and dbl.e_sq[dbl.sbottom[s]] == t:
-            return False
-        return True
-
+    implicit = {entry[:2] for entry in double_implicit(
+        {f: (dbl.hsrc[f], dbl.htgt[f]) for f in dbl.hmors},
+        {u: (dbl.vsrc[u], dbl.vtgt[u]) for u in dbl.vmors},
+        {s: (dbl.stop[s], dbl.sbottom[s], dbl.sleft[s], dbl.sright[s]) for s in dbl.squares},
+        dbl.idh, dbl.idv, dbl.e_sq, dbl.i_sq, dbl.hcomp_h, dbl.vcomp_v)}
     return {
         "kind": "double-category",
         "objects": sorted(dbl.objects),
         "hmor": [
             {"name": f, "src": dbl.hsrc[f], "tgt": dbl.htgt[f]}
             for f in sorted(dbl.hmors)
-            if f not in idh_set
+            if f not in rh
         ],
         "vmor": [
             {"name": u, "src": dbl.vsrc[u], "tgt": dbl.vtgt[u]}
             for u in sorted(dbl.vmors)
-            if u not in idv_set
+            if u not in rv
         ],
         "squares": [
             {
@@ -241,28 +207,12 @@ def _serialize_double(dbl: FiniteDoubleCategory) -> dict:
                 "right": nv(dbl.sright[s]),
             }
             for s in sorted(dbl.squares)
-            if s not in unit_sqs
+            if s not in rs
         ],
-        "hcompose_h": sorted(
-            [nh(f), nh(g), nh(h)]
-            for (g, f), h in dbl.hcomp_h.items()
-            if f not in idh_set and g not in idh_set
-        ),
-        "vcompose_v": sorted(
-            [nv(u), nv(w), nv(z)]
-            for (w, u), z in dbl.vcomp_v.items()
-            if u not in idv_set and w not in idv_set
-        ),
-        "hcompose_sq": sorted(
-            [ns(s), ns(t), ns(c)]
-            for (t, s), c in dbl.hcomp_sq.items()
-            if keep_h_sq((t, s))
-        ),
-        "vcompose_sq": sorted(
-            [ns(s), ns(t), ns(c)]
-            for (t, s), c in dbl.vcomp_sq.items()
-            if keep_v_sq((t, s))
-        ),
+        "hcompose_h": _listed("hcompose_h", dbl.hcomp_h, implicit, nh),
+        "vcompose_v": _listed("vcompose_v", dbl.vcomp_v, implicit, nv),
+        "hcompose_sq": _listed("hcompose_sq", dbl.hcomp_sq, implicit, ns),
+        "vcompose_sq": _listed("vcompose_sq", dbl.vcomp_sq, implicit, ns),
     }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cat import read_composition_table
+from .cat import fill_implicit, id_of, read_composition_table
 from .errors import (
     BadIdentity,
     DanglingReference,
@@ -23,10 +23,6 @@ from .errors import (
     DisagreementBug,
 )
 from .expr import CellAlgebra
-
-
-def id1_of(obj: str) -> str:
-    return f"id:{obj}"
 
 
 def id2_of(one: str) -> str:
@@ -143,98 +139,73 @@ def validate_two_category(raw: dict) -> FiniteTwoCategory:
     objects = list(raw.get("objects", []))
     if len(set(objects)) != len(objects):
         raise DanglingReference("duplicate object names")
-    one_src, one_tgt, one_cells = {}, {}, []
+    one_bounds = {}
     for entry in raw.get("one_cells", []):
         name = entry["name"]
         if entry["src"] not in objects or entry["tgt"] not in objects:
             raise DanglingReference(f"1-cell {name!r} has unknown endpoints")
-        if name in one_src:
+        if name in one_bounds:
             raise DanglingReference(f"duplicate 1-cell {name!r}")
-        one_src[name], one_tgt[name] = entry["src"], entry["tgt"]
-        one_cells.append(name)
+        one_bounds[name] = (entry["src"], entry["tgt"])
     id1 = {}
     for a in objects:
-        i = id1_of(a)
-        if i in one_src:
+        i = id1[a] = id_of(a)
+        if i in one_bounds:
             raise DanglingReference(f"reserved identity name {i!r} declared explicitly")
-        one_src[i], one_tgt[i] = a, a
-        id1[a] = i
-        one_cells.append(i)
+        one_bounds[i] = (a, a)
 
-    two_src, two_tgt, two_cells = {}, {}, []
+    two_bounds = {}
     for entry in raw.get("two_cells", []):
-        name = entry["name"]
-        if entry["src"] not in one_src or entry["tgt"] not in one_src:
+        name, f, g = entry["name"], entry["src"], entry["tgt"]
+        if f not in one_bounds or g not in one_bounds:
             raise DanglingReference(f"2-cell {name!r} has unknown boundary 1-cells")
-        if name in two_src:
+        if one_bounds[f] != one_bounds[g]:
+            raise DanglingReference(f"2-cell {name!r} has boundary 1-cells that are not parallel")
+        if name in two_bounds:
             raise DanglingReference(f"duplicate 2-cell {name!r}")
-        two_src[name], two_tgt[name] = entry["src"], entry["tgt"]
-        two_cells.append(name)
+        two_bounds[name] = (f, g)
     id2 = {}
-    for f in one_cells:
-        i = id2_of(f)
-        if i in two_src:
+    for f in one_bounds:
+        i = id2[f] = id2_of(f)
+        if i in two_bounds:
             raise DanglingReference(f"reserved identity name {i!r} declared explicitly")
-        two_src[i], two_tgt[i] = f, f
-        id2[f] = i
-        two_cells.append(i)
+        two_bounds[i] = (f, f)
 
-    hcomp1 = read_composition_table(raw, "hcompose_one")
-    vcomp2 = read_composition_table(raw, "vcompose")
-    hcomp2 = read_composition_table(raw, "hcompose_two")
+    tables = {key: read_composition_table(raw, key, cells) for key, cells in (
+        ("hcompose_one", one_bounds), ("vcompose", two_bounds), ("hcompose_two", two_bounds))}
+    hcomp1 = tables["hcompose_one"]
+    fill_implicit(tables, implicit_entries(one_bounds, two_bounds, id1, id2, hcomp1))
+    return assemble_two_category(objects, one_bounds, two_bounds, id1, id2,
+                                 hcomp1, tables["vcompose"], tables["hcompose_two"])
 
-    for (g, f), h in list(hcomp1.items()):
-        for m in (g, f, h):
-            if m not in one_src:
-                raise DanglingReference(f"hcompose_one references unknown 1-cell {m!r}")
-    # units for 1-cell composition
-    for f in one_cells:
-        for pair, value in (((f, id1[one_src[f]]), f), ((id1[one_tgt[f]], f), f)):
-            if hcomp1.get(pair, value) != value:
-                raise BadIdentity(f"1-cell identity law fails at {pair}")
-            hcomp1[pair] = value
 
-    # units for vertical composition
-    for c in two_cells:
-        for pair, value in (((c, id2[two_src[c]]), c), ((id2[two_tgt[c]], c), c)):
-            if vcomp2.get(pair, value) != value:
-                raise BadIdentity(f"vertical identity law fails at {pair}")
-            vcomp2[pair] = value
-
-    # identity 2-cells compose horizontally to identity 2-cells, and unit
-    # 2-cells on identity 1-cells whisker trivially
-    for f in one_cells:
-        for g in one_cells:
-            if one_tgt[f] == one_src[g] and (g, f) in hcomp1:
-                pair = (id2[g], id2[f])
-                value = id2[hcomp1[(g, f)]]
-                if hcomp2.get(pair, value) != value:
-                    raise BadIdentity(f"horizontal unit square law fails at ({f!r}, {g!r})")
-                hcomp2[pair] = value
-    for c in two_cells:
-        left = id2[id1[one_src[two_src[c]]]]
-        right = id2[id1[one_tgt[two_src[c]]]]
-        for pair, value in (((c, left), c), ((right, c), c)):
-            if hcomp2.get(pair, value) != value:
-                raise BadIdentity(f"horizontal unit law fails at {pair}")
-            hcomp2[pair] = value
-
-    cat = FiniteTwoCategory(
-        objects=tuple(objects),
-        one_cells=tuple(sorted(one_cells)),
-        two_cells=tuple(sorted(two_cells)),
-        one_src=one_src,
-        one_tgt=one_tgt,
-        two_src=two_src,
-        two_tgt=two_tgt,
-        id1=id1,
-        id2=id2,
-        hcomp1=hcomp1,
-        vcomp2=vcomp2,
-        hcomp2=hcomp2,
-    )
-    check_two_category_laws(cat)
-    return cat
+def implicit_entries(one_bounds, two_bounds, id1, id2, hcomp1):
+    """The entries a two-category file leaves implicit, in the order the
+    loader fills them (see ``cat.fill_implicit``): the unit laws of 1-cell
+    and of vertical composition, identity 2-cells along composable 1-cells,
+    then the whiskering of each 2-cell by the unit 2-cells at its ends.
+    ``one_bounds``/``two_bounds`` map cells to (src, tgt)."""
+    law = "1-cell identity law fails at {0}"
+    for f, (a, b) in one_bounds.items():
+        for pair in ((f, id1[a]), (id1[b], f)):
+            yield "hcompose_one", pair, f, law, pair
+    law = "vertical identity law fails at {0}"
+    for c, (f, g) in two_bounds.items():
+        for pair in ((c, id2[f]), (id2[g], c)):
+            yield "vcompose", pair, c, law, pair
+    law = "horizontal unit square law fails at {0}"
+    ones_from: dict = {}
+    for g, (a, _) in one_bounds.items():
+        ones_from.setdefault(a, []).append(g)
+    for f, (_, b) in one_bounds.items():
+        for g in ones_from.get(b, ()):
+            if (g, f) in hcomp1:
+                yield "hcompose_two", (id2[g], id2[f]), id2[hcomp1[(g, f)]], law, (f, g)
+    law = "horizontal unit law fails at {0}"
+    for c, (f, _) in two_bounds.items():
+        a, b = one_bounds[f]
+        for pair in ((c, id2[id1[a]]), (id2[id1[b]], c)):
+            yield "hcompose_two", pair, c, law, pair
 
 
 def _rows(table, cells):

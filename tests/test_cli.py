@@ -289,6 +289,17 @@ def _bad_names_cases():
             squares=[square("ee:a", "idh:a", "idh:a", "idv:a", "idv:a")])),
         "double-h-unit-square-name": (("validate",), double(
             hmor=[f], squares=[square("e:f", "f", "f", "idv:a", "idv:b")])),
+        "two-2-cell-between-non-parallel-1-cells": (("validate",), two(
+            objects=["a", "b", "c"], one_cells=[f, {**f, "name": "g", "tgt": "c"}],
+            two_cells=[{"name": "c", "src": "f", "tgt": "g"}])),
+        "two-vcompose-names-undeclared": (("validate",), two(
+            one_cells=[f], two_cells=[{"name": "t", "src": "f", "tgt": "f"}],
+            vcompose=[["t", "t", "t"], ["q", "t", "t"]])),
+        "double-hcompose-h-names-undeclared": (("validate",), double(
+            hmor=[f], hcompose_h=[["zz", "f", "f"]])),
+        "double-hcompose-sq-names-undeclared": (("validate",), double(
+            squares=[square("t", "idh:a", "idh:a", "idv:a", "idv:a")],
+            hcompose_sq=[["t", "t", "t"], ["q", "t", "t"]], vcompose_sq=[["t", "t", "t"]])),
     }
 
 

@@ -6,13 +6,15 @@ from pathlib import Path
 import pytest
 
 from dblnerve.dblcat import horizontal_embed, underlying, validate_double_functor, vertical_embed
-from dblnerve.errors import BudgetExceeded, ValidationError
+from dblnerve import pseudohom
+from dblnerve.errors import BudgetExceeded, DisagreementBug, ValidationError
 from dblnerve.io import load_path
 from dblnerve.nerve import inclusion_chain_to_invertible
 from dblnerve.pseudohom import (
     _functor_key,
     enumerate_double_functors_concrete,
     hpnt_equivalence_report,
+    is_hpnt_equivalence,
     pseudo_hom,
     restriction,
 )
@@ -109,6 +111,29 @@ def test_non_equivalence_component_detected(v_arrow):
         verdicts[tr.at_obj["0"]] = by_definition
     assert verdicts["a01"] is False
     assert verdicts[chain.idh["0"]] is True
+
+
+def test_hpnt_equivalence_verdict_is_the_one_both_checks_agree_on(corpus_files):
+    """Over the pseudo-homs out of the free square into each corpus double
+    category, true for some transformations and false for others."""
+    verdicts = set()
+    for label, dbl in corpus_files.items():
+        ph = pseudo_hom(corpus_files["free-square"], dbl)
+        for name in sorted(ph.transformations):
+            by_definition, all_whi = hpnt_equivalence_report(ph, name)
+            assert is_hpnt_equivalence(ph, name) == by_definition == all_whi, (label, name)
+            verdicts.add(by_definition)
+    assert verdicts == {False, True}
+
+
+def test_hpnt_equivalence_raises_when_the_checks_disagree(corpus_files, monkeypatch):
+    ph = pseudo_hom(corpus_files["free-square"], corpus_files["h-iso"])
+    name = min(ph.transformations)
+    by_definition, _ = hpnt_equivalence_report(ph, name)
+    monkeypatch.setattr(pseudohom, "hpnt_equivalence_report",
+                        lambda ph, name: (by_definition, not by_definition))
+    with pytest.raises(DisagreementBug):
+        is_hpnt_equivalence(ph, name)
 
 
 def test_budget_guard_on_pseudo_hom(v_arrow, hsim_iso):
