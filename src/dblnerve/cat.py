@@ -118,9 +118,6 @@ def validate_category(raw: dict) -> FiniteCategory:
     all_morphisms = morphisms + [identity[a] for a in objects]
 
     compose = read_composition_table(raw, "compose", src)
-    for g, f in compose:
-        if tgt[f] != src[g]:
-            raise MissingComposite(f"pair ({f!r} then {g!r}) is not composable")
     fill_implicit({"compose": compose}, implicit_entries(all_morphisms, src, tgt, identity))
 
     cat = FiniteCategory(
@@ -135,10 +132,17 @@ def validate_category(raw: dict) -> FiniteCategory:
     return cat
 
 
+def check_composable(table, end, start, label) -> None:
+    """Raise ``MissingComposite`` at the first entry of a ``(then, first)``
+    table whose ``first`` does not end where ``then`` starts."""
+    for then, first in table:
+        if end[first] != start[then]:
+            raise MissingComposite(f"{label} table entry ({first!r}, {then!r}) is not composable")
+
+
 def check_category_laws(cat: FiniteCategory) -> None:
+    check_composable(cat.compose, cat.tgt, cat.src, "composition")
     for (g, f), h in cat.compose.items():
-        if cat.tgt[f] != cat.src[g]:
-            raise MissingComposite(f"table entry ({f!r}, {g!r}) is not composable")
         if cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
             raise MissingComposite(f"composite of ({f!r}, {g!r}) has wrong boundary {h!r}")
     for a in cat.objects:
@@ -176,26 +180,69 @@ class CatFunctor:
         return id(self)
 
 
+# The sorts of a category for ``validate_functor``.
+SORTS = (
+    ("object", "objects", (), (), ()),
+    ("morphism", "morphisms", (("src", "objects"), ("tgt", "objects")),
+     (("identity", "objects"),), ("compose",)),
+)
+
+
 def validate_cat_functor(source, target, object_map, morphism_map) -> CatFunctor:
-    om = dict(object_map)
-    mm = dict(morphism_map)
-    for a in source.objects:
-        if om.get(a) not in target.objects:
-            raise DanglingReference(f"no image for object {a!r}")
-        mm.setdefault(source.identity[a], target.identity[om[a]])
-    for m in source.morphisms:
-        n = mm.get(m)
-        if n not in set(target.morphisms):
-            raise DanglingReference(f"no image for morphism {m!r}")
-        if target.src[n] != om[source.src[m]] or target.tgt[n] != om[source.tgt[m]]:
-            raise MissingComposite(f"image of {m!r} has wrong boundary")
-    for a in source.objects:
-        if mm[source.identity[a]] != target.identity[om[a]]:
-            raise BadIdentity(f"identity of {a!r} not preserved")
-    for (g, f), h in source.compose.items():
-        if target.compose[(mm[g], mm[f])] != mm[h]:
-            raise NonAssociative(f"composition not preserved on ({f!r}, {g!r})")
-    return CatFunctor(source, target, om, mm)
+    return CatFunctor(source, target, *validate_functor(
+        source, target, SORTS, (object_map, morphism_map)))
+
+
+def validate_functor(source, target, sorts, maps) -> list[dict]:
+    """Check that ``maps``, one per sort, send ``source`` to ``target`` as a
+    functor of their kind, and return them with unit cells' images filled in.
+
+    Each sort is ``(label, cells, boundaries, units, tables)``, naming
+    fields of both categories: the tuple of its cells, ``(boundary map,
+    sort)`` for each boundary in an earlier sort, ``(unit map, sort)`` for
+    each map from an earlier sort onto its unit cells, and its composition
+    tables; a sort is named by its cells field.  Raises, in this order:
+    ``DanglingReference`` for a map entry naming no cell of the source, or a
+    cell without an image of its sort; ``MissingComposite`` for an image
+    with the wrong boundary; ``BadIdentity`` for a unit cell not sent to the
+    unit of its image; ``NonAssociative`` for a composite not preserved."""
+    maps = {cells: dict(part) for (_, cells, *_), part in zip(sorts, maps)}
+    for label, cells, *_ in sorts:
+        known = set(getattr(source, cells))
+        for c in maps[cells]:
+            if c not in known:
+                raise DanglingReference(f"map entry {c!r} names no {label} of the source")
+    fills = {cells: [] for _, cells, *_ in sorts}  # unit maps, by the sort they start from
+    for _, cells, _, units, _ in sorts:
+        for unit, start in units:
+            fills[start].append((getattr(source, unit), getattr(target, unit), maps[cells]))
+    for label, cells, boundaries, _, _ in sorts:
+        part, images = maps[cells], set(getattr(target, cells))
+        sides = [(getattr(source, side), getattr(target, side), maps[other])
+                 for side, other in boundaries]
+        for c in getattr(source, cells):
+            d = part.get(c)
+            if d not in images:
+                raise DanglingReference(f"no image for {label} {c!r}")
+            for side, image_side, other in sides:
+                if image_side[d] != other[side[c]]:
+                    raise MissingComposite(f"image of {label} {c!r} has wrong boundary")
+            for unit, image_unit, unit_part in fills[cells]:
+                unit_part.setdefault(unit[c], image_unit[d])
+    for label, cells, *_ in sorts:
+        part = maps[cells]
+        for unit, image_unit, unit_part in fills[cells]:
+            for c in getattr(source, cells):
+                if unit_part[unit[c]] != image_unit[part[c]]:
+                    raise BadIdentity(f"unit cell of {label} {c!r} not preserved")
+    for label, cells, _, _, tables in sorts:
+        part = maps[cells]
+        for table in tables:
+            image = getattr(target, table)
+            for (then, first), composite in getattr(source, table).items():
+                if image[(part[then], part[first])] != part[composite]:
+                    raise NonAssociative(f"{table} not preserved on ({first!r}, {then!r})")
+    return list(maps.values())
 
 
 def is_free_category(cat: FiniteCategory):

@@ -62,7 +62,8 @@ def _load_functor(args, need):
             maps = json.load(handle)
         except json.JSONDecodeError as err:
             raise SchemaError(f"{args.mapfile}: not valid JSON: {err}") from err
-    parts = [maps.get(key, {}) if isinstance(maps, dict) else None for key in keys]
+    sections = isinstance(maps, dict) and set(maps) <= set(keys)
+    parts = [maps.get(key, {}) if sections else None for key in keys]
     if not all(isinstance(part, dict) and all(isinstance(v, str) for v in part.values())
                for part in parts):
         raise SchemaError(f"{args.mapfile}: a map file maps names to names under {list(keys)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cat import fill_implicit, read_composition_table
+from .cat import check_composable, fill_implicit, read_composition_table, validate_functor
 from .errors import (
     BadIdentity,
     DanglingReference,
@@ -209,6 +209,8 @@ def check_double_category_laws(dbl: FiniteDoubleCategory) -> None:
         if dbl.e_sq[dbl.idh[a]] != dbl.i_sq[dbl.idv[a]]:
             raise BadIdentity(f"double unit square not shared at object {a!r}")
 
+    check_composable(dbl.hcomp_sq, dbl.sright, dbl.sleft, "horizontal square")
+    check_composable(dbl.vcomp_sq, dbl.sbottom, dbl.stop, "vertical square")
     # horizontal composition of squares
     for s in dbl.squares:
         for t in dbl.squares:
@@ -285,9 +287,8 @@ def check_double_category_laws(dbl: FiniteDoubleCategory) -> None:
 
 def _check_category_layer(mors, src, tgt, ident, table, label):
     mset = set(mors)
+    check_composable(table, tgt, src, label)
     for (g, f), h in table.items():
-        if tgt[f] != src[g]:
-            raise MissingComposite(f"{label} table entry ({f!r}, {g!r}) is not composable")
         if h not in mset or src[h] != src[f] or tgt[h] != tgt[g]:
             raise MissingComposite(f"bad {label} composite for ({f!r}, {g!r})")
     for f in mors:
@@ -416,58 +417,22 @@ class DoubleFunctor:
         return id(self)
 
 
+# The sorts of a double category for ``cat.validate_functor``.
+SORTS = (
+    ("object", "objects", (), (), ()),
+    ("h-morphism", "hmors", (("hsrc", "objects"), ("htgt", "objects")),
+     (("idh", "objects"),), ("hcomp_h",)),
+    ("v-morphism", "vmors", (("vsrc", "objects"), ("vtgt", "objects")),
+     (("idv", "objects"),), ("vcomp_v",)),
+    ("square", "squares",
+     (("stop", "hmors"), ("sbottom", "hmors"), ("sleft", "vmors"), ("sright", "vmors")),
+     (("e_sq", "hmors"), ("i_sq", "vmors")), ("hcomp_sq", "vcomp_sq")),
+)
+
+
 def validate_double_functor(source, target, object_map, h_map, v_map, sq_map) -> DoubleFunctor:
-    om, hm, vm, sm = dict(object_map), dict(h_map), dict(v_map), dict(sq_map)
-    for a in source.objects:
-        if om.get(a) not in set(target.objects):
-            raise DanglingReference(f"no image for object {a!r}")
-        hm.setdefault(source.idh[a], target.idh[om[a]])
-        vm.setdefault(source.idv[a], target.idv[om[a]])
-    for f in source.hmors:
-        g = hm.get(f)
-        if g not in set(target.hmors):
-            raise DanglingReference(f"no image for h-morphism {f!r}")
-        if target.hsrc[g] != om[source.hsrc[f]] or target.htgt[g] != om[source.htgt[f]]:
-            raise MissingComposite(f"image of h-morphism {f!r} has wrong boundary")
-        sm.setdefault(source.e_sq[f], target.e_sq[g])
-    for u in source.vmors:
-        w = vm.get(u)
-        if w not in set(target.vmors):
-            raise DanglingReference(f"no image for v-morphism {u!r}")
-        if target.vsrc[w] != om[source.vsrc[u]] or target.vtgt[w] != om[source.vtgt[u]]:
-            raise MissingComposite(f"image of v-morphism {u!r} has wrong boundary")
-        sm.setdefault(source.i_sq[u], target.i_sq[w])
-    for s in source.squares:
-        t = sm.get(s)
-        if t not in set(target.squares):
-            raise DanglingReference(f"no image for square {s!r}")
-        if (target.stop[t] != hm[source.stop[s]]
-                or target.sbottom[t] != hm[source.sbottom[s]]
-                or target.sleft[t] != vm[source.sleft[s]]
-                or target.sright[t] != vm[source.sright[s]]):
-            raise MissingComposite(f"image of square {s!r} has wrong boundary")
-    for a in source.objects:
-        if hm[source.idh[a]] != target.idh[om[a]] or vm[source.idv[a]] != target.idv[om[a]]:
-            raise BadIdentity(f"identities of {a!r} not preserved")
-    for f in source.hmors:
-        if sm[source.e_sq[f]] != target.e_sq[hm[f]]:
-            raise BadIdentity(f"unit square of {f!r} not preserved")
-    for u in source.vmors:
-        if sm[source.i_sq[u]] != target.i_sq[vm[u]]:
-            raise BadIdentity(f"unit square of {u!r} not preserved")
-    for (g, f), h in source.hcomp_h.items():
-        if target.hcomp_h[(hm[g], hm[f])] != hm[h]:
-            raise NonAssociative(f"h-composition not preserved on ({f!r}, {g!r})")
-    for (w, u), z in source.vcomp_v.items():
-        if target.vcomp_v[(vm[w], vm[u])] != vm[z]:
-            raise NonAssociative(f"v-composition not preserved on ({u!r}, {w!r})")
-    for (t, s), c in source.hcomp_sq.items():
-        if target.hcomp_sq[(sm[t], sm[s])] != sm[c]:
-            raise NonAssociative(f"square h-composition not preserved on ({s!r}, {t!r})")
-    for (t, s), c in source.vcomp_sq.items():
-        if target.vcomp_sq[(sm[t], sm[s])] != sm[c]:
-            raise NonAssociative(f"square v-composition not preserved on ({s!r}, {t!r})")
-    return DoubleFunctor(source, target, om, hm, vm, sm)
+    return DoubleFunctor(source, target, *validate_functor(
+        source, target, SORTS, (object_map, h_map, v_map, sq_map)))
 
 
 # -- embeddings and underlying 2-categories ----------------------------

@@ -14,6 +14,7 @@ quotients and the comparison maps between those live in ``tensor``.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from . import expr as ex
@@ -51,14 +52,15 @@ def _jumps(subset):
 # -- materialized orientals ---------------------------------------------
 
 
-_ORIENTAL_CACHE: dict = {}
-
-
 def oriental(n: int, invertible: bool = False) -> FiniteTwoCategory:
     """The 2-truncated n-oriental; with ``invertible`` every hom-category is
-    the indiscrete groupoid on the same 1-cells."""
-    if (n, invertible) in _ORIENTAL_CACHE:
-        return _ORIENTAL_CACHE[(n, invertible)]
+    the indiscrete groupoid on the same 1-cells.  One object per (n,
+    invertible), however it is asked for."""
+    return _oriental(n, bool(invertible))
+
+
+@cache
+def _oriental(n, invertible):
     objects = [str(i) for i in range(n + 1)]
     one_bounds, id1 = {}, {}
     homs = {}
@@ -95,10 +97,8 @@ def oriental(n: int, invertible: bool = False) -> FiniteTwoCategory:
             if s1[-1] == s2[0]:
                 hcomp2[(d, c)] = _two_name(_union(s1, s2), _union(t1, t2))
 
-    cat = assemble_two_category(objects, one_bounds, two_bounds, id1, id2,
-                                _union_hcomp1(subset_of), vcomp2, hcomp2)
-    _ORIENTAL_CACHE[(n, invertible)] = cat
-    return cat
+    return assemble_two_category(objects, one_bounds, two_bounds, id1, id2,
+                                 _union_hcomp1(subset_of), vcomp2, hcomp2)
 
 
 def _variant_vertex_present(n, variant, t, x):
@@ -343,14 +343,14 @@ def oriental_inv(n: int) -> FiniteTwoCategory:
     return oriental(n, invertible=True)
 
 
-_VERT_CACHE: dict = {}
-
-
 def v_oriental_inv(k: int) -> FiniteDoubleCategory:
-    """Vertical double category on the invertible oriental."""
-    if k not in _VERT_CACHE:
-        _VERT_CACHE[k] = vertical_embed(oriental(k, invertible=True))
-    return _VERT_CACHE[k]
+    """Vertical double category on the invertible oriental, one object per k."""
+    return _v_oriental_inv(k)
+
+
+@cache
+def _v_oriental_inv(k):
+    return vertical_embed(oriental_inv(k))
 
 
 # -- cosimplicial operators ----------------------------------------------

@@ -28,6 +28,7 @@ translators into either quotient.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from . import expr as ex
@@ -113,18 +114,17 @@ def _gen(tag, at):
     return _SORTS.get(tag, ex.sgen)(_name(tag, at))
 
 
-_X_CACHE: dict = {}
-
-
 def x_presentation(m: int, k: int, n: int):
-    """Presentation of the (m, k, n) tensor level plus generator metadata."""
+    """Presentation of the (m, k, n) tensor level plus generator metadata,
+    built once per level."""
+    return _x_presentation(m, k, n)
+
+
+@cache
+def _x_presentation(m, k, n):
     if not (0 <= m <= GRID[0] and 0 <= k <= GRID[1] and 0 <= n <= GRID[2]):
         raise RangeExceeded(f"(m, k, n) = {(m, k, n)} outside the supported grid {GRID}")
-    key = (m, k, n)
-    if key in _X_CACHE:
-        return _X_CACHE[key]
-
-    b = PresentationBuilder("double", f"x{key}")
+    b = PresentationBuilder("double", f"x{(m, k, n)}")
     meta: dict[str, tuple] = {}
 
     def add(tag, at, adder, *bounds, **options):
@@ -286,8 +286,7 @@ def x_presentation(m: int, k: int, n: int):
     for g in pres.gens:
         for tag, name in zip(("n*", "n.unit", "n.counit"), g.adjoint):
             meta[name] = (tag,) + meta[g.name][1:]
-    _X_CACHE[key] = (pres, meta)
-    return _X_CACHE[key]
+    return pres, meta
 
 
 # -- symbolic boundaries -------------------------------------------------
@@ -412,9 +411,6 @@ def _tr_sq_lsim(pres, s):
     raise RangeExceeded(f"unsupported square expression: {s!r}")
 
 
-_LX_CACHE: dict = {}
-
-
 def lx_presentations(m: int, k: int, n: int):
     """The two 2-categorical quotients of the (m, k, n) tensor level and the
     comparison generator maps.
@@ -424,16 +420,18 @@ def lx_presentations(m: int, k: int, n: int):
     identities); ``section`` goes the other way with collapse ∘ section the
     identity on generators.  Pullback along ``collapse`` realizes the
     comparison of the two 2-categorical nerves; pullback along ``section``
-    retracts it.
+    retracts it.  Built once per level.
     """
-    key = (m, k, n)
-    if key in _LX_CACHE:
-        return _LX_CACHE[key]
+    return _lx_presentations(m, k, n)
+
+
+@cache
+def _lx_presentations(m, k, n):
     xp, meta = x_presentation(m, k, n)
     expansion = xp.expansion_gens()
 
     # plain quotient: objects collapse along the vertical direction
-    bl = PresentationBuilder("two", f"lx{key}")
+    bl = PresentationBuilder("two", f"lx{(m, k, n)}")
     for x in range(m + 1):
         for z in range(n + 1):
             bl.add_object(_qname(x, z))
@@ -448,7 +446,7 @@ def lx_presentations(m: int, k: int, n: int):
                          ["invertible"] if g.flags else [])
 
     # equivalence quotient: vertical generators become adjoint equivalences
-    bs = PresentationBuilder("two", f"lsimx{key}")
+    bs = PresentationBuilder("two", f"lsimx{(m, k, n)}")
     for g in xp.gens:
         if g.name in expansion:
             continue
@@ -489,8 +487,7 @@ def lx_presentations(m: int, k: int, n: int):
             continue
         raise RangeExceeded(f"retract identity fails at generator {g.name!r}")
 
-    _LX_CACHE[key] = (plain, equivalence, collapse, section)
-    return _LX_CACHE[key]
+    return plain, equivalence, collapse, section
 
 
 def _collapse_map(meta, equivalence, plain) -> PresentationMorphism:
@@ -748,9 +745,6 @@ def _translate(variant, pres, meta, e):
     return e
 
 
-_MAP_CACHE: dict = {}
-
-
 def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> PresentationMorphism:
     """The presentation morphism realizing one cosimplicial operator between
     two tensor levels, for the double presentation ("x") or either
@@ -758,10 +752,12 @@ def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> Presenta
 
     Each generator's image is computed in the double presentation and
     translated into the quotient; adjoint partners, units and counits follow
-    the image of their base generator."""
-    key = (variant, direction, tuple(alpha), tuple(src_mkn), tuple(tgt_mkn))
-    if key in _MAP_CACHE:
-        return _MAP_CACHE[key]
+    the image of their base generator.  Built once per operator."""
+    return _level_map(variant, direction, tuple(alpha), tuple(src_mkn), tuple(tgt_mkn))
+
+
+@cache
+def _level_map(variant, direction, alpha, src_mkn, tgt_mkn):
     source, smeta = x_presentation(*src_mkn)
     tp, tmeta = x_presentation(*tgt_mkn)
     target = tp
@@ -776,5 +772,4 @@ def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> Presenta
             x, z = (int(v) for v in g.name[1:].split("."))
             kind = ("obj", x, 0, z)
         return _translate(variant, tp, tmeta, _image(kind, direction, alpha))
-    _MAP_CACHE[key] = adjoint_morphism(source, target, image_of)
-    return _MAP_CACHE[key]
+    return adjoint_morphism(source, target, image_of)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cat import fill_implicit, id_of, read_composition_table
+from .cat import check_composable, fill_implicit, id_of, read_composition_table, validate_functor
 from .errors import (
     BadIdentity,
     DanglingReference,
@@ -243,6 +243,7 @@ def check_two_category_laws(cat: FiniteTwoCategory) -> None:
         return lambda b: index.get(b, ())
 
     # 1-cell layer is a category
+    check_composable(cat.hcomp1, one_tgt, one_src, "1-cell")
     ones_from = grouped(cat.one_cells, one_src.__getitem__)
     after1 = _rows(cat.hcomp1, cat.one_cells)
     for f in cat.one_cells:
@@ -262,6 +263,7 @@ def check_two_category_laws(cat: FiniteTwoCategory) -> None:
                     raise NonAssociative(f"1-cell associativity fails on ({f!r}, {g!r}, {h!r})")
 
     # hom-categories: vertical composition
+    check_composable(cat.vcomp2, two_tgt, two_src, "vertical")
     twos_from = grouped(cat.two_cells, two_src.__getitem__)
     after2 = _rows(cat.vcomp2, cat.two_cells)
     for a in cat.two_cells:
@@ -272,9 +274,8 @@ def check_two_category_laws(cat: FiniteTwoCategory) -> None:
             c = row[b]
             if c not in twoset or two_src[c] != src or two_tgt[c] != two_tgt[b]:
                 raise MissingComposite(f"bad vertical composite for ({a!r}, {b!r})")
-    # with no 2-cells, a pair naming unknown cells fails at interchange instead
     vertical = list(cat.vcomp2.items())
-    for (b, a), ba in vertical if cat.two_cells else ():
+    for (b, a), ba in vertical:
         for c in twos_from(two_tgt[b]):
             if _read(after2, c, ba) != _read(after2, _read(after2, c, b), a):
                 raise NonAssociative(f"vertical associativity fails on ({a!r}, {b!r}, {c!r})")
@@ -282,6 +283,7 @@ def check_two_category_laws(cat: FiniteTwoCategory) -> None:
     # horizontal composition of 2-cells
     left = {a: one_src[two_src[a]] for a in cat.two_cells}
     right = {a: one_tgt[two_src[a]] for a in cat.two_cells}
+    check_composable(cat.hcomp2, right, left, "horizontal")
     twos_left_at = grouped(cat.two_cells, left.__getitem__)
     across = _rows(cat.hcomp2, cat.two_cells)
     for a in cat.two_cells:
@@ -373,41 +375,19 @@ class TwoFunctor:
         )
 
 
+# The sorts of a 2-category for ``cat.validate_functor``.
+SORTS = (
+    ("object", "objects", (), (), ()),
+    ("1-cell", "one_cells", (("one_src", "objects"), ("one_tgt", "objects")),
+     (("id1", "objects"),), ("hcomp1",)),
+    ("2-cell", "two_cells", (("two_src", "one_cells"), ("two_tgt", "one_cells")),
+     (("id2", "one_cells"),), ("vcomp2", "hcomp2")),
+)
+
+
 def validate_two_functor(source, target, object_map, one_map, two_map) -> TwoFunctor:
-    om, fm, cm = dict(object_map), dict(one_map), dict(two_map)
-    for a in source.objects:
-        if om.get(a) not in set(target.objects):
-            raise DanglingReference(f"no image for object {a!r}")
-        fm.setdefault(source.id1[a], target.id1[om[a]])
-    for f in source.one_cells:
-        g = fm.get(f)
-        if g not in set(target.one_cells):
-            raise DanglingReference(f"no image for 1-cell {f!r}")
-        if target.one_src[g] != om[source.one_src[f]] or target.one_tgt[g] != om[source.one_tgt[f]]:
-            raise MissingComposite(f"image of 1-cell {f!r} has wrong boundary")
-        cm.setdefault(source.id2[f], target.id2[g])
-    for c in source.two_cells:
-        d = cm.get(c)
-        if d not in set(target.two_cells):
-            raise DanglingReference(f"no image for 2-cell {c!r}")
-        if target.two_src[d] != fm[source.two_src[c]] or target.two_tgt[d] != fm[source.two_tgt[c]]:
-            raise MissingComposite(f"image of 2-cell {c!r} has wrong boundary")
-    for a in source.objects:
-        if fm[source.id1[a]] != target.id1[om[a]]:
-            raise BadIdentity(f"identity 1-cell of {a!r} not preserved")
-    for f in source.one_cells:
-        if cm[source.id2[f]] != target.id2[fm[f]]:
-            raise BadIdentity(f"identity 2-cell of {f!r} not preserved")
-    for (g, f), h in source.hcomp1.items():
-        if target.hcomp1[(fm[g], fm[f])] != fm[h]:
-            raise NonAssociative(f"1-cell composition not preserved on ({f!r}, {g!r})")
-    for (b, a), c in source.vcomp2.items():
-        if target.vcomp2[(cm[b], cm[a])] != cm[c]:
-            raise NonAssociative(f"vertical composition not preserved on ({a!r}, {b!r})")
-    for (b, a), c in source.hcomp2.items():
-        if target.hcomp2[(cm[b], cm[a])] != cm[c]:
-            raise NonAssociative(f"horizontal composition not preserved on ({a!r}, {b!r})")
-    return TwoFunctor(source, target, om, fm, cm)
+    return TwoFunctor(source, target, *validate_functor(
+        source, target, SORTS, (object_map, one_map, two_map)))
 
 
 def promote_equivalence(cat, f, g, eta, eps):

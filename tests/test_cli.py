@@ -335,6 +335,88 @@ def test_negative_sizes_are_rejected(args):
     assert "non-negative" in err
 
 
+ISO_IDENTITY_MAP = {"objects": {"x": "x", "y": "y"}, "one_cells": {"xy": "xy", "yx": "yx"},
+                    "two_cells": {}}
+
+
+def _map_cases():
+    """A functor command whose map file has an entry the source lacks, or a
+    section its kind lacks, and the one error it must report."""
+    h_iso_map = json.loads((CORPUS / "h-iso-to-hsim.map.json").read_text())
+    double = ("h-iso.json", "hsim-iso.json")
+    cases = {}
+    for section, image in (("objects", "x"), ("hmor", "xy"), ("vmor", "idv:x"), ("squares", "ee:x")):
+        bad = {**h_iso_map, section: {**h_iso_map[section], "zz-not-a-cell": image}}
+        for command in (("tfib",), ("rlp", "--set", "I"), ("dbl-bieq",)):
+            cases[f"{command[0]}-unknown-{section}"] = (command, double, bad, "DanglingReference")
+    for section, image in (("objects", "x"), ("one_cells", "xy"), ("two_cells", "id2:xy")):
+        bad = {**ISO_IDENTITY_MAP, section: {**ISO_IDENTITY_MAP[section], "zz-not-a-cell": image}}
+        cases[f"bieq-unknown-{section}"] = (("bieq",), ("iso.json", "iso.json"), bad,
+                                            "DanglingReference")
+    cases["bieq-double-section"] = (("bieq",), ("iso.json", "iso.json"),
+                                    {**ISO_IDENTITY_MAP, "hmor": {}}, "SchemaError")
+    cases["tfib-two-category-section"] = (("tfib",), double, {**h_iso_map, "one_cells": {}},
+                                          "SchemaError")
+    return cases
+
+
+MAP_CASES = _map_cases()
+
+
+@pytest.mark.parametrize("case", sorted(MAP_CASES))
+def test_map_entries_outside_the_source_are_errors(case, tmp_path):
+    """A map naming a cell the source does not have, or a section outside
+    its kind's, is bad input: no verdict is taken on the cells it does name."""
+    (command, *options), files, doc, error = MAP_CASES[case]
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps(doc))
+    code, out, err = _in_process([command, *(str(CORPUS / f) for f in files), str(mapfile),
+                                  *options])
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}"), err
+
+
+def _composition_cases():
+    """A corpus file with one composition entry on a pair that does not
+    compose, under the table of a category, each table of a 2-category and
+    each square table of a double category."""
+    def extra(name, key, entry):
+        doc = json.loads((CORPUS / name).read_text())
+        return {**doc, key: [*doc[key], entry]}
+
+    return {
+        "compose": extra("iso-category.json", "compose", ["id:x", "id:y", "id:x"]),
+        "hcompose_one": extra("iso.json", "hcompose_one", ["id:x", "id:y", "id:x"]),
+        "vcompose": extra("iso.json", "vcompose", ["id2:id:x", "id2:id:y", "id2:id:x"]),
+        "hcompose_two": extra("iso.json", "hcompose_two", ["id2:xy", "id2:xy", "id2:xy"]),
+        "hcompose_sq": extra("h-iso.json", "hcompose_sq", ["e:xy", "e:xy", "e:xy"]),
+        "vcompose_sq": extra("h-iso.json", "vcompose_sq", ["ee:x", "ee:y", "ee:x"]),
+    }
+
+
+COMPOSITION_CASES = _composition_cases()
+
+
+@pytest.mark.parametrize("case", [*sorted(COMPOSITION_CASES), "bieq"])
+def test_composition_entries_on_pairs_that_do_not_compose_are_errors(case, tmp_path):
+    bad = tmp_path / "bad.json"
+    if case == "bieq":
+        bad.write_text(json.dumps(COMPOSITION_CASES["hcompose_one"]))
+        mapfile = tmp_path / "map.json"
+        mapfile.write_text(json.dumps(ISO_IDENTITY_MAP))
+        argv = ["bieq", str(bad), str(CORPUS / "iso.json"), str(mapfile)]
+    else:
+        bad.write_text(json.dumps(COMPOSITION_CASES[case]))
+        argv = ["validate", str(bad)]
+    code, out, err = _in_process(argv)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: MissingComposite"), err
+
+
 SHAPES = {
     "adjoint-1": ("--family", "adjoint", "--n", "1"),
     "adjoint-2": ("--family", "adjoint", "--n", "2"),
@@ -362,8 +444,7 @@ def _documents():
             for path in sorted(CORPUS.glob("*.json"))}
     for name, options in SHAPES.items():
         docs[name] = json.loads(_in_process(["shapes", "emit", *options])[1])
-    docs["iso-identity.map"] = {"objects": {"x": "x", "y": "y"},
-                                "one_cells": {"xy": "xy", "yx": "yx"}, "two_cells": {}}
+    docs["iso-identity.map"] = ISO_IDENTITY_MAP
     return docs
 
 

@@ -7,6 +7,7 @@ from dblnerve.shapes import (
     oriental,
     oriental_adjoint_presentation,
     oriental_functor,
+    oriental_inv,
     oriental_inv_presentation,
     oriental_presentation_map,
     oriental_variant,
@@ -26,6 +27,13 @@ def test_oriental_low_cases():
     # orientation: from the direct edge to the longer path
     c = nonid2[0]
     assert o2.two_src[c] == "[02]" and o2.two_tgt[c] == "[012]"
+
+
+def test_an_oriental_is_one_object_however_it_is_asked_for():
+    """2-categories compare by identity, so each shape is built once."""
+    assert oriental(2, True) is oriental(2, invertible=True) is oriental_inv(2)
+    assert oriental(2) is oriental(2, False) is oriental(2, invertible=False)
+    assert v_oriental_inv(2) is v_oriental_inv(2)
 
 
 def test_oriental_hom_sizes_match_subset_enumeration():
@@ -238,3 +246,10 @@ def test_v_oriental_counts():
         if {v2.sleft[s], v2.sright[s]} == set(two_step) and s not in v2.i_sq.values()
     ]
     assert len(linking) == 2  # one invertible pair
+
+
+def test_a_level_map_is_one_object_however_its_operator_is_given():
+    from dblnerve.tensor import level_map
+
+    as_lists = level_map("x", "m", coface(0, 0), [0, 0, 0], [1, 0, 0])
+    assert as_lists is level_map("x", "m", tuple(coface(0, 0)), (0, 0, 0), (1, 0, 0))
