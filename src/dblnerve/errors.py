@@ -55,7 +55,15 @@ class RangeExceeded(DblnerveError):
 
 
 class BudgetExceeded(DblnerveError):
-    """An enumeration exceeded the configured candidate budget."""
+    """An enumeration exceeded the configured candidate budget: ``budget``,
+    the ``generator`` (search variable) it was trying, at ``depth`` (1 for
+    the first) of ``search_depth``, with ``found`` solutions found."""
+
+    def __init__(self, budget, generator, depth, search_depth, found):
+        super().__init__(f"search exceeded budget {budget} trying {generator!r} at depth "
+                         f"{depth} of {search_depth}, {found} solutions found")
+        self.budget, self.generator, self.found = budget, generator, found
+        self.depth, self.search_depth = depth, search_depth
 
 
 class DisagreementBug(DblnerveError):

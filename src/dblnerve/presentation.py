@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 
 from . import expr as ex
@@ -361,6 +362,11 @@ def _search(variables, constraints, budget: int | None, spent: int = 0):
     the solutions, as tuples in variable order listed in the lexicographic
     order of the candidate lists, and the candidates spent.
 
+    Until it returns, the search holds each solution as the shallowest
+    depth bound since the solution before and the images from there on
+    (``_Solutions``): consecutive solutions share long prefixes, and a
+    search that runs out of budget never builds a full row.
+
     Each depth memoizes, on the images of what its candidates and checks
     read, the candidates it accepts (``_accept``).  Rejected candidates are
     charged before the accepted one after them, or after the subtrees of
@@ -393,11 +399,13 @@ def _search(variables, constraints, budget: int | None, spent: int = 0):
         keys.append(itemgetter(*read) if read else _no_key)
     memos: list[dict] = [{} for _ in variables]
 
-    solutions: list[tuple] = []
+    solutions = _Solutions()
+    keep = solutions.keep
     env: dict = {}
+    values = env.values()
     stack: list = []  # (depth, the accepted candidates left, the candidates after them)
     last = len(variables) - 1
-    depth = 0
+    depth = low = 0  # low: the shallowest depth bound since the last solution
     while True:
         memo, key = memos[depth], keys[depth](env)
         try:
@@ -415,7 +423,8 @@ def _search(variables, constraints, budget: int | None, spent: int = 0):
             if depth < last:
                 depth += 1
                 continue
-            solutions.append(tuple(env.values()))
+            keep(low, values)
+            low = last
         while stack:
             depth, accepted, tail = stack[-1]
             step = next(accepted, None)
@@ -430,16 +439,66 @@ def _search(variables, constraints, budget: int | None, spent: int = 0):
             if spent > budget:
                 raise _exceeded(budget, names, depth, solutions)
             env[names[depth]] = image
+            if depth < low:
+                low = depth
             if depth < last:
                 depth += 1
                 break
-            solutions.append(tuple(env.values()))
+            keep(low, values)
+            low = last
         else:
-            return solutions, spent
+            return solutions.rows(last + 1), spent
 
 
 def _no_key(env):
     return None
+
+
+_CHUNK = 256  # solutions per chunk of a search's store
+
+
+class _Solutions:
+    """The solutions of one search in the order found, each kept as the
+    depth from which it may differ from the one before followed by its
+    images from there on, in one flat list per ``_CHUNK`` solutions: blocks
+    large enough to be given back whole when dropped, unlike small tuples,
+    and small enough that the chunk still held while its rows are built
+    adds little to the rows."""
+
+    __slots__ = ("found", "_chunks")
+
+    def __init__(self):
+        self.found = 0
+        self._chunks: list[list] = []
+
+    def keep(self, low, values):
+        """Keep the solution whose images, in depth order, are ``values``,
+        given that those before ``low`` are the last solution's."""
+        if self.found % _CHUNK == 0:
+            self._chunks.append([])
+        chunk = self._chunks[-1]
+        chunk.append(low)
+        chunk.extend(islice(values, low, None))
+        self.found += 1
+
+    def rows(self, width):
+        """The solutions as tuples of ``width`` images, built once into a
+        list allocated once; each chunk is dropped as soon as its rows are
+        built."""
+        chunks, rows, row = self._chunks, [None] * self.found, [None] * width
+        self._chunks = None
+        n = 0
+        for i, chunk in enumerate(chunks):
+            chunks[i] = None
+            at = 0
+            while at < len(chunk):
+                low = chunk[at]
+                end = at + 1 + width - low
+                row[low:] = chunk[at + 1:end]
+                rows[n] = tuple(row)
+                n += 1
+                at = end
+        return rows
 
 
 _NONE_ACCEPTED = object()
@@ -470,9 +529,7 @@ def _accept(candidates, checks, name, env):
 
 
 def _exceeded(budget, names, depth, solutions):
-    return BudgetExceeded(
-        f"search exceeded budget {budget} trying {names[depth]!r} at depth "
-        f"{depth + 1} of {len(names)}, {len(solutions)} solutions found")
+    return BudgetExceeded(budget, names[depth], depth + 1, len(names), solutions.found)
 
 
 def _environment_budget() -> int:

@@ -23,6 +23,18 @@ from .errors import DanglingReference, RangeExceeded
 from .presentation import Presentation, PresentationBuilder, PresentationMorphism, adjoint_morphism
 from .twocat import FiniteTwoCategory, assemble_two_category, validate_two_functor
 
+# The largest n of the oriental families, materialized or presented.  On a
+# 2-vCPU VM, at 5 every family serializes in under a second; at 6 the
+# invertible vertical double category takes 13 s, and at 7 no invertible
+# family finishes in 20 s.
+SHAPE_CAP = 5
+
+
+def _check_cap(n):
+    if n > SHAPE_CAP:
+        raise RangeExceeded(f"n = {n} above the shape cap {SHAPE_CAP}")
+
+
 # -- subsets ------------------------------------------------------------
 
 
@@ -55,7 +67,8 @@ def _jumps(subset):
 def oriental(n: int, invertible: bool = False) -> FiniteTwoCategory:
     """The 2-truncated n-oriental; with ``invertible`` every hom-category is
     the indiscrete groupoid on the same 1-cells.  One object per (n,
-    invertible), however it is asked for."""
+    invertible), however it is asked for.  RangeExceeded above SHAPE_CAP."""
+    _check_cap(n)
     return _oriental(n, bool(invertible))
 
 
@@ -269,7 +282,8 @@ def _oriental_presentation(n, variant, t, adjoint, invert) -> Presentation:
     """Present an oriental family: gap-edge generators (optionally adjoint
     equivalences), covering 2-cells (optionally invertible), whisker
     identifications for non-basic covers, and diamond relations when the
-    shape is full."""
+    shape is full.  RangeExceeded above SHAPE_CAP."""
+    _check_cap(n)
     label = f"oriental-pres({n},{variant},{t},{'adj' if adjoint else ''}{'inv' if invert else ''})"
     b = PresentationBuilder("two", label)
     vertices = [x for x in range(n + 1) if _variant_vertex_present(n, variant or "full", t, x)]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dblnerve import cli
+from dblnerve.shapes import SHAPE_CAP
 
 ROOT = Path(__file__).parent.parent
 CORPUS = ROOT / "corpus"
@@ -333,6 +334,24 @@ def test_negative_sizes_are_rejected(args):
     assert code == 2
     assert out == ""
     assert "non-negative" in err
+
+
+@pytest.mark.parametrize("family", ["plain", "inverted", "adjoint", "v-inverted"])
+def test_shapes_above_the_cap_are_out_of_range(family):
+    """One above SHAPE_CAP, and far above it, every family exits 2 at once
+    instead of running for minutes or out of memory."""
+    for n in (SHAPE_CAP + 1, 30):
+        code, out, err = _in_process(["shapes", "emit", "--family", family, "--n", str(n)])
+        assert (code, out) == (2, "")
+        assert err == f"error: RangeExceeded: n = {n} above the shape cap {SHAPE_CAP}\n"
+
+
+def test_budget_exceeded_exits_2_with_where_it_stopped():
+    code, out, err = run_cli("nerve", str(CORPUS / "hsim-iso.json"), "--m", "1", "--k", "2", "--n", "2",
+                             env={"DBLNERVE_BUDGET": "1000000"})
+    assert (code, out) == (2, "")
+    assert err == ("error: BudgetExceeded: search exceeded budget 1000000 trying "
+                   "'n12.1.2.counit' at depth 161 of 165, 29461 solutions found\n")
 
 
 ISO_IDENTITY_MAP = {"objects": {"x": "x", "y": "y"}, "one_cells": {"xy": "xy", "yx": "yx"},

@@ -1,4 +1,6 @@
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from dblnerve import nerve
 from dblnerve.cat import id_of, validate_category
 from dblnerve.dblcat import equivalence_embed, horizontal_embed, vertical_embed
-from dblnerve.errors import DisagreementBug, RangeExceeded
+from dblnerve.errors import BudgetExceeded, DisagreementBug, RangeExceeded
+from dblnerve.io import load_path
 from dblnerve.nerve import (
     ORACLE_GRID,
     comparison_maps,
@@ -24,10 +27,12 @@ from dblnerve.nerve import (
     two_nerve_level,
 )
 from dblnerve.standard import locally_discrete
+from dblnerve.tensor import x_presentation
 from dblnerve.twocat import validate_two_category
 from tests.test_twocat import naive_two_category_laws, one_object_document
 
 GRID = [(m, k, n) for m in (0, 1) for k in (0, 1) for n in (0, 1, 2)]
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def test_oracle_agreement_over_grid(corpus_dbl):
@@ -402,3 +407,21 @@ def test_random_preorders_agree_on_both_routes(cat, embed):
 @given(raw=st.sampled_from(_lawful_one_object_tables()), embed=st.sampled_from(EMBEDDINGS))
 def test_random_one_object_two_categories_agree_on_both_routes(raw, embed):
     _check_both_routes(embed(validate_two_category(one_object_document(raw))))
+
+
+def test_a_budget_cut_level_holds_its_solutions_in_little_memory():
+    """hsim-iso level (1,2,2) runs out of budget 200,000 after 5,890
+    solutions of 165 images.  Kept as full tuples they raised the traced
+    peak to 10.6 MB; kept as the images after the prefix each shares with
+    the one before, the whole search peaks at 4.6 MB."""
+    hsim_iso = load_path(CORPUS / "hsim-iso.json")
+    x_presentation(1, 2, 2)  # cached: built before the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as caught:
+            dbl_nerve_level(hsim_iso, 1, 2, 2, budget=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (caught.value.found, caught.value.search_depth) == (5890, 165)
+    assert peak < 6 * 2**20

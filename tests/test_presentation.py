@@ -1,11 +1,15 @@
 import gc
 import json
 import weakref
+from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dblnerve import expr as ex
+from dblnerve import presentation
 from dblnerve.dblcat import validate_double_functor
 from dblnerve.errors import BoundaryMismatch, BudgetExceeded, DanglingReference
 from dblnerve.io import load_path
@@ -395,6 +399,96 @@ def test_search_rejects_inputs_that_are_not_earlier_variables(inputs):
         _search(variables, [], None)
     assert str(caught.value) == (
         f"variable 'b' reads {inputs[0]!r}, which is not a variable before it")
+
+
+_DOMAIN = 4  # every variable of a drawn search takes values in range(_DOMAIN)
+
+
+def _drawn_candidates(inputs, pool, cut):
+    """Distinct values of range(_DOMAIN), in the order of ``pool`` shifted by
+    the sum of the bindings at ``inputs``, cut to a length that sum picks."""
+    def candidates(env):
+        total = sum(env[read] for read in inputs)
+        return [(v + total) % _DOMAIN for v in pool][:(total + cut) % (len(pool) + 1)]
+    return candidates
+
+
+def _drawn_check(weights, shift):
+    return lambda env: (sum(w * env[read] for read, w in weights) + shift) % 3 != 0
+
+
+@st.composite
+def drawn_searches(draw):
+    """Variables whose candidates read earlier bindings, and constraints on
+    variables at any depths."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    variables = []
+    for depth, name in enumerate(names):
+        inputs = tuple(draw(st.lists(st.sampled_from(names[:depth]), unique=True))) if depth else ()
+        pool = draw(st.permutations(range(_DOMAIN)))[:draw(st.integers(0, _DOMAIN))]
+        variables.append((name, inputs, _drawn_candidates(inputs, pool, draw(st.integers(0, 4)))))
+    constraints = []
+    for _ in range(draw(st.integers(0, 3))):
+        reads = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        weights = [(read, draw(st.integers(1, 2))) for read in reads]
+        constraints.append((tuple(reads), _drawn_check(weights, draw(st.integers(0, 2)))))
+    return variables, constraints
+
+
+def _brute_force(variables, constraints):
+    """The solutions of ``_search``, from a filter of every tuple of values,
+    listed in the lexicographic order of their positions in the candidate
+    lists."""
+    names = [name for name, _, _ in variables]
+    found = []
+    for values in product(range(_DOMAIN), repeat=len(names)):
+        env = dict(zip(names, values))
+        positions = []
+        for (_, _, candidates), value in zip(variables, values):
+            listed = candidates(env)  # reads only earlier bindings
+            if value not in listed:
+                break
+            positions.append(listed.index(value))
+        else:
+            if all(check(env) for _, check in constraints):
+                found.append((positions, values))
+    return [values for _, values in sorted(found)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(search=drawn_searches(), chunk=st.sampled_from([1, 2, 5, presentation._CHUNK]),
+       data=st.data())
+def test_search_matches_a_brute_force_filter(search, chunk, data):
+    """The rows, in order, of a product filter, whatever the size of the
+    chunks the solutions are kept in; a budget below what the search spends
+    raises BudgetExceeded having found no more than all of them."""
+    variables, constraints = search
+    expected = _brute_force(variables, constraints)
+    with mock.patch.object(presentation, "_CHUNK", chunk):
+        found, spent = _search(variables, constraints, 10**9)
+        assert found == expected
+        assert _search(variables, constraints, spent) == (found, spent)
+        if spent:
+            budget = data.draw(st.integers(0, spent - 1))
+            with pytest.raises(BudgetExceeded) as caught:
+                _search(variables, constraints, budget)
+            cut = caught.value
+            assert (cut.budget, cut.search_depth) == (budget, len(variables))
+            assert 0 <= cut.found <= len(expected)
+            assert variables[cut.depth - 1][0] == cut.generator
+            assert str(cut).endswith(f" at depth {cut.depth} of {len(variables)}, "
+                                     f"{cut.found} solutions found")
+
+
+def test_search_rebuilds_rows_across_chunks():
+    """4,096 solutions, more than one chunk holds, rebuilt in product order;
+    a constraint on the first and the last variable halves them."""
+    assert 4**6 > presentation._CHUNK
+    variables = [(f"v{i}", (), lambda env: [0, 1, 2, 3]) for i in range(6)]
+    found, _ = _search(variables, [], None)
+    assert found == list(product(range(4), repeat=6))
+    found, _ = _search(variables, [(("v0", "v5"), lambda env: (env["v0"] + env["v5"]) % 2)], None)
+    assert found == [row for row in product(range(4), repeat=6) if (row[0] + row[5]) % 2]
 
 
 def test_budget_message_says_where_the_search_stopped(iso2):
