@@ -30,8 +30,10 @@ pullbacks along presentation morphisms on rows) compile them once per
 call.  A closure reads only the images of the generators the expression
 names, so those callers memoize on those images: the search what each of
 its depths accepts, for the length of one search, and a pullback each
-image, for as long as the function ``pullback`` returns lives.  No closure
-or memo is kept on a presentation, an algebra or a module.
+image, for as long as the function ``pullback`` returns lives.  What a
+presentation keeps is its search plan (``Presentation.search_plan``):
+names and positions, no algebra and no closure over one.  No closure or
+memo is kept on a presentation, an algebra or a module.
 
 An algebra provides the cell-algebra protocol: ``objects``,
 ``h_src/h_tgt/h_id/h_then``, ``v_src/v_tgt/v_id/v_then``, the square

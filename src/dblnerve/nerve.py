@@ -56,7 +56,7 @@ _QUOTIENT = {"h": "l", "hsim": "lsim"}
 class SimplexSet:
     level: tuple[int, int, int]
     keys: tuple[str, ...]  # the generator names, sorted
-    elements: tuple[tuple, ...]  # sorted rows: the images in key order
+    elements: list[tuple]  # sorted rows, the images in key order: the list the search returned
     provenance: str
 
     def count(self) -> int:
@@ -66,7 +66,7 @@ class SimplexSet:
 def dbl_nerve_level(dbl: FiniteDoubleCategory, m: int, k: int, n: int,
                     budget: int | None = None) -> SimplexSet:
     pres, _meta = x_presentation(m, k, n)
-    return SimplexSet((m, k, n), pres.keys, tuple(enumerate_canonical(pres, dbl, budget)),
+    return SimplexSet((m, k, n), pres.keys, enumerate_canonical(pres, dbl, budget),
                       "generic-enumeration")
 
 
@@ -144,7 +144,7 @@ def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> Simpl
     out.sort()
     if any(a == b for a, b in pairwise(out)):
         raise DisagreementBug("oracle produced duplicate elements")
-    return SimplexSet((m, k, n), keys, tuple(out), "structural-oracle")
+    return SimplexSet((m, k, n), keys, out, "structural-oracle")
 
 
 def _rows(elements, keys):
@@ -485,14 +485,14 @@ def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: in
     set through the embedded double category and asserts the bijection."""
     plain, equivalence, _c, _s = lx_presentations(m, k, n)
     pres = plain if variant == "h" else equivalence
-    out = SimplexSet((m, k, n), pres.keys, tuple(enumerate_canonical(pres, cat2, budget)),
+    out = SimplexSet((m, k, n), pres.keys, enumerate_canonical(pres, cat2, budget),
                      f"two-nerve-{variant}")
     if check_bijection:
         dbl = horizontal_embed(cat2) if variant == "h" else equivalence_embed(cat2)
         direct = dbl_nerve_level(dbl, m, k, n, budget)
         converted = sorted(map(_two_rows_to_dbl(cat2, variant, dbl, pres, (m, k, n)),
                                out.elements))
-        if tuple(converted) != direct.elements:
+        if converted != direct.elements:
             raise DisagreementBug(
                 f"two-nerve level {(m, k, n)} does not match the double route"
             )
@@ -590,7 +590,7 @@ def n2_simplices(cat2: FiniteTwoCategory, n: int, budget: int | None = None) -> 
     if n > N2_CAP:
         raise RangeExceeded(f"n = {n} above the cap {N2_CAP}")
     pres = oriental_adjoint_presentation(n)
-    return SimplexSet((n,), pres.keys, tuple(enumerate_canonical(pres, cat2, budget)),
+    return SimplexSet((n,), pres.keys, enumerate_canonical(pres, cat2, budget),
                       "two-categorical-nerve")
 
 

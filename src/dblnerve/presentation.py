@@ -16,22 +16,26 @@ adjoint equivalences of the target.  The base generator records the names
 of its partner, unit and counit; ``adjoint_morphism`` reads that record to
 send them after the image of their base.
 
-Enumeration runs on ``_search``, a depth-first search kernel with an
-explicit stack and one candidate budget, which ``pseudohom`` also uses.
+Enumeration runs on a depth-first search kernel with an explicit stack and
+one candidate budget, which ``pseudohom`` also uses, in two halves: a plan
+(``_plan``) of names and positions, and a run (``_run``) that binds
+candidate and check functions to a plan; ``_search`` plans and runs once.
 Each variable declares the earlier variables its candidates read, and each
-depth memoizes, for the length of the search, which of its candidates pass
+depth memoizes, for the length of the run, which of its candidates pass
 the checks that become ready there, keyed on the images of what both read;
 a depth that accepts only the last of its candidates is bound without a
-stack frame.  ``enumerate_canonical`` returns the solutions as sorted
-rows, their images in one key order, the sorted generator names
-(``Presentation.keys``), and ``enumerate_functors`` as dicts; pullback
-along a presentation morphism maps rows to rows.
+stack frame.  A presentation is planned once (``Presentation.search_plan``,
+no algebra and no closure over one), and ``enumerate_canonical`` compiles
+its boundaries and relations in the target and runs that plan.  It returns
+the solutions as sorted rows, their images in one key order, the sorted
+generator names (``Presentation.keys``), and ``enumerate_functors`` as
+dicts; pullback along a presentation morphism maps rows to rows.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
@@ -73,6 +77,25 @@ class Presentation:
     def keys(self) -> tuple[str, ...]:
         """The key order of this presentation's rows: the sorted generator names."""
         return tuple(sorted(g.name for g in self.gens))
+
+    @cached_property
+    def search_plan(self) -> tuple:
+        """How ``enumerate_canonical`` searches this presentation, planned
+        once and without an algebra: the generators in search order
+        (``_schedule``), the flagged square generators, the generators each
+        relation names, the kernel plan (``_plan``) over them with the flag
+        checks before the relations, and the search position of each key.
+        It holds names, positions and this presentation's own generators,
+        no algebra and no closure over one: each call compiles the
+        boundaries and relations in its algebra and runs this plan."""
+        order = tuple(_schedule(self))
+        flagged = tuple(g for g in self.gens if g.sort == "sq" and g.flags)
+        related = tuple(tuple(sorted(ex.generators_of(lhs) | ex.generators_of(rhs)))
+                        for lhs, rhs in self.relations)
+        kernel = _plan([(g.name, set().union(*map(ex.generators_of, _bounds(self.kind, g))))
+                        for g in order], [(g.name,) for g in flagged] + list(related))
+        at = {g.name: i for i, g in enumerate(order)}
+        return order, flagged, related, kernel, tuple(at[name] for name in self.keys)
 
     def expansion_gens(self) -> set[str]:
         """The partners, units and counits that adjoint expansions added."""
@@ -179,13 +202,25 @@ class PresentationBuilder:
         for lhs, rhs in self.relations:
             if _sort(lhs, sorts) != _sort(rhs, sorts):
                 raise DanglingReference(f"relation sides {lhs!r} and {rhs!r} differ in sort")
+        seen: dict = {}  # one instance of each subexpression
         return Presentation(
             self.kind,
-            tuple(self.gens),
-            tuple(self.relations),
+            tuple(replace(g, bounds=tuple(_shared(b, seen) for b in g.bounds)) for g in self.gens),
+            tuple((_shared(lhs, seen), _shared(rhs, seen)) for lhs, rhs in self.relations),
             self.label,
             frozenset(self.expansion_relation_idx),
         )
+
+
+def _shared(expression, seen: dict):
+    """``expression`` rebuilt from the instances in ``seen`` of each of its
+    subexpressions, which it adds to ``seen`` if they are not there: the
+    expressions of one presentation repeat many subexpressions, and each is
+    then held once."""
+    if not isinstance(expression, tuple):
+        return expression
+    expression = tuple([_shared(part, seen) for part in expression])
+    return seen.setdefault(expression, expression)
 
 
 _BOUNDARY_SORTS = {"object": (), "h": ("object", "object"), "v": ("object", "object"),
@@ -350,7 +385,8 @@ def _flag_ok(alg, flags, image):
 
 
 def _search(variables, constraints, budget: int | None, spent: int = 0):
-    """Depth-first search over ordered variables with an explicit stack.
+    """Depth-first search over ordered variables with an explicit stack:
+    ``_plan`` and ``_run`` once.
 
     ``variables`` is a list of ``(name, inputs, candidates)``:
     ``candidates(env)`` lists the images to try and reads only the bindings
@@ -361,6 +397,45 @@ def _search(variables, constraints, budget: int | None, spent: int = 0):
     ``spent``, so callers can share one budget between searches.  Returns
     the solutions, as tuples in variable order listed in the lexicographic
     order of the candidate lists, and the candidates spent.
+    """
+    budget = _environment_budget() if budget is None else budget
+    plan = _plan([(name, inputs) for name, inputs, _ in variables],
+                 [inputs for inputs, _ in constraints])
+    return _run(plan, [candidates for _, _, candidates in variables],
+                [check for _, check in constraints], budget, spent)
+
+
+def _plan(variables, constraints) -> tuple:
+    """The plan of a search, without its candidate and check functions:
+    ``variables`` are ``(name, inputs)`` pairs in depth order and
+    ``constraints`` the inputs of each constraint.  Returns the names, per
+    depth the earlier names its memo key reads in depth order (those its
+    candidates and the checks tested there read), and per constraint the
+    depth it is tested at: right after the last of its inputs is bound.
+    Names and positions only, so one plan serves any number of runs.
+    DanglingReference if a variable reads a name that is not a variable
+    before it."""
+    position: dict = {}
+    reads: list[set] = []
+    for depth, (name, inputs) in enumerate(variables):
+        for read in inputs:
+            if read not in position:
+                raise DanglingReference(f"variable {name!r} reads {read!r}, "
+                                        f"which is not a variable before it")
+        reads.append(set(inputs))
+        position[name] = depth
+    depths = tuple(max(map(position.__getitem__, inputs)) for inputs in constraints)
+    for depth, inputs in zip(depths, constraints):
+        reads[depth].update(inputs)
+    names = tuple(position)
+    keys = tuple(tuple(sorted(read - {name}, key=position.get)) for name, read in zip(names, reads))
+    return names, keys, depths
+
+
+def _run(plan, candidates, checks, budget: int | None, spent: int = 0):
+    """Run the search ``plan`` (``_plan``) with ``candidates[depth](env)``
+    listing the images to try at each depth and ``checks[i](env)`` testing
+    its ``i``-th constraint; returns what ``_search`` returns.
 
     Until it returns, the search holds each solution as the shallowest
     depth bound since the solution before and the images from there on
@@ -374,44 +449,31 @@ def _search(variables, constraints, budget: int | None, spent: int = 0):
     a time would.  A depth that accepts only its last candidate is bound
     without a stack frame.  ``env`` is never popped: its keys stay in depth
     order, and a deeper binding is overwritten before it is read again.
+    The memos and the key functions live as long as the run.
     """
     budget = _environment_budget() if budget is None else budget
-    if not variables:
+    names, reads, depths = plan
+    if not names:
         return [()], spent
-    position: dict = {}
-    reads: list[set] = []
-    for depth, (name, inputs, _) in enumerate(variables):
-        for read in inputs:
-            if read not in position:
-                raise DanglingReference(f"variable {name!r} reads {read!r}, "
-                                        f"which is not a variable before it")
-        reads.append(set(inputs))
-        position[name] = depth
-    checks: list[list] = [[] for _ in variables]
-    for inputs, check in constraints:
-        depth = max(position[read] for read in inputs)
-        checks[depth].append(check)
-        reads[depth].update(inputs)
-    names = list(position)
-    keys = []
-    for depth, name in enumerate(names):
-        read = sorted(reads[depth] - {name}, key=position.get)
-        keys.append(itemgetter(*read) if read else _no_key)
-    memos: list[dict] = [{} for _ in variables]
+    keys = [itemgetter(*read) if read else _no_key for read in reads]
+    at_depth: list[list] = [[] for _ in names]  # the checks tested at each depth, in list order
+    for depth, check in zip(depths, checks):
+        at_depth[depth].append(check)
+    memos: list[dict] = [{} for _ in names]
 
     solutions = _Solutions()
     keep = solutions.keep
     env: dict = {}
     values = env.values()
     stack: list = []  # (depth, the accepted candidates left, the candidates after them)
-    last = len(variables) - 1
+    last = len(names) - 1
     depth = low = 0  # low: the shallowest depth bound since the last solution
     while True:
         memo, key = memos[depth], keys[depth](env)
         try:
             cost, image, rest = memo[key]
         except KeyError:
-            cost, image, rest = memo[key] = _accept(variables[depth][2], checks[depth],
+            cost, image, rest = memo[key] = _accept(candidates[depth], at_depth[depth],
                                                     names[depth], env)
         spent += cost
         if spent > budget:
@@ -561,43 +623,44 @@ def _schedule(pres: Presentation) -> list[Gen]:
     return sorted(pres.gens, key=lambda g: (last[g.name], g.sort != "object"))
 
 
+def _bounds(kind: str, gen: Gen) -> tuple:
+    """The boundary expressions of ``gen`` that its candidates are queried
+    by: none for an object, (src, tgt) for a 2-cell of a 2-category."""
+    return gen.bounds[:2] if kind == "two" else gen.bounds
+
+
 def _candidates(alg, kind: str, gen: Gen):
-    """The generators the boundary of ``gen`` names, and the function that
-    lists the candidate images of ``gen``, sorted, given their images."""
+    """The function that lists the candidate images of ``gen``, sorted,
+    given the images of the generators its boundary names."""
     if gen.sort == "object":
         objects = sorted(alg.objects)
-        return (), lambda env: objects
+        return lambda env: objects
     query = getattr(alg, {"h": "hmors_between", "v": "vmors_between",
                           "sq": "squares_with"}[gen.sort])
-    bounds = gen.bounds[:2] if kind == "two" else gen.bounds  # 2-cells: (src, tgt)
-    compiled = [ex.compile_expr(alg, b) for b in bounds]
-    return (set().union(*map(ex.generators_of, bounds)),
-            lambda env: sorted(query(*[b(env) for b in compiled])))
+    compiled = [ex.compile_expr(alg, b) for b in _bounds(kind, gen)]
+    return lambda env: sorted(query(*[b(env) for b in compiled]))
 
 
 def enumerate_canonical(pres: Presentation, alg, budget: int | None = None) -> list[tuple]:
     """All generator valuations into ``alg`` satisfying boundaries, flags,
-    and relations, as sorted rows in the key order ``pres.keys``."""
+    and relations, as sorted rows in the key order ``pres.keys``: the
+    presentation's ``search_plan``, run with its boundaries and relations
+    compiled in ``alg``."""
     if pres.kind == "two" and isinstance(alg, FiniteDoubleCategory):
         raise DanglingReference("two-category presentation needs a 2-category target")
     if pres.kind == "double" and isinstance(alg, FiniteTwoCategory):
         raise DanglingReference("double presentation needs a double category target")
-    order = _schedule(pres)
-    variables = [(g.name, *_candidates(alg, pres.kind, g)) for g in order]
+    order, flagged, related, kernel, at = pres.search_plan
+    candidates = [_candidates(alg, pres.kind, g) for g in order]
     # flag checks come first so that relations only see flagged images
-    constraints = [((g.name,), lambda env, name=g.name, flags=g.flags:
-                    _flag_ok(alg, flags, env[name]))
-                   for g in pres.gens if g.sort == "sq" and g.flags]
-    for lhs, rhs in pres.relations:
-        inputs = ex.generators_of(lhs) | ex.generators_of(rhs)
-        constraints.append((inputs, _by_inputs(inputs, lambda env, lhs=ex.compile_expr(alg, lhs),
-                                               rhs=ex.compile_expr(alg, rhs):
-                                               lhs(env) == rhs(env))))
-    rows, _ = _search(variables, constraints, budget)
-    keys = pres.keys
-    if len(keys) > 1:  # from search order to key order, in place: one copy of the rows
-        at = {g.name: i for i, g in enumerate(order)}
-        reorder = itemgetter(*[at[name] for name in keys])
+    checks = [lambda env, name=g.name, flags=g.flags: _flag_ok(alg, flags, env[name])
+              for g in flagged]
+    for (lhs, rhs), inputs in zip(pres.relations, related):
+        checks.append(_by_inputs(inputs, lambda env, lhs=ex.compile_expr(alg, lhs),
+                                 rhs=ex.compile_expr(alg, rhs): lhs(env) == rhs(env)))
+    rows, _ = _run(kernel, candidates, checks, budget)
+    if len(at) > 1:  # from search order to key order, in place: one copy of the rows
+        reorder = itemgetter(*at)
         for i, row in enumerate(rows):
             rows[i] = reorder(row)
     rows.sort()

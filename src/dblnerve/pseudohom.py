@@ -9,7 +9,10 @@ per horizontal morphism, subject to strict vertical functoriality,
 horizontal pseudo-functoriality, and naturality against every square;
 modifications carry one square per object with two whiskering conditions.
 All three searches run on the kernel of ``presentation``, which tests each
-condition as soon as the components it reads are chosen.  Every candidate
+condition as soon as the components it reads are chosen.  The
+transformation and the modification search are each planned once per
+``pseudo_hom`` call, from the domain alone; each pair of functors or of
+transformations binds only its images and runs that plan.  Every candidate
 tried counts against the budget; the transformation and modification
 searches of one ``pseudo_hom`` call share a single budget.
 
@@ -25,11 +28,12 @@ these keys; only this module knows the row order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import expr as ex
 from .dblcat import DoubleFunctor, FiniteDoubleCategory, validate_double_functor
 from .errors import DisagreementBug, MissingComposite
-from .presentation import PresentationBuilder, _search, enumerate_functors
+from .presentation import PresentationBuilder, _plan, _run, enumerate_functors
 from .twocat import FiniteTwoCategory, TwoFunctor, assemble_two_category, validate_two_functor
 from .whi import whi_squares
 
@@ -163,79 +167,101 @@ def _variable(dom):
     return lambda sort, cell: ("o", units[sort][cell]) if cell in units[sort] else (sort, cell)
 
 
-def _transformations_between(dom, cod, F, G, budget, spent):
-    """The rows of the horizontal pseudo-natural transformations F => G by
-    component search, and the budget spent so far."""
+def _transformation_search(dom, cod):
+    """The search for the horizontal pseudo-natural transformations between
+    two double functors dom -> cod, planned once: a function of
+    ``(F, G, budget, spent)`` that binds the images of F and G, and returns
+    the rows of the transformations F => G and the budget spent so far."""
     free_v, free_h = _free_cells(dom)
     var = _variable(dom)
-    variables = [
-        (("o", a), (), lambda env, a=a: cod.hmors_between(F.object_map[a], G.object_map[a]))
-        for a in dom.objects
-    ]
-    variables += [
-        (("v", u), (("o", dom.vsrc[u]), ("o", dom.vtgt[u])), lambda env, u=u: cod.squares_with(
-            top=env[("o", dom.vsrc[u])], bottom=env[("o", dom.vtgt[u])],
-            left=F.v_map[u], right=G.v_map[u]))
-        for u in free_v
-    ]
-    variables += [
-        (("h", f), (("o", dom.hsrc[f]), ("o", dom.htgt[f])), lambda env, f=f: cod.invertible_flat(
-            cod.h_then(env[("o", dom.hsrc[f])], G.h_map[f]),
-            cod.h_then(F.h_map[f], env[("o", dom.htgt[f])])))
-        for f in free_h
-    ]
-    constraints: list = []
+    v_ends = [(("o", dom.vsrc[u]), ("o", dom.vtgt[u])) for u in free_v]
+    h_ends = [(("o", dom.hsrc[f]), ("o", dom.htgt[f])) for f in free_h]
+    hmors_between, squares_with, invertible_flat, h_then = (
+        cod.hmors_between, cod.squares_with, cod.invertible_flat, cod.h_then)
+    e_sq, s_vcomp, s_hcomp = cod.e_sq, cod.s_vcomp, cod.s_hcomp
 
-    def require(cells, test):
-        """Constrain the components at ``cells`` by ``test``."""
-        constraints.append((cells, lambda env: test(
-            *[cod.e_sq[env[c]] if c[0] == "o" else env[c] for c in cells])))
+    def component(cell):
+        """The function reading the component at ``cell``: at the variable
+        of an object, the unit square of that object's component."""
+        return (lambda env: e_sq[env[cell]]) if cell[0] == "o" else itemgetter(cell)
 
+    def functorial(first, then, composite):
+        return lambda env: s_vcomp(first(env), then(env)) == composite(env)
+
+    def pseudo_functorial(first, then, composite, e_g, e_f):
+        return lambda env: s_vcomp(s_hcomp(first(env), e_g), s_hcomp(e_f, then(env))) == composite(env)
+
+    def natural(top, bottom, left, right, Fs, Gs):
+        return lambda env: (s_vcomp(top(env), s_hcomp(Fs, right(env)))
+                            == s_vcomp(s_hcomp(left(env), Gs), bottom(env)))
+
+    inputs, fixed, pseudo, squares = [], [], [], []
     unit_v, unit_h = set(dom.idv.values()), set(dom.idh.values())
     for (w, u), z in dom.vcomp_v.items():  # strict vertical functoriality
         if u not in unit_v and w not in unit_v:
-            require((var("v", u), var("v", w), var("v", z)),
-                    lambda first, then, composite: cod.s_vcomp(first, then) == composite)
+            inputs.append((var("v", u), var("v", w), var("v", z)))
+            fixed.append(functorial(*map(component, inputs[-1])))
     for (g, f), h in dom.hcomp_h.items():  # horizontal pseudo-functoriality
         if f not in unit_h and g not in unit_h:
-            require((var("h", f), var("h", g), var("h", h)),
-                    lambda first, then, composite, e_g=cod.e_sq[G.h_map[g]],
-                    e_f=cod.e_sq[F.h_map[f]]: cod.s_vcomp(
-                        cod.s_hcomp(first, e_g), cod.s_hcomp(e_f, then)) == composite)
+            inputs.append((var("h", f), var("h", g), var("h", h)))
+            pseudo.append((g, f, [*map(component, inputs[-1])]))
     unit_squares = set(dom.e_sq.values()) | set(dom.i_sq.values())
     for s in sorted(dom.squares):  # naturality against every non-unit square
-        if s in unit_squares:
-            continue
-        require((var("h", dom.stop[s]), var("h", dom.sbottom[s]),
-                 var("v", dom.sleft[s]), var("v", dom.sright[s])),
-                lambda top, bottom, left, right, Fs=F.sq_map[s], Gs=G.sq_map[s]:
-                cod.s_vcomp(top, cod.s_hcomp(Fs, right))
-                == cod.s_vcomp(cod.s_hcomp(left, Gs), bottom))
-    return _search(variables, constraints, budget, spent)
+        if s not in unit_squares:
+            inputs.append((var("h", dom.stop[s]), var("h", dom.sbottom[s]),
+                           var("v", dom.sleft[s]), var("v", dom.sright[s])))
+            squares.append((s, [*map(component, inputs[-1])]))
+    plan = _plan([(("o", a), ()) for a in dom.objects]
+                 + [(("v", u), ends) for u, ends in zip(free_v, v_ends)]
+                 + [(("h", f), ends) for f, ends in zip(free_h, h_ends)], inputs)
+
+    def run(F, G, budget, spent):
+        Fo, Go, Fv, Gv, Fh, Gh = F.object_map, G.object_map, F.v_map, G.v_map, F.h_map, G.h_map
+        candidates = [lambda env, a=Fo[a], b=Go[a]: hmors_between(a, b) for a in dom.objects]
+        candidates += [lambda env, top=top, bottom=bottom, left=Fv[u], right=Gv[u]: squares_with(
+            top=env[top], bottom=env[bottom], left=left, right=right)
+            for u, (top, bottom) in zip(free_v, v_ends)]
+        candidates += [lambda env, i=i, j=j, Gf=Gh[f], Ff=Fh[f]: invertible_flat(
+            h_then(env[i], Gf), h_then(Ff, env[j])) for f, (i, j) in zip(free_h, h_ends)]
+        checks = [*fixed, *(pseudo_functorial(*cells, e_sq[Gh[g]], e_sq[Fh[f]])
+                            for g, f, cells in pseudo),
+                  *(natural(*cells, F.sq_map[s], G.sq_map[s]) for s, cells in squares)]
+        return _run(plan, candidates, checks, budget, spent)
+    return run
 
 
-def _modifications_between(dom, cod, F, G, t1, t2, budget, spent):
-    """The rows of the modifications t1 => t2, their components in
-    ``dom.objects`` order, and the budget spent so far."""
+def _modification_search(dom, cod):
+    """The search for the modifications between two transformations of
+    double functors dom -> cod, planned once: a function of
+    ``(F, G, r1, r2, budget, spent)``, for transformations F => G with rows
+    r1 and r2, that binds their images and returns the rows of the
+    modifications, their components in ``dom.objects`` order, and the
+    budget spent so far."""
     free_v, free_h = _free_cells(dom)
-    variables = [
-        (a, (), lambda env, a=a: cod.squares_with(
-            top=t1.at_obj[a], bottom=t2.at_obj[a],
-            left=cod.idv[F.object_map[a]], right=cod.idv[G.object_map[a]]))
-        for a in dom.objects
-    ]
-    constraints = [
-        ((dom.hsrc[f], dom.htgt[f]), lambda mu, f=f, i=dom.hsrc[f], j=dom.htgt[f]:
-         cod.s_vcomp(t1.at_h[f], cod.s_hcomp(cod.e_sq[F.h_map[f]], mu[j]))
-         == cod.s_vcomp(cod.s_hcomp(mu[i], cod.e_sq[G.h_map[f]]), t2.at_h[f]))
-        for f in free_h
-    ]
-    constraints += [
-        ((dom.vsrc[u], dom.vtgt[u]), lambda mu, u=u, i=dom.vsrc[u], j=dom.vtgt[u]:
-         cod.s_vcomp(t1.at_v[u], mu[j]) == cod.s_vcomp(mu[i], t2.at_v[u]))
-        for u in free_v
-    ]
-    return _search(variables, constraints, budget, spent)
+    n, h_at = len(dom.objects), len(dom.objects) + len(free_v)  # where a row's blocks start
+    h_ends = [(dom.hsrc[f], dom.htgt[f]) for f in free_h]
+    v_ends = [(dom.vsrc[u], dom.vtgt[u]) for u in free_v]
+    idv, e_sq, s_vcomp, s_hcomp, squares_with = (
+        cod.idv, cod.e_sq, cod.s_vcomp, cod.s_hcomp, cod.squares_with)
+    plan = _plan([(a, ()) for a in dom.objects], h_ends + v_ends)
+
+    def whiskered_h(i, j, x1, x2, e_F, e_G):
+        return lambda mu: s_vcomp(x1, s_hcomp(e_F, mu[j])) == s_vcomp(s_hcomp(mu[i], e_G), x2)
+
+    def whiskered_v(i, j, x1, x2):
+        return lambda mu: s_vcomp(x1, mu[j]) == s_vcomp(mu[i], x2)
+
+    def run(F, G, r1, r2, budget, spent):
+        Fo, Go = F.object_map, G.object_map
+        candidates = [lambda env, top=top, bottom=bottom, left=idv[Fo[a]], right=idv[Go[a]]:
+                      squares_with(top=top, bottom=bottom, left=left, right=right)
+                      for a, top, bottom in zip(dom.objects, r1, r2)]
+        checks = [whiskered_h(i, j, x1, x2, e_sq[F.h_map[f]], e_sq[G.h_map[f]])
+                  for f, (i, j), x1, x2 in zip(free_h, h_ends, r1[h_at:], r2[h_at:])]
+        checks += [whiskered_v(i, j, x1, x2)
+                   for (i, j), x1, x2 in zip(v_ends, r1[n:h_at], r2[n:h_at])]
+        return _run(plan, candidates, checks, budget, spent)
+    return run
 
 
 def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
@@ -246,13 +272,15 @@ def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
     free_v, free_h = _free_cells(dom)
     n, h_at = len(dom.objects), len(dom.objects) + len(free_v)  # where a row's blocks start
     spent = 0  # shared by every transformation and modification search
+    transformations_between = _transformation_search(dom, cod)
+    modifications_between = _modification_search(dom, cod)
 
     transformations: dict[str, Transformation] = {}
     keys: dict[str, tuple] = {}
     parallel: list[list[str]] = []  # the transformations F => G, per pair of functors
     for fname, F in sorted(fnames.items()):
         for gname, G in sorted(fnames.items()):
-            rows, spent = _transformations_between(dom, cod, F, G, budget, spent)
+            rows, spent = transformations_between(F, G, budget, spent)
             parallel.append([])
             for row in rows:
                 name = f"t{len(transformations)}"
@@ -266,9 +294,9 @@ def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
     for names in parallel:
         for t1name in names:
             for t2name in names:
-                t1, t2 = transformations[t1name], transformations[t2name]
-                rows, spent = _modifications_between(
-                    dom, cod, fnames[t1.source], fnames[t1.target], t1, t2, budget, spent)
+                fname, gname, r1 = keys[t1name]
+                rows, spent = modifications_between(fnames[fname], fnames[gname], r1,
+                                                     keys[t2name][2], budget, spent)
                 for row in rows:
                     name = f"u{len(modifications)}"
                     modifications[name] = {"src": t1name, "tgt": t2name,

@@ -377,6 +377,7 @@ def test_schedule_leaves_every_small_corpus_level_unchanged(monkeypatch):
         now = enumerate_functors(pres, target)
         with monkeypatch.context() as patch:
             patch.setattr(presentation, "_schedule", _lazy_schedule)
+            patch.delitem(pres.__dict__, "search_plan")  # planned again, on the lazy schedule
             before = enumerate_functors(pres, target)
         assert now == before, (name, pres.label)
         checked += 1
@@ -418,20 +419,30 @@ def _drawn_check(weights, shift):
 
 
 @st.composite
-def drawn_searches(draw):
-    """Variables whose candidates read earlier bindings, and constraints on
-    variables at any depths."""
+def drawn_shapes(draw):
+    """Variable names, each with the earlier variables its candidates read,
+    and the variables each constraint reads, at any depths."""
     names = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    variables = [(name, tuple(draw(st.lists(st.sampled_from(names[:depth]), unique=True)))
+                  if depth else ()) for depth, name in enumerate(names)]
+    constraints = [tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3,
+                                       unique=True))) for _ in range(draw(st.integers(0, 3)))]
+    return variables, constraints
+
+
+@st.composite
+def drawn_searches(draw, shapes=drawn_shapes()):
+    """Variables whose candidates read earlier bindings, and constraints on
+    variables at any depths: a search of a shape drawn from ``shapes``."""
+    shape_variables, shape_constraints = draw(shapes)
     variables = []
-    for depth, name in enumerate(names):
-        inputs = tuple(draw(st.lists(st.sampled_from(names[:depth]), unique=True))) if depth else ()
+    for name, inputs in shape_variables:
         pool = draw(st.permutations(range(_DOMAIN)))[:draw(st.integers(0, _DOMAIN))]
         variables.append((name, inputs, _drawn_candidates(inputs, pool, draw(st.integers(0, 4)))))
     constraints = []
-    for _ in range(draw(st.integers(0, 3))):
-        reads = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    for reads in shape_constraints:
         weights = [(read, draw(st.integers(1, 2))) for read in reads]
-        constraints.append((tuple(reads), _drawn_check(weights, draw(st.integers(0, 2)))))
+        constraints.append((reads, _drawn_check(weights, draw(st.integers(0, 2)))))
     return variables, constraints
 
 
@@ -480,6 +491,35 @@ def test_search_matches_a_brute_force_filter(search, chunk, data):
                                      f"{cut.found} solutions found")
 
 
+def _outcome(search, *args):
+    """What ``search(*args)`` returns, or the attributes and text of the
+    BudgetExceeded it raises."""
+    try:
+        return search(*args)
+    except BudgetExceeded as cut:
+        return cut.budget, cut.generator, cut.depth, cut.search_depth, cut.found, str(cut)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=drawn_shapes(), data=st.data())
+def test_one_plan_runs_like_a_fresh_search_under_every_binding(shape, data):
+    """A plan made once and run under several bindings of candidates and
+    checks gives, for each, the rows, spend and BudgetExceeded of a search
+    planned afresh for it, at a budget that lets it finish and at one drawn
+    below."""
+    plan = presentation._plan(*shape)
+    for _ in range(3):
+        variables, constraints = data.draw(drawn_searches(st.just(shape)))
+        candidates = [candidates for _, _, candidates in variables]
+        checks = [check for _, check in constraints]
+        start = data.draw(st.integers(0, 3))
+        found, spent = _search(variables, constraints, 10**9, start)
+        for budget in (spent, data.draw(st.integers(0, spent))):
+            assert (_outcome(presentation._run, plan, candidates, checks, budget, start)
+                    == _outcome(_search, variables, constraints, budget, start))
+        assert presentation._run(plan, candidates, checks, spent, start) == (found, spent)
+
+
 def test_search_rebuilds_rows_across_chunks():
     """4,096 solutions, more than one chunk holds, rebuilt in product order;
     a constraint on the first and the last variable halves them."""
@@ -510,12 +550,13 @@ def test_search_spends_the_pinned_candidates(monkeypatch, hsim_iso, h_iso, squar
 
     spent = []
 
-    def counting(variables, constraints, budget, start=0):
-        out, total = _search(variables, constraints, budget, start)
+    def counting(plan, candidates, checks, budget, start=0):
+        out, total = run(plan, candidates, checks, budget, start)
         spent.append(total - start)
         return out, total
 
-    monkeypatch.setattr(presentation, "_search", counting)
+    run = presentation._run
+    monkeypatch.setattr(presentation, "_run", counting)
     for target, level in ((hsim_iso, (1, 1, 2)), (h_iso, (2, 2, 2)), (square_dbl, (2, 2, 2))):
         enumerate_functors(x_presentation(*level)[0], target)
     assert spent == [104_102, 73_342, 4_910]

@@ -141,6 +141,33 @@ def test_budget_guard_on_pseudo_hom(v_arrow, hsim_iso):
         pseudo_hom(v_oriental_inv(2), hsim_iso, budget=5)
 
 
+# The candidates pseudo_hom(dom, hsim-iso) spends, as the least budget at
+# which it returns, and where one candidate less stops it: (generator,
+# depth, search depth, solutions found).  The transformation and
+# modification searches of one call share a budget, so this is the spend of
+# all of them; each stops in a modification search at the last object.
+_PINNED_SPEND = {
+    "v-oriental-inv-2": (640, ("2", 3, 3, 0)),
+    "segal-big-3": (4864, ("3", 4, 4, 0)),
+    "segal-small-3": (3584, ("3", 4, 4, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_SPEND))
+def test_pseudo_hom_spends_the_pinned_candidates(case, corpus_files):
+    """Candidates are counted, not timed: a change to the per-pair searches
+    that changes what they spend fails here."""
+    incl = inclusion_chain_to_invertible(3)
+    dom = {"v-oriental-inv-2": v_oriental_inv(2), "segal-big-3": incl.target,
+           "segal-small-3": incl.source}[case]
+    total, where = _PINNED_SPEND[case]
+    pseudo_hom(dom, corpus_files["hsim-iso"], budget=total)
+    with pytest.raises(BudgetExceeded) as caught:
+        pseudo_hom(dom, corpus_files["hsim-iso"], budget=total - 1)
+    cut = caught.value
+    assert (cut.budget, (cut.generator, cut.depth, cut.search_depth, cut.found)) == (total - 1, where)
+
+
 def test_pseudo_hom_against_invertible_oriental(h_iso):
     ph = pseudo_hom(v_oriental_inv(2), h_iso)
     # vertical chains in the plain embedding only exist over identities
