@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadIdentity, DanglingReference, MissingComposite, NonAssociative, SchemaError
+from .errors import (
+    BadIdentity,
+    DanglingReference,
+    InterchangeFailure,
+    MissingComposite,
+    NonAssociative,
+    SchemaError,
+)
 
 
 def id_of(obj: str) -> str:
@@ -132,41 +139,97 @@ def validate_category(raw: dict) -> FiniteCategory:
     return cat
 
 
-def check_composable(table, end, start, label) -> None:
-    """Raise ``MissingComposite`` at the first entry of a ``(then, first)``
-    table whose ``first`` does not end where ``then`` starts."""
+def check_table(table, cells, start, end, label, faces=(), order=None) -> dict:
+    """Check that ``table``, keyed ``(then, first)``, composes ``cells``
+    along ``end`` and ``start``, and return its rows ``{first: {then:
+    composite}}``, a row for every cell, each in cell order.
+
+    Raises ``MissingComposite`` at the first entry whose ``first`` does not
+    end where ``then`` starts; then, visiting ``first`` and ``then`` in cell
+    order, at the first composable pair without an entry, or whose composite
+    is not a cell from the start of ``first`` to the end of ``then`` with
+    each face ``(face, rows)`` the composite in ``rows`` of the two cells'
+    faces; then ``NonAssociative`` at the first triple that does not
+    associate, visiting its first two cells by the keys of ``order`` (by
+    default in cell order) and its third in cell order; the 2-category
+    check passes its vertical table, whose triples it visits in table
+    order."""
     for then, first in table:
         if end[first] != start[then]:
             raise MissingComposite(f"{label} table entry ({first!r}, {then!r}) is not composable")
+    starting: dict = {}
+    for c in cells:
+        starting.setdefault(start[c], []).append(c)
+    cellset, rows = set(cells), {}
+    for f in cells:
+        row = rows[f] = {}
+        source = start[f]
+        sides = [(face, face_rows[face[f]]) for face, face_rows in faces]
+        for g in starting.get(end[f], ()):
+            c = table.get((g, f))
+            if c is None:  # a pair of cells with faces is pasted side by side
+                joint = ", " if faces else " then "
+                raise MissingComposite(f"no {label} composite for ({f!r}{joint}{g!r})")
+            if c in cellset and start[c] == source and end[c] == end[g]:
+                for face, face_row in sides:
+                    if face[c] != face_row[face[g]]:
+                        break
+                else:
+                    row[g] = c
+                    continue
+            raise MissingComposite(f"bad {label} composite for ({f!r}, {g!r})")
+    for g, f in order if order is not None else [(g, f) for f in cells for g in rows[f]]:
+        row_f = rows[f]
+        row_gf = rows[row_f[g]]
+        for h, hg in rows[g].items():
+            if row_gf[h] != row_f[hg]:
+                raise NonAssociative(f"{label} associativity fails on ({f!r}, {g!r}, {h!r})")
+    return rows
+
+
+def check_units(rows, start, end, unit, label) -> None:
+    """Raise ``BadIdentity`` at the first unit cell ``unit[b]`` that does not
+    run from ``b`` to ``b``, then at the first cell of ``rows`` (a table's,
+    from ``check_table``) that the units at its two ends do not fix."""
+    for b, u in unit.items():
+        if start.get(u) != b or end.get(u) != b:
+            raise BadIdentity(f"{label} unit {u!r} of {b!r} has the wrong boundary")
+    for c in rows:
+        if rows[unit[start[c]]][c] != c or rows[c][unit[end[c]]] != c:
+            raise BadIdentity(f"{label} unit law fails at {c!r}")
+
+
+def check_units_along(rows, unit, unit_rows, label) -> None:
+    """Raise ``BadIdentity`` at the first composable pair of ``rows`` whose
+    units ``unit`` do not compose, in ``unit_rows``, to the unit of their
+    composite; both rows come from ``check_table``."""
+    for f, row in rows.items():
+        unit_row = unit_rows[unit[f]]
+        for g, gf in row.items():
+            if unit_row.get(unit[g]) != unit[gf]:
+                raise BadIdentity(f"{label} do not compose to identity on ({f!r}, {g!r})")
+
+
+def check_interchange(vertical, v_rows, h_rows, left, right) -> None:
+    """Raise ``InterchangeFailure`` at the first grid, two entries of the
+    ``vertical`` table side by side (``left``/``right`` are the sides that
+    the horizontal table composes along), where the horizontal composite of
+    the vertical composites is not the vertical composite of the horizontal
+    ones; both rows come from ``check_table``.  Grids are visited by their
+    left and then their right entry, each in table order."""
+    beside: dict = {}
+    for (b, a), ba in vertical.items():
+        beside.setdefault((left[a], left[b]), []).append((a, b, ba))
+    for (b, a), ba in vertical.items():
+        row_ba, row_a, row_b = h_rows[ba], h_rows[a], h_rows[b]
+        for aa, bb, bbaa in beside.get((right[a], right[b]), ()):
+            if row_ba[bbaa] != v_rows[row_a[aa]][row_b[bb]]:
+                raise InterchangeFailure(f"interchange fails on ({a!r}, {b!r}, {aa!r}, {bb!r})")
 
 
 def check_category_laws(cat: FiniteCategory) -> None:
-    check_composable(cat.compose, cat.tgt, cat.src, "composition")
-    for (g, f), h in cat.compose.items():
-        if cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
-            raise MissingComposite(f"composite of ({f!r}, {g!r}) has wrong boundary {h!r}")
-    for a in cat.objects:
-        i = cat.identity[a]
-        if cat.src[i] != a or cat.tgt[i] != a:
-            raise BadIdentity(f"identity of {a!r} has boundary ({cat.src[i]!r}, {cat.tgt[i]!r})")
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            if cat.tgt[f] == cat.src[g] and (g, f) not in cat.compose:
-                raise MissingComposite(f"no composite declared for ({f!r} then {g!r})")
-        if cat.compose[(f, cat.identity[cat.src[f]])] != f:
-            raise BadIdentity(f"right identity law fails at {f!r}")
-        if cat.compose[(cat.identity[cat.tgt[f]], f)] != f:
-            raise BadIdentity(f"left identity law fails at {f!r}")
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            if cat.tgt[f] != cat.src[g]:
-                continue
-            gf = cat.compose[(g, f)]
-            for h in cat.morphisms:
-                if cat.tgt[g] != cat.src[h]:
-                    continue
-                if cat.compose[(h, gf)] != cat.compose[(cat.compose[(h, g)], f)]:
-                    raise NonAssociative(f"associativity fails on triple ({f!r}, {g!r}, {h!r})")
+    rows = check_table(cat.compose, cat.morphisms, cat.src, cat.tgt, "morphism")
+    check_units(rows, cat.src, cat.tgt, cat.identity, "morphism")
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cat import check_composable, fill_implicit, read_composition_table, validate_functor
-from .errors import (
-    BadIdentity,
-    DanglingReference,
-    InterchangeFailure,
-    MissingComposite,
-    NonAssociative,
+from .cat import (
+    check_interchange,
+    check_table,
+    check_units,
+    check_units_along,
+    fill_implicit,
+    read_composition_table,
+    validate_functor,
 )
+from .errors import BadIdentity, DanglingReference, MissingComposite
 from .expr import CellAlgebra
 from .twocat import FiniteTwoCategory, assemble_two_category
 
@@ -191,7 +193,7 @@ def assemble_double_category(
 
 
 def check_double_category_laws(dbl: FiniteDoubleCategory) -> None:
-    hset, vset, sqset = set(dbl.hmors), set(dbl.vmors), set(dbl.squares)
+    hset, vset = set(dbl.hmors), set(dbl.vmors)
 
     for s in dbl.squares:
         f, g = dbl.stop[s], dbl.sbottom[s]
@@ -202,111 +204,26 @@ def check_double_category_laws(dbl: FiniteDoubleCategory) -> None:
                 or dbl.hsrc[g] != dbl.vtgt[u] or dbl.htgt[g] != dbl.vtgt[v]):
             raise DanglingReference(f"square {s!r} has incompatible boundary")
 
-    _check_category_layer(dbl.hmors, dbl.hsrc, dbl.htgt, dbl.idh, dbl.hcomp_h, "horizontal")
-    _check_category_layer(dbl.vmors, dbl.vsrc, dbl.vtgt, dbl.idv, dbl.vcomp_v, "vertical")
+    h = check_table(dbl.hcomp_h, dbl.hmors, dbl.hsrc, dbl.htgt, "horizontal")
+    check_units(h, dbl.hsrc, dbl.htgt, dbl.idh, "horizontal")
+    v = check_table(dbl.vcomp_v, dbl.vmors, dbl.vsrc, dbl.vtgt, "vertical")
+    check_units(v, dbl.vsrc, dbl.vtgt, dbl.idv, "vertical")
 
     for a in dbl.objects:
         if dbl.e_sq[dbl.idh[a]] != dbl.i_sq[dbl.idv[a]]:
             raise BadIdentity(f"double unit square not shared at object {a!r}")
 
-    check_composable(dbl.hcomp_sq, dbl.sright, dbl.sleft, "horizontal square")
-    check_composable(dbl.vcomp_sq, dbl.sbottom, dbl.stop, "vertical square")
-    # horizontal composition of squares
-    for s in dbl.squares:
-        for t in dbl.squares:
-            if dbl.sright[s] != dbl.sleft[t]:
-                continue
-            if (t, s) not in dbl.hcomp_sq:
-                raise MissingComposite(f"no horizontal square composite for ({s!r}, {t!r})")
-            c = dbl.hcomp_sq[(t, s)]
-            if (c not in sqset
-                    or dbl.stop[c] != dbl.hcomp_h[(dbl.stop[t], dbl.stop[s])]
-                    or dbl.sbottom[c] != dbl.hcomp_h[(dbl.sbottom[t], dbl.sbottom[s])]
-                    or dbl.sleft[c] != dbl.sleft[s]
-                    or dbl.sright[c] != dbl.sright[t]):
-                raise MissingComposite(f"bad horizontal square composite for ({s!r}, {t!r})")
-    # vertical composition of squares
-    for s in dbl.squares:
-        for t in dbl.squares:
-            if dbl.sbottom[s] != dbl.stop[t]:
-                continue
-            if (t, s) not in dbl.vcomp_sq:
-                raise MissingComposite(f"no vertical square composite for ({s!r}, {t!r})")
-            c = dbl.vcomp_sq[(t, s)]
-            if (c not in sqset
-                    or dbl.stop[c] != dbl.stop[s]
-                    or dbl.sbottom[c] != dbl.sbottom[t]
-                    or dbl.sleft[c] != dbl.vcomp_v[(dbl.sleft[t], dbl.sleft[s])]
-                    or dbl.sright[c] != dbl.vcomp_v[(dbl.sright[t], dbl.sright[s])]):
-                raise MissingComposite(f"bad vertical square composite for ({s!r}, {t!r})")
-
-    for s in dbl.squares:
-        if dbl.hcomp_sq[(s, dbl.i_sq[dbl.sleft[s]])] != s:
-            raise BadIdentity(f"horizontal unit law fails at {s!r}")
-        if dbl.hcomp_sq[(dbl.i_sq[dbl.sright[s]], s)] != s:
-            raise BadIdentity(f"horizontal unit law fails at {s!r}")
-        if dbl.vcomp_sq[(s, dbl.e_sq[dbl.stop[s]])] != s:
-            raise BadIdentity(f"vertical unit law fails at {s!r}")
-        if dbl.vcomp_sq[(dbl.e_sq[dbl.sbottom[s]], s)] != s:
-            raise BadIdentity(f"vertical unit law fails at {s!r}")
-
-    for (g, f), h in dbl.hcomp_h.items():
-        if dbl.hcomp_sq[(dbl.e_sq[g], dbl.e_sq[f])] != dbl.e_sq[h]:
-            raise BadIdentity(f"unit squares not functorial on h-composite ({f!r}, {g!r})")
-    for (w, u), z in dbl.vcomp_v.items():
-        if dbl.vcomp_sq[(dbl.i_sq[w], dbl.i_sq[u])] != dbl.i_sq[z]:
-            raise BadIdentity(f"unit squares not functorial on v-composite ({u!r}, {w!r})")
-
-    for (t1, s1) in list(dbl.hcomp_sq):
-        # s1 left of t1; associativity
-        for t2 in dbl.squares:
-            if dbl.sright[t1] != dbl.sleft[t2]:
-                continue
-            if (dbl.hcomp_sq[(t2, dbl.hcomp_sq[(t1, s1)])]
-                    != dbl.hcomp_sq[(dbl.hcomp_sq[(t2, t1)], s1)]):
-                raise NonAssociative(f"horizontal square associativity fails on ({s1!r}, {t1!r}, {t2!r})")
-    for (b1, a1) in list(dbl.vcomp_sq):
-        for c1 in dbl.squares:
-            if dbl.sbottom[b1] != dbl.stop[c1]:
-                continue
-            if (dbl.vcomp_sq[(c1, dbl.vcomp_sq[(b1, a1)])]
-                    != dbl.vcomp_sq[(dbl.vcomp_sq[(c1, b1)], a1)]):
-                raise NonAssociative(f"vertical square associativity fails on ({a1!r}, {b1!r}, {c1!r})")
-
-    for (b1, a1) in list(dbl.vcomp_sq):
-        for (b2, a2) in list(dbl.vcomp_sq):
-            if dbl.sright[a1] != dbl.sleft[a2] or dbl.sright[b1] != dbl.sleft[b2]:
-                continue
-            lhs = dbl.hcomp_sq[(dbl.vcomp_sq[(b2, a2)], dbl.vcomp_sq[(b1, a1)])]
-            rhs = dbl.vcomp_sq[(dbl.hcomp_sq[(b2, b1)], dbl.hcomp_sq[(a2, a1)])]
-            if lhs != rhs:
-                raise InterchangeFailure(
-                    f"interchange fails on grid ({a1!r}, {a2!r}, {b1!r}, {b2!r})"
-                )
-
-
-def _check_category_layer(mors, src, tgt, ident, table, label):
-    mset = set(mors)
-    check_composable(table, tgt, src, label)
-    for (g, f), h in table.items():
-        if h not in mset or src[h] != src[f] or tgt[h] != tgt[g]:
-            raise MissingComposite(f"bad {label} composite for ({f!r}, {g!r})")
-    for f in mors:
-        for g in mors:
-            if tgt[f] == src[g] and (g, f) not in table:
-                raise MissingComposite(f"no {label} composite for ({f!r} then {g!r})")
-        if table[(f, ident[src[f]])] != f or table[(ident[tgt[f]], f)] != f:
-            raise BadIdentity(f"{label} identity law fails at {f!r}")
-    for f in mors:
-        for g in mors:
-            if tgt[f] != src[g]:
-                continue
-            gf = table[(g, f)]
-            for h in mors:
-                if tgt[g] != src[h]:
-                    continue
-                if table[(h, gf)] != table[(table[(h, g)], f)]:
-                    raise NonAssociative(f"{label} associativity fails on ({f!r}, {g!r}, {h!r})")
+    # a horizontal composite of squares lies over the composites of their
+    # tops and bottoms, a vertical one over those of their sides
+    hsq = check_table(dbl.hcomp_sq, dbl.squares, dbl.sleft, dbl.sright, "horizontal square",
+                      faces=((dbl.stop, h), (dbl.sbottom, h)))
+    vsq = check_table(dbl.vcomp_sq, dbl.squares, dbl.stop, dbl.sbottom, "vertical square",
+                      faces=((dbl.sleft, v), (dbl.sright, v)))
+    check_units(hsq, dbl.sleft, dbl.sright, dbl.i_sq, "horizontal square")
+    check_units(vsq, dbl.stop, dbl.sbottom, dbl.e_sq, "vertical square")
+    check_units_along(h, dbl.e_sq, hsq, "unit squares along horizontal composites")
+    check_units_along(v, dbl.i_sq, vsq, "unit squares along vertical composites")
+    check_interchange(dbl.vcomp_sq, vsq, hsq, dbl.sleft, dbl.sright)
 
 
 def validate_double_category(raw: dict) -> FiniteDoubleCategory:

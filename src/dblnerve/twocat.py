@@ -2,26 +2,27 @@
 
 A FiniteTwoCategory stores flat cell sets plus three composition tables:
 ``hcomp1`` on 1-cells, ``vcomp2`` and ``hcomp2`` on 2-cells, all keyed
-``(then, first)``.  The validator checks unitality, associativity of all
-three, functoriality of identities, and the interchange law on every
-composable quadruple, reading composites from per-cell rows of the three
-tables that each check builds for itself.
+``(then, first)``.  The validator checks each table with the helpers of
+``cat`` shared by every kind: composites, associativity, unit laws,
+identity 2-cells along 1-cell composites, and interchange on every
+composable grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cat import check_composable, fill_implicit, id_of, read_composition_table, validate_functor
-from .errors import (
-    BadIdentity,
-    DanglingReference,
-    InterchangeFailure,
-    MissingComposite,
-    NonAssociative,
-    NotAnEquivalence,
-    DisagreementBug,
+from .cat import (
+    check_interchange,
+    check_table,
+    check_units,
+    check_units_along,
+    fill_implicit,
+    id_of,
+    read_composition_table,
+    validate_functor,
 )
+from .errors import DanglingReference, DisagreementBug, NotAnEquivalence
 from .expr import CellAlgebra
 
 
@@ -208,120 +209,26 @@ def implicit_entries(one_bounds, two_bounds, id1, id2, hcomp1):
             yield "hcompose_two", pair, c, law, pair
 
 
-def _rows(table, cells):
-    """A ``(then, first)`` composition table as rows ``{first: {then:
-    composite}}``, with a row for every cell."""
-    rows = {c: {} for c in cells}
-    for (then, first), composite in table.items():
-        rows.setdefault(first, {})[then] = composite
-    return rows
-
-
-def _read(rows, then, first):
-    """``table[(then, first)]`` read from its rows, failing as the table would."""
-    try:
-        return rows[first][then]
-    except KeyError:
-        raise KeyError((then, first)) from None
-
-
 def check_two_category_laws(cat: FiniteTwoCategory) -> None:
-    """Raise on the first law that fails.  Composable pairs, triples and
-    quadruples are visited through indexes of the cells by the boundary
-    they compose along, in the order of the cell lists.  Composites are
-    read from rows of the three tables built for this check: directly
-    where the checks before have shown the pair composable, through
-    ``_read`` where a malformed table may lack it."""
-    oneset, twoset = set(cat.one_cells), set(cat.two_cells)
+    """Raise on the first law that fails, checking each table with
+    ``cat.check_table``: the 1-cell layer, vertical composition (visiting
+    triples in table order), horizontal composition of 2-cells, whose
+    composites lie over the 1-cell composites of their boundaries; then
+    identity 2-cells along 1-cell composites, the horizontal unit laws,
+    interchange, and last the unit laws of the other two tables, so that
+    they report only tables that pass every other law."""
     one_src, one_tgt, two_src, two_tgt = cat.one_src, cat.one_tgt, cat.two_src, cat.two_tgt
-    id1, id2 = cat.id1, cat.id2
-
-    def grouped(cells, boundary):
-        index: dict = {}
-        for c in cells:
-            index.setdefault(boundary(c), []).append(c)
-        return lambda b: index.get(b, ())
-
-    # 1-cell layer is a category
-    check_composable(cat.hcomp1, one_tgt, one_src, "1-cell")
-    ones_from = grouped(cat.one_cells, one_src.__getitem__)
-    after1 = _rows(cat.hcomp1, cat.one_cells)
-    for f in cat.one_cells:
-        row, src = after1[f], one_src[f]
-        for g in ones_from(one_tgt[f]):
-            if g not in row:
-                raise MissingComposite(f"no 1-cell composite for ({f!r} then {g!r})")
-            h = row[g]
-            if h not in oneset or one_src[h] != src or one_tgt[h] != one_tgt[g]:
-                raise MissingComposite(f"bad 1-cell composite for ({f!r}, {g!r})")
-    for f in cat.one_cells:
-        row_f = after1[f]
-        for g in ones_from(one_tgt[f]):
-            row_gf, row_g = after1[row_f[g]], after1[g]
-            for h in ones_from(one_tgt[g]):
-                if row_gf[h] != row_f[row_g[h]]:
-                    raise NonAssociative(f"1-cell associativity fails on ({f!r}, {g!r}, {h!r})")
-
-    # hom-categories: vertical composition
-    check_composable(cat.vcomp2, two_tgt, two_src, "vertical")
-    twos_from = grouped(cat.two_cells, two_src.__getitem__)
-    after2 = _rows(cat.vcomp2, cat.two_cells)
-    for a in cat.two_cells:
-        row, src = after2[a], two_src[a]
-        for b in twos_from(two_tgt[a]):
-            if b not in row:
-                raise MissingComposite(f"no vertical composite for ({a!r} then {b!r})")
-            c = row[b]
-            if c not in twoset or two_src[c] != src or two_tgt[c] != two_tgt[b]:
-                raise MissingComposite(f"bad vertical composite for ({a!r}, {b!r})")
-    vertical = list(cat.vcomp2.items())
-    for (b, a), ba in vertical:
-        for c in twos_from(two_tgt[b]):
-            if _read(after2, c, ba) != _read(after2, _read(after2, c, b), a):
-                raise NonAssociative(f"vertical associativity fails on ({a!r}, {b!r}, {c!r})")
-
-    # horizontal composition of 2-cells
     left = {a: one_src[two_src[a]] for a in cat.two_cells}
     right = {a: one_tgt[two_src[a]] for a in cat.two_cells}
-    check_composable(cat.hcomp2, right, left, "horizontal")
-    twos_left_at = grouped(cat.two_cells, left.__getitem__)
-    across = _rows(cat.hcomp2, cat.two_cells)
-    for a in cat.two_cells:
-        row, src_row, tgt_a = across[a], after1[two_src[a]], two_tgt[a]
-        for b in twos_left_at(right[a]):
-            if b not in row:
-                raise MissingComposite(f"no horizontal composite for ({a!r}, {b!r})")
-            c = row[b]
-            want_src = src_row[two_src[b]]
-            want_tgt = _read(after1, two_tgt[b], tgt_a)
-            if c not in twoset or two_src[c] != want_src or two_tgt[c] != want_tgt:
-                raise MissingComposite(f"bad horizontal composite for ({a!r}, {b!r})")
-    for a in cat.two_cells:
-        row_a = across[a]
-        for b in twos_left_at(right[a]):
-            row_ba, row_b = across[row_a[b]], across[b]
-            for c in twos_left_at(right[b]):
-                if row_ba[c] != row_a[row_b[c]]:
-                    raise NonAssociative(f"horizontal associativity fails on ({a!r}, {b!r}, {c!r})")
-    for f in cat.one_cells:
-        row_f = after1[f]
-        for g in ones_from(one_tgt[f]):
-            if _read(across, id2[g], id2[f]) != id2[row_f[g]]:
-                raise BadIdentity(f"identity 2-cells do not compose to identity on ({f!r}, {g!r})")
-    for a in cat.two_cells:
-        left_unit = id2[id1[left[a]]]
-        right_unit = id2[id1[right[a]]]
-        if _read(across, a, left_unit) != a or _read(across, right_unit, a) != a:
-            raise BadIdentity(f"horizontal unit law fails at {a!r}")
-
-    # interchange on all composable quadruples
-    vertical_left_at = grouped(vertical, lambda entry: left[entry[0][1]])
-    for (b, a), ba in vertical:
-        for (bb, aa), bbaa in vertical_left_at(right[a]):
-            lhs = _read(across, bbaa, ba)
-            rhs = _read(after2, _read(across, bb, b), _read(across, aa, a))
-            if lhs != rhs:
-                raise InterchangeFailure(f"interchange fails on ({a!r}, {b!r}, {aa!r}, {bb!r})")
+    after1 = check_table(cat.hcomp1, cat.one_cells, one_src, one_tgt, "1-cell")
+    after2 = check_table(cat.vcomp2, cat.two_cells, two_src, two_tgt, "vertical", order=cat.vcomp2)
+    across = check_table(cat.hcomp2, cat.two_cells, left, right, "horizontal",
+                         faces=((two_src, after1), (two_tgt, after1)))
+    check_units_along(after1, cat.id2, across, "identity 2-cells")
+    check_units(across, left, right, {o: cat.id2[cat.id1[o]] for o in cat.objects}, "horizontal")
+    check_interchange(cat.vcomp2, after2, across, left, right)
+    check_units(after1, one_src, one_tgt, cat.id1, "1-cell")
+    check_units(after2, two_src, two_tgt, cat.id2, "vertical")
 
 
 def assemble_two_category(
