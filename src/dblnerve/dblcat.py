@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .cat import (
     check_interchange,
     check_table,
+    check_unit_map,
     check_units,
     check_units_along,
     fill_implicit,
@@ -193,6 +194,12 @@ def assemble_double_category(
 
 
 def check_double_category_laws(dbl: FiniteDoubleCategory) -> None:
+    for unit, cells, unit_cells, label in (
+        (dbl.idh, dbl.objects, dbl.hmors, "horizontal"), (dbl.idv, dbl.objects, dbl.vmors, "vertical"),
+        (dbl.e_sq, dbl.hmors, dbl.squares, "vertical square"),
+        (dbl.i_sq, dbl.vmors, dbl.squares, "horizontal square"),
+    ):
+        check_unit_map(unit, cells, unit_cells, label)
     hset, vset = set(dbl.hmors), set(dbl.vmors)
 
     for s in dbl.squares:
@@ -204,9 +211,9 @@ def check_double_category_laws(dbl: FiniteDoubleCategory) -> None:
                 or dbl.hsrc[g] != dbl.vtgt[u] or dbl.htgt[g] != dbl.vtgt[v]):
             raise DanglingReference(f"square {s!r} has incompatible boundary")
 
-    h = check_table(dbl.hcomp_h, dbl.hmors, dbl.hsrc, dbl.htgt, "horizontal")
+    h = check_table(dbl.hcomp_h, dbl.hmors, dbl.hsrc, dbl.htgt, dbl.idh, "horizontal")
     check_units(h, dbl.hsrc, dbl.htgt, dbl.idh, "horizontal")
-    v = check_table(dbl.vcomp_v, dbl.vmors, dbl.vsrc, dbl.vtgt, "vertical")
+    v = check_table(dbl.vcomp_v, dbl.vmors, dbl.vsrc, dbl.vtgt, dbl.idv, "vertical")
     check_units(v, dbl.vsrc, dbl.vtgt, dbl.idv, "vertical")
 
     for a in dbl.objects:
@@ -215,9 +222,11 @@ def check_double_category_laws(dbl: FiniteDoubleCategory) -> None:
 
     # a horizontal composite of squares lies over the composites of their
     # tops and bottoms, a vertical one over those of their sides
-    hsq = check_table(dbl.hcomp_sq, dbl.squares, dbl.sleft, dbl.sright, "horizontal square",
+    hsq = check_table(dbl.hcomp_sq, dbl.squares, dbl.sleft, dbl.sright, dbl.i_sq,
+                      "horizontal square",
                       faces=((dbl.stop, h), (dbl.sbottom, h)))
-    vsq = check_table(dbl.vcomp_sq, dbl.squares, dbl.stop, dbl.sbottom, "vertical square",
+    vsq = check_table(dbl.vcomp_sq, dbl.squares, dbl.stop, dbl.sbottom, dbl.e_sq,
+                      "vertical square",
                       faces=((dbl.sleft, v), (dbl.sright, v)))
     check_units(hsq, dbl.sleft, dbl.sright, dbl.i_sq, "horizontal square")
     check_units(vsq, dbl.stop, dbl.sbottom, dbl.e_sq, "vertical square")

@@ -178,7 +178,7 @@ def _transformation_search(dom, cod):
     h_ends = [(("o", dom.hsrc[f]), ("o", dom.htgt[f])) for f in free_h]
     hmors_between, squares_with, invertible_flat, h_then = (
         cod.hmors_between, cod.squares_with, cod.invertible_flat, cod.h_then)
-    e_sq, s_vcomp, s_hcomp = cod.e_sq, cod.s_vcomp, cod.s_hcomp
+    e_sq, vcomp, hcomp = cod.e_sq, cod.vcomp_sq, cod.hcomp_sq  # keyed (then, first)
 
     def component(cell):
         """The function reading the component at ``cell``: at the variable
@@ -186,14 +186,14 @@ def _transformation_search(dom, cod):
         return (lambda env: e_sq[env[cell]]) if cell[0] == "o" else itemgetter(cell)
 
     def functorial(first, then, composite):
-        return lambda env: s_vcomp(first(env), then(env)) == composite(env)
+        return lambda env: vcomp[(then(env), first(env))] == composite(env)
 
     def pseudo_functorial(first, then, composite, e_g, e_f):
-        return lambda env: s_vcomp(s_hcomp(first(env), e_g), s_hcomp(e_f, then(env))) == composite(env)
+        return lambda env: vcomp[(hcomp[(then(env), e_f)], hcomp[(e_g, first(env))])] == composite(env)
 
     def natural(top, bottom, left, right, Fs, Gs):
-        return lambda env: (s_vcomp(top(env), s_hcomp(Fs, right(env)))
-                            == s_vcomp(s_hcomp(left(env), Gs), bottom(env)))
+        return lambda env: (vcomp[(hcomp[(right(env), Fs)], top(env))]
+                            == vcomp[(bottom(env), hcomp[(Gs, left(env))])])
 
     inputs, fixed, pseudo, squares = [], [], [], []
     unit_v, unit_h = set(dom.idv.values()), set(dom.idh.values())
@@ -241,15 +241,15 @@ def _modification_search(dom, cod):
     n, h_at = len(dom.objects), len(dom.objects) + len(free_v)  # where a row's blocks start
     h_ends = [(dom.hsrc[f], dom.htgt[f]) for f in free_h]
     v_ends = [(dom.vsrc[u], dom.vtgt[u]) for u in free_v]
-    idv, e_sq, s_vcomp, s_hcomp, squares_with = (
-        cod.idv, cod.e_sq, cod.s_vcomp, cod.s_hcomp, cod.squares_with)
+    idv, e_sq, vcomp, hcomp, squares_with = (
+        cod.idv, cod.e_sq, cod.vcomp_sq, cod.hcomp_sq, cod.squares_with)  # keyed (then, first)
     plan = _plan([(a, ()) for a in dom.objects], h_ends + v_ends)
 
     def whiskered_h(i, j, x1, x2, e_F, e_G):
-        return lambda mu: s_vcomp(x1, s_hcomp(e_F, mu[j])) == s_vcomp(s_hcomp(mu[i], e_G), x2)
+        return lambda mu: vcomp[(hcomp[(mu[j], e_F)], x1)] == vcomp[(x2, hcomp[(e_G, mu[i])])]
 
     def whiskered_v(i, j, x1, x2):
-        return lambda mu: s_vcomp(x1, mu[j]) == s_vcomp(mu[i], x2)
+        return lambda mu: vcomp[(mu[j], x1)] == vcomp[(x2, mu[i])]
 
     def run(F, G, r1, r2, budget, spent):
         Fo, Go = F.object_map, G.object_map
@@ -322,12 +322,15 @@ def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
         at_functor[keys[keys[name][0]][0]].append(name)
 
     ends = [(dom.objects.index(dom.hsrc[f]), dom.objects.index(dom.htgt[f])) for f in free_h]
+    # the codomain's composites, each of a pair (then, first)
+    compose_h, compose_v_sq, compose_h_sq, e_sq = (
+        cod.hcomp_h.__getitem__, cod.vcomp_sq.__getitem__, cod.hcomp_sq.__getitem__, cod.e_sq)
 
     def then(r1, r2):
         """The row of the composite of the transformations with rows r1, then r2."""
-        return (*map(cod.h_then, r1[:n], r2[:n]),
-                *map(cod.s_hcomp, r1[n:h_at], r2[n:h_at]),
-                *(cod.s_vcomp(cod.s_hcomp(cod.e_sq[r1[i]], y), cod.s_hcomp(x, cod.e_sq[r2[j]]))
+        return (*map(compose_h, zip(r2[:n], r1[:n])),
+                *map(compose_h_sq, zip(r2[n:h_at], r1[n:h_at])),
+                *(compose_v_sq((compose_h_sq((e_sq[r2[j]], x)), compose_h_sq((y, e_sq[r1[i]]))))
                   for (i, j), x, y in zip(ends, r1[h_at:], r2[h_at:])))
 
     id1 = {
@@ -336,7 +339,7 @@ def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
                                      *(cod.e_sq[F.h_map[f]] for f in free_h)))
         for fname, F in fnames.items()
     }
-    id2 = {t: lookup(t, t, tuple(cod.e_sq[x] for x in keys[t][2][:n])) for t in transformations}
+    id2 = {t: lookup(t, t, tuple(e_sq[x] for x in keys[t][2][:n])) for t in transformations}
     hcomp1 = {}
     for t1 in transformations:
         source, middle, r1 = keys[t1]
@@ -348,11 +351,11 @@ def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
         s1, t1, r1 = keys[m1]
         for m2 in out_of[t1]:
             _, t2, r2 = keys[m2]
-            vcomp2[(m2, m1)] = lookup(s1, t2, tuple(map(cod.s_vcomp, r1, r2)))
+            vcomp2[(m2, m1)] = lookup(s1, t2, tuple(map(compose_v_sq, zip(r2, r1))))
         for m2 in at_functor[keys[s1][1]]:
             s2, t2, r2 = keys[m2]
             hcomp2[(m2, m1)] = lookup(hcomp1[(s2, s1)], hcomp1[(t2, t1)],
-                                      tuple(map(cod.s_hcomp, r1, r2)))
+                                      tuple(map(compose_h_sq, zip(r2, r1))))
 
     two_cat = assemble_two_category(
         sorted(fnames), {t: keys[t][:2] for t in transformations},

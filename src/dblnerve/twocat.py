@@ -4,17 +4,19 @@ A FiniteTwoCategory stores flat cell sets plus three composition tables:
 ``hcomp1`` on 1-cells, ``vcomp2`` and ``hcomp2`` on 2-cells, all keyed
 ``(then, first)``.  The validator checks each table with the helpers of
 ``cat`` shared by every kind: composites, associativity, unit laws,
-identity 2-cells along 1-cell composites, and interchange on every
-composable grid.
+identity 2-cells along 1-cell composites, and interchange, shown by
+whiskering or else checked on every composable grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .cat import (
     check_interchange,
     check_table,
+    check_unit_map,
     check_units,
     check_units_along,
     fill_implicit,
@@ -210,25 +212,115 @@ def implicit_entries(one_bounds, two_bounds, id1, id2, hcomp1):
 
 
 def check_two_category_laws(cat: FiniteTwoCategory) -> None:
-    """Raise on the first law that fails, checking each table with
-    ``cat.check_table``: the 1-cell layer, vertical composition (visiting
-    triples in table order), horizontal composition of 2-cells, whose
-    composites lie over the 1-cell composites of their boundaries; then
-    identity 2-cells along 1-cell composites, the horizontal unit laws,
-    interchange, and last the unit laws of the other two tables, so that
-    they report only tables that pass every other law."""
+    """Raise on the first law that fails: a unit map that misses a cell;
+    then, checking each table with ``cat.check_table``, the 1-cell layer,
+    vertical composition (visiting triples in table order), horizontal
+    composition of 2-cells, whose composites lie over the 1-cell composites
+    of their boundaries; then identity 2-cells along 1-cell composites, the
+    horizontal unit laws, interchange, and last the unit laws of the other
+    two tables, so that they report only tables that pass every other law.
+
+    Interchange is first proven by whiskering (``_interchanges``), and only
+    when that fails does ``cat.check_interchange`` visit every grid, so it
+    alone reports failures."""
+    check_unit_map(cat.id1, cat.objects, cat.one_cells, "1-cell")
+    check_unit_map(cat.id2, cat.one_cells, cat.two_cells, "2-cell")
     one_src, one_tgt, two_src, two_tgt = cat.one_src, cat.one_tgt, cat.two_src, cat.two_tgt
     left = {a: one_src[two_src[a]] for a in cat.two_cells}
     right = {a: one_tgt[two_src[a]] for a in cat.two_cells}
-    after1 = check_table(cat.hcomp1, cat.one_cells, one_src, one_tgt, "1-cell")
-    after2 = check_table(cat.vcomp2, cat.two_cells, two_src, two_tgt, "vertical", order=cat.vcomp2)
-    across = check_table(cat.hcomp2, cat.two_cells, left, right, "horizontal",
+    h_unit = {o: cat.id2[cat.id1[o]] for o in cat.objects}
+    after1 = check_table(cat.hcomp1, cat.one_cells, one_src, one_tgt, cat.id1, "1-cell")
+    after2 = check_table(cat.vcomp2, cat.two_cells, two_src, two_tgt, cat.id2, "vertical",
+                         order=cat.vcomp2)
+    across = check_table(cat.hcomp2, cat.two_cells, left, right, h_unit, "horizontal",
                          faces=((two_src, after1), (two_tgt, after1)))
     check_units_along(after1, cat.id2, across, "identity 2-cells")
-    check_units(across, left, right, {o: cat.id2[cat.id1[o]] for o in cat.objects}, "horizontal")
-    check_interchange(cat.vcomp2, after2, across, left, right)
+    check_units(across, left, right, h_unit, "horizontal")
+    if not _interchanges(cat, across, left, right):
+        check_interchange(cat.vcomp2, after2, across, left, right)
     check_units(after1, one_src, one_tgt, cat.id1, "1-cell")
     check_units(after2, two_src, two_tgt, cat.id2, "vertical")
+
+
+def _interchanges(cat, across, left, right) -> bool:
+    """Whether interchange holds, ``(β·α)*(β′·α′) = (α*α′)·(β*β′)`` for
+    vertical composites ``β·α`` and ``β′·α′`` side by side, shown by
+    whiskering.  ``across`` are the rows of the horizontal table, and
+    ``left``/``right`` the objects on the sides of each 2-cell; both
+    tables have passed ``cat.check_table``, the vertical one is
+    associative, and identity 2-cells compose along 1-cell composites
+    (``1_g*1_f = 1_gf``).  ``1_f`` is the identity 2-cell ``id2[f]``.
+
+    Two families are checked.  (W) for every ``α: f ⇒ g`` and ``α′: f′ ⇒
+    g′`` side by side, ``α*α′ = (α*1_f′)·(1_g*α′) = (1_f*α′)·(α*1_g′)``.
+    (F) whiskering by ``1_k`` on either side preserves vertical composites:
+    ``(β·α)*1_k = (α*1_k)·(β*1_k)`` and ``1_k*(β·α) = (1_k*α)·(1_k*β)``.
+    Proof of interchange, for ``β: g ⇒ h`` and ``β′: g′ ⇒ h′``:
+    ``(β·α)*(β′·α′) = ((β·α)*1_f′)·(1_h*(β′·α′))`` by W,
+    ``= (α*1_f′)·(β*1_f′)·(1_h*α′)·(1_h*β′)`` by F,
+    ``= (α*1_f′)·(1_g*α′)·(β*1_g′)·(1_h*β′)`` by W on ``(β, α′)``,
+    ``= (α*α′)·(β*β′)`` by W on ``(α, α′)`` and on ``(β, β′)``.
+    Where one of the two 2-cells is an identity, W and F follow from
+    ``1_g*1_f = 1_gf`` and the vertical unit laws, so those are checked
+    here first and W and F only between other 2-cells.
+
+    Never raises.  When some ``id2[f]`` does not run from ``f`` to ``f``, a
+    vertical unit law fails, or W or F does, interchange is not shown and
+    the answer is False.  With the vertical unit laws, interchange implies
+    W and F, so the answer is True exactly when both hold."""
+    id2, two_src, two_tgt, vcomp2, hcomp2 = cat.id2, cat.two_src, cat.two_tgt, cat.vcomp2, cat.hcomp2
+    units_from, units_into = {}, {}  # the identity 2-cells of the 1-cells from and into each object
+    for f in cat.one_cells:
+        u = id2[f]
+        if two_src[u] != f or two_tgt[u] != f:
+            return False
+        units_from.setdefault(cat.one_src[f], []).append(u)
+        units_into.setdefault(cat.one_tgt[f], []).append(u)
+    cells = list(cat.two_cells)
+    if (list(map(vcomp2.get, zip(cells, map(id2.__getitem__, map(two_src.__getitem__, cells)))))
+            != cells or
+            list(map(vcomp2.get, zip(map(id2.__getitem__, map(two_tgt.__getitem__, cells)), cells)))
+            != cells):
+        return False
+    units = set(id2.values())
+    # per object, the 2-cells other than identities whose left side it is,
+    # and the identity 2-cells on their sources and on their targets
+    beside: dict = {}
+    for a in cells:
+        if a not in units:
+            others, src_units, tgt_units = beside.setdefault(left[a], ([], [], []))
+            others.append(a)
+            src_units.append(id2[two_src[a]])
+            tgt_units.append(id2[two_tgt[a]])
+    try:
+        for a in cells:  # W, for every α′ beside α at once
+            if a in units or right[a] not in beside:
+                continue
+            others, src_units, tgt_units = beside[right[a]]
+            row = across[a]
+            values = list(map(row.__getitem__, others))
+            if list(map(vcomp2.__getitem__, zip(map(across[id2[two_tgt[a]]].__getitem__, others),
+                                                map(row.__getitem__, src_units)))) != values:
+                return False
+            if list(map(vcomp2.__getitem__, zip(map(row.__getitem__, tgt_units),
+                                                map(across[id2[two_src[a]]].__getitem__, others)))) != values:
+                return False
+        for (b, a), ba in vcomp2.items():  # F, for every 1_k on either side at once
+            if a in units or b in units:
+                continue
+            us = units_from.get(right[a], ())
+            row_ba, row_a, row_b = across[ba], across[a], across[b]
+            if list(map(row_ba.__getitem__, us)) != list(map(vcomp2.__getitem__, zip(
+                    map(row_b.__getitem__, us), map(row_a.__getitem__, us)))):
+                return False
+            us = units_into.get(left[a], ())
+            if list(map(hcomp2.__getitem__, zip(repeat(ba), us))) != list(map(vcomp2.__getitem__, zip(
+                    map(hcomp2.__getitem__, zip(repeat(b), us)),
+                    map(hcomp2.__getitem__, zip(repeat(a), us))))):
+                return False
+    except KeyError:  # a whiskered pair that does not compose: boundaries not parallel
+        return False
+    return True
 
 
 def assemble_two_category(

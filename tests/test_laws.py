@@ -22,8 +22,13 @@ from dblnerve.dblcat import (
 )
 from dblnerve.errors import BadIdentity, MissingComposite, ValidationError
 from dblnerve.io import load_path
-from dblnerve.standard import chain_category, free_iso_category
-from dblnerve.twocat import assemble_two_category
+from dblnerve.standard import (
+    chain_category,
+    free_iso_category,
+    free_square_double,
+    iso_two_category,
+)
+from dblnerve.twocat import assemble_two_category, check_two_category_laws
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -222,3 +227,37 @@ def test_two_category_check_rejects_a_vertical_composition_without_units():
                               {"*": "id:*"}, {"id:*": unit}, {("id:*", "id:*"): "id:*"},
                               vcomp2, hcomp2)
     assert str(err.value) == "vertical unit law fails at 'id2:id:*'"
+
+
+def test_a_two_category_unit_map_without_a_cell_is_a_bad_identity():
+    """The unit maps are read for every cell; one given through the API
+    that misses a cell, or names no cell, is rejected before any law."""
+    cat = iso_two_category()
+    one_bounds = {f: (cat.one_src[f], cat.one_tgt[f]) for f in cat.one_cells}
+    two_bounds = {a: (cat.two_src[a], cat.two_tgt[a]) for a in cat.two_cells}
+    id2 = {f: u for f, u in cat.id2.items() if f != "xy"}
+    with pytest.raises(BadIdentity) as err:
+        assemble_two_category(cat.objects, one_bounds, two_bounds, cat.id1, id2,
+                              cat.hcomp1, cat.vcomp2, cat.hcomp2)
+    assert str(err.value) == "no 2-cell unit for 'xy'"
+    for field, unit, message in (
+        ("id1", {"y": "id:y"}, "no 1-cell unit for 'x'"),
+        ("id2", cat.id2 | {"yx": "nowhere"}, "no 2-cell unit for 'yx'"),
+    ):
+        with pytest.raises(BadIdentity) as err:
+            check_two_category_laws(dataclasses.replace(cat, **{field: unit}))
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("field, cell, message", [
+    ("idh", "00", "no horizontal unit for '00'"),
+    ("idv", "11", "no vertical unit for '11'"),
+    ("e_sq", "f", "no vertical square unit for 'f'"),
+    ("i_sq", "u", "no horizontal square unit for 'u'"),
+])
+def test_a_double_category_unit_map_without_a_cell_is_a_bad_identity(field, cell, message):
+    dbl = free_square_double()
+    unit = {c: u for c, u in getattr(dbl, field).items() if c != cell}
+    with pytest.raises(BadIdentity) as err:
+        check_double_category_laws(dataclasses.replace(dbl, **{field: unit}))
+    assert str(err.value) == message
