@@ -9,6 +9,7 @@ names ``id:<object>``), but the validated object carries them explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BadIdentity,
@@ -40,14 +41,21 @@ class FiniteCategory:
         return self is other
 
     def is_identity(self, m: str) -> bool:
-        return m in self._identity_set()
+        return m in self._identities
 
-    def _identity_set(self):
-        cached = self.__dict__.get("_ids")
-        if cached is None:
-            cached = frozenset(self.identity.values())
-            self.__dict__["_ids"] = cached
-        return cached
+    @cached_property
+    def _identities(self) -> frozenset[str]:
+        return frozenset(self.identity.values())
+
+
+def check_names(raw: dict, *sections: str) -> None:
+    """SchemaError unless the objects of ``raw`` and the name of each entry
+    under ``sections`` are strings: map files name cells by string keys."""
+    for key in ("objects", *sections):
+        for entry in raw.get(key, []):
+            name = entry if key == "objects" else entry["name"]
+            if not isinstance(name, str):
+                raise SchemaError(f"names in {key!r} must be strings, not {name!r}")
 
 
 def read_composition_table(raw: dict, key: str, cells) -> dict[tuple[str, str], str]:
@@ -98,6 +106,7 @@ def validate_category(raw: dict) -> FiniteCategory:
     The composition table is closed-world: every composable non-identity
     pair must appear exactly once.
     """
+    check_names(raw, "morphisms")
     objects = list(raw.get("objects", []))
     if len(set(objects)) != len(objects):
         raise DanglingReference("duplicate object names")

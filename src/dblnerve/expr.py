@@ -38,20 +38,22 @@ memo is kept on a presentation, an algebra or a module.
 An algebra provides the cell-algebra protocol: ``objects``,
 ``h_src/h_tgt/h_id/h_then``, ``v_src/v_tgt/v_id/v_then``, the square
 boundary maps ``s_top/s_bottom/s_left/s_right``, square units and
-compositions, and the two boundary queries ``hmors_between(a, b)`` and
-``squares_with(top, bottom, left, right)``.  A 2-category is the double
-category whose only vertical morphisms are identities: its vertical sides
-are objects.  ``CellAlgebra`` derives from the protocol the searches both
-kinds share: vertical and horizontal inverses, the vertically invertible
-squares with identity vertical sides, the triangle identities and
-horizontal equivalences.
+compositions, and its cells per sort (``CELLS``).  A 2-category is the
+double category whose only vertical morphisms are identities: its vertical
+sides are objects.  ``CellAlgebra`` derives from the protocol what both
+kinds share: the boundary queries ``hmors_between(a, b)``,
+``vmors_between(a, b)`` and ``squares_with(top, bottom, left, right)``,
+vertical and horizontal inverses, the vertically invertible squares with
+identity vertical sides, the triangle identities and horizontal
+equivalences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
+from functools import cached_property
+from itertools import compress, groupby, product
+from operator import attrgetter, itemgetter
 
 from .errors import BoundaryMismatch, DanglingReference
 
@@ -236,38 +238,77 @@ class HorizontalEquivalence:
         return (self.f, self.g, self.eta, self.eps)
 
 
-class CellAlgebra:
-    """Exhaustive searches over the cell-algebra protocol, written once for
-    2-categories and double categories.  Results are memoized in the
-    instance ``__dict__``."""
+# the protocol's boundary maps of each sort, in the order the queries take them
+_SIDES = {"h": ("h_src", "h_tgt"), "v": ("v_src", "v_tgt"),
+          "sq": ("s_top", "s_bottom", "s_left", "s_right")}
 
-    def _index(self, name, cells, *boundary):
-        """Group ``cells`` by their images under the ``boundary`` maps and
-        keep the index under ``name`` for the boundary queries."""
-        index = self.__dict__[name] = {}
-        for c in cells:
-            index.setdefault(tuple(m[c] for m in boundary), []).append(c)
+
+class CellAlgebra:
+    """The boundary queries and the exhaustive searches over the
+    cell-algebra protocol, written once for 2-categories and double
+    categories.  A kind declares ``CELLS``, the field listing its cells of
+    each sort ("h", "v", "sq").  Everything derived from the cells is held
+    by a cached property, so it lives exactly as long as the algebra."""
+
+    CELLS: dict[str, str]
+    # the indices of the boundary queries: the cells of a sort grouped by
+    # the values of the boundary maps a query gives, each group in cell
+    # order; keyed by the sort when it gives them all, the one dict lookup
+    # of the queries made most, else by (sort, which maps it gives)
+    _indices = cached_property(lambda self: {})
+    # the memos of s_vinverse and s_hinverse: square -> its inverse or None
+    _vinverses = cached_property(lambda self: {})
+    _hinverses = cached_property(lambda self: {})
+
+    def _index(self, sort, given=(True,) * 4):
+        """The index of the cells of ``sort`` by the boundary maps that
+        ``given`` flags, built by the first query that gives those sides."""
+        key = sort if all(given) else (sort, given)
+        index = self._indices.get(key)
+        if index is None:
+            index = self._indices[key] = {}
+            maps = [getattr(self, name) for name in compress(_SIDES[sort], given)]
+            for c in getattr(self, self.CELLS[sort]):
+                index.setdefault(tuple([m(c) for m in maps]), []).append(c)
         return index
+
+    def hmors_between(self, a, b):
+        """The horizontal morphisms (1-cells) a → b, in cell order."""
+        return (self._indices.get("h") or self._index("h")).get((a, b), [])
+
+    def vmors_between(self, a, b):
+        """The vertical morphisms a ⇸ b, in cell order."""
+        return (self._indices.get("v") or self._index("v")).get((a, b), [])
+
+    def squares_with(self, top=None, bottom=None, left=None, right=None):
+        """The squares (2-cells) with the sides given, in cell order; a side
+        given as None is free."""
+        if top is not None and bottom is not None and left is not None and right is not None:
+            index = self._indices.get("sq") or self._index("sq")
+            return index.get((top, bottom, left, right), [])
+        given = (top is not None, bottom is not None, left is not None, right is not None)
+        index = self._indices.get(("sq", given)) or self._index("sq", given)
+        return index.get(tuple(compress((top, bottom, left, right), given)), [])
 
     def s_vinverse(self, s):
         """The square t with s over t and t over s units, or None."""
-        cache = self.__dict__.setdefault("_vinv", {})
-        if s not in cache:
+        memo = self._vinverses
+        if s not in memo:
             top, bottom = self.s_top(s), self.s_bottom(s)
-            cache[s] = next((t for t in self.squares_with(top=bottom, bottom=top)
-                             if self.s_vcomp(s, t) == self.s_unit_h(top)
-                             and self.s_vcomp(t, s) == self.s_unit_h(bottom)), None)
-        return cache[s]
+            memo[s] = next((t for t in self.squares_with(top=bottom, bottom=top)
+                            if self.s_vcomp(s, t) == self.s_unit_h(top)
+                            and self.s_vcomp(t, s) == self.s_unit_h(bottom)), None)
+        return memo[s]
 
     def s_hinverse(self, s):
         """The square t with s beside t and t beside s units, or None."""
-        cache = self.__dict__.setdefault("_hinv", {})
-        if s not in cache:
+        memo = self._hinverses
+        if s not in memo:
             left, right = self.s_left(s), self.s_right(s)
-            cache[s] = next((t for t in self.squares_with(left=right, right=left)
-                             if self.s_hcomp(s, t) == self.s_unit_v(left)
-                             and self.s_hcomp(t, s) == self.s_unit_v(right)), None)
-        return cache[s]
+            memo[s] = next((t for t in self.squares_with(left=right, right=left)
+                            if self.s_hcomp(s, t) == self.s_unit_v(left)
+                            and self.s_hcomp(t, s) == self.s_unit_v(right)), None)
+        return memo[s]
 
     def triangle_identities_hold(self, f, g, eta, eps) -> bool:
         e_f, e_g = self.s_unit_h(f), self.s_unit_h(g)
@@ -277,19 +318,26 @@ class CellAlgebra:
     def h_equivalences(self) -> tuple[HorizontalEquivalence, ...]:
         """Every (f, g, η, ε) with η: id ⇒ gf and ε: fg ⇒ id vertically
         invertible with identity vertical sides, sorted."""
-        found = self.__dict__.get("_heq")
-        if found is None:
-            found = []
-            for a, b in product(self.objects, repeat=2):
-                for f, g in product(self.hmors_between(a, b), self.hmors_between(b, a)):
-                    etas = self.invertible_flat(self.h_id(a), self.h_then(f, g))
-                    epss = self.invertible_flat(self.h_then(g, f), self.h_id(b))
-                    found.extend(
-                        HorizontalEquivalence(f, g, eta, eps,
-                                              self.triangle_identities_hold(f, g, eta, eps))
-                        for eta in etas for eps in epss)
-            found = self.__dict__["_heq"] = tuple(sorted(found, key=lambda d: d.as_tuple()))
-        return found
+        return self._h_equivalences
+
+    @cached_property
+    def _h_equivalences(self) -> tuple[HorizontalEquivalence, ...]:
+        found = []
+        for a, b in product(self.objects, repeat=2):
+            for f, g in product(self.hmors_between(a, b), self.hmors_between(b, a)):
+                etas = self.invertible_flat(self.h_id(a), self.h_then(f, g))
+                epss = self.invertible_flat(self.h_then(g, f), self.h_id(b))
+                found.extend(
+                    HorizontalEquivalence(f, g, eta, eps,
+                                          self.triangle_identities_hold(f, g, eta, eps))
+                    for eta in etas for eps in epss)
+        return tuple(sorted(found, key=lambda d: d.as_tuple()))
+
+    @cached_property
+    def h_equivalences_by_f(self) -> dict[str, list[HorizontalEquivalence]]:
+        """``h_equivalences()`` grouped by their first 1-cell f, in the same
+        order: its keys are the 1-cells that are equivalences."""
+        return {f: list(data) for f, data in groupby(self.h_equivalences(), attrgetter("f"))}
 
     def invertible_flat(self, top, bottom):
         """The vertically invertible squares top ⇒ bottom whose vertical

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from . import expr as ex
-from .cat import FiniteCategory, id_of, validate_category
+from .cat import FiniteCategory, check_names, id_of, validate_category
 from .cat import implicit_entries as cat_implicit
 from .dblcat import FiniteDoubleCategory, e_of, ee_of, i_of, idh_of, idv_of, validate_double_category
 from .dblcat import implicit_entries as double_implicit
@@ -70,6 +70,7 @@ def _load_presentation(doc):
     for key in ("hgens", "vgens", "squares"):
         if not all(isinstance(entry, dict) for entry in doc.get(key, [])):
             raise SchemaError(f"each entry of {key!r} must be an object")
+    check_names(doc, "hgens", "vgens", "squares")
     b = PresentationBuilder(flavor, doc.get("label", ""))
     for name in doc.get("objects", []):
         b.add_object(name)
@@ -83,7 +84,9 @@ def _load_presentation(doc):
     for entry in doc.get("vgens", []):
         b.add_vgen(entry["name"], ex.from_json(entry["src"]), ex.from_json(entry["tgt"]))
     for entry in doc.get("squares", []):
-        flags = tuple(entry.get("flags", []))
+        flags = entry.get("flags", [])
+        if not isinstance(flags, list):
+            raise SchemaError(f"the flags of square {entry['name']!r} must be a list")
         if flavor == "two":
             b.add_cell2(
                 entry["name"], ex.from_json(entry["src"]), ex.from_json(entry["tgt"]), flags

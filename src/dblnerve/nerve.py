@@ -112,9 +112,8 @@ def _adjacent(level, direction, delta):
 def _adjoint_by_ends(dbl):
     """Adjoint horizontal equivalence data, looked up by the endpoints of f."""
     index = {}
-    for d in horizontal_equivalences(dbl):
-        if d.adjoint:
-            index.setdefault((dbl.hsrc[d.f], dbl.htgt[d.f]), []).append(d)
+    for f, data in dbl.h_equivalences_by_f.items():
+        index.setdefault((dbl.hsrc[f], dbl.htgt[f]), []).extend(d for d in data if d.adjoint)
     return lambda a, b: index.get((a, b), [])
 
 
@@ -530,26 +529,15 @@ def fibrancy_vertical_check(dbl: FiniteDoubleCategory):
     agree (a disagreement would be a code fault, never an input state)."""
     direct, witness = is_weakly_horizontally_invariant(dbl)
 
-    lifted = True
-    lift_witness = None
     whis = whi_squares(dbl)
     adjoint = [d for d in horizontal_equivalences(dbl) if d.adjoint]
-    for d in adjoint:
-        for d2 in adjoint:
-            for v in dbl.vmors_between(dbl.htgt[d.f], dbl.htgt[d2.f]):
-                if not any(
-                    alpha in whis
-                    for u in dbl.vmors_between(dbl.hsrc[d.f], dbl.hsrc[d2.f])
-                    for alpha in dbl.squares_with(top=d.f, bottom=d2.f, left=u, right=v)
-                ):
-                    lifted = False
-                    lift_witness = (d.f, d2.f, v)
-                    break
-            if not lifted:
-                break
-        if not lifted:
-            break
-
+    lift_witness = next((
+        (d.f, d2.f, v) for d, d2 in product(adjoint, repeat=2)
+        for v in dbl.vmors_between(dbl.htgt[d.f], dbl.htgt[d2.f])
+        if not any(alpha in whis
+                   for u in dbl.vmors_between(dbl.hsrc[d.f], dbl.hsrc[d2.f])
+                   for alpha in dbl.squares_with(top=d.f, bottom=d2.f, left=u, right=v))), None)
+    lifted = lift_witness is None
     if direct != lifted:
         raise DisagreementBug(
             f"invariance checker disagreement: direct={direct}, lifting={lifted}"

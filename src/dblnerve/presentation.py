@@ -47,6 +47,7 @@ from .twocat import FiniteTwoCategory
 from .whi import is_whi_square
 
 DEFAULT_BUDGET = 1_000_000
+FLAGS = frozenset({"invertible", "h_invertible", "whi"})  # see the module docstring
 
 
 @dataclass(frozen=True)
@@ -188,10 +189,14 @@ class PresentationBuilder:
     def build(self) -> Presentation:
         """The presentation, once every boundary and relation is checked: a
         boundary may name only generators listed before it, a relation only
-        generators listed at all, and every expression must be well-formed
-        and of the sort its place takes (DanglingReference otherwise)."""
+        generators listed at all, every expression must be well-formed
+        and of the sort its place takes, and every flag one of ``FLAGS``
+        (DanglingReference otherwise)."""
         sorts: dict[str, str] = {}
         for g in self.gens:
+            if not g.flags <= FLAGS:
+                unknown = ", ".join(sorted(map(repr, g.flags - FLAGS)))
+                raise DanglingReference(f"unknown flag {unknown} on {g.name!r}")
             wanted = _BOUNDARY_SORTS[g.sort]
             if g.sort == "sq" and self.kind == "two":
                 wanted = wanted[:2] + (None, None)  # 2-cells: (src, tgt)

@@ -409,7 +409,7 @@ def is_hpnt_equivalence(ph: PseudoHom, tname: str) -> bool:
 def hpnt_equivalence_report(ph: PseudoHom, tname: str):
     """(equivalence-by-definition, all-vertical-components-whi) for a 1-cell."""
     tr = ph.transformations[tname]
-    by_definition = any(d.f == tname for d in ph.two_cat.h_equivalences())
+    by_definition = tname in ph.two_cat.h_equivalences_by_f
     whis = whi_squares(ph.cod)
     unit_v = {i: a for a, i in ph.dom.idv.items()}
     all_whi = all(

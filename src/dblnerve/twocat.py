@@ -15,6 +15,7 @@ from itertools import repeat
 
 from .cat import (
     check_interchange,
+    check_names,
     check_table,
     check_unit_map,
     check_units,
@@ -46,6 +47,9 @@ class FiniteTwoCategory(CellAlgebra):
     hcomp1: dict[tuple[str, str], str] = field(hash=False)
     vcomp2: dict[tuple[str, str], str] = field(hash=False)
     hcomp2: dict[tuple[str, str], str] = field(hash=False)
+
+    # a 2-cell's left and right sides are the objects at the ends of its source
+    CELLS = {"h": "one_cells", "v": "objects", "sq": "two_cells"}
 
     def __hash__(self):
         return id(self)
@@ -103,24 +107,6 @@ class FiniteTwoCategory(CellAlgebra):
     def s_vcomp(self, top, bottom):
         return self.vcomp2[(bottom, top)]
 
-    # -- boundary queries; vertical sides are objects -----------------
-    def hmors_between(self, a, b):
-        index = self.__dict__.get("_h_index")
-        if index is None:
-            index = self._index("_h_index", self.one_cells, self.one_src, self.one_tgt)
-        return index.get((a, b), [])
-
-    def squares_with(self, top=None, bottom=None, left=None, right=None):
-        index = self.__dict__.get("_sq_index")
-        if index is None:
-            index = self._index("_sq_index", self.two_cells, self.two_src, self.two_tgt)
-        cells = self.two_cells if top is None or bottom is None else index.get((top, bottom), [])
-        return [c for c in cells
-                if (top is None or self.two_src[c] == top)
-                and (bottom is None or self.two_tgt[c] == bottom)
-                and (left is None or self.s_left(c) == left)
-                and (right is None or self.s_right(c) == right)]
-
     def is_invertible2(self, a) -> bool:
         return self.s_vinverse(a) is not None
 
@@ -139,6 +125,7 @@ def validate_two_category(raw: dict) -> FiniteTwoCategory:
     "tgt"}``; tables ``hcompose_one``, ``vcompose``, ``hcompose_two`` as
     ``[first, then, result]`` triples on non-identity composable pairs.
     """
+    check_names(raw, "one_cells", "two_cells")
     objects = list(raw.get("objects", []))
     if len(set(objects)) != len(objects):
         raise DanglingReference("duplicate object names")
@@ -426,7 +413,8 @@ def is_biequivalence(functor: TwoFunctor):
 
     image_objects = set(om.values())
     for b in tgt.objects:
-        if not any(tgt.one_src[f] in image_objects and tgt.one_tgt[f] == b for f, *_ in tgt.equivalences()):
+        if not any(tgt.one_src[f] in image_objects and tgt.one_tgt[f] == b
+                   for f in tgt.h_equivalences_by_f):
             return False, ("object-not-reached", b)
 
     for a1 in src.objects:
@@ -436,9 +424,7 @@ def is_biequivalence(functor: TwoFunctor):
                     return False, ("morphism-not-reached", g)
 
     for f in src.one_cells:
-        for g in src.one_cells:
-            if src.one_src[f] != src.one_src[g] or src.one_tgt[f] != src.one_tgt[g]:
-                continue
+        for g in src.hmors_between(src.one_src[f], src.one_tgt[f]):
             upstairs = src.squares_with(top=f, bottom=g)
             images = [cm[c] for c in upstairs]
             if len(set(images)) != len(images):
@@ -463,9 +449,7 @@ def is_trivial_fibration_two(functor: TwoFunctor):
                 if not any(fm[f] == g for f in src.hmors_between(a1, a2)):
                     return False, ("one-cell-not-hit", g, a1, a2)
     for f in src.one_cells:
-        for g in src.one_cells:
-            if src.one_src[f] != src.one_src[g] or src.one_tgt[f] != src.one_tgt[g]:
-                continue
+        for g in src.hmors_between(src.one_src[f], src.one_tgt[f]):
             upstairs = src.squares_with(top=f, bottom=g)
             for d in tgt.squares_with(top=fm[f], bottom=fm[g]):
                 fiber = [c for c in upstairs if cm[c] == d]

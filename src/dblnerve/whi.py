@@ -28,12 +28,9 @@ def horizontal_equivalences(dbl: FiniteDoubleCategory) -> tuple[HorizontalEquiva
     return dbl.h_equivalences()
 
 
-def equivalence_hmors(dbl) -> frozenset[str]:
-    cached = dbl.__dict__.get("_heq_firsts")
-    if cached is None:
-        cached = frozenset(d.f for d in horizontal_equivalences(dbl))
-        dbl.__dict__["_heq_firsts"] = cached
-    return cached
+def equivalence_hmors(dbl):
+    """The horizontal morphisms that are equivalences, sorted."""
+    return dbl.h_equivalences_by_f.keys()
 
 
 def weak_inverse_equations_hold(dbl, alpha, beta, data, data2) -> bool:
@@ -62,9 +59,9 @@ class WhiWitness:
 def _first_witness(dbl, alpha, adjoint_only: bool):
     """The first weak inverse of α against horizontal equivalence data on
     its top and bottom (adjoint data only, if asked), or None."""
-    datas = [d for d in horizontal_equivalences(dbl) if d.adjoint or not adjoint_only]
-    tops = [d for d in datas if d.f == dbl.stop[alpha]]
-    bottoms = [d for d in datas if d.f == dbl.sbottom[alpha]]
+    by_f = dbl.h_equivalences_by_f
+    tops = [d for d in by_f.get(dbl.stop[alpha], ()) if d.adjoint or not adjoint_only]
+    bottoms = [d for d in by_f.get(dbl.sbottom[alpha], ()) if d.adjoint or not adjoint_only]
     u, v = dbl.sleft[alpha], dbl.sright[alpha]
     for data, data2 in product(tops, bottoms):
         for beta in dbl.squares_with(top=data.g, bottom=data2.g, left=v, right=u):
@@ -75,18 +72,14 @@ def _first_witness(dbl, alpha, adjoint_only: bool):
 
 def is_whi_square(dbl: FiniteDoubleCategory, alpha: str):
     """Search for a WhiWitness of α; None when no witness exists."""
-    cache = dbl.__dict__.setdefault("_whi", {})
-    if alpha not in cache:
-        cache[alpha] = _first_witness(dbl, alpha, adjoint_only=False)
-    return cache[alpha]
+    memo = dbl.whi_witnesses
+    if alpha not in memo:
+        memo[alpha] = _first_witness(dbl, alpha, adjoint_only=False)
+    return memo[alpha]
 
 
 def whi_squares(dbl) -> frozenset[str]:
-    cached = dbl.__dict__.get("_whi_set")
-    if cached is None:
-        cached = frozenset(s for s in dbl.squares if is_whi_square(dbl, s) is not None)
-        dbl.__dict__["_whi_set"] = cached
-    return cached
+    return dbl.whi_set
 
 
 def weak_inverse(dbl, alpha, top_data: HorizontalEquivalence, bottom_data: HorizontalEquivalence) -> str:
@@ -151,20 +144,14 @@ def vertical_inverse_of_flat_square(dbl, alpha):
 def is_weakly_horizontally_invariant(dbl: FiniteDoubleCategory):
     """Every pair of horizontal equivalences over a vertical morphism admits
     a weakly horizontally invertible filler.  Returns (verdict, witness)."""
-    eq_fs = sorted(equivalence_hmors(dbl))
+    eq_fs = equivalence_hmors(dbl)
     whis = whi_squares(dbl)
     for f in eq_fs:
         for f2 in eq_fs:
             for v in dbl.vmors_between(dbl.htgt[f], dbl.htgt[f2]):
-                filled = False
-                for u in dbl.vmors_between(dbl.hsrc[f], dbl.hsrc[f2]):
-                    for alpha in dbl.squares_with(top=f, bottom=f2, left=u, right=v):
-                        if alpha in whis:
-                            filled = True
-                            break
-                    if filled:
-                        break
-                if not filled:
+                if not any(alpha in whis
+                           for u in dbl.vmors_between(dbl.hsrc[f], dbl.hsrc[f2])
+                           for alpha in dbl.squares_with(top=f, bottom=f2, left=u, right=v)):
                     return False, (f, f2, v)
     return True, None
 
@@ -175,9 +162,9 @@ def is_double_biequivalence(functor: DoubleFunctor):
     om, hm, vm = functor.object_map, functor.h_map, functor.v_map
 
     image_objects = set(om.values())
-    reachable = {d.f for d in horizontal_equivalences(tgt)}
     for b in tgt.objects:
-        if not any(tgt.hsrc[f] in image_objects and tgt.htgt[f] == b for f in reachable):
+        if not any(tgt.hsrc[f] in image_objects and tgt.htgt[f] == b
+                   for f in tgt.h_equivalences_by_f):
             return False, ("object-not-reached", b)
 
     for a1 in src.objects:
@@ -190,15 +177,8 @@ def is_double_biequivalence(functor: DoubleFunctor):
     for a1 in src.objects:
         for a2 in src.objects:
             for w in tgt.vmors_between(om[a1], om[a2]):
-                hit = False
-                for u in src.vmors:
-                    for alpha in tgt.squares_with(left=vm[u], right=w):
-                        if alpha in whis:
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if not hit:
+                if not any(alpha in whis for u in src.vmors
+                           for alpha in tgt.squares_with(left=vm[u], right=w)):
                     return False, ("v-morphism-not-reached", w)
 
     ok, reason = _fully_faithful_on_squares(functor)
@@ -210,24 +190,13 @@ def is_double_biequivalence(functor: DoubleFunctor):
 def _fully_faithful_on_squares(functor):
     src, tgt = functor.source, functor.target
     hm, vm, sm = functor.h_map, functor.v_map, functor.sq_map
-    boundaries = {}
-    for s in src.squares:
-        key = (src.stop[s], src.sbottom[s], src.sleft[s], src.sright[s])
-        boundaries.setdefault(key, []).append(s)
-    seen_keys = set()
     for f in src.hmors:
         for f2 in src.hmors:
             for u in src.vmors_between(src.hsrc[f], src.hsrc[f2]):
                 for v in src.vmors_between(src.htgt[f], src.htgt[f2]):
                     key = (f, f2, u, v)
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                    upstairs = boundaries.get(key, [])
-                    downstairs = tgt.squares_with(
-                        top=hm[f], bottom=hm[f2], left=vm[u], right=vm[v]
-                    )
-                    for t in downstairs:
+                    upstairs = src.squares_with(*key)
+                    for t in tgt.squares_with(hm[f], hm[f2], vm[u], vm[v]):
                         fiber = [s for s in upstairs if sm[s] == t]
                         if len(fiber) != 1:
                             return False, ("square-fiber", key, t, len(fiber))

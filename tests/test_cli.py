@@ -216,6 +216,24 @@ def _malformed_cases():
         **{f"presentation-{key}-entry-as-a-string": (("validate",), json.dumps(
             {"kind": "presentation", "flavor": "double", "objects": ["a"], key: ["zz"]}))
            for key in ("hgens", "vgens", "squares")},
+        **{f"presentation-flags-{label}": (("validate",), json.dumps(
+            {"kind": "presentation", "flavor": "two", "objects": ["a"],
+             "squares": [{"name": "s", "src": ["hid", ["ogen", "a"]],
+                          "tgt": ["hid", ["ogen", "a"]], "flags": flags}]}))
+           for label, flags in (("misspelled", ["invertable"]), ("unknown", ["bogus"]),
+                                ("as-a-string", "ab"), ("as-an-object", {"whi": True}))},
+        **{f"names-not-strings-{label}": (("validate",), json.dumps(doc)) for label, doc in (
+            ("category-objects", {"kind": "category", "objects": [1, 2]}),
+            ("double-objects", {"kind": "double-category", "objects": [True]}),
+            ("presentation-objects", {"kind": "presentation", "flavor": "two", "objects": [3]}),
+            ("two-1-cell", {"kind": "two-category", "objects": ["a"],
+                            "one_cells": [{"name": 5, "src": "a", "tgt": "a"}]}),
+            ("double-square", {**hsim, "squares": [{**hsim["squares"][0], "name": None},
+                                                   *hsim["squares"][1:]]}),
+            ("presentation-generator", {"kind": "presentation", "flavor": "double",
+                                        "objects": ["a"], "vgens": [
+                                            {"name": 0, "src": ["ogen", "a"],
+                                             "tgt": ["ogen", "a"]}]}))},
     }
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from dblnerve.dblcat import equivalence_embed, horizontal_embed, vertical_embed
-from dblnerve.errors import SchemaError, ValidationError
+from dblnerve.errors import DanglingReference, SchemaError, ValidationError
+from dblnerve.expr import hid
 from dblnerve.io import dump, load_document, load_path, serialize
 from dblnerve.presentation import PresentationBuilder
 from dblnerve.pseudohom import pseudo_hom
@@ -82,6 +83,39 @@ def test_schema_errors():
         load_document({"no": "kind"})
     with pytest.raises(SchemaError):
         load_document({"kind": "fancy-category"})
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "category", "objects": [1, 2]},
+    {"kind": "category", "objects": ["a"], "morphisms": [{"name": 1, "src": "a", "tgt": "a"}]},
+    {"kind": "two-category", "objects": ["a"],
+     "one_cells": [{"name": "f", "src": "a", "tgt": "a"}],
+     "two_cells": [{"name": ["t"], "src": "f", "tgt": "f"}]},
+    {"kind": "double-category", "objects": [True]},
+    {"kind": "double-category", "objects": ["a", "a", 0]},  # before the duplicate check
+    {"kind": "double-category", "objects": ["a"], "hmor": [{"name": 2.5, "src": "a", "tgt": "a"}]},
+    {"kind": "presentation", "flavor": "two", "objects": [3]},
+    {"kind": "presentation", "flavor": "double", "objects": ["a"],
+     "hgens": [{"name": None, "src": ["ogen", "a"], "tgt": ["ogen", "a"]}]},
+])
+def test_names_that_are_not_strings_are_schema_errors(doc):
+    with pytest.raises(SchemaError, match="must be strings"):
+        load_document(doc)
+
+
+@pytest.mark.parametrize("flags", [["invertable"], ["bogus"], ["whi", "invertible", "x"]])
+def test_unknown_flags_are_dangling_references(flags):
+    square = {"name": "s", "src": ["hid", ["ogen", "a"]], "tgt": ["hid", ["ogen", "a"]]}
+    doc = {"kind": "presentation", "flavor": "two", "objects": ["a"], "squares": [square]}
+    for known in ([], ["invertible"], ["invertible", "h_invertible", "whi"]):
+        assert load_document({**doc, "squares": [{**square, "flags": known}]}).gens[1].flags == set(known)
+    with pytest.raises(DanglingReference, match="unknown flag"):
+        load_document({**doc, "squares": [{**square, "flags": flags}]})
+    builder = PresentationBuilder("two")
+    a = builder.add_object("a")
+    builder.add_cell2("s", hid(a), hid(a), flags="ab")  # read as the flags 'a' and 'b'
+    with pytest.raises(DanglingReference, match="unknown flag 'a', 'b'"):
+        builder.build()
 
 
 def test_undeclared_square_boundary_names_field():
