@@ -20,20 +20,22 @@ the "v" sort is unused.
     ("sinv_h", s)                 horizontal inverse
 
 Evaluation happens against an *algebra* (a FiniteTwoCategory or
-FiniteDoubleCategory) and generator images: a dict by name, or a row, the
-images in one key order, read by position.  ``compile_expr`` reads an
-expression once and returns a closure over the algebra's protocol methods
-that evaluates it under any environment; it is the only evaluator, and
-``evaluate`` compiles and runs it once.  Callers that evaluate the same
-expressions many times (the search's boundaries and relations on dicts,
-pullbacks along presentation morphisms on rows) compile them once per
-call.  A closure reads only the images of the generators the expression
-names, so those callers memoize on those images: the search what each of
-its depths accepts, for the length of one search, and a pullback each
-image, for as long as the function ``pullback`` returns lives.  What a
-presentation keeps is its search plan (``Presentation.search_plan``):
-names and positions, no algebra and no closure over one.  No closure or
-memo is kept on a presentation, an algebra or a module.
+FiniteDoubleCategory) and generator images: a dict by name, or a sequence
+read at the position given for each generator name.  ``compile_expr``
+reads an expression once and returns a closure over the algebra's protocol
+methods that evaluates it under any environment; it is the only evaluator,
+and ``evaluate`` compiles and runs it once, by name.  Callers that evaluate
+the same expressions many times compile them once per call, against
+positions: the search its boundaries and relations on its list of images
+in search order, a pullback along a presentation morphism its images on
+rows in key order.  A closure reads only the images of the generators the
+expression names, so those callers memoize on those images: the search
+what each of its depths accepts, for the length of one search, and a
+pullback each image, for as long as the function ``pullback`` returns
+lives.  What a presentation keeps is its search plan
+(``Presentation.search_plan``): names and positions, no algebra and no
+closure over one.  No closure or memo is kept on a presentation, an
+algebra or a module.
 
 An algebra provides the cell-algebra protocol: ``objects``,
 ``h_src/h_tgt/h_id/h_then``, ``v_src/v_tgt/v_id/v_then``, the square
@@ -169,7 +171,8 @@ _INVERSES = {"sinv_v": ("s_vinverse", "vertical"), "sinv_h": ("s_hinverse", "hor
 def compile_expr(alg, expr, at=None):
     """Compile ``expr`` into a function ``env -> cell`` that evaluates it in
     the algebra ``alg`` under generator images ``env``: a dict by name or,
-    given ``at``, the position of each generator name, a row.
+    given ``at``, the position of each generator name, a sequence (a row,
+    or the list a search binds).
 
     The expression is read once; the returned closure holds ``alg``'s
     protocol methods and runs no dispatch.  ``alg`` must provide the

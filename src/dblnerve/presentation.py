@@ -20,24 +20,27 @@ Enumeration runs on a depth-first search kernel with an explicit stack and
 one candidate budget, which ``pseudohom`` also uses, in two halves: a plan
 (``_plan``) of names and positions, and a run (``_run``) that binds
 candidate and check functions to a plan; ``_search`` plans and runs once.
-Each variable declares the earlier variables its candidates read, and each
-depth memoizes, for the length of the run, which of its candidates pass
-the checks that become ready there, keyed on the images of what both read;
-a depth that accepts only the last of its candidates is bound without a
-stack frame.  A presentation is planned once (``Presentation.search_plan``,
-no algebra and no closure over one), and ``enumerate_canonical`` compiles
-its boundaries and relations in the target and runs that plan.  It returns
-the solutions as sorted rows, their images in one key order, the sorted
-generator names (``Presentation.keys``), and ``enumerate_functors`` as
-dicts; pullback along a presentation morphism maps rows to rows.
+A run binds its images in one list, ``env``, with a slot per depth: the
+candidate and check functions read the images they need at the positions
+the plan gives their variables.  Each variable declares the earlier
+variables its candidates read, and each depth memoizes, for the length of
+the run, which of its candidates pass the checks that become ready there,
+keyed on the images at the positions both read; a depth that accepts only
+the last of its candidates is bound without a stack frame.  A presentation
+is planned once (``Presentation.search_plan``, no algebra and no closure
+over one), and ``enumerate_canonical`` compiles its boundaries and
+relations in the target against the search positions and runs that plan.
+It returns the solutions as sorted rows, their images in one key order,
+the sorted generator names (``Presentation.keys``), and
+``enumerate_functors`` as dicts; pullback along a presentation morphism
+maps rows to rows.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
 from operator import itemgetter
 
 from . import expr as ex
@@ -83,20 +86,21 @@ class Presentation:
     def search_plan(self) -> tuple:
         """How ``enumerate_canonical`` searches this presentation, planned
         once and without an algebra: the generators in search order
-        (``_schedule``), the flagged square generators, the generators each
-        relation names, the kernel plan (``_plan``) over them with the flag
-        checks before the relations, and the search position of each key.
-        It holds names, positions and this presentation's own generators,
-        no algebra and no closure over one: each call compiles the
-        boundaries and relations in its algebra and runs this plan."""
+        (``_schedule``), the search position of each generator name, the
+        flagged square generators, the positions each relation reads, the
+        kernel plan (``_plan``) over them with the flag checks before the
+        relations, and the search position of each key.  It holds names,
+        positions and this presentation's own generators, no algebra and no
+        closure over one: each call compiles the boundaries and relations in
+        its algebra against these positions and runs this plan."""
         order = tuple(_schedule(self))
-        flagged = tuple(g for g in self.gens if g.sort == "sq" and g.flags)
-        related = tuple(tuple(sorted(ex.generators_of(lhs) | ex.generators_of(rhs)))
-                        for lhs, rhs in self.relations)
-        kernel = _plan([(g.name, set().union(*map(ex.generators_of, _bounds(self.kind, g))))
-                        for g in order], [(g.name,) for g in flagged] + list(related))
         at = {g.name: i for i, g in enumerate(order)}
-        return order, flagged, related, kernel, tuple(at[name] for name in self.keys)
+        flagged = tuple(g for g in self.gens if g.sort == "sq" and g.flags)
+        related = [ex.generators_of(lhs) | ex.generators_of(rhs) for lhs, rhs in self.relations]
+        kernel = _plan([(g.name, set().union(*map(ex.generators_of, _bounds(self.kind, g))))
+                        for g in order], [(g.name,) for g in flagged] + related)
+        reads = tuple(tuple(sorted(map(at.__getitem__, names))) for names in related)
+        return order, at, flagged, reads, kernel, tuple(at[name] for name in self.keys)
 
     def expansion_gens(self) -> set[str]:
         """The partners, units and counits that adjoint expansions added."""
@@ -360,10 +364,9 @@ _MISSING = object()
 
 
 def _by_inputs(inputs, compute):
-    """``compute``, a function of bindings that reads only those at
-    ``inputs`` (names of a dict or positions of a row, at least one),
-    memoized on their images in a dict of its own.  A call that raises is
-    not memoized."""
+    """``compute``, a function of a row of images that reads only those at
+    the positions ``inputs`` (at least one), memoized on their images in a
+    dict of its own.  A call that raises is not memoized."""
     key, memo = itemgetter(*inputs), {}
 
     def memoized(env):
@@ -375,18 +378,16 @@ def _by_inputs(inputs, compute):
     return memoized
 
 
-def _flag_ok(alg, flags, image):
-    if "invertible" in flags and alg.s_vinverse(image) is None:
-        return False
-    if "h_invertible" in flags and alg.s_hinverse(image) is None:
-        return False
-    if "whi" in flags:
-        if isinstance(alg, FiniteDoubleCategory):
-            if is_whi_square(alg, image) is None:
-                return False
-        elif alg.s_vinverse(image) is None:
-            return False
-    return True
+def _flag_check(alg, flags, at):
+    """The check of ``flags`` on the image at search position ``at``, each
+    flag's test chosen once: a vertical, a horizontal inverse, and for
+    "whi" a weak-inverse witness in a double category or a vertical
+    inverse in a 2-category, tested in that order."""
+    whi = partial(is_whi_square, alg) if isinstance(alg, FiniteDoubleCategory) else alg.s_vinverse
+    tests = [test for flag, test in (("invertible", alg.s_vinverse),
+                                     ("h_invertible", alg.s_hinverse), ("whi", whi))
+             if flag in flags]
+    return lambda env: all(test(env[at]) is not None for test in tests)
 
 
 def _search(variables, constraints, budget: int | None, spent: int = 0):
@@ -398,6 +399,8 @@ def _search(variables, constraints, budget: int | None, spent: int = 0):
     of ``inputs``, earlier variables (DanglingReference otherwise).
     ``constraints`` is a list of ``(inputs, check)``; each ``check(env)`` is
     tested right after the last of its inputs is bound, in list order.
+    ``env`` is a list holding the binding of each variable at its position
+    in ``variables``, which is where the functions read it.
     Every candidate tried counts against the budget, starting from
     ``spent``, so callers can share one budget between searches.  Returns
     the solutions, as tuples in variable order listed in the lexicographic
@@ -414,7 +417,7 @@ def _plan(variables, constraints) -> tuple:
     """The plan of a search, without its candidate and check functions:
     ``variables`` are ``(name, inputs)`` pairs in depth order and
     ``constraints`` the inputs of each constraint.  Returns the names, per
-    depth the earlier names its memo key reads in depth order (those its
+    depth the earlier depths its memo key reads in order (those its
     candidates and the checks tested there read), and per constraint the
     depth it is tested at: right after the last of its inputs is bound.
     Names and positions only, so one plan serves any number of runs.
@@ -427,20 +430,21 @@ def _plan(variables, constraints) -> tuple:
             if read not in position:
                 raise DanglingReference(f"variable {name!r} reads {read!r}, "
                                         f"which is not a variable before it")
-        reads.append(set(inputs))
+        reads.append({position[read] for read in inputs})
         position[name] = depth
-    depths = tuple(max(map(position.__getitem__, inputs)) for inputs in constraints)
+    constraints = [set(map(position.__getitem__, inputs)) for inputs in constraints]
+    depths = tuple(map(max, constraints))
     for depth, inputs in zip(depths, constraints):
-        reads[depth].update(inputs)
-    names = tuple(position)
-    keys = tuple(tuple(sorted(read - {name}, key=position.get)) for name, read in zip(names, reads))
-    return names, keys, depths
+        reads[depth] |= inputs
+    keys = tuple(tuple(sorted(read - {depth})) for depth, read in enumerate(reads))
+    return tuple(position), keys, depths
 
 
 def _run(plan, candidates, checks, budget: int | None, spent: int = 0):
     """Run the search ``plan`` (``_plan``) with ``candidates[depth](env)``
     listing the images to try at each depth and ``checks[i](env)`` testing
-    its ``i``-th constraint; returns what ``_search`` returns.
+    its ``i``-th constraint, each reading the images it needs at their
+    depths in ``env``; returns what ``_search`` returns.
 
     Until it returns, the search holds each solution as the shallowest
     depth bound since the solution before and the images from there on
@@ -452,9 +456,10 @@ def _run(plan, candidates, checks, budget: int | None, spent: int = 0):
     charged before the accepted one after them, or after the subtrees of
     the last, so the search spends and stops where trying candidates one at
     a time would.  A depth that accepts only its last candidate is bound
-    without a stack frame.  ``env`` is never popped: its keys stay in depth
-    order, and a deeper binding is overwritten before it is read again.
-    The memos and the key functions live as long as the run.
+    without a stack frame.  ``env`` is one list with a slot per depth,
+    allocated once: the binding at a depth is written to its slot, and a
+    deeper slot is overwritten before it is read again.  The memos and the
+    key functions live as long as the run.
     """
     budget = _environment_budget() if budget is None else budget
     names, reads, depths = plan
@@ -468,8 +473,7 @@ def _run(plan, candidates, checks, budget: int | None, spent: int = 0):
 
     solutions = _Solutions()
     keep = solutions.keep
-    env: dict = {}
-    values = env.values()
+    env: list = [None] * len(names)
     stack: list = []  # (depth, the accepted candidates left, the candidates after them)
     last = len(names) - 1
     depth = low = 0  # low: the shallowest depth bound since the last solution
@@ -479,18 +483,18 @@ def _run(plan, candidates, checks, budget: int | None, spent: int = 0):
             cost, image, rest = memo[key]
         except KeyError:
             cost, image, rest = memo[key] = _accept(candidates[depth], at_depth[depth],
-                                                    names[depth], env)
+                                                    depth, env)
         spent += cost
         if spent > budget:
             raise _exceeded(budget, names, depth, solutions)
         if image is not _NONE_ACCEPTED:
-            env[names[depth]] = image
+            env[depth] = image
             if rest is not None:
                 stack.append((depth, iter(rest[0]), rest[1]))
             if depth < last:
                 depth += 1
                 continue
-            keep(low, values)
+            keep(low, env)
             low = last
         while stack:
             depth, accepted, tail = stack[-1]
@@ -505,13 +509,13 @@ def _run(plan, candidates, checks, budget: int | None, spent: int = 0):
             spent += cost
             if spent > budget:
                 raise _exceeded(budget, names, depth, solutions)
-            env[names[depth]] = image
+            env[depth] = image
             if depth < low:
                 low = depth
             if depth < last:
                 depth += 1
                 break
-            keep(low, values)
+            keep(low, env)
             low = last
         else:
             return solutions.rows(last + 1), spent
@@ -538,14 +542,14 @@ class _Solutions:
         self.found = 0
         self._chunks: list[list] = []
 
-    def keep(self, low, values):
-        """Keep the solution whose images, in depth order, are ``values``,
+    def keep(self, low, env):
+        """Keep the solution whose images, in depth order, are ``env``,
         given that those before ``low`` are the last solution's."""
         if self.found % _CHUNK == 0:
             self._chunks.append([])
         chunk = self._chunks[-1]
         chunk.append(low)
-        chunk.extend(islice(values, low, None))
+        chunk += env[low:]
         self.found += 1
 
     def rows(self, width):
@@ -571,18 +575,18 @@ class _Solutions:
 _NONE_ACCEPTED = object()
 
 
-def _accept(candidates, checks, name, env):
+def _accept(candidates, checks, depth, env):
     """One depth's memo entry ``(cost, image, rest)``: ``image`` is the
-    first candidate at ``name`` that passes ``checks`` and ``cost`` the
-    number tried up to it.  ``rest`` is None if ``image`` was tried last;
-    otherwise it holds the later accepted candidates, each with the number
-    tried since the one before, and the number tried after them.  With
-    none accepted, ``image`` is ``_NONE_ACCEPTED`` and ``cost`` the number
-    tried."""
+    first candidate, bound at ``env[depth]``, that passes ``checks`` and
+    ``cost`` the number tried up to it.  ``rest`` is None if ``image`` was
+    tried last; otherwise it holds the later accepted candidates, each with
+    the number tried since the one before, and the number tried after
+    them.  With none accepted, ``image`` is ``_NONE_ACCEPTED`` and ``cost``
+    the number tried."""
     accepted, cost = [], 0
     for image in candidates(env):
         cost += 1
-        env[name] = image
+        env[depth] = image
         for check in checks:
             if not check(env):
                 break
@@ -634,15 +638,16 @@ def _bounds(kind: str, gen: Gen) -> tuple:
     return gen.bounds[:2] if kind == "two" else gen.bounds
 
 
-def _candidates(alg, kind: str, gen: Gen):
+def _candidates(alg, kind: str, gen: Gen, at: dict):
     """The function that lists the candidate images of ``gen``, sorted,
-    given the images of the generators its boundary names."""
+    given the images of the generators its boundary names, read at their
+    search positions ``at``."""
     if gen.sort == "object":
         objects = sorted(alg.objects)
         return lambda env: objects
     query = getattr(alg, {"h": "hmors_between", "v": "vmors_between",
                           "sq": "squares_with"}[gen.sort])
-    compiled = [ex.compile_expr(alg, b) for b in _bounds(kind, gen)]
+    compiled = [ex.compile_expr(alg, b, at) for b in _bounds(kind, gen)]
     return lambda env: sorted(query(*[b(env) for b in compiled]))
 
 
@@ -655,17 +660,16 @@ def enumerate_canonical(pres: Presentation, alg, budget: int | None = None) -> l
         raise DanglingReference("two-category presentation needs a 2-category target")
     if pres.kind == "double" and isinstance(alg, FiniteTwoCategory):
         raise DanglingReference("double presentation needs a double category target")
-    order, flagged, related, kernel, at = pres.search_plan
-    candidates = [_candidates(alg, pres.kind, g) for g in order]
+    order, position, flagged, related, kernel, keyed = pres.search_plan
+    candidates = [_candidates(alg, pres.kind, g, position) for g in order]
     # flag checks come first so that relations only see flagged images
-    checks = [lambda env, name=g.name, flags=g.flags: _flag_ok(alg, flags, env[name])
-              for g in flagged]
+    checks = [_flag_check(alg, g.flags, position[g.name]) for g in flagged]
     for (lhs, rhs), inputs in zip(pres.relations, related):
-        checks.append(_by_inputs(inputs, lambda env, lhs=ex.compile_expr(alg, lhs),
-                                 rhs=ex.compile_expr(alg, rhs): lhs(env) == rhs(env)))
+        checks.append(_by_inputs(inputs, lambda env, lhs=ex.compile_expr(alg, lhs, position),
+                                 rhs=ex.compile_expr(alg, rhs, position): lhs(env) == rhs(env)))
     rows, _ = _run(kernel, candidates, checks, budget)
-    if len(at) > 1:  # from search order to key order, in place: one copy of the rows
-        reorder = itemgetter(*at)
+    if len(keyed) > 1:  # from search order to key order, in place: one copy of the rows
+        reorder = itemgetter(*keyed)
         for i, row in enumerate(rows):
             rows[i] = reorder(row)
     rows.sort()

@@ -11,10 +11,12 @@ modifications carry one square per object with two whiskering conditions.
 All three searches run on the kernel of ``presentation``, which tests each
 condition as soon as the components it reads are chosen.  The
 transformation and the modification search are each planned once per
-``pseudo_hom`` call, from the domain alone; each pair of functors or of
+``pseudo_hom`` call, from the domain alone, and read each component at its
+variable's position in the plan; each pair of functors or of
 transformations binds only its images and runs that plan.  Every candidate
-tried counts against the budget; the transformation and modification
-searches of one ``pseudo_hom`` call share a single budget.
+tried counts against the budget; the budget is read once per
+``pseudo_hom`` call, and its transformation and modification searches
+share a single spend.
 
 A transformation is identified by its source and target functors plus its
 search row: its components at ``dom.objects``, then at the free vertical,
@@ -33,7 +35,7 @@ from operator import itemgetter
 from . import expr as ex
 from .dblcat import DoubleFunctor, FiniteDoubleCategory, validate_double_functor
 from .errors import DisagreementBug, MissingComposite
-from .presentation import PresentationBuilder, _plan, _run, enumerate_functors
+from .presentation import PresentationBuilder, _environment_budget, _plan, _run, enumerate_functors
 from .twocat import FiniteTwoCategory, TwoFunctor, assemble_two_category, validate_two_functor
 from .whi import whi_squares
 
@@ -179,11 +181,13 @@ def _transformation_search(dom, cod):
     hmors_between, squares_with, invertible_flat, h_then = (
         cod.hmors_between, cod.squares_with, cod.invertible_flat, cod.h_then)
     e_sq, vcomp, hcomp = cod.e_sq, cod.vcomp_sq, cod.hcomp_sq  # keyed (then, first)
+    at = {cell: depth for depth, cell in enumerate(_row_cells(dom))}  # the plan's positions
 
     def component(cell):
         """The function reading the component at ``cell``: at the variable
         of an object, the unit square of that object's component."""
-        return (lambda env: e_sq[env[cell]]) if cell[0] == "o" else itemgetter(cell)
+        i = at[cell]
+        return (lambda env: e_sq[env[i]]) if cell[0] == "o" else itemgetter(i)
 
     def functorial(first, then, composite):
         return lambda env: vcomp[(then(env), first(env))] == composite(env)
@@ -214,6 +218,8 @@ def _transformation_search(dom, cod):
     plan = _plan([(("o", a), ()) for a in dom.objects]
                  + [(("v", u), ends) for u, ends in zip(free_v, v_ends)]
                  + [(("h", f), ends) for f, ends in zip(free_h, h_ends)], inputs)
+    v_ends = [(at[top], at[bottom]) for top, bottom in v_ends]
+    h_ends = [(at[i], at[j]) for i, j in h_ends]
 
     def run(F, G, budget, spent):
         Fo, Go, Fv, Gv, Fh, Gh = F.object_map, G.object_map, F.v_map, G.v_map, F.h_map, G.h_map
@@ -244,6 +250,9 @@ def _modification_search(dom, cod):
     idv, e_sq, vcomp, hcomp, squares_with = (
         cod.idv, cod.e_sq, cod.vcomp_sq, cod.hcomp_sq, cod.squares_with)  # keyed (then, first)
     plan = _plan([(a, ()) for a in dom.objects], h_ends + v_ends)
+    at = {a: depth for depth, a in enumerate(plan[0])}
+    h_ends = [(at[i], at[j]) for i, j in h_ends]
+    v_ends = [(at[i], at[j]) for i, j in v_ends]
 
     def whiskered_h(i, j, x1, x2, e_F, e_G):
         return lambda mu: vcomp[(hcomp[(mu[j], e_F)], x1)] == vcomp[(x2, hcomp[(e_G, mu[i])])]
@@ -266,7 +275,9 @@ def _modification_search(dom, cod):
 
 def pseudo_hom(dom: FiniteDoubleCategory, cod: FiniteDoubleCategory,
                budget: int | None = None) -> PseudoHom:
-    """Materialize the pseudo-hom 2-category of double functors dom -> cod."""
+    """Materialize the pseudo-hom 2-category of double functors dom -> cod;
+    every search of the call runs under one budget, read once."""
+    budget = _environment_budget() if budget is None else budget
     functor_list = enumerate_double_functors_concrete(dom, cod, budget)
     fnames = {f"F{i}": F for i, F in enumerate(functor_list)}
     free_v, free_h = _free_cells(dom)

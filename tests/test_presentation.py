@@ -384,9 +384,47 @@ def test_schedule_leaves_every_small_corpus_level_unchanged(monkeypatch):
     assert checked == 255
 
 
+_BOUNDARY_MAPS = {"h": ("h_src", "h_tgt"), "v": ("v_src", "v_tgt"),
+                  "sq": ("s_top", "s_bottom", "s_left", "s_right")}
+
+
+def _satisfies_by_name(pres, alg, row):
+    """Whether ``row`` meets every boundary and relation of ``pres`` in
+    ``alg``, each evaluated by name on the dict of its images: a route apart
+    from the search's, whose expressions are compiled to search positions."""
+    env = dict(zip(pres.keys, row))
+    for g in pres.gens:
+        for side, bound in zip(_BOUNDARY_MAPS.get(g.sort, ()), g.bounds):
+            if bound is not None and getattr(alg, side)(env[g.name]) != ex.evaluate(alg, bound, env):
+                return False
+    return all(ex.evaluate(alg, lhs, env) == ex.evaluate(alg, rhs, env)
+               for lhs, rhs in pres.relations)
+
+
+def test_every_row_satisfies_its_presentation_by_name():
+    """Every row the search returns, read back by name, meets every boundary
+    and relation: each corpus double category at the levels with m, k, n
+    at most 1, and iso through the adjoint-equivalence quotient."""
+    from dblnerve.dblcat import FiniteDoubleCategory
+    from dblnerve.tensor import lx_presentations, x_presentation
+
+    cases = [(x_presentation(*level)[0], target)
+             for path in sorted(CORPUS.glob("*.json")) if not path.name.endswith(".map.json")
+             for target in [load_path(path)] if isinstance(target, FiniteDoubleCategory)
+             for level in product(range(2), repeat=3)]
+    cases.append((lx_presentations(1, 1, 1)[1], load_path(CORPUS / "iso.json")))
+    rows = 0
+    for pres, target in cases:
+        for row in enumerate_canonical(pres, target):
+            assert _satisfies_by_name(pres, target, row), (pres.label, row)
+            rows += 1
+    assert (len(cases), rows) == (57, 804)
+
+
 def test_search_returns_tuples_in_variable_order():
     variables = [(name, (), lambda env: [0, 1]) for name in ("c", "a", "b")]
-    found, spent = _search(variables, [(("c", "a"), lambda env: env["c"] <= env["a"])], None)
+    # c and a are bound at positions 0 and 1
+    found, spent = _search(variables, [(("c", "a"), lambda env: env[0] <= env[1])], None)
     assert all(type(s) is tuple for s in found)
     assert found == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
     assert spent == 2 + 4 + 6
@@ -407,7 +445,8 @@ _DOMAIN = 4  # every variable of a drawn search takes values in range(_DOMAIN)
 
 def _drawn_candidates(inputs, pool, cut):
     """Distinct values of range(_DOMAIN), in the order of ``pool`` shifted by
-    the sum of the bindings at ``inputs``, cut to a length that sum picks."""
+    the sum of the bindings at the positions ``inputs``, cut to a length
+    that sum picks."""
     def candidates(env):
         total = sum(env[read] for read in inputs)
         return [(v + total) % _DOMAIN for v in pool][:(total + cut) % (len(pool) + 1)]
@@ -433,15 +472,18 @@ def drawn_shapes(draw):
 @st.composite
 def drawn_searches(draw, shapes=drawn_shapes()):
     """Variables whose candidates read earlier bindings, and constraints on
-    variables at any depths: a search of a shape drawn from ``shapes``."""
+    variables at any depths: a search of a shape drawn from ``shapes``,
+    whose functions read each variable at its depth."""
     shape_variables, shape_constraints = draw(shapes)
+    at = {name: depth for depth, (name, _) in enumerate(shape_variables)}
     variables = []
     for name, inputs in shape_variables:
         pool = draw(st.permutations(range(_DOMAIN)))[:draw(st.integers(0, _DOMAIN))]
-        variables.append((name, inputs, _drawn_candidates(inputs, pool, draw(st.integers(0, 4)))))
+        variables.append((name, inputs, _drawn_candidates([at[read] for read in inputs], pool,
+                                                          draw(st.integers(0, 4)))))
     constraints = []
     for reads in shape_constraints:
-        weights = [(read, draw(st.integers(1, 2))) for read in reads]
+        weights = [(at[read], draw(st.integers(1, 2))) for read in reads]
         constraints.append((reads, _drawn_check(weights, draw(st.integers(0, 2)))))
     return variables, constraints
 
@@ -450,18 +492,16 @@ def _brute_force(variables, constraints):
     """The solutions of ``_search``, from a filter of every tuple of values,
     listed in the lexicographic order of their positions in the candidate
     lists."""
-    names = [name for name, _, _ in variables]
     found = []
-    for values in product(range(_DOMAIN), repeat=len(names)):
-        env = dict(zip(names, values))
+    for values in product(range(_DOMAIN), repeat=len(variables)):
         positions = []
         for (_, _, candidates), value in zip(variables, values):
-            listed = candidates(env)  # reads only earlier bindings
+            listed = candidates(values)  # reads only earlier bindings
             if value not in listed:
                 break
             positions.append(listed.index(value))
         else:
-            if all(check(env) for _, check in constraints):
+            if all(check(values) for _, check in constraints):
                 found.append((positions, values))
     return [values for _, values in sorted(found)]
 
@@ -527,7 +567,7 @@ def test_search_rebuilds_rows_across_chunks():
     variables = [(f"v{i}", (), lambda env: [0, 1, 2, 3]) for i in range(6)]
     found, _ = _search(variables, [], None)
     assert found == list(product(range(4), repeat=6))
-    found, _ = _search(variables, [(("v0", "v5"), lambda env: (env["v0"] + env["v5"]) % 2)], None)
+    found, _ = _search(variables, [(("v0", "v5"), lambda env: (env[0] + env[5]) % 2)], None)
     assert found == [row for row in product(range(4), repeat=6) if (row[0] + row[5]) % 2]
 
 

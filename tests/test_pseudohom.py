@@ -2,6 +2,7 @@ import hashlib
 import json
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -166,6 +167,35 @@ def test_pseudo_hom_spends_the_pinned_candidates(case, corpus_files):
         pseudo_hom(dom, corpus_files["hsim-iso"], budget=total - 1)
     cut = caught.value
     assert (cut.budget, (cut.generator, cut.depth, cut.search_depth, cut.found)) == (total - 1, where)
+
+
+def test_pseudo_hom_reads_the_budget_once(monkeypatch, corpus_files):
+    """Every search of one ``pseudo_hom`` call runs under one budget, read
+    from ``DBLNERVE_BUDGET`` once per call, and not at all when given."""
+    from dblnerve import presentation
+
+    reads = []
+    environ = presentation.os.environ
+
+    class Environ:
+        def get(self, key, default=None):
+            reads.append(key)
+            return environ.get(key, default)
+
+    monkeypatch.setattr(presentation, "os", SimpleNamespace(environ=Environ()))
+    dom, cod = v_oriental_inv(2), corpus_files["hsim-iso"]
+    total, where = _PINNED_SPEND["v-oriental-inv-2"]
+    monkeypatch.setenv("DBLNERVE_BUDGET", str(total))
+    pseudo_hom(dom, cod)
+    assert reads == ["DBLNERVE_BUDGET"]
+    monkeypatch.setenv("DBLNERVE_BUDGET", str(total - 1))
+    with pytest.raises(BudgetExceeded) as caught:
+        pseudo_hom(dom, cod)
+    cut = caught.value
+    assert (cut.budget, (cut.generator, cut.depth, cut.search_depth, cut.found)) == (total - 1, where)
+    assert reads == ["DBLNERVE_BUDGET"] * 2
+    pseudo_hom(dom, cod, budget=total)
+    assert reads == ["DBLNERVE_BUDGET"] * 2
 
 
 def test_pseudo_hom_against_invertible_oriental(h_iso):
