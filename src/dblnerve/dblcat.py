@@ -146,6 +146,15 @@ class FiniteDoubleCategory(CellAlgebra):
         from .whi import is_whi_square  # whi is built on this module
         return frozenset(s for s in self.squares if is_whi_square(self, s) is not None)
 
+    @cached_property
+    def presentation(self):
+        """This double category as a double presentation, whose valuations
+        are the double functors out of it (``pseudohom._as_presentation``):
+        built and planned once.  It names cells and holds no reference to
+        this double category."""
+        from .pseudohom import _as_presentation  # pseudohom is built on this module
+        return _as_presentation(self)
+
     def has_trivial_vertical_boundaries(self, s) -> bool:
         return (self.sleft[s] == self.idv[self.hsrc[self.stop[s]]]
                 and self.sright[s] == self.idv[self.htgt[self.stop[s]]])

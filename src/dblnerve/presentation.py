@@ -28,12 +28,21 @@ the run, which of its candidates pass the checks that become ready there,
 keyed on the images at the positions both read; a depth that accepts only
 the last of its candidates is bound without a stack frame.  A presentation
 is planned once (``Presentation.search_plan``, no algebra and no closure
-over one), and ``enumerate_canonical`` compiles its boundaries and
-relations in the target against the search positions and runs that plan.
-It returns the solutions as sorted rows, their images in one key order,
-the sorted generator names (``Presentation.keys``), and
-``enumerate_functors`` as dicts; pullback along a presentation morphism
-maps rows to rows.
+over one): its search order, and the distinct *shapes* of its boundaries
+and relations, each an expression or tuple of expressions with its
+generator leaves renamed to slots numbered in first-occurrence order,
+bound to each boundary and relation by the search positions of its slots.
+``enumerate_canonical`` compiles each shape in the target once, evaluates
+each boundary and relation as its shape on the images at its slots,
+memoized in one dict per shape for the length of the search, and runs the
+plan.  Candidate lists are the boundary queries' own lists, which are
+sorted (``CellAlgebra``).  It returns the solutions as sorted rows, their
+images in one key order, the sorted generator names
+(``Presentation.keys``), and ``enumerate_functors`` as dicts.  Pullback
+along a presentation morphism maps rows to rows; the images that are not
+generators are planned once per morphism
+(``PresentationMorphism.pullback_plan``) and bound as shapes in the same
+way.
 """
 
 from __future__ import annotations
@@ -42,10 +51,11 @@ import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import expr as ex
 from .dblcat import FiniteDoubleCategory
-from .errors import BudgetExceeded, DanglingReference, UsageError
+from .errors import BoundaryMismatch, BudgetExceeded, DanglingReference, UsageError
 from .twocat import FiniteTwoCategory
 from .whi import is_whi_square
 
@@ -60,6 +70,26 @@ class Gen:
     bounds: tuple  # h/v: (src, tgt) object exprs; sq: (top, bottom, left, right)
     flags: frozenset = frozenset()
     adjoint: tuple = ()  # adjoint h-generator: the (partner, unit, counit) its expansion added
+
+
+class SearchPlan(NamedTuple):
+    """How ``enumerate_canonical`` searches a presentation
+    (``Presentation.search_plan``).
+
+    A *shape* is a tuple of expressions whose generator leaves name slots
+    0, 1, ... in the order the generators first occur, left to right, held
+    with its number of slots (``_shapes``).  A presentation's relations are
+    a few pasting laws repeated at many places, and so are its boundaries,
+    so each has few shapes.  A *binding* is a tuple: a shape's index, then
+    the search position of the generator at each of its slots."""
+    order: tuple  # the generators in search order (``_schedule``)
+    flags: tuple  # (position, flags) of each flagged square generator
+    boundary_shapes: tuple  # the distinct shapes of the boundaries (``_bounds``)
+    boundaries: tuple  # per generator in search order, its boundary's binding; None for an object
+    relation_shapes: tuple  # the distinct shapes of the relations, each (lhs, rhs)
+    relations: tuple  # the binding of each relation
+    kernel: tuple  # the kernel plan (``_plan``), with the flag checks before the relations
+    keyed: tuple  # the search position of each key, in key order
 
 
 @dataclass(frozen=True)
@@ -83,24 +113,27 @@ class Presentation:
         return tuple(sorted(g.name for g in self.gens))
 
     @cached_property
-    def search_plan(self) -> tuple:
+    def search_plan(self) -> SearchPlan:
         """How ``enumerate_canonical`` searches this presentation, planned
-        once and without an algebra: the generators in search order
-        (``_schedule``), the search position of each generator name, the
-        flagged square generators, the positions each relation reads, the
-        kernel plan (``_plan``) over them with the flag checks before the
-        relations, and the search position of each key.  It holds names,
-        positions and this presentation's own generators, no algebra and no
-        closure over one: each call compiles the boundaries and relations in
-        its algebra against these positions and runs this plan."""
+        once and without an algebra (``SearchPlan``): names, positions,
+        shapes and this presentation's own generators, no algebra and no
+        closure over one.  Each call compiles the shapes in its algebra and
+        runs this plan."""
         order = tuple(_schedule(self))
         at = {g.name: i for i, g in enumerate(order)}
-        flagged = tuple(g for g in self.gens if g.sort == "sq" and g.flags)
-        related = [ex.generators_of(lhs) | ex.generators_of(rhs) for lhs, rhs in self.relations]
-        kernel = _plan([(g.name, set().union(*map(ex.generators_of, _bounds(self.kind, g))))
-                        for g in order], [(g.name,) for g in flagged] + related)
-        reads = tuple(tuple(sorted(map(at.__getitem__, names))) for names in related)
-        return order, at, flagged, reads, kernel, tuple(at[name] for name in self.keys)
+        bounded = [g for g in order if g.sort != "object"]
+        boundary_shapes, bounds = _shapes([_bounds(self.kind, g) for g in bounded])
+        relation_shapes, relations = _shapes(self.relations)
+        reads = {g.name: names for g, (_, names) in zip(bounded, bounds)}
+        flagged = [g for g in self.gens if g.sort == "sq" and g.flags]
+        kernel = _plan([(g.name, reads.get(g.name, ())) for g in order],
+                       [(g.name,) for g in flagged] + [names for _, names in relations])
+        bounds = iter(_at_positions(bounds, at))
+        return SearchPlan(order, tuple((at[g.name], g.flags) for g in flagged),
+                          boundary_shapes,
+                          tuple(None if g.sort == "object" else next(bounds) for g in order),
+                          relation_shapes, _at_positions(relations, at), kernel,
+                          tuple(at[name] for name in self.keys))
 
     def expansion_gens(self) -> set[str]:
         """The partners, units and counits that adjoint expansions added."""
@@ -232,6 +265,39 @@ def _shared(expression, seen: dict):
     return seen.setdefault(expression, expression)
 
 
+def _shapes(expression_lists) -> tuple:
+    """The distinct shapes of ``expression_lists`` (``SearchPlan``), each
+    with its number of slots, and per list the index of its shape and the
+    generator names at its slots.  Slots are numbered by first occurrence,
+    not set order, so shapes and memo keys are the same under any hash
+    seed.  The shapes hold each repeated subexpression once (``_shared``)."""
+    index: dict = {}
+    seen: dict = {}
+    bindings = []
+    for expressions in expression_lists:
+        slots: dict = {}
+        shape = (tuple([_renamed(expression, slots) for expression in expressions]), len(slots))
+        if shape not in index:
+            index[_shared(shape, seen)] = len(index)
+        bindings.append((index[shape], tuple(slots)))
+    return tuple(index), bindings
+
+
+def _renamed(expression, slots: dict):
+    """``expression`` with each generator leaf naming its slot in ``slots``,
+    to which a generator not yet there is added as the next slot."""
+    tag = expression[0]
+    if tag in _LEAF_SORTS:
+        return tag, slots.setdefault(expression[1], len(slots))
+    return (tag, *[_renamed(part, slots) for part in expression[1:]])
+
+
+def _at_positions(bindings, at: dict) -> tuple:
+    """``bindings`` (``_shapes``) as flat tuples, each generator name read
+    at its position in ``at``."""
+    return tuple((shape, *map(at.__getitem__, names)) for shape, names in bindings)
+
+
 _BOUNDARY_SORTS = {"object": (), "h": ("object", "object"), "v": ("object", "object"),
                    "sq": ("h", "h", "v", "v")}  # sq: (top, bottom, left, right)
 _LEAF_SORTS = {tag: sort for sort, tag in ex.LEAF_TAGS.items()}
@@ -277,23 +343,33 @@ class PresentationMorphism:
     def __hash__(self):
         return id(self)
 
+    @cached_property
+    def pullback_plan(self) -> tuple:
+        """How ``pullback`` reads a row of the target, planned once and
+        without an algebra: the distinct shapes of the images that are not
+        generators (``_shapes``), and per source key the position in a
+        target row that its generator image reads or the binding of its
+        image."""
+        at = {name: i for i, name in enumerate(self.target.keys)}
+        images = [self.gen_map[name] for name in self.source.keys]
+        shapes, bindings = _shapes([(image,) for image in images if image[0] not in _LEAF_SORTS])
+        bindings = iter(_at_positions(bindings, at))
+        return shapes, tuple(at[image[1]] if image[0] in _LEAF_SORTS else next(bindings)
+                             for image in images)
+
     def pullback(self, alg):
         """Pullback along this morphism, in ``alg``, as a function from rows
         of the target to rows of the source, compiled once, here: a
-        generator image becomes the position it reads, any other image a
-        closure over positions memoized on the images it reads for as long
-        as the function lives.  A row of the wrong length raises
+        generator image becomes the position it reads, and each shape of the
+        other images (``pullback_plan``) one function of the images at its
+        slots, memoized in a dict per shape for as long as the function
+        lives (``_binder``).  A row of the wrong length raises
         DanglingReference."""
-        at = {name: i for i, name in enumerate(self.target.keys)}
-        parts = []
-        for name in self.source.keys:
-            image = self.gen_map[name]
-            if image[0] in _LEAF_SORTS:
-                parts.append(itemgetter(at[image[1]]))
-            else:
-                parts.append(_by_inputs([at[read] for read in ex.generators_of(image)],
-                                        ex.compile_expr(alg, image, at)))
-        width = len(at)
+        shapes, reads = self.pullback_plan
+        bind = _binder(alg, shapes, _image)
+        parts = [itemgetter(read) if isinstance(read, int) else bind(read, (self.gen_map[name],))
+                 for name, read in zip(self.source.keys, reads)]
+        width = len(self.target.keys)
 
         def pull(row):
             if len(row) != width:
@@ -363,19 +439,60 @@ def _adjoint_images(target: Presentation, name, image):
 _MISSING = object()
 
 
-def _by_inputs(inputs, compute):
-    """``compute``, a function of a row of images that reads only those at
-    the positions ``inputs`` (at least one), memoized on their images in a
-    dict of its own.  A call that raises is not memoized."""
-    key, memo = itemgetter(*inputs), {}
+def _binder(alg, shapes, combine):
+    """The function binding the shapes ``shapes`` (``_shapes``), each
+    compiled once in ``alg`` as ``combine`` of the functions its
+    expressions compile to, which read the tuple of images at its slots.
 
-    def memoized(env):
-        images = key(env)
-        value = memo.get(images, _MISSING)
-        if value is _MISSING:
-            value = memo[images] = compute(env)
-        return value
-    return memoized
+    ``bind(binding, expressions)`` is the function of a row or a search's
+    env that gives the binding's shape on the images at its positions,
+    memoized on those images in one dict per shape: every binding of a
+    shape shares it, since the value depends only on them.  A call that
+    raises is not memoized.  On BoundaryMismatch the concrete
+    ``expressions`` the binding stands for are evaluated, each generator
+    read at the position of its slot: they fail at the same node, with the
+    error that names their generators."""
+    computes = [combine(*[ex.compile_expr(alg, expression, range(width)) for expression in shape])
+                for shape, width in shapes]
+    memos: list[dict] = [{} for _ in shapes]
+
+    def bind(binding, expressions):
+        shape, *positions = binding
+        compute, memo = computes[shape], memos[shape]
+        key, single = itemgetter(*positions), len(positions) == 1
+
+        def bound(env):
+            images = key(env)
+            value = memo.get(images, _MISSING)
+            if value is _MISSING:
+                try:
+                    value = memo[images] = compute((images,) if single else images)
+                except BoundaryMismatch:
+                    slots: dict = {}
+                    for expression in expressions:
+                        _renamed(expression, slots)
+                    at = dict(zip(slots, positions))
+                    for expression in expressions:
+                        ex.compile_expr(alg, expression, at)(env)
+                    raise
+            return value
+        return bound
+    return bind
+
+
+# ``_binder``'s ``combine`` for a pullback image, a boundary and a relation
+
+
+def _image(image):
+    return image
+
+
+def _sides(*sides):
+    return lambda images: tuple([side(images) for side in sides])
+
+
+def _equal(lhs, rhs):
+    return lambda images: lhs(images) == rhs(images)
 
 
 def _flag_check(alg, flags, at):
@@ -638,38 +755,40 @@ def _bounds(kind: str, gen: Gen) -> tuple:
     return gen.bounds[:2] if kind == "two" else gen.bounds
 
 
-def _candidates(alg, kind: str, gen: Gen, at: dict):
+def _candidates(alg, gen: Gen, sides):
     """The function that lists the candidate images of ``gen``, sorted,
-    given the images of the generators its boundary names, read at their
-    search positions ``at``."""
+    given ``sides(env)``, the sides of its boundary (``_bounds``) in the
+    env: the list the boundary query returns, which is sorted
+    (``CellAlgebra``), as it is."""
     if gen.sort == "object":
         objects = sorted(alg.objects)
         return lambda env: objects
     query = getattr(alg, {"h": "hmors_between", "v": "vmors_between",
                           "sq": "squares_with"}[gen.sort])
-    compiled = [ex.compile_expr(alg, b, at) for b in _bounds(kind, gen)]
-    return lambda env: sorted(query(*[b(env) for b in compiled]))
+    return lambda env: query(*sides(env))
 
 
 def enumerate_canonical(pres: Presentation, alg, budget: int | None = None) -> list[tuple]:
     """All generator valuations into ``alg`` satisfying boundaries, flags,
     and relations, as sorted rows in the key order ``pres.keys``: the
-    presentation's ``search_plan``, run with its boundaries and relations
-    compiled in ``alg``."""
+    presentation's ``search_plan``, run with each shape of its boundaries
+    and relations compiled in ``alg`` once and memoized for the length of
+    the search (``_binder``)."""
     if pres.kind == "two" and isinstance(alg, FiniteDoubleCategory):
         raise DanglingReference("two-category presentation needs a 2-category target")
     if pres.kind == "double" and isinstance(alg, FiniteTwoCategory):
         raise DanglingReference("double presentation needs a double category target")
-    order, position, flagged, related, kernel, keyed = pres.search_plan
-    candidates = [_candidates(alg, pres.kind, g, position) for g in order]
+    plan = pres.search_plan
+    boundary = _binder(alg, plan.boundary_shapes, _sides)
+    candidates = [_candidates(alg, g, binding and boundary(binding, _bounds(pres.kind, g)))
+                  for g, binding in zip(plan.order, plan.boundaries)]
     # flag checks come first so that relations only see flagged images
-    checks = [_flag_check(alg, g.flags, position[g.name]) for g in flagged]
-    for (lhs, rhs), inputs in zip(pres.relations, related):
-        checks.append(_by_inputs(inputs, lambda env, lhs=ex.compile_expr(alg, lhs, position),
-                                 rhs=ex.compile_expr(alg, rhs, position): lhs(env) == rhs(env)))
-    rows, _ = _run(kernel, candidates, checks, budget)
-    if len(keyed) > 1:  # from search order to key order, in place: one copy of the rows
-        reorder = itemgetter(*keyed)
+    checks = [_flag_check(alg, flags, at) for at, flags in plan.flags]
+    relation = _binder(alg, plan.relation_shapes, _equal)
+    checks += [relation(binding, pair) for pair, binding in zip(pres.relations, plan.relations)]
+    rows, _ = _run(plan.kernel, candidates, checks, budget)
+    if len(plan.keyed) > 1:  # from search order to key order, in place: one copy of the rows
+        reorder = itemgetter(*plan.keyed)
         for i, row in enumerate(rows):
             rows[i] = reorder(row)
     rows.sort()

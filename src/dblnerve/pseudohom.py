@@ -3,11 +3,13 @@ transformations, and modifications, materialized by exhaustive search.
 
 Double functors are the valuations of the domain read as a presentation:
 one generator per object and per non-unit cell, one relation per
-composition-table entry.  Transformations carry a horizontal morphism per
-object, a square per vertical morphism, and a vertically invertible square
-per horizontal morphism, subject to strict vertical functoriality,
-horizontal pseudo-functoriality, and naturality against every square;
-modifications carry one square per object with two whiskering conditions.
+composition-table entry, built and planned once per domain
+(``FiniteDoubleCategory.presentation``).  Transformations carry a
+horizontal morphism per object, a square per vertical morphism, and a
+vertically invertible square per horizontal morphism, subject to strict
+vertical functoriality, horizontal pseudo-functoriality, and naturality
+against every square; modifications carry one square per object with two
+whiskering conditions.
 All three searches run on the kernel of ``presentation``, which tests each
 condition as soon as the components it reads are chosen.  The
 transformation and the modification search are each planned once per
@@ -99,7 +101,7 @@ def enumerate_double_functors_concrete(dom: FiniteDoubleCategory, cod: FiniteDou
                                        budget: int | None = None):
     """All double functors dom -> cod, as sorted DoubleFunctor values."""
     out = []
-    for valuation in enumerate_functors(_as_presentation(dom), cod, budget):
+    for valuation in enumerate_functors(dom.presentation, cod, budget):
         maps = {"o": {}, "h": {}, "v": {}, "s": {}}
         for name, image in valuation.items():
             sort, cell = name.split(":", 1)

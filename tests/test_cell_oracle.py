@@ -225,6 +225,36 @@ def test_equivalences_by_f_match_a_filter_of_the_sorted_list(label):
         assert by_f.get(f, []) == [d for d in found if d.f == f], (label, f)
 
 
+def _segal_pseudo_homs():
+    """The pseudo-hom 2-categories that ``segal_tfib_check`` builds at
+    k = 1 and 2 for each corpus double category: out of the vertical chain
+    and out of the invertible vertical oriental."""
+    out = {}
+    for label, dbl in ALGEBRAS.items():
+        if isinstance(dbl, FiniteDoubleCategory) and "(" not in label:
+            for k in (1, 2):
+                incl = inclusion_chain_to_invertible(k)
+                for end, dom in (("chain", incl.source), ("oriental", incl.target)):
+                    out[f"pseudo-hom({end} {k}, {label})"] = pseudo_hom(dom, dbl).two_cat
+    return out
+
+
+SORTED_ALGEBRAS = {**QUERY_ALGEBRAS, **_segal_pseudo_homs()}
+
+
+@pytest.mark.parametrize("label", sorted(SORTED_ALGEBRAS))
+def test_every_index_bucket_is_sorted(label):
+    """Both constructors store cells sorted and each bucket keeps cell
+    order, so every boundary query lists its cells sorted: the search
+    takes its candidate lists from them as they are."""
+    cat = SORTED_ALGEBRAS[label]
+    indices = [cat._index("h"), cat._index("v")]
+    indices += [cat._index("sq", given) for given in product((False, True), repeat=4)]
+    for index in indices:
+        for key, bucket in index.items():
+            assert bucket == sorted(bucket), (label, key)
+
+
 def _filled_algebras():
     """Weak references to algebras whose every memo is filled, and to
     nothing else: a pseudo-hom and a nerve level of hsim-iso, a level of

@@ -686,6 +686,82 @@ def test_pullback_names_what_is_wrong_with_a_valuation():
         "('sgen', 'k01.0.1.unit'))")
 
 
+def _named(shape, names):
+    """The expressions of ``shape`` with slot ``i`` read back as ``names[i]``."""
+    expressions, width = shape
+    assert width == len(names)
+
+    def fill(expression):
+        if expression[0] in ex.LEAF_TAGS.values():
+            return expression[0], names[expression[1]]
+        return (expression[0], *map(fill, expression[1:]))
+    return tuple(map(fill, expressions))
+
+
+def test_relations_boundaries_and_images_come_in_few_shapes():
+    """The 1,776 relations of the 81 x- and lx-presentations with m, k, n at
+    most 2 come in 12 shapes, their 4,068 boundaries of non-object
+    generators in 16, and the 1,248 images of their collapse and section
+    maps that are not generators in 10.  Each binding, its slots read back
+    as the generators at its positions, is the expressions it stands for.
+    Slots are numbered by first occurrence, never by set order, so all of
+    this holds under any hash seed."""
+    from dblnerve.tensor import lx_presentations, x_presentation
+
+    shapes = {"relation": set(), "boundary": set(), "image": set()}
+    bound = dict.fromkeys(shapes, 0)
+    for level in product(range(3), repeat=3):
+        plain, equivalence, collapse, section = lx_presentations(*level)
+        for pres in (x_presentation(*level)[0], plain, equivalence):
+            plan = pres.search_plan
+            names = [g.name for g in plan.order]
+            for pair, (shape, *at) in zip(pres.relations, plan.relations, strict=True):
+                assert _named(plan.relation_shapes[shape], [names[p] for p in at]) == pair
+                bound["relation"] += 1
+            for g, binding in zip(plan.order, plan.boundaries, strict=True):
+                if g.sort == "object":
+                    assert binding is None
+                    continue
+                shape, *at = binding
+                assert (_named(plan.boundary_shapes[shape], [names[p] for p in at])
+                        == presentation._bounds(pres.kind, g))
+                bound["boundary"] += 1
+            shapes["relation"].update(plan.relation_shapes)
+            shapes["boundary"].update(plan.boundary_shapes)
+        for morphism in (collapse, section):
+            image_shapes, reads = morphism.pullback_plan
+            for name, read in zip(morphism.source.keys, reads, strict=True):
+                image = morphism.gen_map[name]
+                if isinstance(read, int):
+                    assert image == (image[0], morphism.target.keys[read])
+                    continue
+                shape, *at = read
+                keys = [morphism.target.keys[p] for p in at]
+                assert _named(image_shapes[shape], keys) == (image,)
+                bound["image"] += 1
+            shapes["image"].update(image_shapes)
+    assert {kind: len(found) for kind, found in shapes.items()} == {
+        "relation": 12, "boundary": 16, "image": 10}
+    assert bound == {"relation": 1776, "boundary": 4068, "image": 1248}
+
+
+def test_a_relation_that_does_not_compose_names_its_generators():
+    """A relation whose sides do not compose on the images bound fails
+    inside the search with the BoundaryMismatch that names its generators,
+    also when a relation of the same shape has filled that shape's memo."""
+    iso = load_path(CORPUS / "iso.json")
+    b = PresentationBuilder("two")
+    a_, b_ = b.add_object("a"), b.add_object("b")
+    f, g, k = b.add_hgen("f", a_, b_), b.add_hgen("g", b_, a_), b.add_hgen("k", a_, b_)
+    b.add_relation(ex.hcomp(f, g), ex.hcomp(f, g))
+    b.add_relation(ex.hcomp(f, k), ex.hcomp(f, k))
+    pres = b.build()
+    assert len(pres.search_plan.relation_shapes) == 1
+    with pytest.raises(BoundaryMismatch) as caught:
+        enumerate_canonical(pres, iso)
+    assert str(caught.value) == "h-composition mismatch at ('hcomp', ('hgen', 'f'), ('hgen', 'k'))"
+
+
 def _hsim_iso_level_112():
     from dblnerve.tensor import x_presentation
 
