@@ -26,7 +26,7 @@ from .dblcat import (
     validate_double_functor,
     vertical_embed,
 )
-from .errors import DisagreementBug, RangeExceeded
+from .errors import DanglingReference, DisagreementBug, RangeExceeded
 from .expr import compile_expr
 from .presentation import enumerate_canonical
 from .pseudohom import pseudo_hom, restriction
@@ -38,7 +38,7 @@ from .shapes import (
     v_oriental_inv,
 )
 from .standard import chain_category, locally_discrete
-from .tensor import _qname, level_map, lx_presentations, x_presentation
+from .tensor import level_map, lx_presentations, plain_map, x_presentation
 from .twocat import FiniteTwoCategory, is_trivial_fibration_two
 from .whi import (
     horizontal_equivalences,
@@ -81,24 +81,39 @@ def dbl_nerve_degeneracy(dbl, level, direction, j, element):
 
 
 def two_nerve_face(cat2, variant, level, direction, i, element):
-    return _simplicial(cat2, _QUOTIENT[variant], level, direction, i, element, face=True)
+    quotient = _named(_QUOTIENT, variant, "variant")
+    return _simplicial(cat2, quotient, level, direction, i, element, face=True)
 
 
 def two_nerve_degeneracy(cat2, variant, level, direction, j, element):
-    return _simplicial(cat2, _QUOTIENT[variant], level, direction, j, element, face=False)
+    quotient = _named(_QUOTIENT, variant, "variant")
+    return _simplicial(cat2, quotient, level, direction, j, element, face=False)
+
+
+def _named(table, name, what):
+    """``table[name]``; DanglingReference for a name it lacks."""
+    try:
+        return table[name]
+    except KeyError:
+        raise DanglingReference(f"unknown {what} {name!r}, not one of {sorted(table)}") from None
 
 
 def _simplicial(alg, variant, level, direction, i, element, face):
     """d_i (``face``) or s_i on a row of ``level``, by pullback along the
-    ``variant`` level map of the cosimplicial operator."""
+    ``variant`` level map of the cosimplicial operator.  RangeExceeded
+    unless 0 ≤ i ≤ the level's size in ``direction`` and the level it lands
+    on is on the grid."""
     src = _adjacent(level, direction, -1 if face else +1)
     axis = _AXIS[direction]
+    if not 0 <= i <= level[axis]:
+        raise RangeExceeded(f"{'d' if face else 's'}_{i} on level {level} in direction "
+                            f"{direction}: the index runs from 0 to {level[axis]}")
     alpha = coface(src[axis], i) if face else codegeneracy(level[axis], i)
     return level_map(variant, direction, alpha, src, level).pullback(alg)(element)
 
 
 def _adjacent(level, direction, delta):
-    index = _AXIS[direction]
+    index = _named(_AXIS, direction, "direction")
     out = list(level)
     out[index] += delta
     if out[index] < 0:
@@ -447,8 +462,8 @@ def _two_rows_to_dbl(cat2, variant, dbl, quotient, level):
     pres, meta = x_presentation(*level)
     at = {name: i for i, name in enumerate(quotient.keys)}
     if variant == "h":  # an object reads its class in the plain quotient
-        at.update((name, at[_qname(kind[1], kind[3])])
-                  for name, kind in meta.items() if kind[0] == "obj")
+        at.update((name, at[image[1]]) for name, image in plain_map(*level).items()
+                  if image[0] == "ogen")
 
     def vmor(v):
         """The vertical morphism of ``dbl`` that a row gives the v-expression ``v``."""
@@ -456,7 +471,7 @@ def _two_rows_to_dbl(cat2, variant, dbl, quotient, level):
             obj = compile_expr(cat2, v[1], at)
             return lambda row: dbl.idv[obj(row)]
         if v[0] == "vgen":  # the adjoint equivalence (f, g, unit, counit) of the quotient
-            quad = itemgetter(*(at[v[1] + end] for end in ("", "*", ".unit", ".counit")))
+            quad = itemgetter(*(at[name] for name in (v[1], *quotient.gen(v[1]).adjoint)))
             return lambda row: dbl.vmor_of_quad[quad(row)]
         first, then = vmor(v[1]), vmor(v[2])
         return lambda row: dbl.v_then(first(row), then(row))
@@ -482,8 +497,7 @@ def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: in
     """Nerve level of a 2-category through the plain (``h``) or
     adjoint-equivalence (``hsim``) embedding; optionally re-derives the same
     set through the embedded double category and asserts the bijection."""
-    plain, equivalence, _c, _s = lx_presentations(m, k, n)
-    pres = plain if variant == "h" else equivalence
+    pres = lx_presentations(m, k, n)[_named(_QUOTIENT, variant, "variant") == "lsim"]
     out = SimplexSet((m, k, n), pres.keys, enumerate_canonical(pres, cat2, budget),
                      f"two-nerve-{variant}")
     if check_bijection:
@@ -583,11 +597,23 @@ def n2_simplices(cat2: FiniteTwoCategory, n: int, budget: int | None = None) -> 
 
 
 def n2_face(cat2, n, i, element):
+    """d_i on a row of level n of ``n2_simplices``."""
+    _n2_operator(n, i, n - 1)
     return _n2_face_map(n, i).pullback(cat2)(element)
 
 
 def n2_degeneracy(cat2, n, j, element):
+    """s_j on a row of level n of ``n2_simplices``."""
+    _n2_operator(n, j, n + 1)
     return _n2_degeneracy_map(n, j).pullback(cat2)(element)
+
+
+def _n2_operator(n, i, lands):
+    """RangeExceeded unless the operator with index ``i`` from level ``n``
+    to level ``lands`` has 0 ≤ i ≤ n and both levels in 0..N2_CAP."""
+    if not (0 <= i <= n <= N2_CAP and 0 <= lands <= N2_CAP):
+        raise RangeExceeded(f"an operator from level {n} to level {lands} with index {i}: "
+                            f"levels run from 0 to {N2_CAP} and the index from 0 to {n}")
 
 
 @cache

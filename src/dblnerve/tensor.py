@@ -20,10 +20,18 @@ by the point or gap it occupies in each direction.
 
 ``lx_presentations`` derives the two 2-categorical quotients (vertical
 generators collapsed, respectively turned into adjoint equivalences)
-together with the comparison generator maps in both directions.
-``level_map`` realizes the faces and degeneracies between levels: one
-image per generator of the double presentation, passed through the same
-translators into either quotient.
+together with the comparison generator maps in both directions.  Each
+quotient has one translation rule.  The plain one is substitution along
+one generator map per level, ``plain_map``, which sends each object to
+its class, each vertical generator to the identity on its class and
+every other generator to itself: it gives the plain presentation, its
+relations, its level maps and the collapse map, and the section and
+level maps read each class's k = 0 object from it.  The equivalence one
+turns vertical generators into horizontal ones and conjugates squares
+into 2-cells (``_tr_v_as_h``, ``_tr_sq_lsim``).  ``level_map`` realizes
+the faces and degeneracies between levels: one image per generator of
+the double presentation, passed through the rule of either quotient
+(``_translate``).
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .presentation import (
     PresentationBuilder,
     PresentationMorphism,
     adjoint_morphism,
+    substitute,
 )
 
 GRID = (2, 2, 2)
@@ -334,40 +343,29 @@ def square_bounds(pres: Presentation, s):
 # -- quotient presentations ---------------------------------------------
 
 
-def _qname(x, z):
-    return f"q{x}.{z}"
+@cache
+def plain_map(m: int, k: int, n: int) -> dict:
+    """The generator map of the (m, k, n) double presentation onto its plain
+    quotient: each object to its class, the objects that share its m- and
+    n-coordinates, each vertical generator to the identity on its class,
+    and every other generator to itself.  Built once per level."""
+    xp, meta = x_presentation(m, k, n)
+    out = {}
+    for g in xp.gens:
+        if g.sort == "object":
+            out[g.name] = ex.ogen(f"q{meta[g.name][1]}.{meta[g.name][3]}")
+        elif g.sort == "v":
+            out[g.name] = ex.vid(out[g.bounds[0][1]])
+        else:
+            out[g.name] = (ex.LEAF_TAGS[g.sort], g.name)
+    return out
 
 
-def _tr_obj_l(meta, o):
-    kind = meta[o[1]]
-    return ex.ogen(_qname(kind[1], kind[3]))
-
-
-def _tr_h_l(meta, h):
-    tag = h[0]
-    if tag == "hgen":
-        return ex.hgen(h[1])
-    if tag == "hid":
-        return ex.hid(_tr_obj_l(meta, h[1]))
-    if tag == "hcomp":
-        return ex.hcomp(_tr_h_l(meta, h[1]), _tr_h_l(meta, h[2]))
-    raise RangeExceeded(f"not an h-expression: {h!r}")
-
-
-def _tr_sq_l(pres, meta, s):
-    tag = s[0]
-    if tag == "sgen":
-        return ex.sgen(s[1])
-    if tag == "sid_h":
-        return ex.sid_h(_tr_h_l(meta, s[1]))
-    if tag == "sid_v":
-        a, _ = _ends(pres, s[1])
-        return ex.sid_h(ex.hid(_tr_obj_l(meta, a)))
-    if tag in ("shcomp", "svcomp"):
-        return (tag, _tr_sq_l(pres, meta, s[1]), _tr_sq_l(pres, meta, s[2]))
-    if tag == "sinv_v":
-        return ex.sinv_v(_tr_sq_l(pres, meta, s[1]))
-    raise RangeExceeded(f"unsupported square expression: {s!r}")
+def _lifts(m, k, n):
+    """The k = 0 object of each class of the plain quotient's objects."""
+    meta = x_presentation(m, k, n)[1]
+    return {image[1]: name for name, image in plain_map(m, k, n).items()
+            if image[0] == "ogen" and meta[name][2] == 0}
 
 
 def _tr_v_as_h(v):
@@ -415,12 +413,14 @@ def lx_presentations(m: int, k: int, n: int):
     """The two 2-categorical quotients of the (m, k, n) tensor level and the
     comparison generator maps.
 
-    Returns (plain, equivalence, collapse, section): ``collapse`` maps the
-    equivalence quotient onto the plain one (vertical generators to
-    identities); ``section`` goes the other way with collapse ∘ section the
-    identity on generators.  Pullback along ``collapse`` realizes the
-    comparison of the two 2-categorical nerves; pullback along ``section``
-    retracts it.  Built once per level.
+    Returns (plain, equivalence, collapse, section): the quotients by the
+    rules of ``_translate``, ``plain`` the image under ``plain_map`` of the
+    double presentation but its vertical generators; ``collapse`` maps the
+    equivalence quotient onto the plain one as ``plain_map`` does, but each
+    vertical generator to the horizontal identity on its class; ``section``
+    goes the other way with collapse ∘ section the identity on generators.  Pullback along
+    ``collapse`` realizes the comparison of the two 2-categorical nerves;
+    pullback along ``section`` retracts it.  Built once per level.
     """
     return _lx_presentations(m, k, n)
 
@@ -429,21 +429,21 @@ def lx_presentations(m: int, k: int, n: int):
 def _lx_presentations(m, k, n):
     xp, meta = x_presentation(m, k, n)
     expansion = xp.expansion_gens()
+    pmap, lifts = plain_map(m, k, n), _lifts(m, k, n)
 
-    # plain quotient: objects collapse along the vertical direction
+    # plain quotient: the image of every generator but the vertical ones
+    # under the plain map, each class of objects once
     bl = PresentationBuilder("two", f"lx{(m, k, n)}")
-    for x in range(m + 1):
-        for z in range(n + 1):
-            bl.add_object(_qname(x, z))
+    for name in lifts:
+        bl.add_object(name)
     for g in xp.gens:
         if g.name in expansion or g.sort in ("object", "v"):
             continue
+        bounds = [substitute(b, pmap) for b in g.bounds]
         if g.sort == "h":
-            src, tgt = (_tr_obj_l(meta, end) for end in g.bounds)
-            bl.add_hgen(g.name, src, tgt, adjoint=bool(g.adjoint))
+            bl.add_hgen(g.name, *bounds, adjoint=bool(g.adjoint))
         else:
-            bl.add_cell2(g.name, _tr_h_l(meta, g.bounds[0]), _tr_h_l(meta, g.bounds[1]),
-                         ["invertible"] if g.flags else [])
+            bl.add_cell2(g.name, *bounds[:2], ["invertible"] if g.flags else [])
 
     # equivalence quotient: vertical generators become adjoint equivalences
     bs = PresentationBuilder("two", f"lsimx{(m, k, n)}")
@@ -461,20 +461,22 @@ def _lx_presentations(m, k, n):
 
     # the relations but the triangle laws, translated into each quotient,
     # where two of them may coincide
-    for builder, translate in ((bl, lambda s: _tr_sq_l(xp, meta, s)),
-                               (bs, lambda s: _tr_sq_lsim(xp, s))):
+    for builder, variant in ((bl, "l"), (bs, "lsim")):
         seen = set()
-        for idx, (lhs, rhs) in enumerate(xp.relations):
+        for idx, pair in enumerate(xp.relations):
             if idx in xp.expansion_relations:
                 continue
-            pair = (translate(lhs), translate(rhs))
+            pair = tuple(_translate(variant, (m, k, n), side) for side in pair)
             if pair not in seen:
                 seen.add(pair)
                 builder.add_relation(*pair)
     plain, equivalence = bl.build(), bs.build()
 
-    collapse = _collapse_map(meta, equivalence, plain)
-    section = _section_map(meta, plain, equivalence)
+    def collapse_image(g):  # a vertical generator goes to the identity on its class
+        image = pmap[g.name]
+        return ex.hid(image[1]) if image[0] == "vid" else image
+    collapse = adjoint_morphism(equivalence, plain, collapse_image)
+    section = _section_map(meta, lifts, plain, equivalence)
 
     # collapse ∘ section must be the identity generator-wise, except where a
     # cell routes through the k = 2 vertical covering loop
@@ -488,17 +490,6 @@ def _lx_presentations(m, k, n):
         raise RangeExceeded(f"retract identity fails at generator {g.name!r}")
 
     return plain, equivalence, collapse, section
-
-
-def _collapse_map(meta, equivalence, plain) -> PresentationMorphism:
-    def image_of(g):
-        kind = meta[g.name]
-        if kind[0] == "obj":
-            return _tr_obj_l(meta, ex.ogen(g.name))
-        if kind[0] == "k":  # a vertical generator, the identity on its class
-            return ex.hid(ex.ogen(_qname(kind[2], kind[3])))
-        return _SORTS.get(kind[0], ex.sgen)(g.name)
-    return adjoint_morphism(equivalence, plain, image_of)
 
 
 def _H(name):
@@ -532,10 +523,11 @@ def _mate_reverse(p, q, r, t_cell):
     return ex.svcomp(m1, ex.svcomp(m2, ex.svcomp(m3, m4)))
 
 
-def _section_map(meta, plain, equivalence) -> PresentationMorphism:
+def _section_map(meta, lifts, plain, equivalence) -> PresentationMorphism:
     """The generator-level section of the collapse map.
 
-    Morphism generators are conjugated through the (0, y) vertical-gap
+    Each class of objects goes to its k = 0 object (``lifts``).  Morphism
+    generators are conjugated through the (0, y) vertical-gap
     equivalences; 2-cell generators are transported by whiskering with the
     corresponding units and counits.  At k = 2 the cells touching the
     (1, 2) gap additionally route through the vertical covering cell, whose
@@ -555,8 +547,7 @@ def _section_map(meta, plain, equivalence) -> PresentationMorphism:
     for g in plain.gens:
         name = g.name
         if g.sort == "object":
-            x, z = name[1:].split(".")
-            gen_map[name] = ex.ogen(_oname(int(x), 0, int(z)))
+            gen_map[name] = ex.ogen(lifts[name])
             continue
         tag = meta[name][0]
         at = dict(zip(_AXES[tag[0]], meta[name][1:]))
@@ -730,18 +721,18 @@ def _image(kind, direction, alpha):
     return ex.sid_v(cell) if rest == "k" else ex.sid_h(cell)
 
 
-def _translate(variant, pres, meta, e):
-    """An expression of the double presentation ``pres`` in its ``variant``
-    quotient, by the translators of ``lx_presentations``."""
+def _translate(variant, level, e):
+    """An expression of the double presentation of ``level`` in its
+    ``variant`` quotient: in the plain one ("l") its substitution along
+    ``plain_map``, in the equivalence one ("lsim") the conjugation rule;
+    unchanged in the double presentation itself ("x")."""
     sort = e[0][0]
     if variant == "l":
-        if sort == "o":
-            return _tr_obj_l(meta, e)
-        return _tr_h_l(meta, e) if sort == "h" else _tr_sq_l(pres, meta, e)
+        return substitute(e, plain_map(*level))
     if variant == "lsim":
         if sort == "v":
             return _tr_v_as_h(e)
-        return _tr_sq_lsim(pres, e) if sort == "s" else e
+        return _tr_sq_lsim(x_presentation(*level)[0], e) if sort == "s" else e
     return e
 
 
@@ -751,25 +742,23 @@ def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> Presenta
     2-categorical quotient ("l", "lsim").
 
     Each generator's image is computed in the double presentation and
-    translated into the quotient; adjoint partners, units and counits follow
-    the image of their base generator.  Built once per operator."""
+    translated into the quotient (``_translate``), an object of the plain
+    quotient standing for its k = 0 object; adjoint partners, units and
+    counits follow the image of their base generator.  Built once per
+    operator."""
     return _level_map(variant, direction, tuple(alpha), tuple(src_mkn), tuple(tgt_mkn))
 
 
 @cache
 def _level_map(variant, direction, alpha, src_mkn, tgt_mkn):
     source, smeta = x_presentation(*src_mkn)
-    tp, tmeta = x_presentation(*tgt_mkn)
-    target = tp
+    target = x_presentation(*tgt_mkn)[0]
     if variant != "x":
         which = ("l", "lsim").index(variant)
         source, target = lx_presentations(*src_mkn)[which], lx_presentations(*tgt_mkn)[which]
+    lifts = _lifts(*src_mkn)
 
     def image_of(g):
-        if g.name in smeta:
-            kind = smeta[g.name]
-        else:  # an object of the plain quotient, the class of its y = 0 object
-            x, z = (int(v) for v in g.name[1:].split("."))
-            kind = ("obj", x, 0, z)
-        return _translate(variant, tp, tmeta, _image(kind, direction, alpha))
+        kind = smeta[lifts.get(g.name, g.name)]
+        return _translate(variant, tgt_mkn, _image(kind, direction, alpha))
     return adjoint_morphism(source, target, image_of)

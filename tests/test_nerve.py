@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dblnerve import nerve
 from dblnerve.cat import id_of, validate_category
 from dblnerve.dblcat import equivalence_embed, horizontal_embed, vertical_embed
-from dblnerve.errors import BudgetExceeded, DisagreementBug, RangeExceeded
+from dblnerve.errors import BudgetExceeded, DanglingReference, DisagreementBug, RangeExceeded
 from dblnerve.io import load_path
 from dblnerve.nerve import (
     ORACLE_GRID,
@@ -114,6 +114,49 @@ def test_degeneracy_identities(hsim_iso):
         assert s00 == dbl_nerve_degeneracy(hsim_iso, (0, 1, 1), "n", 0, s0)
         # s_i s_j = s_{j+1} s_i for i <= j
         assert s10 == dbl_nerve_degeneracy(hsim_iso, (0, 1, 1), "n", 1, s0)
+
+
+def test_faces_and_degeneracies_reject_an_index_off_their_level(square_dbl, iso2):
+    """A face or degeneracy index outside 0..size of its direction, and a
+    2-categorical nerve operator off the levels 0..N2_CAP, raise
+    RangeExceeded rather than acting as another operator."""
+    edge = dbl_nerve_level(square_dbl, 1, 0, 0).elements[0]
+    for i in (-1, 2, 3):
+        with pytest.raises(RangeExceeded):
+            dbl_nerve_face(square_dbl, (1, 0, 0), "m", i, edge)
+    for j in (-1, 2):
+        with pytest.raises(RangeExceeded):
+            dbl_nerve_degeneracy(square_dbl, (1, 0, 0), "m", j, edge)
+    with pytest.raises(RangeExceeded):
+        dbl_nerve_face(square_dbl, (1, 0, 0), "k", 0, edge)
+    row = two_nerve_level(iso2, "h", 1, 0, 0).elements[0]
+    with pytest.raises(RangeExceeded):
+        two_nerve_face(iso2, "h", (1, 0, 0), "m", 2, row)
+    with pytest.raises(RangeExceeded):
+        two_nerve_degeneracy(iso2, "h", (1, 0, 0), "m", -1, row)
+    simplices = {n: n2_simplices(iso2, n).elements[0] for n in range(nerve.N2_CAP + 1)}
+    for n, i in ((0, 0), (1, 2), (2, -1), (2, 3)):
+        with pytest.raises(RangeExceeded):
+            n2_face(iso2, n, i, simplices[n])
+    for n, j in ((0, 1), (1, -1), (nerve.N2_CAP, 0)):
+        with pytest.raises(RangeExceeded):
+            n2_degeneracy(iso2, n, j, simplices[n])
+
+
+def test_an_unknown_variant_or_direction_is_named(square_dbl, iso2):
+    edge = dbl_nerve_level(square_dbl, 1, 0, 0).elements[0]
+    row = two_nerve_level(iso2, "h", 1, 0, 0).elements[0]
+    calls = [
+        lambda: two_nerve_level(iso2, "bogus", 1, 0, 0),
+        lambda: two_nerve_face(iso2, "bogus", (1, 0, 0), "m", 0, row),
+        lambda: two_nerve_degeneracy(iso2, "bogus", (1, 0, 0), "m", 0, row),
+        lambda: two_nerve_face(iso2, "h", (1, 0, 0), "x", 0, row),
+        lambda: dbl_nerve_face(square_dbl, (1, 0, 0), "x", 0, edge),
+        lambda: dbl_nerve_degeneracy(square_dbl, (1, 0, 0), "x", 0, edge),
+    ]
+    for call, name in zip(calls, ["bogus"] * 3 + ["x"] * 3):
+        with pytest.raises(DanglingReference, match=f"unknown .* '{name}'"):
+            call()
 
 
 def test_cross_direction_faces_commute(square_dbl):

@@ -1,0 +1,91 @@
+import hashlib
+import json
+from itertools import product
+
+from dblnerve import expr as ex
+from dblnerve import nerve
+from dblnerve.dblcat import equivalence_embed, horizontal_embed
+from dblnerve.nerve import (
+    dbl_nerve_degeneracy,
+    dbl_nerve_face,
+    two_nerve_degeneracy,
+    two_nerve_face,
+    two_nerve_level,
+)
+from dblnerve.tensor import lx_presentations
+
+LEVELS = list(product(range(3), repeat=3))
+
+
+def _presentation_doc(pres):
+    return {
+        "kind": pres.kind, "label": pres.label,
+        "gens": [[g.name, g.sort, [None if b is None else ex.to_json(b) for b in g.bounds],
+                  sorted(g.flags), list(g.adjoint)] for g in pres.gens],
+        "relations": [[ex.to_json(lhs), ex.to_json(rhs)] for lhs, rhs in pres.relations],
+        "expansion_relations": sorted(pres.expansion_relations),
+        "keys": list(pres.keys),
+        "order": [g.name for g in pres.search_plan.order],
+    }
+
+
+def _morphism_doc(morphism):
+    return {name: ex.to_json(image) for name, image in morphism.gen_map.items()}
+
+
+def test_quotients_and_comparison_maps_are_pinned():
+    """sha256 of the 27 levels' plain and equivalence presentations (their
+    generators, relations, key orders and search orders) and their collapse
+    and section maps, computed when the plain quotient had translators of
+    its own.  Nothing here may follow set order, so the digest holds under
+    any hash seed."""
+    doc = []
+    for level in LEVELS:
+        plain, equivalence, collapse, section = lx_presentations(*level)
+        doc.append([list(level), _presentation_doc(plain), _presentation_doc(equivalence),
+                    _morphism_doc(collapse), _morphism_doc(section)])
+    dump = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == (
+        "016eb9147b07e19f1823542955f1f2b1519fb153f315f208e409a33f36f67269")
+
+
+def test_quotient_faces_and_degeneracies_commute_with_the_double_route(iso2, arrow2):
+    """On the first 40 rows of every level with m + k + n ≤ 3, in both
+    quotients of ``iso`` and ``arrow``, each face and degeneracy of
+    ``two_nerve_level`` followed by the conversion into the embedded double
+    category (``nerve._two_rows_to_dbl``) is the conversion followed by the
+    face or degeneracy of the double route.  The double route's level maps
+    do not pass through a quotient, so a quotient level map whose image
+    names another cell than the double one fails here."""
+    converters = {}
+
+    def convert(cat, variant, dbl, level, row):
+        if (id(cat), variant, level) not in converters:
+            quotient = lx_presentations(*level)[variant == "hsim"]
+            converters[id(cat), variant, level] = nerve._two_rows_to_dbl(
+                cat, variant, dbl, quotient, level)
+        return converters[id(cat), variant, level](row)
+
+    levels = [level for level in LEVELS if sum(level) <= 3]
+    checks = 0
+    for cat, variant in product((iso2, arrow2), ("h", "hsim")):
+        dbl = (horizontal_embed if variant == "h" else equivalence_embed)(cat)
+        for level, direction in product(levels, "mkn"):
+            axis = "mkn".index(direction)
+            top = level[axis]
+            rows = two_nerve_level(cat, variant, *level, check_bijection=False).elements[:40]
+            for row in rows:
+                image = convert(cat, variant, dbl, level, row)
+                low = tuple(c - (a == axis) for a, c in enumerate(level))
+                for i in range(top + 1) if top else ():
+                    face = two_nerve_face(cat, variant, level, direction, i, row)
+                    assert (convert(cat, variant, dbl, low, face)
+                            == dbl_nerve_face(dbl, level, direction, i, image)), (level, i)
+                    checks += 1
+                up = tuple(c + (a == axis) for a, c in enumerate(level))
+                for j in range(top + 1) if top < 2 else ():
+                    lifted = two_nerve_degeneracy(cat, variant, level, direction, j, row)
+                    assert (convert(cat, variant, dbl, up, lifted)
+                            == dbl_nerve_degeneracy(dbl, level, direction, j, image)), (level, j)
+                    checks += 1
+    assert checks == 5106
