@@ -76,3 +76,12 @@ class SchemaError(DblnerveError):
 
 class UsageError(DblnerveError):
     pass
+
+
+def named(table, name, what):
+    """``table[name]``; DanglingReference, naming ``name`` as an unknown
+    ``what``, for a name it lacks."""
+    try:
+        return table[name]
+    except KeyError:
+        raise DanglingReference(f"unknown {what} {name!r}, not one of {sorted(table)}") from None

@@ -26,7 +26,7 @@ from .dblcat import (
     validate_double_functor,
     vertical_embed,
 )
-from .errors import DanglingReference, DisagreementBug, RangeExceeded
+from .errors import DisagreementBug, RangeExceeded, named
 from .expr import compile_expr
 from .presentation import enumerate_canonical
 from .pseudohom import pseudo_hom, restriction
@@ -38,7 +38,7 @@ from .shapes import (
     v_oriental_inv,
 )
 from .standard import chain_category, locally_discrete
-from .tensor import level_map, lx_presentations, plain_map, x_presentation
+from .tensor import AXIS, level_map, lx_presentations, plain_map, x_presentation
 from .twocat import FiniteTwoCategory, is_trivial_fibration_two
 from .whi import (
     horizontal_equivalences,
@@ -48,7 +48,6 @@ from .whi import (
 
 ORACLE_GRID = {(m, k, n) for m in (0, 1) for k in (0, 1) for n in (0, 1, 2)}
 N2_CAP = 3  # the largest n of the 2-categorical nerve's simplices
-_AXIS = {"m": 0, "k": 1, "n": 2}
 _QUOTIENT = {"h": "l", "hsim": "lsim"}
 
 
@@ -81,21 +80,13 @@ def dbl_nerve_degeneracy(dbl, level, direction, j, element):
 
 
 def two_nerve_face(cat2, variant, level, direction, i, element):
-    quotient = _named(_QUOTIENT, variant, "variant")
+    quotient = named(_QUOTIENT, variant, "variant")
     return _simplicial(cat2, quotient, level, direction, i, element, face=True)
 
 
 def two_nerve_degeneracy(cat2, variant, level, direction, j, element):
-    quotient = _named(_QUOTIENT, variant, "variant")
+    quotient = named(_QUOTIENT, variant, "variant")
     return _simplicial(cat2, quotient, level, direction, j, element, face=False)
-
-
-def _named(table, name, what):
-    """``table[name]``; DanglingReference for a name it lacks."""
-    try:
-        return table[name]
-    except KeyError:
-        raise DanglingReference(f"unknown {what} {name!r}, not one of {sorted(table)}") from None
 
 
 def _simplicial(alg, variant, level, direction, i, element, face):
@@ -104,7 +95,7 @@ def _simplicial(alg, variant, level, direction, i, element, face):
     unless 0 ≤ i ≤ the level's size in ``direction`` and the level it lands
     on is on the grid."""
     src = _adjacent(level, direction, -1 if face else +1)
-    axis = _AXIS[direction]
+    axis = AXIS[direction]
     if not 0 <= i <= level[axis]:
         raise RangeExceeded(f"{'d' if face else 's'}_{i} on level {level} in direction "
                             f"{direction}: the index runs from 0 to {level[axis]}")
@@ -113,7 +104,7 @@ def _simplicial(alg, variant, level, direction, i, element, face):
 
 
 def _adjacent(level, direction, delta):
-    index = _named(_AXIS, direction, "direction")
+    index = named(AXIS, direction, "direction")
     out = list(level)
     out[index] += delta
     if out[index] < 0:
@@ -497,7 +488,7 @@ def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: in
     """Nerve level of a 2-category through the plain (``h``) or
     adjoint-equivalence (``hsim``) embedding; optionally re-derives the same
     set through the embedded double category and asserts the bijection."""
-    pres = lx_presentations(m, k, n)[_named(_QUOTIENT, variant, "variant") == "lsim"]
+    pres = lx_presentations(m, k, n)[named(_QUOTIENT, variant, "variant") == "lsim"]
     out = SimplexSet((m, k, n), pres.keys, enumerate_canonical(pres, cat2, budget),
                      f"two-nerve-{variant}")
     if check_bijection:

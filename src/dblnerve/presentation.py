@@ -23,7 +23,7 @@ candidate and check functions to a plan; ``_search`` plans and runs once.
 A run binds its images in one list, ``env``, with a slot per depth: the
 candidate and check functions read the images they need at the positions
 the plan gives their variables.  Each variable declares the earlier
-variables its candidates read, and each depth memoizes, for the length of
+variables its candidates read, and a depth's memo holds, for the length of
 the run, which of its candidates pass the checks that become ready there,
 keyed on the images at the positions both read; a depth that accepts only
 the last of its candidates is bound without a stack frame.  A presentation
@@ -32,6 +32,9 @@ over one): its search order, and the distinct *shapes* of its boundaries
 and relations, each an expression or tuple of expressions with its
 generator leaves renamed to slots numbered in first-occurrence order,
 bound to each boundary and relation by the search positions of its slots.
+Its depths fall into *memo classes*: the depths whose candidates and checks
+ask the same question, one pasting condition at many coordinates, and
+every depth of a class shares one memo.
 ``enumerate_canonical`` compiles each shape in the target once, evaluates
 each boundary and relation as its shape on the images at its slots,
 memoized in one dict per shape for the length of the search, and runs the
@@ -81,7 +84,11 @@ class SearchPlan(NamedTuple):
     with its number of slots (``_shapes``).  A presentation's relations are
     a few pasting laws repeated at many places, and so are its boundaries,
     so each has few shapes.  A *binding* is a tuple: a shape's index, then
-    the search position of the generator at each of its slots."""
+    the search position of the generator at each of its slots.  So its
+    search depths fall into few *memo classes*: the depths that query one
+    boundary shape and test the same flags and relation shapes, on images
+    at the same places in their memo keys, share one memo in the kernel
+    plan (``_memo_classes``)."""
     order: tuple  # the generators in search order (``_schedule``)
     flags: tuple  # (position, flags) of each flagged square generator
     boundary_shapes: tuple  # the distinct shapes of the boundaries (``_bounds``)
@@ -124,10 +131,15 @@ class Presentation:
         bounded = [g for g in order if g.sort != "object"]
         boundary_shapes, bounds = _shapes([_bounds(self.kind, g) for g in bounded])
         relation_shapes, relations = _shapes(self.relations)
-        reads = {g.name: names for g, (_, names) in zip(bounded, bounds)}
+        bound = dict(zip([g.name for g in bounded], bounds))
+        boundary = [bound.get(g.name, (None, ())) for g in order]  # an object's: no shape, no slot
         flagged = [g for g in self.gens if g.sort == "sq" and g.flags]
-        kernel = _plan([(g.name, reads.get(g.name, ())) for g in order],
-                       [(g.name,) for g in flagged] + [names for _, names in relations])
+        # what a depth's candidates ask: its sort's query on its boundary's
+        # shape; and its checks: their flags (a set) or relation shape (a number)
+        kernel = _plan([(g.name, names) for g, (_, names) in zip(order, boundary)],
+                       [(g.name,) for g in flagged] + [names for _, names in relations],
+                       ([(g.sort, shape) for g, (shape, _) in zip(order, boundary)],
+                        [g.flags for g in flagged] + [shape for shape, _ in relations]))
         bounds = iter(_at_positions(bounds, at))
         return SearchPlan(order, tuple((at[g.name], g.flags) for g in flagged),
                           boundary_shapes,
@@ -530,31 +542,61 @@ def _search(variables, constraints, budget: int | None, spent: int = 0):
                 [check for _, check in constraints], budget, spent)
 
 
-def _plan(variables, constraints) -> tuple:
+def _plan(variables, constraints, asks=None) -> tuple:
     """The plan of a search, without its candidate and check functions:
     ``variables`` are ``(name, inputs)`` pairs in depth order and
     ``constraints`` the inputs of each constraint.  Returns the names, per
     depth the earlier depths its memo key reads in order (those its
-    candidates and the checks tested there read), and per constraint the
-    depth it is tested at: right after the last of its inputs is bound.
-    Names and positions only, so one plan serves any number of runs.
-    DanglingReference if a variable reads a name that is not a variable
-    before it."""
+    candidates and the checks tested there read), per constraint the depth
+    it is tested at: right after the last of its inputs is bound, and per
+    depth the number of its memo (``_memo_classes``): one per depth unless
+    ``asks`` says which depths ask the same question.  Names and positions
+    only, so one plan serves any number of runs.  DanglingReference if a
+    variable reads a name that is not a variable before it."""
     position: dict = {}
-    reads: list[set] = []
+    inputs_at: list[tuple] = []
     for depth, (name, inputs) in enumerate(variables):
         for read in inputs:
             if read not in position:
                 raise DanglingReference(f"variable {name!r} reads {read!r}, "
                                         f"which is not a variable before it")
-        reads.append({position[read] for read in inputs})
+        inputs_at.append(tuple(map(position.__getitem__, inputs)))
         position[name] = depth
-    constraints = [set(map(position.__getitem__, inputs)) for inputs in constraints]
+    constraints = [tuple(map(position.__getitem__, inputs)) for inputs in constraints]
     depths = tuple(map(max, constraints))
+    reads = [set(inputs) for inputs in inputs_at]
     for depth, inputs in zip(depths, constraints):
-        reads[depth] |= inputs
+        reads[depth].update(inputs)
     keys = tuple(tuple(sorted(read - {depth})) for depth, read in enumerate(reads))
-    return tuple(position), keys, depths
+    memos = (tuple(range(len(keys))) if asks is None
+             else _memo_classes(asks, inputs_at, constraints, keys, depths))
+    return tuple(position), keys, depths, memos
+
+
+def _memo_classes(asks, inputs_at, constraints, keys, depths) -> tuple:
+    """Per depth the number of its memo, shared by the depths that ask the
+    same question.  ``asks`` is what each variable's candidates and then
+    each constraint's check compute from the images of their inputs, in
+    input order: equal asks compute the same from equal images.  A depth's
+    question is its variable's ask, then the ask of each check tested there
+    in test order, each with its inputs as indices into the depth's memo
+    key (-1 for the depth itself), then its key's length.  Two depths with
+    one question and equal key images try the same candidates against the
+    same checks, so their memo entries are equal.  Numbered by first
+    occurrence in depth order, never set order, so the memos and what
+    they hold are the same under any hash seed."""
+    variable_asks, check_asks = asks
+    tested: list[list] = [[] for _ in keys]
+    for i, depth in enumerate(depths):
+        tested[depth].append(i)
+
+    def read(depth, inputs):
+        return tuple(-1 if at == depth else keys[depth].index(at) for at in inputs)
+    number: dict = {}
+    return tuple(number.setdefault(
+        (variable_asks[depth], read(depth, inputs_at[depth]),
+         tuple((check_asks[i], read(depth, constraints[i])) for i in tested[depth]),
+         len(keys[depth])), len(number)) for depth in range(len(keys)))
 
 
 def _run(plan, candidates, checks, budget: int | None, spent: int = 0):
@@ -568,8 +610,11 @@ def _run(plan, candidates, checks, budget: int | None, spent: int = 0):
     (``_Solutions``): consecutive solutions share long prefixes, and a
     search that runs out of budget never builds a full row.
 
-    Each depth memoizes, on the images of what its candidates and checks
-    read, the candidates it accepts (``_accept``).  Rejected candidates are
+    Each memo class of the plan has one memo, shared by its depths
+    (``_memo_classes``), which holds, on the images of what a depth's
+    candidates and checks read, the candidates it accepts (``_accept``):
+    the depths of a class ask the same question of those images, so their
+    entries agree and one depth reuses another's.  Rejected candidates are
     charged before the accepted one after them, or after the subtrees of
     the last, so the search spends and stops where trying candidates one at
     a time would.  A depth that accepts only its last candidate is bound
@@ -579,14 +624,15 @@ def _run(plan, candidates, checks, budget: int | None, spent: int = 0):
     key functions live as long as the run.
     """
     budget = _environment_budget() if budget is None else budget
-    names, reads, depths = plan
+    names, reads, depths, classes = plan
     if not names:
         return [()], spent
     keys = [itemgetter(*read) if read else _no_key for read in reads]
     at_depth: list[list] = [[] for _ in names]  # the checks tested at each depth, in list order
     for depth, check in zip(depths, checks):
         at_depth[depth].append(check)
-    memos: list[dict] = [{} for _ in names]
+    shared: dict = {}
+    memos: list[dict] = [shared.setdefault(number, {}) for number in classes]
 
     solutions = _Solutions()
     keep = solutions.keep

@@ -40,7 +40,7 @@ from functools import cache
 from itertools import product
 
 from . import expr as ex
-from .errors import RangeExceeded
+from .errors import RangeExceeded, named
 from .presentation import (
     Presentation,
     PresentationBuilder,
@@ -50,6 +50,7 @@ from .presentation import (
 )
 
 GRID = (2, 2, 2)
+AXIS = {"m": 0, "k": 1, "n": 2}  # the place of each direction in a level (m, k, n)
 
 
 def _oname(x, y, z):
@@ -739,22 +740,40 @@ def _translate(variant, level, e):
 def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> PresentationMorphism:
     """The presentation morphism realizing one cosimplicial operator between
     two tensor levels, for the double presentation ("x") or either
-    2-categorical quotient ("l", "lsim").
+    2-categorical quotient ("l", "lsim"): ``alpha``, a weakly monotone map
+    from [src] to [tgt] in ``direction``, between levels that agree in the
+    other two directions.  DanglingReference for an unknown variant or
+    direction, RangeExceeded for any other operator.
 
     Each generator's image is computed in the double presentation and
     translated into the quotient (``_translate``), an object of the plain
     quotient standing for its k = 0 object; adjoint partners, units and
     counits follow the image of their base generator.  Built once per
     operator."""
-    return _level_map(variant, direction, tuple(alpha), tuple(src_mkn), tuple(tgt_mkn))
+    named(_VARIANTS, variant, "variant")
+    axis = named(AXIS, direction, "direction")
+    alpha, src_mkn, tgt_mkn = tuple(alpha), tuple(src_mkn), tuple(tgt_mkn)
+    if (len(src_mkn) != 3 or len(tgt_mkn) != 3
+            or any(s != t for d, s, t in zip(AXIS, src_mkn, tgt_mkn) if d != direction)):
+        raise RangeExceeded(f"{src_mkn} and {tgt_mkn} are not levels (m, k, n) that agree "
+                            f"outside direction {direction}")
+    size, onto = src_mkn[axis], tgt_mkn[axis]
+    in_range = all(isinstance(a, int) and 0 <= a <= onto for a in alpha)
+    if len(alpha) != size + 1 or not in_range or list(alpha) != sorted(alpha):
+        raise RangeExceeded(f"{list(alpha)} is not a weakly monotone map from [{size}] to "
+                            f"[{onto}] in direction {direction}")
+    return _level_map(variant, direction, alpha, src_mkn, tgt_mkn)
+
+
+_VARIANTS = {"x": None, "l": 0, "lsim": 1}  # each variant's place in ``lx_presentations``
 
 
 @cache
 def _level_map(variant, direction, alpha, src_mkn, tgt_mkn):
     source, smeta = x_presentation(*src_mkn)
     target = x_presentation(*tgt_mkn)[0]
-    if variant != "x":
-        which = ("l", "lsim").index(variant)
+    which = _VARIANTS[variant]
+    if which is not None:
         source, target = lx_presentations(*src_mkn)[which], lx_presentations(*tgt_mkn)[which]
     lifts = _lifts(*src_mkn)
 

@@ -602,6 +602,106 @@ def test_search_spends_the_pinned_candidates(monkeypatch, hsim_iso, h_iso, squar
     assert spent == [104_102, 73_342, 4_910]
 
 
+def test_depths_that_ask_the_same_question_share_one_memo(monkeypatch, hsim_iso, h_iso,
+                                                          square_dbl):
+    """The memo misses of the searches that spend the pinned candidates:
+    1,860, 3,579 and 2,168 with one memo per depth.  The depths of one
+    memo class ask the same question at other coordinates, and each
+    question with the same images is answered once."""
+    from dblnerve.tensor import x_presentation
+
+    misses = []
+    accept = presentation._accept
+
+    def counting(*args):
+        misses[-1] += 1
+        return accept(*args)
+
+    monkeypatch.setattr(presentation, "_accept", counting)
+    for target, level in ((hsim_iso, (1, 1, 2)), (h_iso, (2, 2, 2)), (square_dbl, (2, 2, 2))):
+        misses.append(0)
+        enumerate_functors(x_presentation(*level)[0], target)
+    assert misses == [973, 2_047, 266]
+
+
+def test_depths_share_a_memo_only_where_they_ask_the_same_question():
+    """``y`` and ``w`` ask for the difference of ``a`` and ``b`` and share
+    one memo; ``z`` asks for it of the same key images in the other order,
+    so it has its own, and the rows are those of the unshared search."""
+    plan = presentation._plan([("a", ()), ("b", ()), ("y", ()), ("z", ()), ("w", ())],
+                              [("a", "b", "y"), ("b", "a", "z"), ("a", "b", "w")],
+                              (["digit"] * 5, ["difference"] * 3))
+    assert plan[3] == (0, 0, 1, 2, 1)
+    digits = [lambda env: range(3)] * 5
+    checks = [lambda env: env[2] == (env[0] - env[1]) % 3,
+              lambda env: env[3] == (env[1] - env[0]) % 3,
+              lambda env: env[4] == (env[0] - env[1]) % 3]
+    rows = [(a, b, (a - b) % 3, (b - a) % 3, (a - b) % 3) for a in range(3) for b in range(3)]
+    unshared = presentation._search([(name, (), digits[0]) for name in "abyzw"],
+                                    [(("a", "b", "y"), checks[0]), (("b", "a", "z"), checks[1]),
+                                     (("a", "b", "w"), checks[2])], None)
+    assert presentation._run(plan, digits, checks, None) == unshared == (rows, unshared[1])
+
+
+DOUBLES = ("free-square", "h-iso", "hsim-arrow", "hsim-iso", "parallel-squares", "point-double",
+           "square-boundary")
+
+
+def compare_memo_layouts(levels) -> dict:
+    """Enumerate each level of ``levels`` in every corpus double category
+    and both its quotients in iso and arrow, at the budget in effect, with
+    each search run twice: with the memos its plan shares between depths
+    and with one memo per depth.  Asserts that both give the same rows and
+    spend, or raise the same BudgetExceeded message; returns the spend or
+    the message of each search, by its presentation's label and its target.
+    Run from the command line by the CI over the whole grid, budget-cut
+    levels included."""
+    from dblnerve.tensor import lx_presentations, x_presentation
+
+    run, compared = presentation._run, []
+
+    def both(plan, candidates, checks, budget, spent=0):
+        names, keys, depths, _ = plan
+        outcomes = []
+        for memos in (plan, (names, keys, depths, tuple(range(len(names))))):
+            try:
+                outcomes.append(run(memos, candidates, checks, budget, spent))
+            except BudgetExceeded as cut:
+                outcomes.append(cut)
+        shared, per_depth = outcomes
+        assert type(shared) is type(per_depth), (shared, per_depth)
+        if isinstance(shared, BudgetExceeded):
+            assert str(shared) == str(per_depth)
+            compared.append(str(shared))
+            raise shared
+        assert shared == per_depth
+        compared.append(shared[1])
+        return shared
+
+    targets = {name: load_path(CORPUS / f"{name}.json") for name in DOUBLES + ("iso", "arrow")}
+    searches = [(x_presentation(*level)[0], name) for level in levels for name in DOUBLES]
+    searches += [(quotient, name) for level in levels for quotient in lx_presentations(*level)[:2]
+                 for name in ("iso", "arrow")]
+    with mock.patch.object(presentation, "_run", both):
+        for pres, name in searches:
+            try:
+                enumerate_canonical(pres, targets[name])
+            except BudgetExceeded:
+                pass
+    assert len(compared) == len(searches)
+    return {(pres.label, name): outcome for (pres, name), outcome in zip(searches, compared)}
+
+
+def test_shared_memos_search_like_one_memo_per_depth():
+    """Each search of the levels with m + k + n at most 4 finds the same
+    rows and spends the same with its shared memos as with one per depth;
+    the CI compares the whole grid, where four levels run out of budget in
+    hsim-iso and four in the equivalence quotient in iso."""
+    levels = [level for level in product(range(3), repeat=3) if sum(level) <= 4]
+    spent = compare_memo_layouts(levels)
+    assert len(spent) == 11 * len(levels) and all(isinstance(n, int) for n in spent.values())
+
+
 # Where the budget ran out when the search tried and charged its candidates
 # one at a time: for each level, the candidates its whole search spends,
 # the number of its variables, and (budget, variable tried, its depth,

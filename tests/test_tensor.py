@@ -2,9 +2,12 @@ import hashlib
 import json
 from itertools import product
 
+import pytest
+
 from dblnerve import expr as ex
 from dblnerve import nerve
 from dblnerve.dblcat import equivalence_embed, horizontal_embed
+from dblnerve.errors import DanglingReference, RangeExceeded
 from dblnerve.nerve import (
     dbl_nerve_degeneracy,
     dbl_nerve_face,
@@ -12,7 +15,7 @@ from dblnerve.nerve import (
     two_nerve_face,
     two_nerve_level,
 )
-from dblnerve.tensor import lx_presentations
+from dblnerve.tensor import level_map, lx_presentations
 
 LEVELS = list(product(range(3), repeat=3))
 
@@ -89,3 +92,28 @@ def test_quotient_faces_and_degeneracies_commute_with_the_double_route(iso2, arr
                             == dbl_nerve_degeneracy(dbl, level, direction, j, image)), (level, j)
                     checks += 1
     assert checks == 5106
+
+
+def test_a_level_map_names_an_unknown_variant_or_direction():
+    for variant, direction, name in (("bogus", "m", "bogus"), ("x", "z", "z"), ("l", "x", "x")):
+        with pytest.raises(DanglingReference, match=f"unknown .* '{name}'"):
+            level_map(variant, direction, [1], (0, 0, 0), (1, 0, 0))
+
+
+def test_a_level_map_takes_only_a_monotone_map_between_levels_in_its_direction():
+    """A map that is not weakly monotone from [src] to [tgt] in its
+    direction, or levels that differ outside it or are not triples, raise
+    RangeExceeded rather than naming generators the target lacks or acting
+    as another map."""
+    for variant, direction, alpha, src, tgt in (
+            ("x", "m", [1, 0], (1, 0, 0), (1, 0, 0)),  # not monotone
+            ("x", "m", [5], (0, 0, 0), (1, 0, 0)),  # lands past the target
+            ("l", "n", [-1], (0, 0, 0), (0, 0, 1)),  # lands before it
+            ("x", "m", [0, 1], (0, 0, 0), (1, 0, 0)),  # from [1], not [0]
+            ("lsim", "k", [0.5, 1], (0, 1, 0), (0, 1, 0)),  # not a map of points
+            ("x", "m", [0, 1], (1, 0, 0), (1, 1, 0)),  # the levels differ in k
+            ("l", "n", [0], (0, 0, 0), (1, 0, 1)),  # and in m
+            ("x", "m", [0], (0, 0), (1, 0))):  # not levels (m, k, n)
+        with pytest.raises(RangeExceeded):
+            level_map(variant, direction, alpha, src, tgt)
+    assert level_map("x", "k", [0, 0], (0, 1, 0), (0, 0, 0)).gen_map["o0.1.0"] == ex.ogen("o0.0.0")
