@@ -404,93 +404,28 @@ def validate_functor(source, target, sorts, maps) -> list[dict]:
 def is_free_category(cat: FiniteCategory):
     """Freeness verdict via unique factorization into indecomposables.
 
+    The indecomposables are the non-identity morphisms that no composite of
+    two non-identities gives.  Paths of them are counted from the empty
+    path at each object; a morphism reached a second time has two
+    factorizations, so the count stops within ``len(cat.morphisms)`` steps
+    even when the indecomposables form a cycle.
+
     Returns ``(True, graph)`` where ``graph`` maps each generating morphism
     to its (src, tgt), or ``(False, witness)`` where ``witness`` is a
     morphism with zero or at least two factorizations.
     """
-    nonid = [m for m in cat.morphisms if not cat.is_identity(m)]
-    indec = []
-    for m in nonid:
-        proper = False
-        for f in nonid:
-            if cat.src[f] != cat.src[m]:
-                continue
-            for g in nonid:
-                if cat.tgt[f] == cat.src[g] and cat.compose[(g, f)] == m:
-                    proper = True
-        if not proper:
-            indec.append(m)
-
-    # A cycle among indecomposables forces repeated factorizations: iterate
-    # the cycle composite until a value repeats (pigeonhole), or observe an
-    # identity reached by a non-empty path.
-    cycle = _find_cycle(cat, indec)
-    if cycle is not None:
-        seen = {}
-        value = None
-        for k in range(1, len(cat.morphisms) + 2):
-            value = cycle if value is None else _compose_path(cat, [value] + [cycle])
-            if value in seen or cat.is_identity(value):
-                return False, value
-            seen[value] = k
-        return False, value  # unreachable: pigeonhole guarantees a repeat
-
-    counts = {m: 0 for m in cat.morphisms}
-    for a in cat.objects:
-        counts[cat.identity[a]] += 1  # the empty path at a
+    composites = {h for (g, f), h in cat.compose.items()
+                  if not (cat.is_identity(g) or cat.is_identity(f))}
+    indec = [m for m in cat.morphisms if not (cat.is_identity(m) or m in composites)]
+    reached = set(cat.identity.values())  # the empty path at each object
     stack = list(indec)
     while stack:
         value = stack.pop()
-        counts[value] += 1
-        for e in indec:
-            if cat.src[e] == cat.tgt[value]:
-                stack.append(cat.compose[(e, value)])
+        if value in reached:
+            return False, value
+        reached.add(value)
+        stack.extend(cat.compose[(e, value)] for e in indec if cat.src[e] == cat.tgt[value])
     for m in cat.morphisms:
-        if counts[m] != 1:
+        if m not in reached:
             return False, m
-    graph = {e: (cat.src[e], cat.tgt[e]) for e in indec}
-    return True, graph
-
-
-def _find_cycle(cat, edges):
-    """Composite morphism of some directed cycle among ``edges``, else None."""
-    adj: dict[str, list[str]] = {}
-    for e in edges:
-        adj.setdefault(cat.src[e], []).append(e)
-    state: dict[str, int] = {}
-    path: list[str] = []
-
-    def visit(a):
-        state[a] = 1
-        for e in adj.get(a, []):
-            b = cat.tgt[e]
-            if state.get(b, 0) == 1:
-                cyc = [e]
-                for prev in reversed(path):
-                    cyc.append(prev)
-                    if cat.src[prev] == b:
-                        break
-                cyc.reverse()
-                return cyc
-            if state.get(b, 0) == 0:
-                path.append(e)
-                found = visit(b)
-                path.pop()
-                if found:
-                    return found
-        state[a] = 2
-        return None
-
-    for a in cat.objects:
-        if state.get(a, 0) == 0:
-            cyc = visit(a)
-            if cyc:
-                return _compose_path(cat, cyc)
-    return None
-
-
-def _compose_path(cat, path):
-    value = path[0]
-    for e in path[1:]:
-        value = cat.compose[(e, value)]
-    return value
+    return True, {e: (cat.src[e], cat.tgt[e]) for e in indec}

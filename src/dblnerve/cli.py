@@ -113,10 +113,12 @@ def _pick_data(dbl, quad):
     raise UsageError(f"{quad} is not a horizontal equivalence of this double category")
 
 
-def cmd_whi_invariant(args):
+def cmd_invariance(args):
+    """``whi-invariant`` and ``fibrancy``: one check, its verdict reported
+    under the command's ``key``."""
     dbl = _need_double(load_path(args.file))
     verdict, witness = fibrancy_vertical_check(dbl)
-    report = {"weakly_horizontally_invariant": verdict}
+    report = {args.key: verdict}
     if witness:
         report["counterexample"] = list(witness)
     return _emit(report, verdict)
@@ -208,15 +210,6 @@ def cmd_nerve2(args):
     return _emit(report, verdict)
 
 
-def cmd_fibrancy(args):
-    dbl = _need_double(load_path(args.file))
-    verdict, witness = fibrancy_vertical_check(dbl)
-    report = {"fibrant_nerve": verdict}
-    if witness:
-        report["counterexample"] = list(witness)
-    return _emit(report, verdict)
-
-
 def cmd_segal(args):
     dbl = _need_double(load_path(args.file))
     verdict, reason = segal_tfib_check(dbl, args.k)
@@ -285,7 +278,7 @@ def build_parser():
 
     p = sub.add_parser("whi-invariant", help="weak horizontal invariance")
     p.add_argument("file")
-    p.set_defaults(run=cmd_whi_invariant)
+    p.set_defaults(run=cmd_invariance, key="weakly_horizontally_invariant")
 
     for name, runner in (("tfib", cmd_tfib), ("bieq", cmd_bieq), ("dbl-bieq", cmd_dbl_bieq)):
         p = sub.add_parser(name)
@@ -323,7 +316,7 @@ def build_parser():
 
     p = sub.add_parser("fibrancy", help="nerve fibrancy via weak horizontal invariance")
     p.add_argument("file")
-    p.set_defaults(run=cmd_fibrancy)
+    p.set_defaults(run=cmd_invariance, key="fibrant_nerve")
 
     p = sub.add_parser("segal", help="Segal restriction trivial-fibration check")
     p.add_argument("file")

@@ -580,8 +580,8 @@ def segal_tfib_check(dbl: FiniteDoubleCategory, k: int, budget: int | None = Non
 def n2_simplices(cat2: FiniteTwoCategory, n: int, budget: int | None = None) -> SimplexSet:
     """Simplices of the 2-categorical nerve: 2-functors out of the adjoint
     oriental family, for n ≤ N2_CAP."""
-    if n > N2_CAP:
-        raise RangeExceeded(f"n = {n} above the cap {N2_CAP}")
+    if not 0 <= n <= N2_CAP:
+        raise RangeExceeded(f"n = {n} outside the levels 0 to {N2_CAP}")
     pres = oriental_adjoint_presentation(n)
     return SimplexSet((n,), pres.keys, enumerate_canonical(pres, cat2, budget),
                       "two-categorical-nerve")

@@ -31,6 +31,8 @@ SHAPE_CAP = 5
 
 
 def _check_cap(n):
+    if n < 0:
+        raise RangeExceeded(f"n = {n} is negative")
     if n > SHAPE_CAP:
         raise RangeExceeded(f"n = {n} above the shape cap {SHAPE_CAP}")
 

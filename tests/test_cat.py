@@ -10,6 +10,8 @@ from dblnerve.errors import (
 )
 from dblnerve.standard import chain_category, free_iso_category
 
+from tests.categories import generated_categories
+
 
 def test_chain_two_is_valid_with_six_morphisms():
     cat = chain_category(2)
@@ -173,3 +175,47 @@ def test_free_category_morphism_count_equals_path_count():
             if s == cat.tgt[value]:
                 stack.append(cat.compose[(e, value)])
     assert count == len(cat.morphisms)
+
+
+def factorization_counts(cat):
+    """The indecomposables of ``cat`` and, per morphism, how many paths of
+    them of length at most ``len(cat.morphisms) + 1`` compose to it.
+
+    The counts decide freeness exactly: a shortest factorization repeats
+    no prefix composite, so it is shorter than the bound, and a morphism
+    with two factorizations makes two prefixes within the bound collide
+    (pigeonhole).  Counted level by level, with the empty path at each
+    object as level 0."""
+    nonid = [m for m in cat.morphisms if not cat.is_identity(m)]
+    indec = [m for m in nonid
+             if not any(cat.tgt[f] == cat.src[g] and cat.compose[(g, f)] == m
+                        for f in nonid for g in nonid)]
+    counts = dict.fromkeys(cat.morphisms, 0)
+    level = {cat.identity[a]: 1 for a in cat.objects}
+    for _ in range(len(cat.morphisms) + 2):
+        following = {}
+        for m, ways in level.items():
+            counts[m] += ways
+            for e in indec:
+                if cat.src[e] == cat.tgt[m]:
+                    h = cat.compose[(e, m)]
+                    following[h] = following.get(h, 0) + ways
+        level = following
+    return indec, counts
+
+
+def test_free_verdicts_match_a_brute_force_count():
+    outcomes = set()
+    for label, cat in generated_categories(seed=0):
+        indec, counts = factorization_counts(cat)
+        verdict, result = is_free_category(cat)
+        assert verdict == all(ways == 1 for ways in counts.values()), label
+        if verdict:
+            assert result == {e: (cat.src[e], cat.tgt[e]) for e in indec}, label
+            outcomes.add("free")
+        else:
+            assert counts[result] != 1, label
+            outcomes.add("no factorization" if counts[result] == 0 else "two factorizations")
+        if label.startswith("dag"):
+            assert verdict, label  # a path category is free on its graph
+    assert outcomes == {"free", "no factorization", "two factorizations"}

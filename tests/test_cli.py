@@ -55,6 +55,15 @@ def test_fibrancy_true_exit_zero():
     assert json.loads(out)["fibrant_nerve"] is True
 
 
+@pytest.mark.parametrize("name, code, out", [
+    ("h-iso", 1, '{\n  "counterexample": [\n    "idh:x",\n    "yx",\n    "idv:x"\n  ],\n'
+                 '  "weakly_horizontally_invariant": false\n}\n'),
+    ("hsim-iso", 0, '{\n  "weakly_horizontally_invariant": true\n}\n'),
+])
+def test_whi_invariant_bytes(name, code, out):
+    assert run_cli("whi-invariant", str(CORPUS / f"{name}.json")) == (code, out, "")
+
+
 def test_nerve_compare():
     code, out, _ = run_cli(
         "nerve", str(CORPUS / "free-square.json"), "--m", "1", "--k", "1", "--n", "0", "--compare"

@@ -328,6 +328,15 @@ def test_n2_simplex_counts(iso2, point2):
         n2_simplices(iso2, 4)
 
 
+def test_negative_levels_are_out_of_range(iso2, hsim_iso):
+    """Level -1 of the 2-categorical nerve and the Segal check at k = -1 are
+    out of range, not an empty simplex and a vacuous verdict."""
+    with pytest.raises(RangeExceeded):
+        n2_simplices(iso2, -1)
+    with pytest.raises(RangeExceeded):
+        segal_tfib_check(hsim_iso, -1)
+
+
 def test_n2_simplicial_actions(iso2):
     two = n2_simplices(iso2, 2).elements
     one = set(n2_simplices(iso2, 1).elements)

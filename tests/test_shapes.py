@@ -1,5 +1,8 @@
 from itertools import combinations
 
+import pytest
+
+from dblnerve.errors import RangeExceeded
 from dblnerve.presentation import Presentation, enumerate_functors
 from dblnerve.shapes import (
     codegeneracy,
@@ -13,6 +16,13 @@ from dblnerve.shapes import (
     oriental_variant,
     v_oriental_inv,
 )
+
+
+@pytest.mark.parametrize("build", [oriental, oriental_inv, v_oriental_inv, oriental_adjoint_presentation])
+def test_negative_sizes_are_out_of_range(build):
+    """n = -1 is no shape: not an empty one."""
+    with pytest.raises(RangeExceeded, match="n = -1 is negative"):
+        build(-1)
 
 
 def test_oriental_low_cases():
