@@ -124,50 +124,23 @@ def cmd_invariance(args):
     return _emit(report, verdict)
 
 
-def cmd_tfib(args):
-    functor = _load_functor(args, _need_double)
-    verdict, reason = is_trivial_fibration(functor)
-    report = {"trivial_fibration": verdict}
+def cmd_functor_check(args):
+    """``tfib``, ``bieq`` and ``dbl-bieq``: the command's ``check`` on the
+    functor of a map file, its verdict reported under the command's ``key``."""
+    verdict, reason = args.check(_load_functor(args, args.need))
+    report = {args.key: verdict}
     if reason:
         report["failure"] = [str(part) for part in reason]
     return _emit(report, verdict)
 
 
 def cmd_rlp(args):
-    functor = _load_functor(args, _need_double if args.set == "I" else _need_two)
-    if args.set == "I":
-        morphisms = generating_cofibrations_dbl()
-    elif args.set == "I2":
-        morphisms = {k: v for k, v in generating_cofibrations_two().items() if k.startswith("i")}
-    elif args.set == "J2":
-        morphisms = {k: v for k, v in generating_cofibrations_two().items() if k.startswith("j")}
-    else:
-        raise UsageError(f"unknown lifting set {args.set!r}")
-    results = {}
-    verdict = True
-    for name, morphism in sorted(morphisms.items()):
-        ok, _ = has_rlp(functor, morphism)
-        results[name] = ok
-        verdict = verdict and ok
+    need, generating, prefix = LIFTING_SETS[args.set]
+    functor = _load_functor(args, need)
+    morphisms = {k: v for k, v in generating().items() if k.startswith(prefix)}
+    results = {name: has_rlp(functor, morphism)[0] for name, morphism in sorted(morphisms.items())}
+    verdict = all(results.values())
     return _emit({"set": args.set, "rlp": results, "all": verdict}, verdict)
-
-
-def cmd_bieq(args):
-    functor = _load_functor(args, _need_two)
-    verdict, reason = is_biequivalence(functor)
-    report = {"biequivalence": verdict}
-    if reason:
-        report["failure"] = [str(part) for part in reason]
-    return _emit(report, verdict)
-
-
-def cmd_dbl_bieq(args):
-    functor = _load_functor(args, _need_double)
-    verdict, reason = is_double_biequivalence(functor)
-    report = {"double_biequivalence": verdict}
-    if reason:
-        report["failure"] = [str(part) for part in reason]
-    return _emit(report, verdict)
 
 
 def cmd_nerve(args):
@@ -246,6 +219,12 @@ def _need_square(dbl, name):
     return name
 
 
+# each lifting set: the kind of file it needs, a family and the prefix of its members' names
+LIFTING_SETS = {"I": (_need_double, generating_cofibrations_dbl, ""),
+                "I2": (_need_two, generating_cofibrations_two, "i"),
+                "J2": (_need_two, generating_cofibrations_two, "j")}
+
+
 def _count(text):
     """A non-negative integer argument."""
     value = int(text)
@@ -280,18 +259,21 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(run=cmd_invariance, key="weakly_horizontally_invariant")
 
-    for name, runner in (("tfib", cmd_tfib), ("bieq", cmd_bieq), ("dbl-bieq", cmd_dbl_bieq)):
+    for name, need, check, key in (
+            ("tfib", _need_double, is_trivial_fibration, "trivial_fibration"),
+            ("bieq", _need_two, is_biequivalence, "biequivalence"),
+            ("dbl-bieq", _need_double, is_double_biequivalence, "double_biequivalence")):
         p = sub.add_parser(name)
         p.add_argument("src")
         p.add_argument("tgt")
         p.add_argument("mapfile")
-        p.set_defaults(run=runner)
+        p.set_defaults(run=cmd_functor_check, need=need, check=check, key=key)
 
     p = sub.add_parser("rlp", help="right lifting property against a generating set")
     p.add_argument("src")
     p.add_argument("tgt")
     p.add_argument("mapfile")
-    p.add_argument("--set", default="I", choices=["I", "I2", "J2"])
+    p.add_argument("--set", default="I", choices=sorted(LIFTING_SETS))
     p.set_defaults(run=cmd_rlp)
 
     p = sub.add_parser("nerve", help="double-categorical nerve level")

@@ -362,13 +362,14 @@ def validate_double_functor(source, target, object_map, h_map, v_map, sq_map) ->
 # -- embeddings and underlying 2-categories ----------------------------
 
 
-def horizontal_embed(cat2: FiniteTwoCategory) -> FiniteDoubleCategory:
-    """View a 2-category as a double category with trivial vertical morphisms."""
+def _embed(cat2: FiniteTwoCategory, unit_name) -> FiniteDoubleCategory:
+    """View a 2-category as a double category with trivial vertical
+    morphisms, named ``unit_name(object)``."""
     objects = list(cat2.objects)
     h_bounds = {f: (cat2.one_src[f], cat2.one_tgt[f]) for f in cat2.one_cells}
-    v_bounds = {idv_of(a): (a, a) for a in objects}
+    v_bounds = {unit_name(a): (a, a) for a in objects}
     idh = {a: cat2.id1[a] for a in objects}
-    idv = {a: idv_of(a) for a in objects}
+    idv = {a: unit_name(a) for a in objects}
     sq_bounds = {
         c: (
             cat2.two_src[c],
@@ -387,62 +388,44 @@ def horizontal_embed(cat2: FiniteTwoCategory) -> FiniteDoubleCategory:
     )
 
 
+def horizontal_embed(cat2: FiniteTwoCategory) -> FiniteDoubleCategory:
+    """View a 2-category as a double category with trivial vertical morphisms."""
+    return _embed(cat2, idv_of)
+
+
 def vertical_embed(cat2: FiniteTwoCategory) -> FiniteDoubleCategory:
     """View a 2-category as a double category with trivial horizontal morphisms."""
-    objects = list(cat2.objects)
-    h_bounds = {idh_of(a): (a, a) for a in objects}
-    v_bounds = {f: (cat2.one_src[f], cat2.one_tgt[f]) for f in cat2.one_cells}
-    idh = {a: idh_of(a) for a in objects}
-    idv = {a: cat2.id1[a] for a in objects}
-    sq_bounds = {
-        c: (
-            idh[cat2.one_src[cat2.two_src[c]]],
-            idh[cat2.one_tgt[cat2.two_src[c]]],
-            cat2.two_src[c],
-            cat2.two_tgt[c],
-        )
-        for c in cat2.two_cells
-    }
-    e_sq = {idh[a]: cat2.id2[cat2.id1[a]] for a in objects}
-    i_sq = {f: cat2.id2[f] for f in cat2.one_cells}
-    hcomp_h = {(idh[a], idh[a]): idh[a] for a in objects}
-    # pasting along vertical boundaries is vertical 2-cell composition
-    return assemble_double_category(
-        objects, h_bounds, v_bounds, sq_bounds, idh, idv, e_sq, i_sq,
-        hcomp_h, dict(cat2.hcomp1), dict(cat2.vcomp2), dict(cat2.hcomp2),
-    )
+    return transpose(_embed(cat2, idh_of))
+
+
+def transpose(dbl: FiniteDoubleCategory) -> FiniteDoubleCategory:
+    """``dbl`` with its directions exchanged: a square (top, bottom, left,
+    right) becomes (left, right, top, bottom), and every cell keeps its name.
+    The laws are the same laws with the directions exchanged, so the
+    transpose of a lawful double category is lawful and is not checked."""
+    return FiniteDoubleCategory(
+        objects=dbl.objects, hmors=dbl.vmors, vmors=dbl.hmors, squares=dbl.squares,
+        hsrc=dbl.vsrc, htgt=dbl.vtgt, vsrc=dbl.hsrc, vtgt=dbl.htgt,
+        stop=dbl.sleft, sbottom=dbl.sright, sleft=dbl.stop, sright=dbl.sbottom,
+        idh=dbl.idv, idv=dbl.idh, e_sq=dbl.i_sq, i_sq=dbl.e_sq,
+        hcomp_h=dbl.vcomp_v, vcomp_v=dbl.hcomp_h, hcomp_sq=dbl.vcomp_sq, vcomp_sq=dbl.hcomp_sq)
 
 
 def underlying(dbl: FiniteDoubleCategory, direction: str) -> FiniteTwoCategory:
-    """Underlying horizontal or vertical 2-category of a double category."""
-    if direction == "horizontal":
-        one_bounds = {f: (dbl.hsrc[f], dbl.htgt[f]) for f in dbl.hmors}
-        flat = [s for s in dbl.squares if dbl.has_trivial_vertical_boundaries(s)]
-        two_bounds = {s: (dbl.stop[s], dbl.sbottom[s]) for s in flat}
-        id1 = dict(dbl.idh)
-        id2 = {f: dbl.e_sq[f] for f in dbl.hmors}
-        hcomp1 = dict(dbl.hcomp_h)
-        flatset = set(flat)
-        vcomp2 = {k: v for k, v in dbl.vcomp_sq.items() if k[0] in flatset and k[1] in flatset}
-        hcomp2 = {k: v for k, v in dbl.hcomp_sq.items() if k[0] in flatset and k[1] in flatset}
-    elif direction == "vertical":
-        one_bounds = {u: (dbl.vsrc[u], dbl.vtgt[u]) for u in dbl.vmors}
-        flat = [
-            s for s in dbl.squares
-            if dbl.stop[s] == dbl.idh[dbl.vsrc[dbl.sleft[s]]]
-            and dbl.sbottom[s] == dbl.idh[dbl.vtgt[dbl.sleft[s]]]
-        ]
-        two_bounds = {s: (dbl.sleft[s], dbl.sright[s]) for s in flat}
-        id1 = dict(dbl.idv)
-        id2 = {u: dbl.i_sq[u] for u in dbl.vmors}
-        hcomp1 = dict(dbl.vcomp_v)
-        flatset = set(flat)
-        vcomp2 = {k: v for k, v in dbl.hcomp_sq.items() if k[0] in flatset and k[1] in flatset}
-        hcomp2 = {k: v for k, v in dbl.vcomp_sq.items() if k[0] in flatset and k[1] in flatset}
-    else:
+    """Underlying horizontal or vertical 2-category of a double category:
+    the vertical one is the horizontal one of its transpose."""
+    if direction == "vertical":
+        dbl = transpose(dbl)
+    elif direction != "horizontal":
         raise DanglingReference(f"unknown direction {direction!r}")
+    one_bounds = {f: (dbl.hsrc[f], dbl.htgt[f]) for f in dbl.hmors}
+    flat = {s for s in dbl.squares if dbl.has_trivial_vertical_boundaries(s)}
+    two_bounds = {s: (dbl.stop[s], dbl.sbottom[s]) for s in dbl.squares if s in flat}
+    id2 = {f: dbl.e_sq[f] for f in dbl.hmors}
+    vcomp2 = {k: v for k, v in dbl.vcomp_sq.items() if k[0] in flat and k[1] in flat}
+    hcomp2 = {k: v for k, v in dbl.hcomp_sq.items() if k[0] in flat and k[1] in flat}
     return assemble_two_category(
-        list(dbl.objects), one_bounds, two_bounds, id1, id2, hcomp1, vcomp2, hcomp2
+        list(dbl.objects), one_bounds, two_bounds, dict(dbl.idh), id2, dict(dbl.hcomp_h), vcomp2, hcomp2
     )
 
 

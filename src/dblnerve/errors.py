@@ -85,3 +85,14 @@ def named(table, name, what):
         return table[name]
     except KeyError:
         raise DanglingReference(f"unknown {what} {name!r}, not one of {sorted(table)}") from None
+
+
+def monotone(alpha, size, onto, where=""):
+    """``alpha`` as a tuple, if it is a weakly monotone map from [size] to
+    [onto] given by its values; RangeExceeded, naming ``where``, otherwise."""
+    alpha = tuple(alpha)
+    if (len(alpha) != size + 1 or not all(isinstance(a, int) and 0 <= a <= onto for a in alpha)
+            or list(alpha) != sorted(alpha)):
+        raise RangeExceeded(f"{list(alpha)} is not a weakly monotone map from [{size}] to "
+                            f"[{onto}]{where}")
+    return alpha

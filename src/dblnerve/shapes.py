@@ -19,7 +19,7 @@ from itertools import combinations
 
 from . import expr as ex
 from .dblcat import FiniteDoubleCategory, vertical_embed
-from .errors import DanglingReference, RangeExceeded
+from .errors import DanglingReference, RangeExceeded, monotone
 from .presentation import Presentation, PresentationBuilder, PresentationMorphism, adjoint_morphism
 from .twocat import FiniteTwoCategory, assemble_two_category, validate_two_functor
 
@@ -373,12 +373,18 @@ def _v_oriental_inv(k):
 
 
 def coface(n: int, i: int):
-    """Monotone injection [n] -> [n+1] skipping i, as a value list."""
+    """Monotone injection [n] -> [n+1] skipping i, as a value list.
+    RangeExceeded unless 0 ≤ i ≤ n + 1."""
+    if n < 0 or not 0 <= i <= n + 1:
+        raise RangeExceeded(f"coface {i} on [{n}]: need n ≥ 0 and 0 ≤ i ≤ n + 1")
     return [x if x < i else x + 1 for x in range(n + 1)]
 
 
 def codegeneracy(n: int, j: int):
-    """Monotone surjection [n+1] -> [n] repeating j."""
+    """Monotone surjection [n+1] -> [n] repeating j.  RangeExceeded unless
+    0 ≤ j ≤ n."""
+    if not 0 <= j <= n:
+        raise RangeExceeded(f"codegeneracy {j} on [{n}]: need 0 ≤ j ≤ n")
     return [x if x <= j else x - 1 for x in range(n + 2)]
 
 
@@ -387,7 +393,9 @@ def _subset_image(alpha, subset):
 
 
 def oriental_functor(alpha, n_src, n_tgt, invertible=False):
-    """2-functor between materialized orientals induced by a monotone map."""
+    """2-functor between materialized orientals induced by a monotone map.
+    RangeExceeded unless ``alpha`` is weakly monotone from [n_src] to [n_tgt]."""
+    alpha = monotone(alpha, n_src, n_tgt)
     src = oriental(n_src, invertible)
     tgt = oriental(n_tgt, invertible)
     om = {str(x): str(alpha[x]) for x in range(n_src + 1)}
@@ -411,7 +419,9 @@ def _subsets_from_two_name(name):
 
 def oriental_presentation_map(alpha, n_src, n_tgt) -> PresentationMorphism:
     """Presentation morphism between adjoint orientals induced by a monotone
-    map on vertices."""
+    map on vertices.  RangeExceeded unless ``alpha`` is weakly monotone from
+    [n_src] to [n_tgt]."""
+    alpha = monotone(alpha, n_src, n_tgt)
 
     def image_of(g):
         if g.sort == "object":

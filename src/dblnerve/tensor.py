@@ -40,7 +40,7 @@ from functools import cache
 from itertools import product
 
 from . import expr as ex
-from .errors import RangeExceeded, named
+from .errors import RangeExceeded, monotone, named
 from .presentation import (
     Presentation,
     PresentationBuilder,
@@ -752,16 +752,12 @@ def level_map(variant: str, direction: str, alpha, src_mkn, tgt_mkn) -> Presenta
     operator."""
     named(_VARIANTS, variant, "variant")
     axis = named(AXIS, direction, "direction")
-    alpha, src_mkn, tgt_mkn = tuple(alpha), tuple(src_mkn), tuple(tgt_mkn)
+    src_mkn, tgt_mkn = tuple(src_mkn), tuple(tgt_mkn)
     if (len(src_mkn) != 3 or len(tgt_mkn) != 3
             or any(s != t for d, s, t in zip(AXIS, src_mkn, tgt_mkn) if d != direction)):
         raise RangeExceeded(f"{src_mkn} and {tgt_mkn} are not levels (m, k, n) that agree "
                             f"outside direction {direction}")
-    size, onto = src_mkn[axis], tgt_mkn[axis]
-    in_range = all(isinstance(a, int) and 0 <= a <= onto for a in alpha)
-    if len(alpha) != size + 1 or not in_range or list(alpha) != sorted(alpha):
-        raise RangeExceeded(f"{list(alpha)} is not a weakly monotone map from [{size}] to "
-                            f"[{onto}] in direction {direction}")
+    alpha = monotone(alpha, src_mkn[axis], tgt_mkn[axis], f" in direction {direction}")
     return _level_map(variant, direction, alpha, src_mkn, tgt_mkn)
 
 

@@ -1,24 +1,22 @@
+from pathlib import Path
+
 import pytest
 
 from dblnerve.dblcat import equivalence_embed, horizontal_embed
-from dblnerve.standard import (
-    arrow_two_category,
-    chain_category,
-    free_square_double,
-    iso_two_category,
-    locally_discrete,
-    three_object_invertible_two_category,
-)
+from dblnerve.io import load_path
+from dblnerve.standard import chain_category, locally_discrete
+
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 @pytest.fixture(scope="session")
 def iso2():
-    return iso_two_category()
+    return load_path(CORPUS / "iso.json")
 
 
 @pytest.fixture(scope="session")
 def arrow2():
-    return arrow_two_category()
+    return load_path(CORPUS / "arrow.json")
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +41,7 @@ def hsim_arrow(arrow2):
 
 @pytest.fixture(scope="session")
 def square_dbl():
-    return free_square_double()
+    return load_path(CORPUS / "free-square.json")
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +51,7 @@ def point_dbl(point2):
 
 @pytest.fixture(scope="session")
 def tri2():
-    return three_object_invertible_two_category()
+    return load_path(CORPUS / "tri-invertible.json")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +10,12 @@ from dblnerve.errors import (
     NonAssociative,
     ValidationError,
 )
-from dblnerve.standard import chain_category, free_iso_category
+from dblnerve.io import load_path
+from dblnerve.standard import chain_category
 
 from tests.categories import generated_categories
+
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def test_chain_two_is_valid_with_six_morphisms():
@@ -19,7 +24,7 @@ def test_chain_two_is_valid_with_six_morphisms():
 
 
 def test_free_iso_is_valid():
-    cat = free_iso_category()
+    cat = load_path(CORPUS / "iso-category.json")
     assert cat.compose[("xy", "yx")] == "id:y"
     assert cat.compose[("yx", "xy")] == "id:x"
 
@@ -137,7 +142,7 @@ def test_terminal_is_free_with_empty_graph():
 
 
 def test_free_iso_is_not_free():
-    cat = free_iso_category()
+    cat = load_path(CORPUS / "iso-category.json")
     verdict, witness = is_free_category(cat)
     assert verdict is False
     # the witness morphism has 0 or >= 2 factorizations; brute-force check

@@ -139,6 +139,50 @@ def test_dbl_bieq_inclusion():
     assert json.loads(out)["double_biequivalence"] is True
 
 
+SQUARE_IDENTITY_MAP = {"objects": {a: a for a in ("00", "01", "10", "11")},
+                       "hmor": {"f": "f", "f'": "f'"}, "vmor": {"u": "u", "v": "v"},
+                       "squares": {"s": "s"}}
+ISO_TO_POINT_MAP = {"objects": {"x": "0", "y": "0"}, "one_cells": {"xy": "id:0", "yx": "id:0"},
+                    "two_cells": {}}
+ARROW_TO_POINT_MAP = {"objects": {"0": "0", "1": "0"}, "one_cells": {"a01": "id:0"},
+                      "two_cells": {}}
+
+
+@pytest.mark.parametrize("args, code, out", [
+    (("tfib", "free-square", "free-square", SQUARE_IDENTITY_MAP), 0,
+     '{\n  "trivial_fibration": true\n}\n'),
+    (("tfib", "free-square", "point-double", "square-to-point.map"), 1,
+     '{\n  "failure": [\n    "h-morphism-not-hit",\n    "idh:0",\n    "00",\n    "01"\n  ],\n'
+     '  "trivial_fibration": false\n}\n'),
+    (("bieq", "iso", "point", ISO_TO_POINT_MAP), 0, '{\n  "biequivalence": true\n}\n'),
+    (("bieq", "arrow", "point", ARROW_TO_POINT_MAP), 1,
+     '{\n  "biequivalence": false,\n  "failure": [\n    "morphism-not-reached",\n'
+     '    "id:0"\n  ]\n}\n'),
+    (("dbl-bieq", "h-iso", "hsim-iso", "h-iso-to-hsim.map"), 0,
+     '{\n  "double_biequivalence": true\n}\n'),
+    (("dbl-bieq", "free-square", "point-double", "square-to-point.map"), 1,
+     '{\n  "double_biequivalence": false,\n  "failure": [\n    "h-morphism-not-reached",\n'
+     '    "idh:0"\n  ]\n}\n'),
+    (("rlp", "arrow", "point", ARROW_TO_POINT_MAP, "--set", "I2"), 1,
+     '{\n  "all": false,\n  "rlp": {\n    "i1": true,\n    "i2": false,\n    "i3": true,\n'
+     '    "i4": true\n  },\n  "set": "I2"\n}\n'),
+    (("rlp", "arrow", "point", ARROW_TO_POINT_MAP, "--set", "J2"), 0,
+     '{\n  "all": true,\n  "rlp": {\n    "j1": true,\n    "j2": true\n  },\n  "set": "J2"\n}\n'),
+])
+def test_functor_command_bytes(args, code, out, tmp_path):
+    """Exit code and report bytes of each functor command, true and false;
+    a map given as a dict is written to a file first."""
+    command, src, tgt, mapping, *options = args
+    if isinstance(mapping, dict):
+        mapfile = tmp_path / "given.map.json"
+        mapfile.write_text(json.dumps(mapping))
+    else:
+        mapfile = CORPUS / f"{mapping}.json"
+    argv = [command, str(CORPUS / f"{src}.json"), str(CORPUS / f"{tgt}.json"), str(mapfile),
+            *options]
+    assert _in_process(argv) == (code, out, "")
+
+
 def test_segal_command():
     code, out, _ = run_cli("segal", str(CORPUS / "h-iso.json"), "--k", "2")
     assert code == 0

@@ -1,14 +1,22 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from dblnerve.dblcat import (
+    check_double_category_laws,
     equivalence_embed,
     horizontal_embed,
+    transpose,
     underlying,
     validate_double_category,
     validate_double_functor,
     vertical_embed,
 )
 from dblnerve.errors import InterchangeFailure, ValidationError
+from dblnerve.io import load_path
+
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 
@@ -50,6 +58,25 @@ def test_embed_round_trips(iso2, arrow2, tri2):
             assert back.hcomp2 == cat.hcomp2
 
 
+def test_transpose_is_an_involution_onto_lawful_double_categories():
+    """On every corpus double category and the vertical embedding of every
+    corpus 2-category: transposing twice gives back every field, and the
+    transpose passes the law check that ``transpose`` does not run."""
+    loaded = [load_path(path) for path in sorted(CORPUS.glob("*.json"))
+              if not path.name.endswith(".map.json")]
+    dbls = [obj for obj in loaded if hasattr(obj, "squares")]
+    dbls += [vertical_embed(obj) for obj in loaded if hasattr(obj, "two_cells")]
+    assert len(dbls) == 11
+    for dbl in dbls:
+        twice = transpose(transpose(dbl))
+        for field in dataclasses.fields(dbl):
+            assert getattr(twice, field.name) == getattr(dbl, field.name)
+        flipped = transpose(dbl)
+        check_double_category_laws(flipped)
+        assert (flipped.hmors, flipped.vmors, flipped.stop, flipped.sleft) == (
+            dbl.vmors, dbl.hmors, dbl.sleft, dbl.stop)
+
+
 def test_horizontal_embed_counts(iso2):
     dbl = horizontal_embed(iso2)
     assert (len(dbl.objects), len(dbl.hmors), len(dbl.vmors), len(dbl.squares)) == (2, 4, 2, 4)
@@ -61,10 +88,8 @@ def test_underlying_vertical_of_horizontal_embedding_is_discrete(iso2):
     assert len(vert.one_cells) == len(vert.objects)
 
 
-def test_underlying_horizontal_of_square():
-    from dblnerve.standard import free_square_double
-
-    two = underlying(free_square_double(), "horizontal")
+def test_underlying_horizontal_of_square(square_dbl):
+    two = underlying(square_dbl, "horizontal")
     # two parallel-source-disjoint arrows, no non-identity 2-cells
     non_identity_one = [f for f in two.one_cells if f not in two.id1.values()]
     assert sorted(non_identity_one) == ["f", "f'"]

@@ -13,12 +13,6 @@ from dblnerve.io import dump, load_document, load_path, serialize
 from dblnerve.presentation import PresentationBuilder
 from dblnerve.pseudohom import pseudo_hom
 from dblnerve.shapes import oriental, oriental_variant, shape_2cat
-from dblnerve.standard import (
-    free_iso_category,
-    free_square_double,
-    iso_two_category,
-    three_object_invertible_two_category,
-)
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 SERIALIZATION_DIGEST = "a306ca4c81178db46b08253e257fc94db16f6ebfee71f55ac9eac5fab414aae9"
@@ -27,12 +21,8 @@ LOADER_CONFLICTS_DIGEST = "a660c44b86a303e4b3fc1658266ecf0bcd74f163bcd2d24c05329
 
 
 def test_round_trip_fixpoint_on_validated_objects():
-    for obj in (
-        free_iso_category(),
-        iso_two_category(),
-        three_object_invertible_two_category(),
-        free_square_double(),
-    ):
+    for obj in (load_path(CORPUS / f"{name}.json")
+                for name in ("iso-category", "iso", "tri-invertible", "free-square")):
         doc = serialize(obj)
         assert dump(serialize(load_document(doc))) == dump(doc)
 

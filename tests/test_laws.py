@@ -22,12 +22,7 @@ from dblnerve.dblcat import (
 )
 from dblnerve.errors import BadIdentity, MissingComposite, ValidationError
 from dblnerve.io import load_path
-from dblnerve.standard import (
-    chain_category,
-    free_iso_category,
-    free_square_double,
-    iso_two_category,
-)
+from dblnerve.standard import chain_category
 from dblnerve.twocat import assemble_two_category, check_two_category_laws
 
 CORPUS = Path(__file__).parent.parent / "corpus"
@@ -173,10 +168,10 @@ def test_double_category_check_accepts_exactly_the_lawful_tables():
 
 
 def _categories():
-    """The corpus category, two stock ones, and both morphism layers of
+    """The corpus category, a chain, and both morphism layers of
     each double category above."""
     cats = {"iso-category": load_path(CORPUS / "iso-category.json"),
-            "chain-2": chain_category(2), "free-iso": free_iso_category()}
+            "chain-2": chain_category(2)}
     for name, dbl in _double_categories().items():
         cats[f"{name}:h"] = FiniteCategory(dbl.objects, dbl.hmors, dbl.hsrc, dbl.htgt,
                                            dbl.idh, dbl.hcomp_h)
@@ -232,7 +227,7 @@ def test_two_category_check_rejects_a_vertical_composition_without_units():
 def test_a_two_category_unit_map_without_a_cell_is_a_bad_identity():
     """The unit maps are read for every cell; one given through the API
     that misses a cell, or names no cell, is rejected before any law."""
-    cat = iso_two_category()
+    cat = load_path(CORPUS / "iso.json")
     one_bounds = {f: (cat.one_src[f], cat.one_tgt[f]) for f in cat.one_cells}
     two_bounds = {a: (cat.two_src[a], cat.two_tgt[a]) for a in cat.two_cells}
     id2 = {f: u for f, u in cat.id2.items() if f != "xy"}
@@ -256,7 +251,7 @@ def test_a_two_category_unit_map_without_a_cell_is_a_bad_identity():
     ("i_sq", "u", "no horizontal square unit for 'u'"),
 ])
 def test_a_double_category_unit_map_without_a_cell_is_a_bad_identity(field, cell, message):
-    dbl = free_square_double()
+    dbl = load_path(CORPUS / "free-square.json")
     unit = {c: u for c, u in getattr(dbl, field).items() if c != cell}
     with pytest.raises(BadIdentity) as err:
         check_double_category_laws(dataclasses.replace(dbl, **{field: unit}))

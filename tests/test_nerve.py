@@ -350,6 +350,50 @@ def test_n2_simplicial_actions(iso2):
         assert n2_face(iso2, 1, 1, up) == element
 
 
+def _as_grid_key(key):
+    """A key of ``n2_simplices`` as its key in the grid's 0-column through
+    ``h``: vertex ``i`` is ``q0.i``, edge ``[ij]`` (and its partner, unit and
+    counit) ``nij.0.0``, the covering cell ``([02]>[012])`` ``N0.0``."""
+    if key == "([02]>[012])":
+        return "N0.0"
+    if key.startswith("["):
+        return f"n{key[1:3]}.0.0{key[4:]}"
+    return f"q0.{key}"
+
+
+def test_n2_simplices_are_the_h_quotient_0_column(iso2, arrow2, tri2):
+    """Two routes to one column: the adjoint orientals of ``n2_simplices``
+    and the grid's ``two_nerve_level(cat2, "h", 0, 0, n)``, with equal rows
+    under the renaming of keys and faces and degeneracies that commute with
+    it, for n ≤ 2."""
+    def by_grid_key(simplices, row):
+        return dict(zip(map(_as_grid_key, simplices.keys), row))
+
+    counts, checks = {}, 0
+    for name, cat in (("iso", iso2), ("arrow", arrow2), ("tri-invertible", tri2)):
+        oriental = {n: n2_simplices(cat, n) for n in range(3)}
+        grid = {n: two_nerve_level(cat, "h", 0, 0, n) for n in range(3)}
+        counts[name] = [grid[n].count() for n in range(3)]
+        for n in range(3):
+            assert ({tuple(sorted(by_grid_key(oriental[n], row).items()))
+                     for row in oriental[n].elements}
+                    == {tuple(zip(grid[n].keys, row)) for row in grid[n].elements})
+            for row in oriental[n].elements:
+                grid_row = tuple(by_grid_key(oriental[n], row)[key] for key in grid[n].keys)
+                for i in range(n + 1 if n else 0):
+                    face = by_grid_key(oriental[n - 1], n2_face(cat, n, i, row))
+                    grid_face = two_nerve_face(cat, "h", (0, 0, n), "n", i, grid_row)
+                    assert face == dict(zip(grid[n - 1].keys, grid_face))
+                    checks += 1
+                for j in range(n + 1 if n < 2 else 0):
+                    up = by_grid_key(oriental[n + 1], n2_degeneracy(cat, n, j, row))
+                    grid_up = two_nerve_degeneracy(cat, "h", (0, 0, n), "n", j, grid_row)
+                    assert up == dict(zip(grid[n + 1].keys, grid_up))
+                    checks += 1
+    assert counts == {"iso": [2, 4, 8], "arrow": [2, 2, 2], "tri-invertible": [3, 6, 24]}
+    assert checks == 157
+
+
 def test_oracle_agreement_with_nonidentity_invertible_cells(tri2):
     """Targets whose 2-cells include a non-identity invertible cell stress
     the invertibility and pasting-equality filters of both nerve routes."""

@@ -28,7 +28,6 @@ from dblnerve.shapes import (
     generating_cofibrations_two,
     shape_2cat,
 )
-from dblnerve.standard import free_square_double, parallel_squares_double, square_boundary_double
 from dblnerve.whi import is_trivial_fibration
 
 
@@ -162,8 +161,8 @@ def _functor_corpus(corpus_dbl, point_dbl, h_iso, hsim_iso, square_dbl):
 
     # designed failures on squares: boundary inclusion and parallel collapse
     boundary, square, parallel = (
-        square_boundary_double(), free_square_double(), parallel_squares_double()
-    )
+        load_path(corpus / f"{name}.json")
+        for name in ("square-boundary", "free-square", "parallel-squares"))
     functors.append(
         validate_double_functor(
             boundary, square,

@@ -25,6 +25,21 @@ def test_negative_sizes_are_out_of_range(build):
         build(-1)
 
 
+def test_cosimplicial_operators_check_their_arguments():
+    """An index outside 0 ≤ i ≤ n + 1 (coface) or 0 ≤ j ≤ n (codegeneracy),
+    or a map that is not weakly monotone from [n_src] to [n_tgt], is
+    RangeExceeded, not another operator's values or a failed lookup."""
+    for build, n, index in ((coface, 2, 4), (coface, 2, -1), (coface, -1, 0),
+                            (codegeneracy, 1, 2), (codegeneracy, 1, -1)):
+        with pytest.raises(RangeExceeded):
+            build(n, index)
+    assert coface(2, 3) == [0, 1, 2] and codegeneracy(1, 1) == [0, 1, 1]
+    for alpha, n_src, n_tgt in (([1, 0], 1, 1), ([0, 1, 2], 2, 1), ([0], 1, 1), ([0, -1], 1, 1)):
+        for build in (oriental_presentation_map, oriental_functor):
+            with pytest.raises(RangeExceeded, match="not a weakly monotone map"):
+                build(alpha, n_src, n_tgt)
+
+
 def test_oriental_low_cases():
     assert len(oriental(0).objects) == 1
     o1 = oriental(1)
