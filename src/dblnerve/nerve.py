@@ -8,8 +8,10 @@ inverse-admitting squares, invertible interchangers, and their pasting
 conditions).  A level holds one key order, the sorted generator names of
 its presentation, and its elements as rows, their images in that order;
 both routes build their rows in the same key order, so agreement is
-literal equality of the sorted rows.  Faces and degeneracies pull rows
-back along the level maps (``PresentationMorphism.pullback``).
+literal equality of the sorted rows.  The oracle builds each level's
+rows in one layout of its own, checked once against the level's keys and
+reordered into them.  Faces and degeneracies pull rows back along the
+level maps (``PresentationMorphism.pullback``).
 """
 
 from __future__ import annotations
@@ -116,26 +118,27 @@ def _adjacent(level, direction, delta):
 
 
 def _adjoint_by_ends(dbl):
-    """Adjoint horizontal equivalence data, looked up by the endpoints of f."""
+    """Adjoint horizontal equivalences, each as its images (f, g, unit,
+    counit) in the order of ``_data_keys``, looked up by the endpoints of f."""
     index = {}
     for f, data in dbl.h_equivalences_by_f.items():
-        index.setdefault((dbl.hsrc[f], dbl.htgt[f]), []).extend(d for d in data if d.adjoint)
+        index.setdefault((dbl.hsrc[f], dbl.htgt[f]), []).extend(
+            (d.f, d.g, d.eta, d.eps) for d in data if d.adjoint)
     return lambda a, b: index.get((a, b), [])
 
 
-# The oracle names the same keys for every element; each prefix's are built once.
-@cache
-def _data_keys(prefix):
-    return prefix, prefix + "*", prefix + ".unit", prefix + ".counit"
-
-
-def _data_env(prefix, data):
-    return dict(zip(_data_keys(prefix), (data.f, data.g, data.eta, data.eps)))
+def _data_keys(*prefixes):
+    """The keys of the images of an adjoint equivalence per prefix, in order."""
+    return tuple(key for prefix in prefixes
+                 for key in (prefix, prefix + "*", prefix + ".unit", prefix + ".counit"))
 
 
 def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> SimplexSet:
     """Elements built from the explicit low-dimensional descriptions,
-    independent of the presentation search; (m, k) ∈ {0,1}² and n ≤ 2."""
+    independent of the presentation search; (m, k) ∈ {0,1}² and n ≤ 2.
+    Each builder gives one layout, the keys of its rows' images in order,
+    which is checked once against the level's keys; DisagreementBug on a
+    layout with other keys, a row of another width or a duplicate row."""
     if (m, k, n) not in ORACLE_GRID:
         raise RangeExceeded(f"oracle covers (m, k) in {{0,1}}² and n ≤ 2, not {(m, k, n)}")
     build = {
@@ -145,115 +148,106 @@ def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> Simpl
         (1, 1): _oracle_11,
     }[(m, k)]
     keys = x_presentation(m, k, n)[0].keys
-    out = _rows(build(dbl, _adjoint_by_ends(dbl), n), keys)
+    layout, rows = build(dbl, _adjoint_by_ends(dbl), n)
+    if sorted(layout) != list(keys):
+        raise DisagreementBug(f"oracle layout {sorted(layout)} differs from {list(keys)}")
+    # itemgetter of one position returns the bare image; a one-key layout is in key order
+    order = itemgetter(*map(layout.index, keys)) if len(keys) > 1 else tuple
+    out = []
+    for row in rows:
+        if len(row) != len(layout):
+            raise DisagreementBug(f"oracle row {row} is not one image per key of {layout}")
+        out.append(order(row))
     out.sort()
     if any(a == b for a, b in pairwise(out)):
         raise DisagreementBug("oracle produced duplicate elements")
     return SimplexSet((m, k, n), keys, out, "structural-oracle")
 
 
-def _rows(elements, keys):
-    """Dict elements as rows in the level's key order ``keys``;
-    DisagreementBug if an element has other keys."""
-    wanted, out = set(keys), []
-    for env in elements:
-        if env.keys() != wanted:
-            raise DisagreementBug(f"element keys {sorted(env)} differ from {list(keys)}")
-        out.append(tuple(map(env.__getitem__, keys)))
-    return out
+def _covering_fillers(dbl):
+    """The vertically invertible squares long ⇒ (first then then) with
+    identity vertical sides, as a function of the three 1-cells that asks
+    each question of ``dbl`` once."""
 
-
-def _covering_fillers(dbl, long, first, then):
-    """Vertically invertible squares long.f ⇒ (first.f then then.f) with
-    identity vertical sides."""
-    return dbl.invertible_flat(long.f, dbl.h_then(first.f, then.f))
+    @cache
+    def fillers(long, first, then):
+        return dbl.invertible_flat(long, dbl.h_then(first, then))
+    return fillers
 
 
 def _oracle_00(dbl, adj, n):
     if n == 0:
-        yield from ({"o0.0.0": a} for a in dbl.objects)
-        return
+        return ("o0.0.0",), ((a,) for a in dbl.objects)
     if n == 1:
-        yield from ({"o0.0.0": a, "o0.0.1": b, **_data_env("n01.0.0", d)}
-                    for a, b in product(dbl.objects, repeat=2) for d in adj(a, b))
-        return
-    for a, b, c in product(dbl.objects, repeat=3):
-        for d01, d12, d02 in product(adj(a, b), adj(b, c), adj(a, c)):
-            for mu in _covering_fillers(dbl, d02, d01, d12):
-                env = {"o0.0.0": a, "o0.0.1": b, "o0.0.2": c, "N0.0": mu}
-                env.update(_data_env("n01.0.0", d01))
-                env.update(_data_env("n12.0.0", d12))
-                env.update(_data_env("n02.0.0", d02))
-                yield env
+        return (("o0.0.0", "o0.0.1", *_data_keys("n01.0.0")),
+                ((a, b, *d) for a, b in product(dbl.objects, repeat=2) for d in adj(a, b)))
+    cover = _covering_fillers(dbl)
+    return (("o0.0.0", "o0.0.1", "o0.0.2", "N0.0", *_data_keys("n01.0.0", "n12.0.0", "n02.0.0")),
+            ((a, b, c, mu, *d01, *d12, *d02)
+             for a, b, c in product(dbl.objects, repeat=3)
+             for d01, d12, d02 in product(adj(a, b), adj(b, c), adj(a, c))
+             for mu in cover(d02[0], d01[0], d12[0])))
 
 
 def _one_simplex_10(dbl, f, g, d0, d1):
     """Vertically invertible squares (d0.f then g) ⇒ (f then d1.f)."""
-    return dbl.invertible_flat(dbl.h_then(d0.f, g), dbl.h_then(f, d1.f))
+    return dbl.invertible_flat(dbl.h_then(d0[0], g), dbl.h_then(f, d1[0]))
 
 
 def _oracle_10(dbl, adj, n):
     s, t = dbl.hsrc, dbl.htgt
     if n == 0:
-        yield from ({"o0.0.0": s[f], "o1.0.0": t[f], "m01.0.0": f} for f in dbl.hmors)
-        return
+        return ("o0.0.0", "o1.0.0", "m01.0.0"), ((s[f], t[f], f) for f in dbl.hmors)
     if n == 1:
-        for f, g in product(dbl.hmors, repeat=2):
-            for d0, d1 in product(adj(s[f], s[g]), adj(t[f], t[g])):
-                for sq in _one_simplex_10(dbl, f, g, d0, d1):
-                    env = {
-                        "o0.0.0": s[f], "o1.0.0": t[f], "o0.0.1": s[g], "o1.0.1": t[g],
-                        "m01.0.0": f, "m01.0.1": g, "X01.01.0": sq,
-                    }
-                    env.update(_data_env("n01.0.0", d0))
-                    env.update(_data_env("n01.1.0", d1))
-                    yield env
-        return
+        return (("o0.0.0", "o1.0.0", "o0.0.1", "o1.0.1", "m01.0.0", "m01.0.1", "X01.01.0",
+                 *_data_keys("n01.0.0", "n01.1.0")),
+                ((s[f], t[f], s[g], t[g], f, g, sq, *d0, *d1)
+                 for f, g in product(dbl.hmors, repeat=2)
+                 for d0, d1 in product(adj(s[f], s[g]), adj(t[f], t[g]))
+                 for sq in _one_simplex_10(dbl, f, g, d0, d1)))
+    return (("o0.0.0", "o1.0.0", "o0.0.1", "o1.0.1", "o0.0.2", "o1.0.2", "m01.0.0", "m01.0.1",
+             "m01.0.2", "X01.01.0", "X01.12.0", "X01.02.0", "N0.0", "N1.0",
+             *_data_keys("n01.0.0", "n01.1.0", "n12.0.0", "n12.1.0", "n02.0.0", "n02.1.0")),
+            _oracle_10_rows(dbl, adj))
+
+
+def _oracle_10_rows(dbl, adj):
+    s, t = dbl.hsrc, dbl.htgt
+    cover = _covering_fillers(dbl)
     for f, g, h in product(dbl.hmors, repeat=3):
+        corners = (s[f], t[f], s[g], t[g], s[h], t[h], f, g, h)
         for data in product(adj(s[f], s[g]), adj(t[f], t[g]), adj(s[g], s[h]),
                             adj(t[g], t[h]), adj(s[f], s[h]), adj(t[f], t[h])):
-            yield from _oracle_10_two(dbl, f, g, h, *data)
+            yield from _oracle_10_two(dbl, cover, corners, *data)
 
 
-def _oracle_10_two(dbl, f, g, h, phi0, phi1, psi0, psi1, th0, th1):
+def _oracle_10_two(dbl, cover, corners, phi0, phi1, psi0, psi1, th0, th1):
     e = dbl.e_sq
+    f, g, h = corners[6:]
     for phi in _one_simplex_10(dbl, f, g, phi0, phi1):
         for psi in _one_simplex_10(dbl, g, h, psi0, psi1):
             for theta in _one_simplex_10(dbl, f, h, th0, th1):
-                for mu0 in _covering_fillers(dbl, th0, phi0, psi0):
-                    for mu1 in _covering_fillers(dbl, th1, phi1, psi1):
+                for mu0 in cover(th0[0], phi0[0], psi0[0]):
+                    for mu1 in cover(th1[0], phi1[0], psi1[0]):
                         lhs = dbl.s_vcomp(
                             dbl.s_hcomp(mu0, e[h]),
                             dbl.s_vcomp(
-                                dbl.s_hcomp(e[phi0.f], psi),
-                                dbl.s_hcomp(phi, e[psi1.f]),
+                                dbl.s_hcomp(e[phi0[0]], psi),
+                                dbl.s_hcomp(phi, e[psi1[0]]),
                             ),
                         )
                         rhs = dbl.s_vcomp(theta, dbl.s_hcomp(e[f], mu1))
                         if lhs != rhs:
                             continue
-                        env = {
-                            "o0.0.0": dbl.hsrc[f], "o1.0.0": dbl.htgt[f],
-                            "o0.0.1": dbl.hsrc[g], "o1.0.1": dbl.htgt[g],
-                            "o0.0.2": dbl.hsrc[h], "o1.0.2": dbl.htgt[h],
-                            "m01.0.0": f, "m01.0.1": g, "m01.0.2": h,
-                            "X01.01.0": phi, "X01.12.0": psi, "X01.02.0": theta,
-                            "N0.0": mu0, "N1.0": mu1,
-                        }
-                        env.update(_data_env("n01.0.0", phi0))
-                        env.update(_data_env("n01.1.0", phi1))
-                        env.update(_data_env("n12.0.0", psi0))
-                        env.update(_data_env("n12.1.0", psi1))
-                        env.update(_data_env("n02.0.0", th0))
-                        env.update(_data_env("n02.1.0", th1))
-                        yield env
+                        yield (*corners, phi, psi, theta, mu0, mu1,
+                               *phi0, *phi1, *psi0, *psi1, *th0, *th1)
 
 
 def _whi_fillers(dbl, u, w, d_top, d_bot):
     whis = whi_squares(dbl)
     return [
         s
-        for s in dbl.squares_with(top=d_top.f, bottom=d_bot.f, left=u, right=w)
+        for s in dbl.squares_with(top=d_top[0], bottom=d_bot[0], left=u, right=w)
         if s in whis
     ]
 
@@ -261,74 +255,78 @@ def _whi_fillers(dbl, u, w, d_top, d_bot):
 def _oracle_01(dbl, adj, n):
     s, t = dbl.vsrc, dbl.vtgt
     if n == 0:
-        yield from ({"o0.0.0": s[u], "o0.1.0": t[u], "k01.0.0": u} for u in dbl.vmors)
-        return
+        return ("o0.0.0", "o0.1.0", "k01.0.0"), ((s[u], t[u], u) for u in dbl.vmors)
     if n == 1:
-        for u, w in product(dbl.vmors, repeat=2):
-            for d0, d1 in product(adj(s[u], s[w]), adj(t[u], t[w])):
-                for sq in _whi_fillers(dbl, u, w, d0, d1):
-                    env = {
-                        "o0.0.0": s[u], "o0.1.0": t[u], "o0.0.1": s[w], "o0.1.1": t[w],
-                        "k01.0.0": u, "k01.0.1": w, "B01.01.0": sq,
-                    }
-                    env.update(_data_env("n01.0.0", d0))
-                    env.update(_data_env("n01.0.1", d1))
-                    yield env
-        return
+        return (("o0.0.0", "o0.1.0", "o0.0.1", "o0.1.1", "k01.0.0", "k01.0.1", "B01.01.0",
+                 *_data_keys("n01.0.0", "n01.0.1")),
+                ((s[u], t[u], s[w], t[w], u, w, sq, *d0, *d1)
+                 for u, w in product(dbl.vmors, repeat=2)
+                 for d0, d1 in product(adj(s[u], s[w]), adj(t[u], t[w]))
+                 for sq in _whi_fillers(dbl, u, w, d0, d1)))
+    return (("o0.0.0", "o0.1.0", "o0.0.1", "o0.1.1", "o0.0.2", "o0.1.2", "k01.0.0", "k01.0.1",
+             "k01.0.2", "B01.01.0", "B12.01.0", "B02.01.0", "N0.0", "N0.1",
+             *_data_keys("n01.0.0", "n01.0.1", "n12.0.0", "n12.0.1", "n02.0.0", "n02.0.1")),
+            _oracle_01_rows(dbl, adj))
+
+
+def _oracle_01_rows(dbl, adj):
+    s, t = dbl.vsrc, dbl.vtgt
+    cover = _covering_fillers(dbl)
     for u, w, y in product(dbl.vmors, repeat=3):
+        corners = (s[u], t[u], s[w], t[w], s[y], t[y], u, w, y)
         for data in product(adj(s[u], s[w]), adj(t[u], t[w]), adj(s[w], s[y]),
                             adj(t[w], t[y]), adj(s[u], s[y]), adj(t[u], t[y])):
-            yield from _oracle_01_two(dbl, u, w, y, *data)
+            yield from _oracle_01_two(dbl, cover, corners, *data)
 
 
-def _oracle_01_two(dbl, u, w, y, phi0, phi1, psi0, psi1, th0, th1):
+def _oracle_01_two(dbl, cover, corners, phi0, phi1, psi0, psi1, th0, th1):
+    u, w, y = corners[6:]
     for phi in _whi_fillers(dbl, u, w, phi0, phi1):
         for psi in _whi_fillers(dbl, w, y, psi0, psi1):
             for theta in _whi_fillers(dbl, u, y, th0, th1):
-                for mu in _covering_fillers(dbl, th0, phi0, psi0):
-                    for mu2 in _covering_fillers(dbl, th1, phi1, psi1):
+                for mu in cover(th0[0], phi0[0], psi0[0]):
+                    for mu2 in cover(th1[0], phi1[0], psi1[0]):
                         if dbl.s_vcomp(mu, dbl.s_hcomp(phi, psi)) != dbl.s_vcomp(theta, mu2):
                             continue
-                        env = {
-                            "o0.0.0": dbl.vsrc[u], "o0.1.0": dbl.vtgt[u],
-                            "o0.0.1": dbl.vsrc[w], "o0.1.1": dbl.vtgt[w],
-                            "o0.0.2": dbl.vsrc[y], "o0.1.2": dbl.vtgt[y],
-                            "k01.0.0": u, "k01.0.1": w, "k01.0.2": y,
-                            "B01.01.0": phi, "B12.01.0": psi, "B02.01.0": theta,
-                            "N0.0": mu, "N0.1": mu2,
-                        }
-                        env.update(_data_env("n01.0.0", phi0))
-                        env.update(_data_env("n01.0.1", phi1))
-                        env.update(_data_env("n12.0.0", psi0))
-                        env.update(_data_env("n12.0.1", psi1))
-                        env.update(_data_env("n02.0.0", th0))
-                        env.update(_data_env("n02.0.1", th1))
-                        yield env
+                        yield (*corners, phi, psi, theta, mu, mu2,
+                               *phi0, *phi1, *psi0, *psi1, *th0, *th1)
 
 
-def _oracle_11(dbl, adj, n):
-    if n == 0:
-        return (_square_env(dbl, s, 0) for s in dbl.squares)
-    return _oracle_11_one(dbl, adj) if n == 1 else _oracle_11_two(dbl, adj)
-
-
-@cache
 def _square_keys(z):
     return tuple(f"{stem}.{z}" for stem in ("o0.0", "o1.0", "o0.1", "o1.1", "m01.0",
                                             "m01.1", "k01.0", "k01.1", "A01.01"))
 
 
-def _square_env(dbl, s, z):
-    top, bottom = dbl.stop[s], dbl.sbottom[s]
-    return dict(zip(_square_keys(z), (dbl.hsrc[top], dbl.htgt[top], dbl.hsrc[bottom],
-                                      dbl.htgt[bottom], top, bottom, dbl.sleft[s],
-                                      dbl.sright[s], s)))
+def _edge_keys(gap):
+    """The keys of the images of an edge across ``gap``: its four adjoint
+    equivalences, corner by corner, then its four squares."""
+    return (*_data_keys(*(f"n{gap}.{x}.{z}" for z in (0, 1) for x in (0, 1))),
+            f"X01.{gap}.0", f"X01.{gap}.1", f"B{gap}.01.0", f"B{gap}.01.1")
+
+
+def _oracle_11(dbl, adj, n):
+    corners = {}  # each square's images, in the order of _square_keys
+    for s in dbl.squares:
+        top, bottom = dbl.stop[s], dbl.sbottom[s]
+        corners[s] = (dbl.hsrc[top], dbl.htgt[top], dbl.hsrc[bottom], dbl.htgt[bottom],
+                      top, bottom, dbl.sleft[s], dbl.sright[s], s)
+    if n == 0:
+        return _square_keys(0), corners.values()
+    if n == 1:
+        return (_square_keys(0) + _square_keys(1) + _edge_keys("01"),
+                (corners[alpha] + corners[beta] + images
+                 for alpha, beta in product(dbl.squares, repeat=2)
+                 for _, images in _one_simplices_11(dbl, adj, alpha, beta)))
+    return (_square_keys(0) + _square_keys(1) + _square_keys(2) + _edge_keys("01")
+            + _edge_keys("12") + _edge_keys("02") + ("N0.0", "N1.0", "N0.1", "N1.1"),
+            _oracle_11_two(dbl, adj, corners))
 
 
 def _one_simplices_11(dbl, adj, alpha, beta):
     """The connecting data between two squares: four adjoint equivalences,
     two invertible interchangers, two weak-inverse-admitting fillers, and
-    the single pasting equality."""
+    the single pasting equality; each datum with its images, in the order
+    of ``_edge_keys``."""
     s, t = dbl.hsrc, dbl.htgt
     f, f2 = dbl.stop[alpha], dbl.sbottom[alpha]
     g, g2 = dbl.stop[beta], dbl.sbottom[beta]
@@ -346,43 +344,18 @@ def _one_simplices_11(dbl, adj, alpha, beta):
                         rhs = dbl.s_vcomp(dbl.s_hcomp(t0, beta), phi2)
                         if lhs != rhs:
                             continue
-                        out.append((d00, d10, d01, d11, phi, phi2, t0, t1))
+                        datum = (d00, d10, d01, d11, phi, phi2, t0, t1)
+                        out.append((datum, (*d00, *d10, *d01, *d11, phi, phi2, t0, t1)))
     return out
 
 
-@cache
-def _edge_keys(gap):
-    """The prefixes of the four adjoint equivalences of an edge across
-    ``gap``, in the order of a datum, and the keys of its four squares."""
-    return (tuple(f"n{gap}.{x}.{z}" for z in (0, 1) for x in (0, 1)),
-            (f"X01.{gap}.0", f"X01.{gap}.1", f"B{gap}.01.0", f"B{gap}.01.1"))
+def _oracle_11_two(dbl, adj, corners):
+    cover = _covering_fillers(dbl)
 
-
-def _edge_env_11(datum, gap):
-    prefixes, square_keys = _edge_keys(gap)
-    env = dict(zip(square_keys, datum[4:]))
-    for prefix, data in zip(prefixes, datum[:4]):
-        env.update(_data_env(prefix, data))
-    return env
-
-
-def _oracle_11_one(dbl, adj):
-    for alpha in dbl.squares:
-        for beta in dbl.squares:
-            for datum in _one_simplices_11(dbl, adj, alpha, beta):
-                env = _square_env(dbl, alpha, 0)
-                env.update(_square_env(dbl, beta, 1))
-                env.update(_edge_env_11(datum, "01"))
-                yield env
-
-
-def _oracle_11_two(dbl, adj):
-    known: dict = {}  # the 1-simplices of each ordered pair, computed once
-
+    @cache
     def one(alpha, beta):
-        if (alpha, beta) not in known:
-            known[alpha, beta] = _one_simplices_11(dbl, adj, alpha, beta)
-        return known[alpha, beta]
+        """The 1-simplices of an ordered pair, computed once."""
+        return _one_simplices_11(dbl, adj, alpha, beta)
 
     for alpha in dbl.squares:
         for beta in dbl.squares:
@@ -394,52 +367,46 @@ def _oracle_11_two(dbl, adj):
                 if not one_bc:
                     continue
                 one_ac = one(alpha, gamma)
-                for phi_d in one_ab:
-                    for psi_d in one_bc:
-                        for th_d in one_ac:
-                            yield from _oracle_11_two_fill(dbl, alpha, beta, gamma,
-                                                           phi_d, psi_d, th_d)
+                head = corners[alpha] + corners[beta] + corners[gamma]
+                for (phi_d, phi), (psi_d, psi), (th_d, th) in product(one_ab, one_bc, one_ac):
+                    for mus in _oracle_11_two_fill(dbl, cover, alpha, gamma, phi_d, psi_d, th_d):
+                        yield head + phi + psi + th + mus
 
 
-def _oracle_11_two_fill(dbl, alpha, beta, gamma, phi_d, psi_d, th_d):
+def _oracle_11_two_fill(dbl, cover, alpha, gamma, phi_d, psi_d, th_d):
+    """The covering cells (N0.0, N1.0, N0.1, N1.1) of three edges that
+    satisfy the four pasting conditions."""
     e = dbl.e_sq
     p00, p10, p01, p11, phi_t, phi_b, pt0, pt1 = phi_d
     s00, s10, s01, s11, psi_t, psi_b, st0, st1 = psi_d
     t00, t10, t01, t11, th_t, th_b, tt0, tt1 = th_d
     f, f2 = dbl.stop[alpha], dbl.sbottom[alpha]
     h, h2 = dbl.stop[gamma], dbl.sbottom[gamma]
-    for mu00 in _covering_fillers(dbl, t00, p00, s00):
-        for mu10 in _covering_fillers(dbl, t10, p10, s10):
+    for mu00 in cover(t00[0], p00[0], s00[0]):
+        for mu10 in cover(t10[0], p10[0], s10[0]):
             # condition along the top horizontal generator
             lhs = dbl.s_vcomp(
                 dbl.s_hcomp(mu00, e[h]),
-                dbl.s_vcomp(dbl.s_hcomp(e[p00.f], psi_t), dbl.s_hcomp(phi_t, e[s10.f])),
+                dbl.s_vcomp(dbl.s_hcomp(e[p00[0]], psi_t), dbl.s_hcomp(phi_t, e[s10[0]])),
             )
             if lhs != dbl.s_vcomp(th_t, dbl.s_hcomp(e[f], mu10)):
                 continue
-            for mu01 in _covering_fillers(dbl, t01, p01, s01):
+            for mu01 in cover(t01[0], p01[0], s01[0]):
                 # condition along the left vertical generator
                 if dbl.s_vcomp(mu00, dbl.s_hcomp(pt0, st0)) != dbl.s_vcomp(tt0, mu01):
                     continue
-                for mu11 in _covering_fillers(dbl, t11, p11, s11):
+                for mu11 in cover(t11[0], p11[0], s11[0]):
                     if dbl.s_vcomp(mu10, dbl.s_hcomp(pt1, st1)) != dbl.s_vcomp(tt1, mu11):
                         continue
                     lhs = dbl.s_vcomp(
                         dbl.s_hcomp(mu01, e[h2]),
                         dbl.s_vcomp(
-                            dbl.s_hcomp(e[p01.f], psi_b), dbl.s_hcomp(phi_b, e[s11.f])
+                            dbl.s_hcomp(e[p01[0]], psi_b), dbl.s_hcomp(phi_b, e[s11[0]])
                         ),
                     )
                     if lhs != dbl.s_vcomp(th_b, dbl.s_hcomp(e[f2], mu11)):
                         continue
-                    env = _square_env(dbl, alpha, 0)
-                    env.update(_square_env(dbl, beta, 1))
-                    env.update(_square_env(dbl, gamma, 2))
-                    env.update(_edge_env_11(phi_d, "01"))
-                    env.update(_edge_env_11(psi_d, "12"))
-                    env.update(_edge_env_11(th_d, "02"))
-                    env.update({"N0.0": mu00, "N1.0": mu10, "N0.1": mu01, "N1.1": mu11})
-                    yield env
+                    yield mu00, mu10, mu01, mu11
 
 
 # -- nerves of 2-categories ------------------------------------------------
