@@ -4,6 +4,12 @@ Every command prints a single JSON report on stdout and exits with 0 for
 a true verdict or success, 1 for a false verdict, and 2 for any error.
 The search budget can be overridden with DBLNERVE_BUDGET, a positive
 integer; any other value is a usage error.
+
+The commands reach the package's modules through their module objects,
+which run on first use (see ``dblnerve``), so a command runs only the
+modules it calls: ``validate`` runs ``io`` and the modules of the three
+kinds, ``fibrancy`` adds ``nerve`` and ``whi``, and only ``segal`` runs
+``pseudohom``.
 """
 
 from __future__ import annotations
@@ -12,41 +18,11 @@ import argparse
 import json
 import sys
 
-from .dblcat import (
-    FiniteDoubleCategory,
-    validate_double_functor,
-)
-from .errors import DblnerveError, SchemaError, UsageError
-from .io import dump, load_path, serialize
-from .nerve import (
-    comparison_maps,
-    dbl_nerve_level,
-    dbl_nerve_oracle,
-    fibrancy_vertical_check,
-    segal_tfib_check,
-    two_nerve_level,
-)
-from .presentation import has_rlp
-from .shapes import (
-    generating_cofibrations_dbl,
-    generating_cofibrations_two,
-    oriental_variant,
-    shape_2cat,
-    v_oriental_inv,
-)
-from .twocat import FiniteTwoCategory, is_biequivalence, validate_two_functor
-from .whi import (
-    horizontal_equivalences,
-    is_double_biequivalence,
-    is_trivial_fibration,
-    is_whi_square,
-    weak_inverse,
-    whi_squares,
-)
+from . import dblcat, errors, io, nerve, presentation, shapes, twocat, whi
 
 
 def _emit(report: dict, verdict: bool | None = None) -> int:
-    sys.stdout.write(dump(report))
+    sys.stdout.write(io.dump(report))
     if verdict is None:
         return 0
     return 0 if verdict else 1
@@ -54,70 +30,72 @@ def _emit(report: dict, verdict: bool | None = None) -> int:
 
 def _load_functor(args, need):
     """The functor of a map file between two files of the kind ``need`` checks."""
-    src, tgt = need(load_path(args.src)), need(load_path(args.tgt))
-    double = isinstance(src, FiniteDoubleCategory)
+    src, tgt = need(io.load_path(args.src)), need(io.load_path(args.tgt))
+    double = isinstance(src, dblcat.FiniteDoubleCategory)
     keys = ("objects", "hmor", "vmor", "squares") if double else ("objects", "one_cells", "two_cells")
     with open(args.mapfile, "r", encoding="utf-8") as handle:
         try:
             maps = json.load(handle)
         except json.JSONDecodeError as err:
-            raise SchemaError(f"{args.mapfile}: not valid JSON: {err}") from err
+            raise errors.SchemaError(f"{args.mapfile}: not valid JSON: {err}") from err
     sections = isinstance(maps, dict) and set(maps) <= set(keys)
     parts = [maps.get(key, {}) if sections else None for key in keys]
     if not all(isinstance(part, dict) and all(isinstance(v, str) for v in part.values())
                for part in parts):
-        raise SchemaError(f"{args.mapfile}: a map file maps names to names under {list(keys)}")
-    return (validate_double_functor if double else validate_two_functor)(src, tgt, *parts)
+        raise errors.SchemaError(
+            f"{args.mapfile}: a map file maps names to names under {list(keys)}")
+    validate = dblcat.validate_double_functor if double else twocat.validate_two_functor
+    return validate(src, tgt, *parts)
 
 
 def cmd_validate(args):
-    obj = load_path(args.file)
+    obj = io.load_path(args.file)
     return _emit({"kind": type(obj).__name__, "valid": True})
 
 
 def cmd_whi_check(args):
-    dbl = _need_double(load_path(args.file))
+    dbl = _need_double(io.load_path(args.file))
     if args.square:
-        witness = is_whi_square(dbl, _need_square(dbl, args.square))
+        witness = whi.is_whi_square(dbl, _need_square(dbl, args.square))
         report = {"square": args.square, "whi": witness is not None}
         if witness:
             report["weak_inverse"] = witness.beta
             report["top_data"] = list(witness.top_data.as_tuple())
             report["bottom_data"] = list(witness.bottom_data.as_tuple())
         return _emit(report, witness is not None)
-    whis = sorted(whi_squares(dbl))
+    whis = sorted(whi.whi_squares(dbl))
     return _emit({"whi_squares": whis, "count": len(whis)})
 
 
 def cmd_weak_inverse(args):
-    dbl = _need_double(load_path(args.file))
+    dbl = _need_double(io.load_path(args.file))
     square = _need_square(dbl, args.square)
     try:
         data = json.loads(args.data)
     except json.JSONDecodeError as err:
-        raise UsageError(f"--data is not valid JSON: {err}") from err
+        raise errors.UsageError(f"--data is not valid JSON: {err}") from err
     if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in ("top", "bottom")):
-        raise UsageError("--data needs 'top' and 'bottom' quadruples")
+        raise errors.UsageError("--data needs 'top' and 'bottom' quadruples")
     top = _pick_data(dbl, data["top"])
     bottom = _pick_data(dbl, data["bottom"])
-    beta = weak_inverse(dbl, square, top, bottom)
+    beta = whi.weak_inverse(dbl, square, top, bottom)
     return _emit({"square": square, "weak_inverse": beta})
 
 
 def _pick_data(dbl, quad):
-    for d in horizontal_equivalences(dbl):
+    for d in whi.horizontal_equivalences(dbl):
         if list(d.as_tuple()) == list(quad):
             if not d.adjoint:
-                raise UsageError(f"data {quad} is not adjoint")
+                raise errors.UsageError(f"data {quad} is not adjoint")
             return d
-    raise UsageError(f"{quad} is not a horizontal equivalence of this double category")
+    raise errors.UsageError(f"{quad} is not a horizontal equivalence of this double category")
 
 
 def cmd_invariance(args):
     """``whi-invariant`` and ``fibrancy``: one check, its verdict reported
     under the command's ``key``."""
-    dbl = _need_double(load_path(args.file))
-    verdict, witness = fibrancy_vertical_check(dbl)
+    dbl = _need_double(io.load_path(args.file))
+    verdict, witness = nerve.fibrancy_vertical_check(dbl)
     report = {args.key: verdict}
     if witness:
         report["counterexample"] = list(witness)
@@ -138,14 +116,15 @@ def cmd_rlp(args):
     need, generating, prefix = LIFTING_SETS[args.set]
     functor = _load_functor(args, need)
     morphisms = {k: v for k, v in generating().items() if k.startswith(prefix)}
-    results = {name: has_rlp(functor, morphism)[0] for name, morphism in sorted(morphisms.items())}
+    results = {name: presentation.has_rlp(functor, morphism)[0]
+               for name, morphism in sorted(morphisms.items())}
     verdict = all(results.values())
     return _emit({"set": args.set, "rlp": results, "all": verdict}, verdict)
 
 
 def cmd_nerve(args):
-    dbl = _need_double(load_path(args.file))
-    level = dbl_nerve_level(dbl, args.m, args.k, args.n)
+    dbl = _need_double(io.load_path(args.file))
+    level = nerve.dbl_nerve_level(dbl, args.m, args.k, args.n)
     report = {
         "level": [args.m, args.k, args.n],
         "count": level.count(),
@@ -155,7 +134,7 @@ def cmd_nerve(args):
         report["elements"] = [dict(zip(level.keys, row)) for row in level.elements]
     verdict = None
     if args.oracle or args.compare:
-        oracle = dbl_nerve_oracle(dbl, args.m, args.k, args.n)
+        oracle = nerve.dbl_nerve_oracle(dbl, args.m, args.k, args.n)
         report["oracle_count"] = oracle.count()
         if args.compare:
             agree = oracle.elements == level.elements
@@ -165,8 +144,8 @@ def cmd_nerve(args):
 
 
 def cmd_nerve2(args):
-    cat2 = _need_two(load_path(args.file))
-    level = two_nerve_level(cat2, args.variant, args.m, args.k, args.n)
+    cat2 = _need_two(io.load_path(args.file))
+    level = nerve.two_nerve_level(cat2, args.variant, args.m, args.k, args.n)
     report = {
         "level": [args.m, args.k, args.n],
         "variant": args.variant,
@@ -176,7 +155,7 @@ def cmd_nerve2(args):
         report["elements"] = [dict(zip(level.keys, row)) for row in level.elements]
     verdict = None
     if args.compare_retract:
-        cm = comparison_maps(cat2, args.m, args.k, args.n)
+        cm = nerve.comparison_maps(cat2, args.m, args.k, args.n)
         report["retract"] = cm["retract"]
         report["comparison_injective"] = cm["injective"]
         verdict = cm["retract"]
@@ -184,8 +163,8 @@ def cmd_nerve2(args):
 
 
 def cmd_segal(args):
-    dbl = _need_double(load_path(args.file))
-    verdict, reason = segal_tfib_check(dbl, args.k)
+    dbl = _need_double(io.load_path(args.file))
+    verdict, reason = nerve.segal_tfib_check(dbl, args.k)
     report = {"k": args.k, "segal_restriction_trivial_fibration": verdict}
     if reason:
         report["failure"] = [str(part) for part in reason]
@@ -195,34 +174,36 @@ def cmd_segal(args):
 def cmd_shapes_emit(args):
     family = args.family
     if family in ("E_adj", "C", "C_inv", "C2", "dC"):
-        return _emit(serialize(shape_2cat(family)))
+        return _emit(io.serialize(shapes.shape_2cat(family)))
     if family == "v-inverted":
-        return _emit(serialize(v_oriental_inv(args.n)))
-    return _emit(serialize(oriental_variant(family, args.n, args.variant or "full", args.t)))
+        return _emit(io.serialize(shapes.v_oriental_inv(args.n)))
+    variant = args.variant or "full"
+    return _emit(io.serialize(shapes.oriental_variant(family, args.n, variant, args.t)))
 
 
 def _need_double(obj):
-    if not isinstance(obj, FiniteDoubleCategory):
-        raise UsageError("this command needs a double-category file")
+    if not isinstance(obj, dblcat.FiniteDoubleCategory):
+        raise errors.UsageError("this command needs a double-category file")
     return obj
 
 
 def _need_two(obj):
-    if not isinstance(obj, FiniteTwoCategory):
-        raise UsageError("this command needs a two-category file")
+    if not isinstance(obj, twocat.FiniteTwoCategory):
+        raise errors.UsageError("this command needs a two-category file")
     return obj
 
 
 def _need_square(dbl, name):
     if name not in set(dbl.squares):
-        raise UsageError(f"no square named {name!r}")
+        raise errors.UsageError(f"no square named {name!r}")
     return name
 
 
-# each lifting set: the kind of file it needs, a family and the prefix of its members' names
-LIFTING_SETS = {"I": (_need_double, generating_cofibrations_dbl, ""),
-                "I2": (_need_two, generating_cofibrations_two, "i"),
-                "J2": (_need_two, generating_cofibrations_two, "j")}
+# each lifting set: the kind of file it needs, a family and the prefix of its members' names;
+# a family is looked up in shapes when the command runs, so building the parser runs no module
+LIFTING_SETS = {"I": (_need_double, lambda: shapes.generating_cofibrations_dbl(), ""),
+                "I2": (_need_two, lambda: shapes.generating_cofibrations_two(), "i"),
+                "J2": (_need_two, lambda: shapes.generating_cofibrations_two(), "j")}
 
 
 def _count(text):
@@ -259,10 +240,12 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(run=cmd_invariance, key="weakly_horizontally_invariant")
 
+    # each check is looked up in its module when the command runs
     for name, need, check, key in (
-            ("tfib", _need_double, is_trivial_fibration, "trivial_fibration"),
-            ("bieq", _need_two, is_biequivalence, "biequivalence"),
-            ("dbl-bieq", _need_double, is_double_biequivalence, "double_biequivalence")):
+            ("tfib", _need_double, lambda f: whi.is_trivial_fibration(f), "trivial_fibration"),
+            ("bieq", _need_two, lambda f: twocat.is_biequivalence(f), "biequivalence"),
+            ("dbl-bieq", _need_double, lambda f: whi.is_double_biequivalence(f),
+             "double_biequivalence")):
         p = sub.add_parser(name)
         p.add_argument("src")
         p.add_argument("tgt")
@@ -323,10 +306,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except UsageError as err:
+    except errors.UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")
         return 2
-    except (DblnerveError, OSError) as err:
+    except (errors.DblnerveError, OSError) as err:
         sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
         return 2
 

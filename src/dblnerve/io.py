@@ -3,7 +3,9 @@
 Identities and unit cells are implicit in files and synthesized on load
 with canonical names, so serialization first renames unit cells to the
 canonical scheme; ``load(serialize(x))`` is the identity on canonically
-named objects and a canonicalizing isomorphism otherwise.
+named objects and a canonicalizing isomorphism otherwise.  Only a
+presentation document reaches ``presentation``, so loading or serializing
+a category runs none of it.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from __future__ import annotations
 import json
 
 from . import expr as ex
+from . import presentation
 from .cat import FiniteCategory, check_names, id_of, validate_category
 from .cat import implicit_entries as cat_implicit
 from .dblcat import FiniteDoubleCategory, e_of, ee_of, i_of, idh_of, idv_of, validate_double_category
 from .dblcat import implicit_entries as double_implicit
 from .errors import SchemaError
-from .presentation import Presentation, PresentationBuilder
 from .twocat import FiniteTwoCategory, id2_of, validate_two_category
 from .twocat import implicit_entries as two_implicit
 
@@ -71,7 +73,7 @@ def _load_presentation(doc):
         if not all(isinstance(entry, dict) for entry in doc.get(key, [])):
             raise SchemaError(f"each entry of {key!r} must be an object")
     check_names(doc, "hgens", "vgens", "squares")
-    b = PresentationBuilder(flavor, doc.get("label", ""))
+    b = presentation.PresentationBuilder(flavor, doc.get("label", ""))
     for name in doc.get("objects", []):
         b.add_object(name)
     for entry in doc.get("hgens", []):
@@ -115,7 +117,7 @@ def serialize(obj) -> dict:
         return _serialize_two(obj)
     if isinstance(obj, FiniteDoubleCategory):
         return _serialize_double(obj)
-    if isinstance(obj, Presentation):
+    if isinstance(obj, presentation.Presentation):
         return _serialize_presentation(obj)
     raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
@@ -219,7 +221,7 @@ def _serialize_double(dbl: FiniteDoubleCategory) -> dict:
     }
 
 
-def _serialize_presentation(pres: Presentation) -> dict:
+def _serialize_presentation(pres: presentation.Presentation) -> dict:
     expansion = pres.expansion_gens()
     doc = {
         "kind": "presentation",

@@ -12,6 +12,10 @@ literal equality of the sorted rows.  The oracle builds each level's
 rows in one layout of its own, checked once against the level's keys and
 reordered into them.  Faces and degeneracies pull rows back along the
 level maps (``PresentationMorphism.pullback``).
+
+``presentation``, ``tensor``, ``pseudohom``, ``shapes`` and ``standard``
+are reached through their modules when a function needs them, so the
+fibrancy check runs none of them and a nerve level runs no ``pseudohom``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from functools import cache
 from itertools import pairwise, product
 from operator import itemgetter
 
+from . import presentation, pseudohom, shapes, standard, tensor
 from .dblcat import (
     FiniteDoubleCategory,
     equivalence_embed,
@@ -30,17 +35,6 @@ from .dblcat import (
 )
 from .errors import DisagreementBug, RangeExceeded, named
 from .expr import compile_expr
-from .presentation import enumerate_canonical
-from .pseudohom import pseudo_hom, restriction
-from .shapes import (
-    codegeneracy,
-    coface,
-    oriental_adjoint_presentation,
-    oriental_presentation_map,
-    v_oriental_inv,
-)
-from .standard import chain_category, locally_discrete
-from .tensor import AXIS, level_map, lx_presentations, plain_map, x_presentation
 from .twocat import FiniteTwoCategory, is_trivial_fibration_two
 from .whi import (
     horizontal_equivalences,
@@ -66,8 +60,8 @@ class SimplexSet:
 
 def dbl_nerve_level(dbl: FiniteDoubleCategory, m: int, k: int, n: int,
                     budget: int | None = None) -> SimplexSet:
-    pres, _meta = x_presentation(m, k, n)
-    return SimplexSet((m, k, n), pres.keys, enumerate_canonical(pres, dbl, budget),
+    pres, _meta = tensor.x_presentation(m, k, n)
+    return SimplexSet((m, k, n), pres.keys, presentation.enumerate_canonical(pres, dbl, budget),
                       "generic-enumeration")
 
 
@@ -97,16 +91,16 @@ def _simplicial(alg, variant, level, direction, i, element, face):
     unless 0 ≤ i ≤ the level's size in ``direction`` and the level it lands
     on is on the grid."""
     src = _adjacent(level, direction, -1 if face else +1)
-    axis = AXIS[direction]
+    axis = tensor.AXIS[direction]
     if not 0 <= i <= level[axis]:
         raise RangeExceeded(f"{'d' if face else 's'}_{i} on level {level} in direction "
                             f"{direction}: the index runs from 0 to {level[axis]}")
-    alpha = coface(src[axis], i) if face else codegeneracy(level[axis], i)
-    return level_map(variant, direction, alpha, src, level).pullback(alg)(element)
+    alpha = shapes.coface(src[axis], i) if face else shapes.codegeneracy(level[axis], i)
+    return tensor.level_map(variant, direction, alpha, src, level).pullback(alg)(element)
 
 
 def _adjacent(level, direction, delta):
-    index = named(AXIS, direction, "direction")
+    index = named(tensor.AXIS, direction, "direction")
     out = list(level)
     out[index] += delta
     if out[index] < 0:
@@ -147,7 +141,7 @@ def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> Simpl
         (0, 1): _oracle_01,
         (1, 1): _oracle_11,
     }[(m, k)]
-    keys = x_presentation(m, k, n)[0].keys
+    keys = tensor.x_presentation(m, k, n)[0].keys
     layout, rows = build(dbl, _adjoint_by_ends(dbl), n)
     if sorted(layout) != list(keys):
         raise DisagreementBug(f"oracle layout {sorted(layout)} differs from {list(keys)}")
@@ -189,9 +183,15 @@ def _oracle_00(dbl, adj, n):
              for mu in cover(d02[0], d01[0], d12[0])))
 
 
-def _one_simplex_10(dbl, f, g, d0, d1):
-    """Vertically invertible squares (d0.f then g) ⇒ (f then d1.f)."""
-    return dbl.invertible_flat(dbl.h_then(d0[0], g), dbl.h_then(f, d1[0]))
+def _one_simplex_10(dbl):
+    """The vertically invertible squares (d0 then g) ⇒ (f then d1) with
+    identity vertical sides, as a function of the four 1-cells that asks
+    each question of ``dbl`` once."""
+
+    @cache
+    def fillers(f, g, d0, d1):
+        return dbl.invertible_flat(dbl.h_then(d0, g), dbl.h_then(f, d1))
+    return fillers
 
 
 def _oracle_10(dbl, adj, n):
@@ -199,12 +199,13 @@ def _oracle_10(dbl, adj, n):
     if n == 0:
         return ("o0.0.0", "o1.0.0", "m01.0.0"), ((s[f], t[f], f) for f in dbl.hmors)
     if n == 1:
+        simplex = _one_simplex_10(dbl)
         return (("o0.0.0", "o1.0.0", "o0.0.1", "o1.0.1", "m01.0.0", "m01.0.1", "X01.01.0",
                  *_data_keys("n01.0.0", "n01.1.0")),
                 ((s[f], t[f], s[g], t[g], f, g, sq, *d0, *d1)
                  for f, g in product(dbl.hmors, repeat=2)
                  for d0, d1 in product(adj(s[f], s[g]), adj(t[f], t[g]))
-                 for sq in _one_simplex_10(dbl, f, g, d0, d1)))
+                 for sq in simplex(f, g, d0[0], d1[0])))
     return (("o0.0.0", "o1.0.0", "o0.0.1", "o1.0.1", "o0.0.2", "o1.0.2", "m01.0.0", "m01.0.1",
              "m01.0.2", "X01.01.0", "X01.12.0", "X01.02.0", "N0.0", "N1.0",
              *_data_keys("n01.0.0", "n01.1.0", "n12.0.0", "n12.1.0", "n02.0.0", "n02.1.0")),
@@ -213,20 +214,20 @@ def _oracle_10(dbl, adj, n):
 
 def _oracle_10_rows(dbl, adj):
     s, t = dbl.hsrc, dbl.htgt
-    cover = _covering_fillers(dbl)
+    cover, simplex = _covering_fillers(dbl), _one_simplex_10(dbl)
     for f, g, h in product(dbl.hmors, repeat=3):
         corners = (s[f], t[f], s[g], t[g], s[h], t[h], f, g, h)
         for data in product(adj(s[f], s[g]), adj(t[f], t[g]), adj(s[g], s[h]),
                             adj(t[g], t[h]), adj(s[f], s[h]), adj(t[f], t[h])):
-            yield from _oracle_10_two(dbl, cover, corners, *data)
+            yield from _oracle_10_two(dbl, cover, simplex, corners, *data)
 
 
-def _oracle_10_two(dbl, cover, corners, phi0, phi1, psi0, psi1, th0, th1):
+def _oracle_10_two(dbl, cover, simplex, corners, phi0, phi1, psi0, psi1, th0, th1):
     e = dbl.e_sq
     f, g, h = corners[6:]
-    for phi in _one_simplex_10(dbl, f, g, phi0, phi1):
-        for psi in _one_simplex_10(dbl, g, h, psi0, psi1):
-            for theta in _one_simplex_10(dbl, f, h, th0, th1):
+    for phi in simplex(f, g, phi0[0], phi1[0]):
+        for psi in simplex(g, h, psi0[0], psi1[0]):
+            for theta in simplex(f, h, th0[0], th1[0]):
                 for mu0 in cover(th0[0], phi0[0], psi0[0]):
                     for mu1 in cover(th1[0], phi1[0], psi1[0]):
                         lhs = dbl.s_vcomp(
@@ -243,13 +244,16 @@ def _oracle_10_two(dbl, cover, corners, phi0, phi1, psi0, psi1, th0, th1):
                                *phi0, *phi1, *psi0, *psi1, *th0, *th1)
 
 
-def _whi_fillers(dbl, u, w, d_top, d_bot):
+def _whi_fillers(dbl):
+    """The whi squares top ⇒ bottom with left side u and right side w, as
+    a function of the four 1-cells that asks each question of ``dbl`` once."""
     whis = whi_squares(dbl)
-    return [
-        s
-        for s in dbl.squares_with(top=d_top[0], bottom=d_bot[0], left=u, right=w)
-        if s in whis
-    ]
+
+    @cache
+    def fillers(u, w, top, bottom):
+        return [s for s in dbl.squares_with(top=top, bottom=bottom, left=u, right=w)
+                if s in whis]
+    return fillers
 
 
 def _oracle_01(dbl, adj, n):
@@ -257,12 +261,13 @@ def _oracle_01(dbl, adj, n):
     if n == 0:
         return ("o0.0.0", "o0.1.0", "k01.0.0"), ((s[u], t[u], u) for u in dbl.vmors)
     if n == 1:
+        whi_fill = _whi_fillers(dbl)
         return (("o0.0.0", "o0.1.0", "o0.0.1", "o0.1.1", "k01.0.0", "k01.0.1", "B01.01.0",
                  *_data_keys("n01.0.0", "n01.0.1")),
                 ((s[u], t[u], s[w], t[w], u, w, sq, *d0, *d1)
                  for u, w in product(dbl.vmors, repeat=2)
                  for d0, d1 in product(adj(s[u], s[w]), adj(t[u], t[w]))
-                 for sq in _whi_fillers(dbl, u, w, d0, d1)))
+                 for sq in whi_fill(u, w, d0[0], d1[0])))
     return (("o0.0.0", "o0.1.0", "o0.0.1", "o0.1.1", "o0.0.2", "o0.1.2", "k01.0.0", "k01.0.1",
              "k01.0.2", "B01.01.0", "B12.01.0", "B02.01.0", "N0.0", "N0.1",
              *_data_keys("n01.0.0", "n01.0.1", "n12.0.0", "n12.0.1", "n02.0.0", "n02.0.1")),
@@ -271,19 +276,19 @@ def _oracle_01(dbl, adj, n):
 
 def _oracle_01_rows(dbl, adj):
     s, t = dbl.vsrc, dbl.vtgt
-    cover = _covering_fillers(dbl)
+    cover, whi_fill = _covering_fillers(dbl), _whi_fillers(dbl)
     for u, w, y in product(dbl.vmors, repeat=3):
         corners = (s[u], t[u], s[w], t[w], s[y], t[y], u, w, y)
         for data in product(adj(s[u], s[w]), adj(t[u], t[w]), adj(s[w], s[y]),
                             adj(t[w], t[y]), adj(s[u], s[y]), adj(t[u], t[y])):
-            yield from _oracle_01_two(dbl, cover, corners, *data)
+            yield from _oracle_01_two(dbl, cover, whi_fill, corners, *data)
 
 
-def _oracle_01_two(dbl, cover, corners, phi0, phi1, psi0, psi1, th0, th1):
+def _oracle_01_two(dbl, cover, whi_fill, corners, phi0, phi1, psi0, psi1, th0, th1):
     u, w, y = corners[6:]
-    for phi in _whi_fillers(dbl, u, w, phi0, phi1):
-        for psi in _whi_fillers(dbl, w, y, psi0, psi1):
-            for theta in _whi_fillers(dbl, u, y, th0, th1):
+    for phi in whi_fill(u, w, phi0[0], phi1[0]):
+        for psi in whi_fill(w, y, psi0[0], psi1[0]):
+            for theta in whi_fill(u, y, th0[0], th1[0]):
                 for mu in cover(th0[0], phi0[0], psi0[0]):
                     for mu2 in cover(th1[0], phi1[0], psi1[0]):
                         if dbl.s_vcomp(mu, dbl.s_hcomp(phi, psi)) != dbl.s_vcomp(theta, mu2):
@@ -313,50 +318,51 @@ def _oracle_11(dbl, adj, n):
     if n == 0:
         return _square_keys(0), corners.values()
     if n == 1:
+        one = _one_simplices_11(dbl, adj)
         return (_square_keys(0) + _square_keys(1) + _edge_keys("01"),
                 (corners[alpha] + corners[beta] + images
                  for alpha, beta in product(dbl.squares, repeat=2)
-                 for _, images in _one_simplices_11(dbl, adj, alpha, beta)))
+                 for _, images in one(alpha, beta)))
     return (_square_keys(0) + _square_keys(1) + _square_keys(2) + _edge_keys("01")
             + _edge_keys("12") + _edge_keys("02") + ("N0.0", "N1.0", "N0.1", "N1.1"),
             _oracle_11_two(dbl, adj, corners))
 
 
-def _one_simplices_11(dbl, adj, alpha, beta):
-    """The connecting data between two squares: four adjoint equivalences,
+def _one_simplices_11(dbl, adj):
+    """The connecting data between two squares, as a function of the
+    ordered pair that computes each pair once: four adjoint equivalences,
     two invertible interchangers, two weak-inverse-admitting fillers, and
     the single pasting equality; each datum with its images, in the order
     of ``_edge_keys``."""
     s, t = dbl.hsrc, dbl.htgt
-    f, f2 = dbl.stop[alpha], dbl.sbottom[alpha]
-    g, g2 = dbl.stop[beta], dbl.sbottom[beta]
-    u, v = dbl.sleft[alpha], dbl.sright[alpha]
-    w, x_ = dbl.sleft[beta], dbl.sright[beta]
-    out = []
-    # components at (0, 0), (1, 0), (0, 1), (1, 1): the corners of alpha to those of beta
-    for d00, d10, d01, d11 in product(adj(s[f], s[g]), adj(t[f], t[g]),
-                                      adj(s[f2], s[g2]), adj(t[f2], t[g2])):
-        for phi in _one_simplex_10(dbl, f, g, d00, d10):
-            for phi2 in _one_simplex_10(dbl, f2, g2, d01, d11):
-                for t0 in _whi_fillers(dbl, u, w, d00, d01):
-                    for t1 in _whi_fillers(dbl, v, x_, d10, d11):
-                        lhs = dbl.s_vcomp(phi, dbl.s_hcomp(alpha, t1))
-                        rhs = dbl.s_vcomp(dbl.s_hcomp(t0, beta), phi2)
-                        if lhs != rhs:
-                            continue
-                        datum = (d00, d10, d01, d11, phi, phi2, t0, t1)
-                        out.append((datum, (*d00, *d10, *d01, *d11, phi, phi2, t0, t1)))
-    return out
-
-
-def _oracle_11_two(dbl, adj, corners):
-    cover = _covering_fillers(dbl)
+    simplex, whi_fill = _one_simplex_10(dbl), _whi_fillers(dbl)
 
     @cache
     def one(alpha, beta):
-        """The 1-simplices of an ordered pair, computed once."""
-        return _one_simplices_11(dbl, adj, alpha, beta)
+        f, f2 = dbl.stop[alpha], dbl.sbottom[alpha]
+        g, g2 = dbl.stop[beta], dbl.sbottom[beta]
+        u, v = dbl.sleft[alpha], dbl.sright[alpha]
+        w, x_ = dbl.sleft[beta], dbl.sright[beta]
+        out = []
+        # components at (0, 0), (1, 0), (0, 1), (1, 1): the corners of alpha to those of beta
+        for d00, d10, d01, d11 in product(adj(s[f], s[g]), adj(t[f], t[g]),
+                                          adj(s[f2], s[g2]), adj(t[f2], t[g2])):
+            for phi in simplex(f, g, d00[0], d10[0]):
+                for phi2 in simplex(f2, g2, d01[0], d11[0]):
+                    for t0 in whi_fill(u, w, d00[0], d01[0]):
+                        for t1 in whi_fill(v, x_, d10[0], d11[0]):
+                            lhs = dbl.s_vcomp(phi, dbl.s_hcomp(alpha, t1))
+                            rhs = dbl.s_vcomp(dbl.s_hcomp(t0, beta), phi2)
+                            if lhs != rhs:
+                                continue
+                            datum = (d00, d10, d01, d11, phi, phi2, t0, t1)
+                            out.append((datum, (*d00, *d10, *d01, *d11, phi, phi2, t0, t1)))
+        return out
+    return one
 
+
+def _oracle_11_two(dbl, adj, corners):
+    cover, one = _covering_fillers(dbl), _one_simplices_11(dbl, adj)
     for alpha in dbl.squares:
         for beta in dbl.squares:
             one_ab = one(alpha, beta)
@@ -417,10 +423,10 @@ def _two_rows_to_dbl(cat2, variant, dbl, quotient, level):
     ``level``, in ``cat2`` to rows of the double level in ``dbl``, the
     embedded double category, compiled once: one function of the quotient
     row per generator of the double presentation, in its key order."""
-    pres, meta = x_presentation(*level)
+    pres, meta = tensor.x_presentation(*level)
     at = {name: i for i, name in enumerate(quotient.keys)}
     if variant == "h":  # an object reads its class in the plain quotient
-        at.update((name, at[image[1]]) for name, image in plain_map(*level).items()
+        at.update((name, at[image[1]]) for name, image in tensor.plain_map(*level).items()
                   if image[0] == "ogen")
 
     def vmor(v):
@@ -455,8 +461,8 @@ def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: in
     """Nerve level of a 2-category through the plain (``h``) or
     adjoint-equivalence (``hsim``) embedding; optionally re-derives the same
     set through the embedded double category and asserts the bijection."""
-    pres = lx_presentations(m, k, n)[named(_QUOTIENT, variant, "variant") == "lsim"]
-    out = SimplexSet((m, k, n), pres.keys, enumerate_canonical(pres, cat2, budget),
+    pres = tensor.lx_presentations(m, k, n)[named(_QUOTIENT, variant, "variant") == "lsim"]
+    out = SimplexSet((m, k, n), pres.keys, presentation.enumerate_canonical(pres, cat2, budget),
                      f"two-nerve-{variant}")
     if check_bijection:
         dbl = horizontal_embed(cat2) if variant == "h" else equivalence_embed(cat2)
@@ -476,7 +482,7 @@ def comparison_maps(cat2: FiniteTwoCategory, m: int, k: int, n: int,
     the retract verdict, and injectivity of the comparison.  ``pi_star``
     maps rows of the plain quotient's level ``base`` to rows of the
     equivalence quotient's, and ``iota_star`` maps them back."""
-    _, _, collapse, section = lx_presentations(m, k, n)
+    _, _, collapse, section = tensor.lx_presentations(m, k, n)
     base = two_nerve_level(cat2, "h", m, k, n, budget, check_bijection=False)
 
     pi_star, iota_star = collapse.pullback(cat2), section.pullback(cat2)
@@ -520,8 +526,8 @@ def fibrancy_vertical_check(dbl: FiniteDoubleCategory):
 def inclusion_chain_to_invertible(k: int):
     """The double functor from the free vertical chain into the vertical
     invertible-oriental double category."""
-    chain = vertical_embed(locally_discrete(chain_category(k)))
-    target = v_oriental_inv(k)
+    chain = vertical_embed(standard.locally_discrete(standard.chain_category(k)))
+    target = shapes.v_oriental_inv(k)
     om = {str(i): str(i) for i in range(k + 1)}
     vm = {}
     for u in chain.vmors:
@@ -537,8 +543,9 @@ def segal_tfib_check(dbl: FiniteDoubleCategory, k: int, budget: int | None = Non
     oriental to maps out of the vertical chain is surjective on objects,
     full on 1-cells, and fully faithful on 2-cells."""
     incl = inclusion_chain_to_invertible(k)
-    big, small = pseudo_hom(incl.target, dbl, budget), pseudo_hom(incl.source, dbl, budget)
-    return is_trivial_fibration_two(restriction(incl, big, small))
+    big = pseudohom.pseudo_hom(incl.target, dbl, budget)
+    small = pseudohom.pseudo_hom(incl.source, dbl, budget)
+    return is_trivial_fibration_two(pseudohom.restriction(incl, big, small))
 
 
 # -- low-dimensional 2-categorical nerve -----------------------------------
@@ -549,8 +556,8 @@ def n2_simplices(cat2: FiniteTwoCategory, n: int, budget: int | None = None) -> 
     oriental family, for n ≤ N2_CAP."""
     if not 0 <= n <= N2_CAP:
         raise RangeExceeded(f"n = {n} outside the levels 0 to {N2_CAP}")
-    pres = oriental_adjoint_presentation(n)
-    return SimplexSet((n,), pres.keys, enumerate_canonical(pres, cat2, budget),
+    pres = shapes.oriental_adjoint_presentation(n)
+    return SimplexSet((n,), pres.keys, presentation.enumerate_canonical(pres, cat2, budget),
                       "two-categorical-nerve")
 
 
@@ -577,10 +584,10 @@ def _n2_operator(n, i, lands):
 @cache
 def _n2_face_map(n, i):
     """The oriental map behind d_i on level n, built once."""
-    return oriental_presentation_map(coface(n - 1, i), n - 1, n)
+    return shapes.oriental_presentation_map(shapes.coface(n - 1, i), n - 1, n)
 
 
 @cache
 def _n2_degeneracy_map(n, j):
     """The oriental map behind s_j on level n, built once."""
-    return oriental_presentation_map(codegeneracy(n, j), n + 1, n)
+    return shapes.oriental_presentation_map(shapes.codegeneracy(n, j), n + 1, n)

@@ -448,6 +448,29 @@ def test_oracle_agreement_at_n2_with_nonidentity_invertible_cells(tri2):
             assert generic.count() > 0, (label, level)
 
 
+@pytest.mark.parametrize("target, level, count, asked", [
+    ("hsim-tri", (0, 1, 2), 8256, {"_whi_fillers": (3776, 20)}),
+    ("h-tri", (1, 0, 2), 1088, {"_one_simplex_10": (640, 17)}),
+    ("hsim-iso", (1, 1, 2), 4096, {"_one_simplex_10": (512, 16), "_whi_fillers": (512, 16)}),
+])
+def test_oracle_fillers_ask_each_question_once(monkeypatch, tri2, target, level, count, asked):
+    """The filler queries of the oracle's builders, memoized per call: how
+    often a level asks each and how many distinct questions of the double
+    category that makes."""
+    dbl = {"hsim-tri": lambda: equivalence_embed(tri2), "h-tri": lambda: horizontal_embed(tri2),
+           "hsim-iso": lambda: load_path(CORPUS / "hsim-iso.json")}[target]()
+    made = {}
+    for name in asked:
+        def capture(dbl, build=getattr(nerve, name), name=name):
+            made[name] = build(dbl)
+            return made[name]
+        monkeypatch.setattr(nerve, name, capture)
+    assert dbl_nerve_oracle(dbl, *level).count() == count
+    found = {name: (fn.cache_info().hits + fn.cache_info().misses, fn.cache_info().misses)
+             for name, fn in made.items()}
+    assert found == asked
+
+
 def test_n2_counts_against_hand_enumeration(iso2, tri2):
     # nerve of the contractible groupoid on two objects doubles per level
     assert [n2_simplices(iso2, n).count() for n in range(4)] == [2, 4, 8, 16]
