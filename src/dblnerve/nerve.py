@@ -3,15 +3,19 @@ fibrancy / Segal-restriction / comparison checks built on them.
 
 The generic route enumerates functors out of the presented tensor shapes;
 the oracle route builds the same sets structurally from the explicit
-low-dimensional descriptions (horizontal adjoint equivalences, weak-
-inverse-admitting squares, invertible interchangers, and their pasting
-conditions).  A level holds one key order, the sorted generator names of
-its presentation, and its elements as rows, their images in that order;
-both routes build their rows in the same key order, so agreement is
-literal equality of the sorted rows.  The oracle builds each level's
-rows in one layout of its own, checked once against the level's keys and
-reordered into them.  Faces and degeneracies pull rows back along the
-level maps (``PresentationMorphism.pullback``).
+low-dimensional descriptions, by one rule over the cells of the (m, k)
+grid: cells (objects, morphisms or squares) at n = 0, pairs of cells
+joined by an edge (horizontal adjoint equivalences at the corners,
+invertible fillers on the rows, weak-inverse-admitting fillers on the
+columns, one pasting condition between squares) at n = 1, and at n = 2
+three edges with a covering cell at each corner, subject to one equation
+per row and one per column.  A level holds one key order, the sorted
+generator names of its presentation, and its elements as rows, their
+images in that order; both routes build their rows in the same key
+order, so agreement is literal equality of the sorted rows.  The oracle
+builds each level's rows in one layout of its own, checked once against
+the level's keys and reordered into them.  Faces and degeneracies pull
+rows back along the level maps (``PresentationMorphism.pullback``).
 
 ``presentation``, ``tensor``, ``pseudohom``, ``shapes`` and ``standard``
 are reached through their modules when a function needs them, so the
@@ -113,7 +117,7 @@ def _adjacent(level, direction, delta):
 
 def _adjoint_by_ends(dbl):
     """Adjoint horizontal equivalences, each as its images (f, g, unit,
-    counit) in the order of ``_data_keys``, looked up by the endpoints of f."""
+    counit), looked up by the endpoints of f."""
     index = {}
     for f, data in dbl.h_equivalences_by_f.items():
         index.setdefault((dbl.hsrc[f], dbl.htgt[f]), []).extend(
@@ -121,28 +125,16 @@ def _adjoint_by_ends(dbl):
     return lambda a, b: index.get((a, b), [])
 
 
-def _data_keys(*prefixes):
-    """The keys of the images of an adjoint equivalence per prefix, in order."""
-    return tuple(key for prefix in prefixes
-                 for key in (prefix, prefix + "*", prefix + ".unit", prefix + ".counit"))
-
-
 def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> SimplexSet:
     """Elements built from the explicit low-dimensional descriptions,
     independent of the presentation search; (m, k) ∈ {0,1}² and n ≤ 2.
-    Each builder gives one layout, the keys of its rows' images in order,
+    ``_oracle`` gives one layout, the keys of its rows' images in order,
     which is checked once against the level's keys; DisagreementBug on a
     layout with other keys, a row of another width or a duplicate row."""
     if (m, k, n) not in ORACLE_GRID:
         raise RangeExceeded(f"oracle covers (m, k) in {{0,1}}² and n ≤ 2, not {(m, k, n)}")
-    build = {
-        (0, 0): _oracle_00,
-        (1, 0): _oracle_10,
-        (0, 1): _oracle_01,
-        (1, 1): _oracle_11,
-    }[(m, k)]
     keys = tensor.x_presentation(m, k, n)[0].keys
-    layout, rows = build(dbl, _adjoint_by_ends(dbl), n)
+    layout, rows = _oracle(dbl, m, k, n)
     if sorted(layout) != list(keys):
         raise DisagreementBug(f"oracle layout {sorted(layout)} differs from {list(keys)}")
     # itemgetter of one position returns the bare image; a one-key layout is in key order
@@ -158,32 +150,101 @@ def dbl_nerve_oracle(dbl: FiniteDoubleCategory, m: int, k: int, n: int) -> Simpl
     return SimplexSet((m, k, n), keys, out, "structural-oracle")
 
 
-def _covering_fillers(dbl):
-    """The vertically invertible squares long ⇒ (first then then) with
-    identity vertical sides, as a function of the three 1-cells that asks
-    each question of ``dbl`` once."""
+def _oracle(dbl, m, k, n):
+    """The layout and rows of level (m, k, n), by one rule over the cells
+    of the (m, k) grid.  A cell is its corner objects, one horizontal side
+    per row, one vertical side per column and, at m = k = 1, its square.
+    An edge between two cells is an adjoint equivalence at each corner, a
+    filler on each row (``_row_fillers``) and on each column
+    (``_column_fillers``) and, between squares, one pasting equality.  A
+    triangle is three edges and a covering cell at each corner
+    (``_covering_fillers``) such that the (1,0) equation holds on each row
+    and the (0,1) equation on each column.  Level n is the cells, the
+    pairs of cells with an edge, or the triples with three edges and a
+    fill; each row is the images of its cells, edges and covering cells."""
+    corners = [(x, y) for y in range(k + 1) for x in range(m + 1)]
+    rows, columns = range(k + 1 if m else 0), range(m + 1 if k else 0)
+    # a cell's images: its corners (y-major), its sides (rows, then columns), its square;
+    # each side by its place among the sides and the places of its two corners
+    nc, nr = len(corners), len(rows)
+    row_ends = [(y, corners.index((0, y)), corners.index((1, y))) for y in rows]
+    column_ends = [(nr + x, corners.index((x, 0)), corners.index((x, 1))) for x in columns]
+    s, t = dbl.hsrc, dbl.htgt
+    if m and k:
+        cells = [(s[f], t[f], s[g], t[g], f, g, dbl.sleft[a], dbl.sright[a], a)
+                 for a in dbl.squares for f, g in [(dbl.stop[a], dbl.sbottom[a])]]
+    elif m:
+        cells = [(s[f], t[f], f) for f in dbl.hmors]
+    elif k:
+        cells = [(dbl.vsrc[u], dbl.vtgt[u], u) for u in dbl.vmors]
+    else:
+        cells = [(a,) for a in dbl.objects]
 
-    @cache
-    def fillers(long, first, then):
-        return dbl.invertible_flat(long, dbl.h_then(first, then))
-    return fillers
+    def cell_keys(z):
+        return (*(f"o{x}.{y}.{z}" for x, y in corners), *(f"m01.{y}.{z}" for y in rows),
+                *(f"k01.{x}.{z}" for x in columns), *([f"A01.01.{z}"] if m and k else []))
 
+    def edge_keys(gap):
+        return (*(f"n{gap}.{x}.{y}{part}" for x, y in corners
+                  for part in ("", "*", ".unit", ".counit")),
+                *(f"X01.{gap}.{y}" for y in rows), *(f"B{gap}.01.{x}" for x in columns))
 
-def _oracle_00(dbl, adj, n):
     if n == 0:
-        return ("o0.0.0",), ((a,) for a in dbl.objects)
+        return cell_keys(0), cells
+    adj = _adjoint_by_ends(dbl)
+    row_fill, column_fill = _row_fillers(dbl), _column_fillers(dbl)
+    hcomp, vcomp, e = dbl.s_hcomp, dbl.s_vcomp, dbl.e_sq
+
+    def edges(a, b):
+        """The edges from cell a to cell b, each as the 1-cells f of its
+        equivalences by corner, its fillers by row then column, and its
+        images in the order of ``edge_keys``."""
+        out = []
+        alpha, beta = a[-1], b[-1]
+        for data in product(*list(map(adj, a[:nc], b[:nc]))):
+            fs, equivalences = tuple(d[0] for d in data), sum(data, ())
+            sides = [row_fill(a[nc + y], b[nc + y], fs[i], fs[j]) for y, i, j in row_ends]
+            sides += [column_fill(a[nc + x], b[nc + x], fs[i], fs[j]) for x, i, j in column_ends]
+            for fill in product(*sides):
+                # between squares (fillers: top, bottom, left, right): the top filler over
+                # alpha beside the right one is the left one beside beta over the bottom one
+                if m and k and (vcomp(fill[0], hcomp(alpha, fill[3]))
+                                != vcomp(hcomp(fill[2], beta), fill[1])):
+                    continue
+                out.append((fs, fill, equivalences + fill))
+        return out
+
     if n == 1:
-        return (("o0.0.0", "o0.0.1", *_data_keys("n01.0.0")),
-                ((a, b, *d) for a, b in product(dbl.objects, repeat=2) for d in adj(a, b)))
+        return (cell_keys(0) + cell_keys(1) + edge_keys("01"),
+                (a + b + images for a, b in product(cells, repeat=2)
+                 for _, _, images in edges(a, b)))
     cover = _covering_fillers(dbl)
-    return (("o0.0.0", "o0.0.1", "o0.0.2", "N0.0", *_data_keys("n01.0.0", "n12.0.0", "n02.0.0")),
-            ((a, b, c, mu, *d01, *d12, *d02)
-             for a, b, c in product(dbl.objects, repeat=3)
-             for d01, d12, d02 in product(adj(a, b), adj(b, c), adj(a, c))
-             for mu in cover(d02[0], d01[0], d12[0])))
+
+    def triangles():
+        links = [[edges(a, b) for b in cells] for a in cells]  # each ordered pair's, once
+        for (ia, a), (ib, b), (ic, c) in product(enumerate(cells), repeat=3):
+            for (p, phi, ab), (q, psi, bc), (r, theta, ac) in product(
+                    links[ia][ib], links[ib][ic], links[ia][ic]):
+                # a list: unpacking the map itself would build and shrink a tuple each time
+                for mu in product(*list(map(cover, r, p, q))):
+                    # the (1,0) equation on each row, then the (0,1) equation on each column
+                    for y, i0, i1 in row_ends:
+                        lhs = vcomp(hcomp(mu[i0], e[c[nc + y]]),
+                                    vcomp(hcomp(e[p[i0]], psi[y]), hcomp(phi[y], e[q[i1]])))
+                        if lhs != vcomp(theta[y], hcomp(e[a[nc + y]], mu[i1])):
+                            break
+                    else:
+                        for x, i0, i1 in column_ends:
+                            if vcomp(mu[i0], hcomp(phi[x], psi[x])) != vcomp(theta[x], mu[i1]):
+                                break
+                        else:
+                            yield (*a, *b, *c, *ab, *bc, *ac, *mu)
+
+    return (cell_keys(0) + cell_keys(1) + cell_keys(2) + edge_keys("01") + edge_keys("12")
+            + edge_keys("02") + tuple(f"N{x}.{y}" for x, y in corners), triangles())
 
 
-def _one_simplex_10(dbl):
+def _row_fillers(dbl):
     """The vertically invertible squares (d0 then g) ⇒ (f then d1) with
     identity vertical sides, as a function of the four 1-cells that asks
     each question of ``dbl`` once."""
@@ -194,57 +255,7 @@ def _one_simplex_10(dbl):
     return fillers
 
 
-def _oracle_10(dbl, adj, n):
-    s, t = dbl.hsrc, dbl.htgt
-    if n == 0:
-        return ("o0.0.0", "o1.0.0", "m01.0.0"), ((s[f], t[f], f) for f in dbl.hmors)
-    if n == 1:
-        simplex = _one_simplex_10(dbl)
-        return (("o0.0.0", "o1.0.0", "o0.0.1", "o1.0.1", "m01.0.0", "m01.0.1", "X01.01.0",
-                 *_data_keys("n01.0.0", "n01.1.0")),
-                ((s[f], t[f], s[g], t[g], f, g, sq, *d0, *d1)
-                 for f, g in product(dbl.hmors, repeat=2)
-                 for d0, d1 in product(adj(s[f], s[g]), adj(t[f], t[g]))
-                 for sq in simplex(f, g, d0[0], d1[0])))
-    return (("o0.0.0", "o1.0.0", "o0.0.1", "o1.0.1", "o0.0.2", "o1.0.2", "m01.0.0", "m01.0.1",
-             "m01.0.2", "X01.01.0", "X01.12.0", "X01.02.0", "N0.0", "N1.0",
-             *_data_keys("n01.0.0", "n01.1.0", "n12.0.0", "n12.1.0", "n02.0.0", "n02.1.0")),
-            _oracle_10_rows(dbl, adj))
-
-
-def _oracle_10_rows(dbl, adj):
-    s, t = dbl.hsrc, dbl.htgt
-    cover, simplex = _covering_fillers(dbl), _one_simplex_10(dbl)
-    for f, g, h in product(dbl.hmors, repeat=3):
-        corners = (s[f], t[f], s[g], t[g], s[h], t[h], f, g, h)
-        for data in product(adj(s[f], s[g]), adj(t[f], t[g]), adj(s[g], s[h]),
-                            adj(t[g], t[h]), adj(s[f], s[h]), adj(t[f], t[h])):
-            yield from _oracle_10_two(dbl, cover, simplex, corners, *data)
-
-
-def _oracle_10_two(dbl, cover, simplex, corners, phi0, phi1, psi0, psi1, th0, th1):
-    e = dbl.e_sq
-    f, g, h = corners[6:]
-    for phi in simplex(f, g, phi0[0], phi1[0]):
-        for psi in simplex(g, h, psi0[0], psi1[0]):
-            for theta in simplex(f, h, th0[0], th1[0]):
-                for mu0 in cover(th0[0], phi0[0], psi0[0]):
-                    for mu1 in cover(th1[0], phi1[0], psi1[0]):
-                        lhs = dbl.s_vcomp(
-                            dbl.s_hcomp(mu0, e[h]),
-                            dbl.s_vcomp(
-                                dbl.s_hcomp(e[phi0[0]], psi),
-                                dbl.s_hcomp(phi, e[psi1[0]]),
-                            ),
-                        )
-                        rhs = dbl.s_vcomp(theta, dbl.s_hcomp(e[f], mu1))
-                        if lhs != rhs:
-                            continue
-                        yield (*corners, phi, psi, theta, mu0, mu1,
-                               *phi0, *phi1, *psi0, *psi1, *th0, *th1)
-
-
-def _whi_fillers(dbl):
+def _column_fillers(dbl):
     """The whi squares top ⇒ bottom with left side u and right side w, as
     a function of the four 1-cells that asks each question of ``dbl`` once."""
     whis = whi_squares(dbl)
@@ -256,163 +267,15 @@ def _whi_fillers(dbl):
     return fillers
 
 
-def _oracle_01(dbl, adj, n):
-    s, t = dbl.vsrc, dbl.vtgt
-    if n == 0:
-        return ("o0.0.0", "o0.1.0", "k01.0.0"), ((s[u], t[u], u) for u in dbl.vmors)
-    if n == 1:
-        whi_fill = _whi_fillers(dbl)
-        return (("o0.0.0", "o0.1.0", "o0.0.1", "o0.1.1", "k01.0.0", "k01.0.1", "B01.01.0",
-                 *_data_keys("n01.0.0", "n01.0.1")),
-                ((s[u], t[u], s[w], t[w], u, w, sq, *d0, *d1)
-                 for u, w in product(dbl.vmors, repeat=2)
-                 for d0, d1 in product(adj(s[u], s[w]), adj(t[u], t[w]))
-                 for sq in whi_fill(u, w, d0[0], d1[0])))
-    return (("o0.0.0", "o0.1.0", "o0.0.1", "o0.1.1", "o0.0.2", "o0.1.2", "k01.0.0", "k01.0.1",
-             "k01.0.2", "B01.01.0", "B12.01.0", "B02.01.0", "N0.0", "N0.1",
-             *_data_keys("n01.0.0", "n01.0.1", "n12.0.0", "n12.0.1", "n02.0.0", "n02.0.1")),
-            _oracle_01_rows(dbl, adj))
-
-
-def _oracle_01_rows(dbl, adj):
-    s, t = dbl.vsrc, dbl.vtgt
-    cover, whi_fill = _covering_fillers(dbl), _whi_fillers(dbl)
-    for u, w, y in product(dbl.vmors, repeat=3):
-        corners = (s[u], t[u], s[w], t[w], s[y], t[y], u, w, y)
-        for data in product(adj(s[u], s[w]), adj(t[u], t[w]), adj(s[w], s[y]),
-                            adj(t[w], t[y]), adj(s[u], s[y]), adj(t[u], t[y])):
-            yield from _oracle_01_two(dbl, cover, whi_fill, corners, *data)
-
-
-def _oracle_01_two(dbl, cover, whi_fill, corners, phi0, phi1, psi0, psi1, th0, th1):
-    u, w, y = corners[6:]
-    for phi in whi_fill(u, w, phi0[0], phi1[0]):
-        for psi in whi_fill(w, y, psi0[0], psi1[0]):
-            for theta in whi_fill(u, y, th0[0], th1[0]):
-                for mu in cover(th0[0], phi0[0], psi0[0]):
-                    for mu2 in cover(th1[0], phi1[0], psi1[0]):
-                        if dbl.s_vcomp(mu, dbl.s_hcomp(phi, psi)) != dbl.s_vcomp(theta, mu2):
-                            continue
-                        yield (*corners, phi, psi, theta, mu, mu2,
-                               *phi0, *phi1, *psi0, *psi1, *th0, *th1)
-
-
-def _square_keys(z):
-    return tuple(f"{stem}.{z}" for stem in ("o0.0", "o1.0", "o0.1", "o1.1", "m01.0",
-                                            "m01.1", "k01.0", "k01.1", "A01.01"))
-
-
-def _edge_keys(gap):
-    """The keys of the images of an edge across ``gap``: its four adjoint
-    equivalences, corner by corner, then its four squares."""
-    return (*_data_keys(*(f"n{gap}.{x}.{z}" for z in (0, 1) for x in (0, 1))),
-            f"X01.{gap}.0", f"X01.{gap}.1", f"B{gap}.01.0", f"B{gap}.01.1")
-
-
-def _oracle_11(dbl, adj, n):
-    corners = {}  # each square's images, in the order of _square_keys
-    for s in dbl.squares:
-        top, bottom = dbl.stop[s], dbl.sbottom[s]
-        corners[s] = (dbl.hsrc[top], dbl.htgt[top], dbl.hsrc[bottom], dbl.htgt[bottom],
-                      top, bottom, dbl.sleft[s], dbl.sright[s], s)
-    if n == 0:
-        return _square_keys(0), corners.values()
-    if n == 1:
-        one = _one_simplices_11(dbl, adj)
-        return (_square_keys(0) + _square_keys(1) + _edge_keys("01"),
-                (corners[alpha] + corners[beta] + images
-                 for alpha, beta in product(dbl.squares, repeat=2)
-                 for _, images in one(alpha, beta)))
-    return (_square_keys(0) + _square_keys(1) + _square_keys(2) + _edge_keys("01")
-            + _edge_keys("12") + _edge_keys("02") + ("N0.0", "N1.0", "N0.1", "N1.1"),
-            _oracle_11_two(dbl, adj, corners))
-
-
-def _one_simplices_11(dbl, adj):
-    """The connecting data between two squares, as a function of the
-    ordered pair that computes each pair once: four adjoint equivalences,
-    two invertible interchangers, two weak-inverse-admitting fillers, and
-    the single pasting equality; each datum with its images, in the order
-    of ``_edge_keys``."""
-    s, t = dbl.hsrc, dbl.htgt
-    simplex, whi_fill = _one_simplex_10(dbl), _whi_fillers(dbl)
+def _covering_fillers(dbl):
+    """The vertically invertible squares long ⇒ (first then then) with
+    identity vertical sides, as a function of the three 1-cells that asks
+    each question of ``dbl`` once."""
 
     @cache
-    def one(alpha, beta):
-        f, f2 = dbl.stop[alpha], dbl.sbottom[alpha]
-        g, g2 = dbl.stop[beta], dbl.sbottom[beta]
-        u, v = dbl.sleft[alpha], dbl.sright[alpha]
-        w, x_ = dbl.sleft[beta], dbl.sright[beta]
-        out = []
-        # components at (0, 0), (1, 0), (0, 1), (1, 1): the corners of alpha to those of beta
-        for d00, d10, d01, d11 in product(adj(s[f], s[g]), adj(t[f], t[g]),
-                                          adj(s[f2], s[g2]), adj(t[f2], t[g2])):
-            for phi in simplex(f, g, d00[0], d10[0]):
-                for phi2 in simplex(f2, g2, d01[0], d11[0]):
-                    for t0 in whi_fill(u, w, d00[0], d01[0]):
-                        for t1 in whi_fill(v, x_, d10[0], d11[0]):
-                            lhs = dbl.s_vcomp(phi, dbl.s_hcomp(alpha, t1))
-                            rhs = dbl.s_vcomp(dbl.s_hcomp(t0, beta), phi2)
-                            if lhs != rhs:
-                                continue
-                            datum = (d00, d10, d01, d11, phi, phi2, t0, t1)
-                            out.append((datum, (*d00, *d10, *d01, *d11, phi, phi2, t0, t1)))
-        return out
-    return one
-
-
-def _oracle_11_two(dbl, adj, corners):
-    cover, one = _covering_fillers(dbl), _one_simplices_11(dbl, adj)
-    for alpha in dbl.squares:
-        for beta in dbl.squares:
-            one_ab = one(alpha, beta)
-            if not one_ab:
-                continue
-            for gamma in dbl.squares:
-                one_bc = one(beta, gamma)
-                if not one_bc:
-                    continue
-                one_ac = one(alpha, gamma)
-                head = corners[alpha] + corners[beta] + corners[gamma]
-                for (phi_d, phi), (psi_d, psi), (th_d, th) in product(one_ab, one_bc, one_ac):
-                    for mus in _oracle_11_two_fill(dbl, cover, alpha, gamma, phi_d, psi_d, th_d):
-                        yield head + phi + psi + th + mus
-
-
-def _oracle_11_two_fill(dbl, cover, alpha, gamma, phi_d, psi_d, th_d):
-    """The covering cells (N0.0, N1.0, N0.1, N1.1) of three edges that
-    satisfy the four pasting conditions."""
-    e = dbl.e_sq
-    p00, p10, p01, p11, phi_t, phi_b, pt0, pt1 = phi_d
-    s00, s10, s01, s11, psi_t, psi_b, st0, st1 = psi_d
-    t00, t10, t01, t11, th_t, th_b, tt0, tt1 = th_d
-    f, f2 = dbl.stop[alpha], dbl.sbottom[alpha]
-    h, h2 = dbl.stop[gamma], dbl.sbottom[gamma]
-    for mu00 in cover(t00[0], p00[0], s00[0]):
-        for mu10 in cover(t10[0], p10[0], s10[0]):
-            # condition along the top horizontal generator
-            lhs = dbl.s_vcomp(
-                dbl.s_hcomp(mu00, e[h]),
-                dbl.s_vcomp(dbl.s_hcomp(e[p00[0]], psi_t), dbl.s_hcomp(phi_t, e[s10[0]])),
-            )
-            if lhs != dbl.s_vcomp(th_t, dbl.s_hcomp(e[f], mu10)):
-                continue
-            for mu01 in cover(t01[0], p01[0], s01[0]):
-                # condition along the left vertical generator
-                if dbl.s_vcomp(mu00, dbl.s_hcomp(pt0, st0)) != dbl.s_vcomp(tt0, mu01):
-                    continue
-                for mu11 in cover(t11[0], p11[0], s11[0]):
-                    if dbl.s_vcomp(mu10, dbl.s_hcomp(pt1, st1)) != dbl.s_vcomp(tt1, mu11):
-                        continue
-                    lhs = dbl.s_vcomp(
-                        dbl.s_hcomp(mu01, e[h2]),
-                        dbl.s_vcomp(
-                            dbl.s_hcomp(e[p01[0]], psi_b), dbl.s_hcomp(phi_b, e[s11[0]])
-                        ),
-                    )
-                    if lhs != dbl.s_vcomp(th_b, dbl.s_hcomp(e[f2], mu11)):
-                        continue
-                    yield mu00, mu10, mu01, mu11
+    def fillers(long, first, then):
+        return dbl.invertible_flat(long, dbl.h_then(first, then))
+    return fillers
 
 
 # -- nerves of 2-categories ------------------------------------------------

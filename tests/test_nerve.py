@@ -74,13 +74,14 @@ def _first_row_as(rows, rows_for):
     (lambda layout, rows: (layout, _first_row_as(rows, lambda row: [row, row])), "duplicate"),
 ], ids=["renamed-key", "missing-key", "duplicated-key", "short-row", "repeated-row"])
 def test_oracle_rejects_an_element_with_other_keys(monkeypatch, hsim_iso, change, match):
-    """A builder whose layout has other keys than the level's, or one of
-    whose rows has another width or comes twice, fails the cross-check
-    instead of being compared."""
-    build = nerve._oracle_00
-    monkeypatch.setattr(nerve, "_oracle_00", lambda *args: change(*build(*args)))
-    with pytest.raises(DisagreementBug, match=match):
-        dbl_nerve_oracle(hsim_iso, 0, 0, 1)
+    """A layout with other keys than the level's, or a row of another width
+    or that comes twice, fails the cross-check instead of being compared,
+    on a level of each shape (m, k) of the oracle's one builder."""
+    build = nerve._oracle
+    monkeypatch.setattr(nerve, "_oracle", lambda *args: change(*build(*args)))
+    for level in ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
+        with pytest.raises(DisagreementBug, match=match):
+            dbl_nerve_oracle(hsim_iso, *level)
 
 
 def _simplicial_identity_cases(dbl, level, direction):
@@ -449,14 +450,16 @@ def test_oracle_agreement_at_n2_with_nonidentity_invertible_cells(tri2):
 
 
 @pytest.mark.parametrize("target, level, count, asked", [
-    ("hsim-tri", (0, 1, 2), 8256, {"_whi_fillers": (3776, 20)}),
-    ("h-tri", (1, 0, 2), 1088, {"_one_simplex_10": (640, 17)}),
-    ("hsim-iso", (1, 1, 2), 4096, {"_one_simplex_10": (512, 16), "_whi_fillers": (512, 16)}),
+    ("hsim-tri", (0, 1, 2), 8256, {"_column_fillers": (32, 20), "_covering_fillers": (8320, 9)}),
+    ("h-tri", (1, 0, 2), 1088, {"_row_fillers": (20, 17), "_covering_fillers": (1152, 9)}),
+    ("hsim-iso", (1, 1, 2), 4096, {"_row_fillers": (512, 16), "_column_fillers": (512, 16),
+                                   "_covering_fillers": (16384, 8)}),
 ])
 def test_oracle_fillers_ask_each_question_once(monkeypatch, tri2, target, level, count, asked):
-    """The filler queries of the oracle's builders, memoized per call: how
-    often a level asks each and how many distinct questions of the double
-    category that makes."""
+    """The filler queries of the oracle, memoized per call: how often a
+    level asks each and how many distinct questions of the double category
+    that makes.  Rows and columns ask once per ordered pair of cells and
+    equivalences, covers once per triple of edges and corner."""
     dbl = {"hsim-tri": lambda: equivalence_embed(tri2), "h-tri": lambda: horizontal_embed(tri2),
            "hsim-iso": lambda: load_path(CORPUS / "hsim-iso.json")}[target]()
     made = {}
@@ -494,6 +497,9 @@ def test_fibrancy_fails_for_plain_embedding_with_nontrivial_equivalences(tri2):
 
 EMBEDDINGS = (horizontal_embed, vertical_embed, equivalence_embed)
 LOW_GRID = sorted(level for level in ORACLE_GRID if sum(level) <= 2)
+# with the n = 2 levels of the one-row and one-column shapes, which the
+# oracle builds by the same triangle rule as every other shape
+PREORDER_GRID = sorted(LOW_GRID + [(1, 0, 2), (0, 1, 2)])
 
 
 @st.composite
@@ -533,8 +539,8 @@ def _lawful_one_object_tables():
     return out
 
 
-def _check_both_routes(dbl):
-    for level in LOW_GRID:
+def _check_both_routes(dbl, levels):
+    for level in levels:
         generic = dbl_nerve_level(dbl, *level)
         assert generic.elements == dbl_nerve_oracle(dbl, *level).elements, level
     for level, direction in (((2, 0, 0), "m"), ((0, 2, 0), "k"), ((0, 0, 2), "n")):
@@ -544,13 +550,17 @@ def _check_both_routes(dbl):
 @settings(max_examples=60, deadline=None)
 @given(cat=preorder_categories(), embed=st.sampled_from(EMBEDDINGS))
 def test_random_preorders_agree_on_both_routes(cat, embed):
-    _check_both_routes(embed(locally_discrete(cat)))
+    _check_both_routes(embed(locally_discrete(cat)), PREORDER_GRID)
 
 
 @settings(max_examples=60, deadline=None)
 @given(raw=st.sampled_from(_lawful_one_object_tables()), embed=st.sampled_from(EMBEDDINGS))
 def test_random_one_object_two_categories_agree_on_both_routes(raw, embed):
-    _check_both_routes(embed(validate_two_category(one_object_document(raw))))
+    """On ``LOW_GRID`` only: at (0,1,2) the generic route runs out of the
+    default budget on the equivalence embedding of the Z/3 table (at
+    ``N0.1``, depth 38 of 38, after 170,429 solutions); the oracle lists
+    1,594,323 elements there."""
+    _check_both_routes(embed(validate_two_category(one_object_document(raw))), LOW_GRID)
 
 
 def test_a_budget_cut_level_holds_its_solutions_in_little_memory():
