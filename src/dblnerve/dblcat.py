@@ -546,7 +546,6 @@ def equivalence_embed(cat2: FiniteTwoCategory) -> FiniteDoubleCategory:
         dict(cat2.hcomp1), vcomp_v, hcomp_sq, vcomp_sq,
     )
     dbl.__dict__["quad_of_vmor"] = {vname[q]: q for q in quads}
-    dbl.__dict__["vmor_of_quad"] = {q: vname[q] for q in quads}
     dbl.__dict__["cell_of_square"] = {s: data[4] for s, data in sq_data.items()}
     dbl.__dict__["square_by_data"] = by_data
     dbl.__dict__["base_two_category"] = cat2

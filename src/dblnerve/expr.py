@@ -138,6 +138,16 @@ def sinv_h(s):
     return ("sinv_h", s)
 
 
+def whisker(pre, cell, post):
+    """``cell`` whiskered by the unit squares on the h-expressions ``pre``
+    before it and ``post`` after it, first ``pre``; None whiskers by nothing."""
+    if pre is not None:
+        cell = shcomp(sid_h(pre), cell)
+    if post is not None:
+        cell = shcomp(cell, sid_h(post))
+    return cell
+
+
 # the tag of the generator leaf of each sort
 LEAF_TAGS = {"object": "ogen", "h": "hgen", "v": "vgen", "sq": "sgen"}
 _GENERATORS = frozenset(LEAF_TAGS.values())

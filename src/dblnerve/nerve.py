@@ -15,7 +15,9 @@ images in that order; both routes build their rows in the same key
 order, so agreement is literal equality of the sorted rows.  The oracle
 builds each level's rows in one layout of its own, checked once against
 the level's keys and reordered into them.  Faces and degeneracies pull
-rows back along the level maps (``PresentationMorphism.pullback``).
+rows back along the level maps (``PresentationMorphism.pullback``).  A
+2-category's level, a quotient's, is the double level of its embedding
+projected onto the quotient's keys (``_projection``), one row per row.
 
 ``presentation``, ``tensor``, ``pseudohom``, ``shapes`` and ``standard``
 are reached through their modules when a function needs them, so the
@@ -38,7 +40,6 @@ from .dblcat import (
     vertical_embed,
 )
 from .errors import DisagreementBug, RangeExceeded, named
-from .expr import compile_expr
 from .twocat import FiniteTwoCategory, is_trivial_fibration_two
 from .whi import (
     horizontal_equivalences,
@@ -281,61 +282,46 @@ def _covering_fillers(dbl):
 # -- nerves of 2-categories ------------------------------------------------
 
 
-def _two_rows_to_dbl(cat2, variant, dbl, quotient, level):
-    """The map from rows of ``quotient``, the ``variant`` quotient of
-    ``level``, in ``cat2`` to rows of the double level in ``dbl``, the
-    embedded double category, compiled once: one function of the quotient
-    row per generator of the double presentation, in its key order."""
-    pres, meta = tensor.x_presentation(*level)
-    at = {name: i for i, name in enumerate(quotient.keys)}
-    if variant == "h":  # an object reads its class in the plain quotient
-        at.update((name, at[image[1]]) for name, image in tensor.plain_map(*level).items()
-                  if image[0] == "ogen")
-
-    def vmor(v):
-        """The vertical morphism of ``dbl`` that a row gives the v-expression ``v``."""
-        if v[0] == "vid":
-            obj = compile_expr(cat2, v[1], at)
-            return lambda row: dbl.idv[obj(row)]
-        if v[0] == "vgen":  # the adjoint equivalence (f, g, unit, counit) of the quotient
-            quad = itemgetter(*(at[name] for name in (v[1], *quotient.gen(v[1]).adjoint)))
-            return lambda row: dbl.vmor_of_quad[quad(row)]
-        first, then = vmor(v[1]), vmor(v[2])
-        return lambda row: dbl.v_then(first(row), then(row))
-
-    def part(g):
-        tag = meta[g.name][0]
-        if tag == "k":
-            return vmor(("vid", g.bounds[0]) if variant == "h" else ("vgen", g.name))
-        if variant == "h" or tag in ("obj", "m", "n", "n*"):
-            return itemgetter(at[g.name])
-        # a square, including the units of the n-direction: the square of the
-        # equivalence embedding with its boundary and 2-cell
-        data = [compile_expr(cat2, b, at) for b in g.bounds[:2]]
-        data += [vmor(b) for b in g.bounds[2:]] + [itemgetter(at[g.name])]
-        return lambda row: dbl.square_by_data[tuple([d(row) for d in data])]
-
-    parts = [part(pres.gen(name)) for name in pres.keys]
+def _projection(variant, dbl, level):
+    """The forgetful map from rows of ``level`` in ``dbl``, the ``variant``
+    embedding of a 2-category, to rows of its quotient: each key reads the
+    double key of its name.  Through ``h`` a class reads one of its objects
+    (all alike, the only vertical morphisms being identities); through
+    ``hsim`` a 2-cell reads its square's, and a vertical generator and its
+    partner, unit and counit the adjoint equivalence that its image is."""
+    pres = tensor.x_presentation(*level)[0]
+    quotient = tensor.lx_presentations(*level)[variant == "hsim"]
+    part = {name: itemgetter(i) for i, name in enumerate(pres.keys)}
+    if variant == "h":
+        part.update((image[1], part[name]) for name, image in tensor.plain_map(*level).items()
+                    if image[0] == "ogen")
+    else:
+        for g in pres.gens:
+            read = part[g.name]
+            if g.sort == "sq":
+                part[g.name] = lambda row, read=read: dbl.cell_of_square[read(row)]
+            elif g.sort == "v":
+                part.update((name, lambda row, read=read, i=i: dbl.quad_of_vmor[read(row)][i])
+                            for i, name in enumerate((g.name, *quotient.gen(g.name).adjoint)))
+    parts = [part[name] for name in quotient.keys]
     return lambda row: tuple([part(row) for part in parts])
 
 
 def two_nerve_level(cat2: FiniteTwoCategory, variant: str, m: int, k: int, n: int,
                     budget: int | None = None, check_bijection: bool = True) -> SimplexSet:
     """Nerve level of a 2-category through the plain (``h``) or
-    adjoint-equivalence (``hsim``) embedding; optionally re-derives the same
-    set through the embedded double category and asserts the bijection."""
+    adjoint-equivalence (``hsim``) embedding.  With ``check_bijection``,
+    the same level of the embedded double category, projected onto the
+    quotient (``_projection``), must give exactly its sorted rows, each
+    once; DisagreementBug otherwise."""
     pres = tensor.lx_presentations(m, k, n)[named(_QUOTIENT, variant, "variant") == "lsim"]
     out = SimplexSet((m, k, n), pres.keys, presentation.enumerate_canonical(pres, cat2, budget),
                      f"two-nerve-{variant}")
     if check_bijection:
         dbl = horizontal_embed(cat2) if variant == "h" else equivalence_embed(cat2)
         direct = dbl_nerve_level(dbl, m, k, n, budget)
-        converted = sorted(map(_two_rows_to_dbl(cat2, variant, dbl, pres, (m, k, n)),
-                               out.elements))
-        if converted != direct.elements:
-            raise DisagreementBug(
-                f"two-nerve level {(m, k, n)} does not match the double route"
-            )
+        if sorted(map(_projection(variant, dbl, (m, k, n)), direct.elements)) != out.elements:
+            raise DisagreementBug(f"two-nerve level {(m, k, n)} does not match the double route")
     return out
 
 

@@ -14,7 +14,8 @@ adding one introduces the partner generator, invertible unit and counit
 cells, and the two triangle relations, so enumeration ranges exactly over
 adjoint equivalences of the target.  The base generator records the names
 of its partner, unit and counit; ``adjoint_morphism`` reads that record to
-send them after the image of their base.
+send them after the image of their base, a path of adjoint generators and
+their partners or an identity.
 
 Enumeration runs on a depth-first search kernel with an explicit stack and
 one candidate budget, which ``pseudohom`` also uses, in two halves: a plan
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -118,6 +119,20 @@ class Presentation:
     def keys(self) -> tuple[str, ...]:
         """The key order of this presentation's rows: the sorted generator names."""
         return tuple(sorted(g.name for g in self.gens))
+
+    @cached_property
+    def adjoints(self) -> dict[str, tuple]:
+        """The partner, unit and counit expressions of each adjoint generator
+        by name: a base's are the generators its expansion added, a
+        partner's are its base and the inverses of the base's counit and unit."""
+        out = {}
+        for g in self.gens:
+            if g.adjoint:
+                partner, unit, counit = g.adjoint
+                out[g.name] = (ex.hgen(partner), ex.sgen(unit), ex.sgen(counit))
+                out[partner] = (ex.hgen(g.name), ex.sinv_v(ex.sgen(counit)),
+                                ex.sinv_v(ex.sgen(unit)))
+        return out
 
     @cached_property
     def search_plan(self) -> SearchPlan:
@@ -417,10 +432,9 @@ def identity_morphism(pres: Presentation) -> PresentationMorphism:
 def adjoint_morphism(source: Presentation, target: Presentation, image_of) -> PresentationMorphism:
     """The morphism sending each generator ``g`` of ``source`` that no
     adjoint expansion added to ``image_of(g)``.  The partner, unit and
-    counit of an adjoint generator follow the image of their base: to the
-    partner, unit and counit that ``target`` records for a generator image,
-    and to the image itself and its unit square for an identity image.  Any
-    other image raises DanglingReference."""
+    counit of an adjoint generator follow the image of their base, an
+    identity or a path of adjoint generators of ``target`` and their
+    partners (``_adjoint_images``); any other image raises DanglingReference."""
     added = source.expansion_gens()
     gen_map = {}
     for g in source.gens:
@@ -434,15 +448,36 @@ def adjoint_morphism(source: Presentation, target: Presentation, image_of) -> Pr
 
 def _adjoint_images(target: Presentation, name, image):
     """The images of the partner, unit and counit of the adjoint generator
-    ``name`` whose image is ``image``."""
+    ``name`` whose image is ``image``.  An identity's are itself and its
+    unit square twice.  A path of adjoint generators and their partners
+    has its legs' partners in reverse order, and as unit and counit the
+    right-nested vertical composites of its legs' units and counits
+    (``Presentation.adjoints``), each whiskered by the legs before and
+    after it."""
     if image[0] == "hid":
         return image, ex.sid_h(image), ex.sid_h(image)
-    adjoint = target.gen(image[1]).adjoint if image[0] == "hgen" else ()
-    if not adjoint:
-        raise DanglingReference(f"adjoint generator {name!r} sent to {image!r}, neither an "
-                                f"adjoint generator of {target.label!r} nor an identity")
-    partner, unit, counit = adjoint
-    return ex.hgen(partner), ex.sgen(unit), ex.sgen(counit)
+    legs = _legs(image)
+    if not all(leg[0] == "hgen" and leg[1] in target.adjoints for leg in legs):
+        raise DanglingReference(f"adjoint generator {name!r} sent to {image!r}, neither a path "
+                                f"of adjoint generators of {target.label!r} and their partners "
+                                f"nor an identity")
+    partners, units, counits = zip(*(target.adjoints[leg[1]] for leg in legs))
+
+    def path(cells):
+        return ex.hpath(*cells) if cells else None
+
+    def composite(cells):  # right-nested: the first cell over the composite of the rest
+        return reduce(lambda below, above: ex.svcomp(above, below), reversed(cells))
+    return (path(partners[::-1]),
+            composite([ex.whisker(path(legs[:i]), unit, path(partners[:i][::-1]))
+                       for i, unit in enumerate(units)]),
+            composite([ex.whisker(path(partners[i + 1:][::-1]), counit, path(legs[i + 1:]))
+                       for i, counit in enumerate(counits)]))
+
+
+def _legs(h):
+    """The legs of the h-expression ``h``, a path of composites."""
+    return _legs(h[1]) + _legs(h[2]) if h[0] == "hcomp" else [h]
 
 
 # -- enumeration --------------------------------------------------------

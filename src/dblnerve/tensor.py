@@ -40,7 +40,7 @@ from functools import cache
 from itertools import product
 
 from . import expr as ex
-from .errors import RangeExceeded, monotone, named
+from .errors import DisagreementBug, RangeExceeded, monotone, named
 from .presentation import (
     Presentation,
     PresentationBuilder,
@@ -292,11 +292,7 @@ def _x_presentation(m, k, n):
                 )
                 b.add_relation(lhs, rhs)
 
-    pres = b.build()
-    for g in pres.gens:
-        for tag, name in zip(("n*", "n.unit", "n.counit"), g.adjoint):
-            meta[name] = (tag,) + meta[g.name][1:]
-    return pres, meta
+    return b.build(), meta
 
 
 # -- symbolic boundaries -------------------------------------------------
@@ -477,7 +473,7 @@ def _lx_presentations(m, k, n):
         image = pmap[g.name]
         return ex.hid(image[1]) if image[0] == "vid" else image
     collapse = adjoint_morphism(equivalence, plain, collapse_image)
-    section = _section_map(meta, lifts, plain, equivalence)
+    section = adjoint_morphism(plain, equivalence, _section_map(meta, lifts, equivalence))
 
     # collapse ∘ section must be the identity generator-wise, except where a
     # cell routes through the k = 2 vertical covering loop
@@ -488,55 +484,28 @@ def _lx_presentations(m, k, n):
         kind = meta.get(g.name, ("?",))
         if kind[0] == "T" or (kind[0] in ("A", "B") and kind[2] == (1, 2)):
             continue
-        raise RangeExceeded(f"retract identity fails at generator {g.name!r}")
+        raise DisagreementBug(f"retract identity fails at generator {g.name!r}")
 
     return plain, equivalence, collapse, section
 
 
-def _H(name):
-    return ex.hgen(name)
-
-
-def _Hs(name):
-    return ex.hgen(name + "*")
-
-
-def _W(pre, cell, post):
-    """Whisker a 2-cell expression by identity cells on both sides."""
-    out = cell
-    if pre is not None:
-        out = ex.shcomp(ex.sid_h(pre), out)
-    if post is not None:
-        out = ex.shcomp(out, ex.sid_h(post))
-    return out
-
-
-def _mate_reverse(p, q, r, t_cell):
-    """Given generators with T: (p;q) ⇒ r, the induced 2-cell (q*;p*) ⇒ r*."""
-    qp = ex.hpath(_Hs(q), _Hs(p))
-    m1 = ex.shcomp(ex.sid_h(qp), ex.sgen(r + ".unit"))
-    m2 = ex.shcomp(ex.sid_h(qp), ex.shcomp(ex.sinv_v(t_cell), ex.sid_h(_Hs(r))))
-    m3 = ex.shcomp(
-        ex.sid_h(_Hs(q)),
-        ex.shcomp(ex.sgen(p + ".counit"), ex.sid_h(ex.hpath(_H(q), _Hs(r)))),
-    )
-    m4 = ex.shcomp(ex.sgen(q + ".counit"), ex.sid_h(_Hs(r)))
-    return ex.svcomp(m1, ex.svcomp(m2, ex.svcomp(m3, m4)))
-
-
-def _section_map(meta, lifts, plain, equivalence) -> PresentationMorphism:
-    """The generator-level section of the collapse map.
+def _section_map(meta, lifts, equivalence):
+    """The image under the section of the collapse map of each generator
+    of the plain quotient that no adjoint expansion added, for
+    ``adjoint_morphism``, which sends the partner, unit and counit of an
+    n-direction generator after its image, a path of adjoint generators.
 
     Each class of objects goes to its k = 0 object (``lifts``).  Morphism
     generators are conjugated through the (0, y) vertical-gap
     equivalences; 2-cell generators are transported by whiskering with the
-    corresponding units and counits.  At k = 2 the cells touching the
-    (1, 2) gap additionally route through the vertical covering cell, whose
-    collapse-image is a possibly non-identity loop; the composite with the
-    collapse map is then the identity only up to that loop (exactly on
-    locally discrete targets).  The m- and n-directions follow one rule,
-    keyed on the direction ``d`` that a kind spans.
+    units and counits that ``equivalence`` records for them.  At k = 2 the
+    cells touching the (1, 2) gap additionally route through the vertical
+    covering cell, whose collapse-image is a possibly non-identity loop; the
+    composite with the collapse map is then the identity only up to that
+    loop (exactly on locally discrete targets).  The m- and n-directions
+    follow one rule, keyed on the direction ``d`` that a kind spans.
     """
+    adjoints, H, W = equivalence.adjoints, ex.hgen, ex.whisker
 
     def conj(at, **move):
         """The vertical generator over the (0, y) gap at ``at`` moved by
@@ -544,109 +513,76 @@ def _section_map(meta, lifts, plain, equivalence) -> PresentationMorphism:
         c = {**at, **move}
         return None if c["k"] == 0 else _name("k", {**c, "k": (0, c["k"])})
 
-    gen_map = {}
-    for g in plain.gens:
+    def star(v):
+        return adjoints[v][0]
+
+    def unit(v):
+        return adjoints[v][1]
+
+    def counit(v):
+        return adjoints[v][2]
+
+    def image_of(g):
         name = g.name
         if g.sort == "object":
-            gen_map[name] = ex.ogen(lifts[name])
-            continue
+            return ex.ogen(lifts[name])
         tag = meta[name][0]
-        at = dict(zip(_AXES[tag[0]], meta[name][1:]))
+        at = dict(zip(_AXES[tag], meta[name][1:]))
         d = "m" if tag in ("m", "A", "M") else "n"
-        if tag in ("n*", "n.unit", "n.counit"):
-            h = _name("n", at)
-            gcj, gcj2 = (conj(at, n=c) for c in at["n"])
+        if tag in ("m", "n"):
             if at["k"] == 0:
-                gen_map[name] = _H(name) if tag == "n*" else ex.sgen(name)
-            elif tag == "n*":
-                gen_map[name] = ex.hpath(_H(gcj2), _H(name), _Hs(gcj))
-            elif tag == "n.unit":
-                s1 = ex.sgen(gcj + ".unit")
-                s2 = _W(_H(gcj), ex.sgen(h + ".unit"), _Hs(gcj))
-                s3 = _W(
-                    ex.hpath(_H(gcj), _H(h)),
-                    ex.sinv_v(ex.sgen(gcj2 + ".counit")),
-                    ex.hpath(_Hs(h), _Hs(gcj)),
-                )
-                gen_map[name] = ex.svcomp(s1, ex.svcomp(s2, s3))
-            else:
-                s1 = _W(
-                    ex.hpath(_H(gcj2), _Hs(h)),
-                    ex.sgen(gcj + ".counit"),
-                    ex.hpath(_H(h), _Hs(gcj2)),
-                )
-                s2 = _W(_H(gcj2), ex.sgen(h + ".counit"), _Hs(gcj2))
-                s3 = ex.sinv_v(ex.sgen(gcj2 + ".unit"))
-                gen_map[name] = ex.svcomp(s1, ex.svcomp(s2, s3))
-        elif tag in ("m", "n"):
-            if at["k"] == 0:
-                gen_map[name] = _H(name)
-            else:
-                lo, hi = (conj(at, **{d: c}) for c in at[d])
-                gen_map[name] = ex.hpath(_H(lo), _H(name), _Hs(hi))
-        elif tag in ("A", "B"):
+                return H(name)
+            lo, hi = (conj(at, **{d: c}) for c in at[d])
+            return ex.hpath(H(lo), H(name), star(hi))
+        if tag in ("A", "B"):
             lo, hi = ({**at, d: c} for c in at[d])
             kgap = at["k"]
             if kgap[0] == 0:
                 v = conj(hi, k=kgap[1])
-                s1 = ex.shcomp(ex.sid_h(_gen(d, {**at, "k": 0})), ex.sgen(v + ".unit"))
-                s2 = ex.shcomp(ex.sgen(name), ex.sid_h(_Hs(v)))
-                gen_map[name] = ex.svcomp(s1, s2)
-            else:  # the (1, 2) gap at k = 2 routes through the covering cell
-                g1, g1p, g2, g2p = conj(lo, k=1), conj(hi, k=1), conj(lo, k=2), conj(hi, k=2)
-                v = _name("k", {**hi, "k": (1, 2)})
-                h1, h2 = _gen(d, {**at, "k": 1}), _gen(d, {**at, "k": 2})
-                s1 = _W(ex.hpath(_H(g1), h1), ex.sgen(v + ".unit"), _Hs(g1p))
-                s2 = _W(_H(g1), ex.sgen(name), ex.hpath(_Hs(v), _Hs(g1p)))
-                s3 = ex.shcomp(_gen("T", lo), ex.sid_h(ex.hpath(h2, _Hs(v), _Hs(g1p))))
-                s4 = ex.shcomp(
-                    ex.sid_h(ex.hpath(_H(g2), h2)),
-                    _mate_reverse(g1p, v, g2p, _gen("T", hi)),
-                )
-                gen_map[name] = ex.svcomp(s1, ex.svcomp(s2, ex.svcomp(s3, s4)))
-        elif tag == "X":
-            mgap, ngap, y = meta[name][1:]
-            x, x2 = mgap
-            z, z2 = ngap
+                return ex.svcomp(W(_gen(d, {**at, "k": 0}), unit(v), None),
+                                 W(None, ex.sgen(name), star(v)))
+            # the (1, 2) gap at k = 2 routes through the covering cell T at lo,
+            # and T at hi, (p;v) => q, through its mate (v*;p*) => q*
+            g1, p, g2, q = conj(lo, k=1), conj(hi, k=1), conj(lo, k=2), conj(hi, k=2)
+            v = _name("k", {**hi, "k": (1, 2)})
+            h1, h2 = _gen(d, {**at, "k": 1}), _gen(d, {**at, "k": 2})
+            vp = ex.hpath(star(v), star(p))
+            s1 = W(ex.hpath(H(g1), h1), unit(v), star(p))
+            s2 = W(H(g1), ex.sgen(name), vp)
+            s3 = W(None, _gen("T", lo), ex.hpath(h2, star(v), star(p)))
+            m1 = W(vp, unit(q), None)
+            m2 = W(vp, W(None, ex.sinv_v(_gen("T", hi)), star(q)), None)
+            m3 = W(star(v), W(None, counit(p), ex.hpath(H(v), star(q))), None)
+            m4 = W(None, counit(v), star(q))
+            s4 = W(ex.hpath(H(g2), h2), ex.svcomp(m1, ex.svcomp(m2, ex.svcomp(m3, m4))), None)
+            return ex.svcomp(s1, ex.svcomp(s2, ex.svcomp(s3, s4)))
+        if tag == "X":
+            (x, x2), (z, z2), y = at["m"], at["n"], at["k"]
             if y == 0:
-                gen_map[name] = ex.sgen(name)
-            else:
-                g1, g2 = conj(at, m=x, n=z), conj(at, m=x, n=z2)
-                g3, g4 = conj(at, m=x2, n=z2), conj(at, m=x2, n=z)
-                s1 = _W(
-                    ex.hpath(_H(g1), _H(_nname(ngap, x, y))),
-                    ex.sgen(g2 + ".counit"),
-                    ex.hpath(_H(_mname(mgap, y, z2)), _Hs(g3)),
-                )
-                s2 = _W(_H(g1), ex.sgen(name), _Hs(g3))
-                s3 = _W(
-                    ex.hpath(_H(g1), _H(_mname(mgap, y, z))),
-                    ex.sinv_v(ex.sgen(g4 + ".counit")),
-                    ex.hpath(_H(_nname(ngap, x2, y)), _Hs(g3)),
-                )
-                gen_map[name] = ex.svcomp(s1, ex.svcomp(s2, s3))
-        elif tag == "T":
+                return ex.sgen(name)
+            g1, g2 = conj(at, m=x, n=z), conj(at, m=x, n=z2)
+            g3, g4 = conj(at, m=x2, n=z2), conj(at, m=x2, n=z)
+            s1 = W(ex.hpath(H(g1), H(_nname(at["n"], x, y))), counit(g2),
+                   ex.hpath(H(_mname(at["m"], y, z2)), star(g3)))
+            s2 = W(H(g1), ex.sgen(name), star(g3))
+            s3 = W(ex.hpath(H(g1), H(_mname(at["m"], y, z))), ex.sinv_v(counit(g4)),
+                   ex.hpath(H(_nname(at["n"], x2, y)), star(g3)))
+            return ex.svcomp(s1, ex.svcomp(s2, s3))
+        if tag == "T":
             g2 = conj(at, k=2)
-            s1 = ex.sgen(g2 + ".unit")
-            s2 = ex.shcomp(ex.sinv_v(ex.sgen(name)), ex.sid_h(_Hs(g2)))
-            s3 = ex.shcomp(ex.sgen(name), ex.sid_h(_Hs(g2)))
-            s4 = ex.sinv_v(ex.sgen(g2 + ".unit"))
-            gen_map[name] = ex.svcomp(s1, ex.svcomp(s2, ex.svcomp(s3, s4)))
-        elif tag in ("M", "N"):
+            s2 = W(None, ex.sinv_v(ex.sgen(name)), star(g2))
+            s3 = W(None, ex.sgen(name), star(g2))
+            return ex.svcomp(unit(g2), ex.svcomp(s2, ex.svcomp(s3, ex.sinv_v(unit(g2)))))
+        if tag in ("M", "N"):
             if at["k"] == 0:
-                gen_map[name] = ex.sgen(name)
-            else:
-                g0, g1, g2 = (conj(at, **{d: c}) for c in range(3))
-                s1 = _W(_H(g0), ex.sgen(name), _Hs(g2))
-                s2 = _W(
-                    ex.hpath(_H(g0), _gen(d, {**at, d: (0, 1)})),
-                    ex.sinv_v(ex.sgen(g1 + ".counit")),
-                    ex.hpath(_gen(d, {**at, d: (1, 2)}), _Hs(g2)),
-                )
-                gen_map[name] = ex.svcomp(s1, s2)
-        else:
-            raise RangeExceeded(f"unexpected plain generator {name!r}")
-    return PresentationMorphism(plain, equivalence, gen_map)
+                return ex.sgen(name)
+            g0, g1, g2 = (conj(at, **{d: c}) for c in range(3))
+            s1 = W(H(g0), ex.sgen(name), star(g2))
+            s2 = W(ex.hpath(H(g0), _gen(d, {**at, d: (0, 1)})), ex.sinv_v(counit(g1)),
+                   ex.hpath(_gen(d, {**at, d: (1, 2)}), star(g2)))
+            return ex.svcomp(s1, s2)
+        raise DisagreementBug(f"unexpected plain generator {name!r}")
+    return image_of
 
 
 def _reduce(expression):

@@ -1,11 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dblnerve import nerve
+from dblnerve import nerve, presentation
 from dblnerve.cat import id_of, validate_category
 from dblnerve.dblcat import equivalence_embed, horizontal_embed, vertical_embed
 from dblnerve.errors import BudgetExceeded, DanglingReference, DisagreementBug, RangeExceeded
@@ -210,6 +211,29 @@ def test_two_nerve_matches_double_route(iso2, arrow2):
         for variant in ("h", "hsim"):
             for level in [(0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)]:
                 two_nerve_level(cat, variant, *level)  # asserts internally
+
+
+def test_the_bijection_check_fails_on_a_lost_or_repeated_row(monkeypatch, iso2):
+    """``two_nerve_level`` raises DisagreementBug when the quotient route
+    loses a row, and when the double route holds one row twice in place of
+    another, through either embedding."""
+    enumerate_canonical, double_level = presentation.enumerate_canonical, nerve.dbl_nerve_level
+
+    def losing_a_quotient_row(pres, alg, budget=None):
+        rows = enumerate_canonical(pres, alg, budget)
+        return rows[1:] if pres.kind == "two" else rows
+
+    def repeating_a_double_row(*args):
+        level = double_level(*args)
+        return replace(level, elements=level.elements[:1] + level.elements[:-1])
+    for module, name, patch in ((presentation, "enumerate_canonical", losing_a_quotient_row),
+                                (nerve, "dbl_nerve_level", repeating_a_double_row)):
+        for variant in ("h", "hsim"):
+            assert two_nerve_level(iso2, variant, 1, 0, 0).count() > 1
+            with monkeypatch.context() as patched:
+                patched.setattr(module, name, patch)
+                with pytest.raises(DisagreementBug, match="does not match the double route"):
+                    two_nerve_level(iso2, variant, 1, 0, 0)
 
 
 def test_two_nerve_counts(iso2):

@@ -66,17 +66,37 @@ def test_adjoint_morphism_sends_the_expansion_after_its_base():
                                   "f.unit": ex.sid_h(ex.hid(a)), "f.counit": ex.sid_h(ex.hid(a))}
 
 
-def test_adjoint_morphism_rejects_other_images_of_an_adjoint_generator():
+def test_adjoint_morphism_rejects_other_images_of_an_adjoint_generator(iso2):
+    """An adjoint generator may go to a path of adjoint generators and their
+    partners: its partner to theirs in reverse order, its unit and counit to
+    the composites of theirs, whiskered by the other legs, so that each
+    functor pulls back to an adjoint equivalence.  A path with another leg,
+    or another generator, raises DanglingReference."""
     b = PresentationBuilder("two", "two-adjoints")
     x, y, z = (b.add_object(name) for name in "xyz")
     g, h = b.add_hgen("g", x, y, adjoint=True), b.add_hgen("h", y, z, adjoint=True)
-    b.add_hgen("p", x, z)
+    p = b.add_hgen("p", y, z)
     target = b.build()
     ends = {"a": x, "b": z}
-    for image in (ex.hcomp(g, h), ex.hgen("p")):
-        with pytest.raises(DanglingReference, match="neither an adjoint generator"):
-            adjoint_morphism(shape_2cat("E_adj"), target,
-                             lambda gen: ends[gen.name] if gen.sort == "object" else image)
+
+    def sending_f_to(image):
+        return adjoint_morphism(shape_2cat("E_adj"), target,
+                                lambda gen: ends[gen.name] if gen.sort == "object" else image)
+    along_gh = sending_f_to(ex.hcomp(g, h))
+    pull, quads = along_gh.pullback(iso2), set(iso2.adjoint_equivalences())
+    for row in enumerate_canonical(target, iso2):
+        image = dict(zip(along_gh.source.keys, pull(row)))
+        assert (image["f"], image["f*"], image["f.unit"], image["f.counit"]) in quads
+    gen_map = along_gh.gen_map
+    gs, hs = ex.hgen("g*"), ex.hgen("h*")
+    assert gen_map["f*"] == ex.hcomp(hs, gs)
+    assert gen_map["f.unit"] == ex.svcomp(ex.sgen("g.unit"),
+                                          ex.whisker(g, ex.sgen("h.unit"), gs))
+    assert gen_map["f.counit"] == ex.svcomp(ex.whisker(hs, ex.sgen("g.counit"), h),
+                                            ex.sgen("h.counit"))
+    for image in (ex.hcomp(g, p), ex.hgen("p")):
+        with pytest.raises(DanglingReference, match="neither a path of adjoint generators"):
+            sending_f_to(image)
 
 
 def test_budget_guard(hsim_iso):

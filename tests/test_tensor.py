@@ -5,15 +5,15 @@ from itertools import product
 import pytest
 
 from dblnerve import expr as ex
-from dblnerve import nerve
+from dblnerve import nerve, tensor
 from dblnerve.dblcat import equivalence_embed, horizontal_embed
-from dblnerve.errors import DanglingReference, RangeExceeded
+from dblnerve.errors import DanglingReference, DisagreementBug, RangeExceeded
 from dblnerve.nerve import (
     dbl_nerve_degeneracy,
     dbl_nerve_face,
+    dbl_nerve_level,
     two_nerve_degeneracy,
     two_nerve_face,
-    two_nerve_level,
 )
 from dblnerve.tensor import level_map, lx_presentations
 
@@ -53,43 +53,33 @@ def test_quotients_and_comparison_maps_are_pinned():
 
 
 def test_quotient_faces_and_degeneracies_commute_with_the_double_route(iso2, arrow2):
-    """On the first 40 rows of every level with m + k + n ≤ 3, in both
-    quotients of ``iso`` and ``arrow``, each face and degeneracy of
-    ``two_nerve_level`` followed by the conversion into the embedded double
-    category (``nerve._two_rows_to_dbl``) is the conversion followed by the
-    face or degeneracy of the double route.  The double route's level maps
-    do not pass through a quotient, so a quotient level map whose image
-    names another cell than the double one fails here."""
-    converters = {}
-
-    def convert(cat, variant, dbl, level, row):
-        if (id(cat), variant, level) not in converters:
-            quotient = lx_presentations(*level)[variant == "hsim"]
-            converters[id(cat), variant, level] = nerve._two_rows_to_dbl(
-                cat, variant, dbl, quotient, level)
-        return converters[id(cat), variant, level](row)
-
+    """On the first 40 rows of every level with m + k + n ≤ 3 of the double
+    route on both embeddings of ``iso`` and ``arrow``, the projection onto
+    the quotient (``nerve._projection``) of each face and degeneracy is the
+    face or degeneracy of ``two_nerve_level`` of the projected row.  The
+    double route's level maps do not pass through a quotient, so a quotient
+    level map whose image names another cell than the double one fails here."""
     levels = [level for level in LEVELS if sum(level) <= 3]
     checks = 0
     for cat, variant in product((iso2, arrow2), ("h", "hsim")):
         dbl = (horizontal_embed if variant == "h" else equivalence_embed)(cat)
+        project = {level: nerve._projection(variant, dbl, level) for level in LEVELS}
         for level, direction in product(levels, "mkn"):
             axis = "mkn".index(direction)
             top = level[axis]
-            rows = two_nerve_level(cat, variant, *level, check_bijection=False).elements[:40]
-            for row in rows:
-                image = convert(cat, variant, dbl, level, row)
+            for row in dbl_nerve_level(dbl, *level).elements[:40]:
+                image = project[level](row)
                 low = tuple(c - (a == axis) for a, c in enumerate(level))
                 for i in range(top + 1) if top else ():
-                    face = two_nerve_face(cat, variant, level, direction, i, row)
-                    assert (convert(cat, variant, dbl, low, face)
-                            == dbl_nerve_face(dbl, level, direction, i, image)), (level, i)
+                    face = dbl_nerve_face(dbl, level, direction, i, row)
+                    assert (project[low](face)
+                            == two_nerve_face(cat, variant, level, direction, i, image)), (level, i)
                     checks += 1
                 up = tuple(c + (a == axis) for a, c in enumerate(level))
                 for j in range(top + 1) if top < 2 else ():
-                    lifted = two_nerve_degeneracy(cat, variant, level, direction, j, row)
-                    assert (convert(cat, variant, dbl, up, lifted)
-                            == dbl_nerve_degeneracy(dbl, level, direction, j, image)), (level, j)
+                    lifted = dbl_nerve_degeneracy(dbl, level, direction, j, row)
+                    degeneracy = two_nerve_degeneracy(cat, variant, level, direction, j, image)
+                    assert project[up](lifted) == degeneracy, (level, j)
                     checks += 1
     assert checks == 5106
 
@@ -117,3 +107,21 @@ def test_a_level_map_takes_only_a_monotone_map_between_levels_in_its_direction()
         with pytest.raises(RangeExceeded):
             level_map(variant, direction, alpha, src, tgt)
     assert level_map("x", "k", [0, 0], (0, 1, 0), (0, 0, 0)).gen_map["o0.1.0"] == ex.ogen("o0.0.0")
+
+
+def test_a_section_that_is_not_a_retract_is_a_code_fault(monkeypatch):
+    """Collapse after section is the identity on generators: a section
+    image patched to another cell, and a generator that the section has no
+    rule for, raise DisagreementBug, the error of a code fault."""
+    section_map = tensor._section_map
+
+    def patched(meta, lifts, equivalence):
+        image_of = section_map(meta, lifts, equivalence)
+        return lambda g: ex.hid(ex.ogen("o0.0.0")) if g.name == "m01.0.0" else image_of(g)
+    monkeypatch.setattr(tensor, "_section_map", patched)
+    with pytest.raises(DisagreementBug, match="retract identity fails at generator 'm01.0.0'"):
+        tensor._lx_presentations.__wrapped__(1, 0, 0)
+    xp, meta = tensor.x_presentation(0, 1, 0)
+    image_of = section_map(meta, tensor._lifts(0, 1, 0), lx_presentations(0, 1, 0)[1])
+    with pytest.raises(DisagreementBug, match="unexpected plain generator 'k01.0.0'"):
+        image_of(xp.gen("k01.0.0"))
