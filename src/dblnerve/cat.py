@@ -8,7 +8,7 @@ names ``id:<object>``), but the validated object carries them explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -25,20 +25,14 @@ def id_of(obj: str) -> str:
     return f"id:{obj}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteCategory:
     objects: tuple[str, ...]
     morphisms: tuple[str, ...]
-    src: dict[str, str] = field(hash=False)
-    tgt: dict[str, str] = field(hash=False)
-    identity: dict[str, str] = field(hash=False)  # object -> morphism
-    compose: dict[tuple[str, str], str] = field(hash=False)  # (g, f) -> g∘f
-
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
+    src: dict[str, str]
+    tgt: dict[str, str]
+    identity: dict[str, str]  # object -> morphism
+    compose: dict[tuple[str, str], str]  # (g, f) -> g∘f
 
     def is_identity(self, m: str) -> bool:
         return m in self._identities
@@ -325,15 +319,12 @@ def check_category_laws(cat: FiniteCategory) -> None:
     check_units(rows, cat.src, cat.tgt, cat.identity, "morphism")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatFunctor:
     source: FiniteCategory
     target: FiniteCategory
-    object_map: dict[str, str] = field(hash=False)
-    morphism_map: dict[str, str] = field(hash=False)
-
-    def __hash__(self):
-        return id(self)
+    object_map: dict[str, str]
+    morphism_map: dict[str, str]
 
 
 # The sorts of a category for ``validate_functor``.

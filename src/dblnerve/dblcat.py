@@ -9,7 +9,7 @@ composition along shared horizontal ones; both tables are keyed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .cat import (
@@ -49,36 +49,30 @@ def i_of(vmor: str) -> str:
     return f"i:{vmor}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDoubleCategory(CellAlgebra):
     objects: tuple[str, ...]
     hmors: tuple[str, ...]
     vmors: tuple[str, ...]
     squares: tuple[str, ...]
-    hsrc: dict[str, str] = field(hash=False)
-    htgt: dict[str, str] = field(hash=False)
-    vsrc: dict[str, str] = field(hash=False)
-    vtgt: dict[str, str] = field(hash=False)
-    stop: dict[str, str] = field(hash=False)
-    sbottom: dict[str, str] = field(hash=False)
-    sleft: dict[str, str] = field(hash=False)
-    sright: dict[str, str] = field(hash=False)
-    idh: dict[str, str] = field(hash=False)
-    idv: dict[str, str] = field(hash=False)
-    e_sq: dict[str, str] = field(hash=False)  # hmor -> unit square e_f
-    i_sq: dict[str, str] = field(hash=False)  # vmor -> unit square id_u
-    hcomp_h: dict[tuple[str, str], str] = field(hash=False)
-    vcomp_v: dict[tuple[str, str], str] = field(hash=False)
-    hcomp_sq: dict[tuple[str, str], str] = field(hash=False)
-    vcomp_sq: dict[tuple[str, str], str] = field(hash=False)
+    hsrc: dict[str, str]
+    htgt: dict[str, str]
+    vsrc: dict[str, str]
+    vtgt: dict[str, str]
+    stop: dict[str, str]
+    sbottom: dict[str, str]
+    sleft: dict[str, str]
+    sright: dict[str, str]
+    idh: dict[str, str]
+    idv: dict[str, str]
+    e_sq: dict[str, str]  # hmor -> unit square e_f
+    i_sq: dict[str, str]  # vmor -> unit square id_u
+    hcomp_h: dict[tuple[str, str], str]
+    vcomp_v: dict[tuple[str, str], str]
+    hcomp_sq: dict[tuple[str, str], str]
+    vcomp_sq: dict[tuple[str, str], str]
 
     CELLS = {"h": "hmors", "v": "vmors", "sq": "squares"}
-
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
 
     # -- cell-algebra protocol (see expr) ------------------------------
     def h_src(self, f):
@@ -328,17 +322,14 @@ def implicit_entries(h_bounds, v_bounds, sq_bounds, idh, idv, e_sq, i_sq, hcomp_
             yield key, pair, s, law, pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoubleFunctor:
     source: FiniteDoubleCategory
     target: FiniteDoubleCategory
-    object_map: dict[str, str] = field(hash=False)
-    h_map: dict[str, str] = field(hash=False)
-    v_map: dict[str, str] = field(hash=False)
-    sq_map: dict[str, str] = field(hash=False)
-
-    def __hash__(self):
-        return id(self)
+    object_map: dict[str, str]
+    h_map: dict[str, str]
+    v_map: dict[str, str]
+    sq_map: dict[str, str]
 
 
 # The sorts of a double category for ``cat.validate_functor``.

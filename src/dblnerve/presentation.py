@@ -52,7 +52,7 @@ way.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, partial, reduce
 from operator import itemgetter
 from typing import NamedTuple
@@ -361,14 +361,11 @@ def _sort(expression, sorts: dict) -> str:
     return sort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PresentationMorphism:
     source: Presentation
     target: Presentation
-    gen_map: dict[str, tuple] = field(hash=False)  # source gen -> target expression
-
-    def __hash__(self):
-        return id(self)
+    gen_map: dict[str, tuple]  # source gen -> target expression
 
     @cached_property
     def pullback_plan(self) -> tuple:

@@ -31,7 +31,7 @@ these keys; only this module knows the row order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from . import expr as ex
@@ -120,31 +120,25 @@ def _functor_key(F: DoubleFunctor):
     return tuple(images[c] for images in _maps(F) for c in sorted(images))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transformation:
     source: str  # functor name
     target: str
-    at_obj: dict[str, str] = field(hash=False)  # object of dom -> hmor of cod
-    at_v: dict[str, str] = field(hash=False)  # free vmor of dom -> square of cod
-    at_h: dict[str, str] = field(hash=False)  # free hmor of dom -> square of cod
-
-    def __hash__(self):
-        return id(self)
+    at_obj: dict[str, str]  # object of dom -> hmor of cod
+    at_v: dict[str, str]  # free vmor of dom -> square of cod
+    at_h: dict[str, str]  # free hmor of dom -> square of cod
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoHom:
     dom: FiniteDoubleCategory
     cod: FiniteDoubleCategory
     two_cat: FiniteTwoCategory
-    functors: dict[str, DoubleFunctor] = field(hash=False)
-    transformations: dict[str, Transformation] = field(hash=False)
-    modifications: dict[str, dict] = field(hash=False)  # name -> components per object
+    functors: dict[str, DoubleFunctor]
+    transformations: dict[str, Transformation]
+    modifications: dict[str, dict]  # name -> components per object
     # transformation or modification name -> (source, target, row), the key it is found by
-    keys: dict[str, tuple] = field(hash=False)
-
-    def __hash__(self):
-        return id(self)
+    keys: dict[str, tuple]
 
 
 def _free_cells(dom):

@@ -164,7 +164,7 @@ def oriental_variant(family: str, n: int, variant: str, t: int | None = None):
     if family == "adjoint":
         if variant == "full":
             return oriental_adjoint_presentation(n)
-        return _oriental_presentation(n, variant, t, adjoint=True, invert=True)
+        return _oriental_presentation(n, variant, t, adjoint=True)
     invertible = family == "inverted"
     if family not in ("plain", "inverted"):
         raise DanglingReference(f"unknown family {family!r}")
@@ -175,7 +175,7 @@ def oriental_variant(family: str, n: int, variant: str, t: int | None = None):
         return assemble_two_category([], {}, {}, {}, {}, {}, {}, {})
     if invertible and n == 3:
         # localizing the free diamond hom is infinite; present it instead
-        return _oriental_presentation(n, variant, t, adjoint=False, invert=True)
+        return _oriental_presentation(n, variant, t, adjoint=False)
     return _materialize_variant(n, variant, t, invertible)
 
 
@@ -280,15 +280,15 @@ def _subset_expr(subset):
     return ex.hpath(*[ex.hgen(_one_name(j)) for j in _jumps(subset)])
 
 
-def _oriental_presentation(n, variant, t, adjoint, invert) -> Presentation:
+def _oriental_presentation(n, variant, t, adjoint) -> Presentation:
     """Present an oriental family: gap-edge generators (optionally adjoint
-    equivalences), covering 2-cells (optionally invertible), whisker
+    equivalences), invertible covering 2-cells, whisker
     identifications for non-basic covers, and diamond relations when the
     shape is full.  RangeExceeded above SHAPE_CAP."""
     _check_cap(n)
-    label = f"oriental-pres({n},{variant},{t},{'adj' if adjoint else ''}{'inv' if invert else ''})"
+    label = f"oriental-pres({n},{variant},{t},{'adj' if adjoint else ''}inv)"
     b = PresentationBuilder("two", label)
-    vertices = [x for x in range(n + 1) if _variant_vertex_present(n, variant or "full", t, x)]
+    vertices = [x for x in range(n + 1) if _variant_vertex_present(n, variant, t, x)]
     for x in vertices:
         b.add_object(str(x))
     gaps = []
@@ -298,7 +298,6 @@ def _oriental_presentation(n, variant, t, adjoint, invert) -> Presentation:
                 gaps.append((a, c))
                 b.add_hgen(_one_name((a, c)), ex.ogen(str(a)), ex.ogen(str(c)), adjoint=adjoint)
 
-    flags = ("invertible",) if invert else ()
     covers = []
     for a, c in [(a, c) for a in vertices for c in vertices if a < c]:
         subs = [s for s in _interval_subsets(a, c) if all(j in gaps for j in _jumps(s))]
@@ -307,7 +306,8 @@ def _oriental_presentation(n, variant, t, adjoint, invert) -> Presentation:
                 if set(lo) < set(hi) and len(hi) == len(lo) + 1:
                     if _variant_cover_present(n, variant, t, lo, hi):
                         covers.append((lo, hi))
-                        b.add_cell2(_two_name(lo, hi), _subset_expr(lo), _subset_expr(hi), flags)
+                        b.add_cell2(_two_name(lo, hi), _subset_expr(lo), _subset_expr(hi),
+                                    ("invertible",))
 
     # non-basic covers are whiskers of their three-point core
     for lo, hi in covers:
@@ -345,13 +345,13 @@ def _oriental_presentation(n, variant, t, adjoint, invert) -> Presentation:
 
 
 def oriental_adjoint_presentation(n: int) -> Presentation:
-    return _oriental_presentation(n, "full", None, adjoint=True, invert=True)
+    return _oriental_presentation(n, "full", None, adjoint=True)
 
 
 def oriental_inv_presentation(n: int) -> Presentation:
     """Presentation of the invertible family by formal inversion; the
     independent oracle for the indiscrete-hom model."""
-    return _oriental_presentation(n, "full", None, adjoint=False, invert=True)
+    return _oriental_presentation(n, "full", None, adjoint=False)
 
 
 def oriental_inv(n: int) -> FiniteTwoCategory:

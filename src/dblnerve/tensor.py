@@ -15,8 +15,9 @@ same cells built without any relation search.
 The m- and n-directions are both horizontal over the vertical
 k-direction, so their generators, naturality squares (A against B),
 covering cells (M against N) and section images are written once, over
-one coordinate table (``_AXES``, ``_NAMES``) that names each generator
-by the point or gap it occupies in each direction.
+one coordinate table (``_AXES``).  One rule, ``_name``, names every
+generator: its kind's letter, then the point or gap it occupies in each
+direction of the table, joined by dots.
 
 ``lx_presentations`` derives the two 2-categorical quotients (vertical
 generators collapsed, respectively turned into adjoint equivalences)
@@ -28,7 +29,8 @@ every other generator to itself: it gives the plain presentation, its
 relations, its level maps and the collapse map, and the section and
 level maps read each class's k = 0 object from it.  The equivalence one
 turns vertical generators into horizontal ones and conjugates squares
-into 2-cells (``_tr_v_as_h``, ``_tr_sq_lsim``).  ``level_map`` realizes
+into 2-cells (``_tr_v_as_h``, ``_conjugate``, which carries each
+pasting's boundary along in the same pass).  ``level_map`` realizes
 the faces and degeneracies between levels: one image per generator of
 the double presentation, passed through the rule of either quotient
 (``_translate``).
@@ -53,46 +55,6 @@ GRID = (2, 2, 2)
 AXIS = {"m": 0, "k": 1, "n": 2}  # the place of each direction in a level (m, k, n)
 
 
-def _oname(x, y, z):
-    return f"o{x}.{y}.{z}"
-
-
-def _mname(gap, y, z):
-    return f"m{gap[0]}{gap[1]}.{y}.{z}"
-
-
-def _nname(gap, x, y):
-    return f"n{gap[0]}{gap[1]}.{x}.{y}"
-
-
-def _kname(gap, x, z):
-    return f"k{gap[0]}{gap[1]}.{x}.{z}"
-
-
-def _aname(mgap, kgap, z):
-    return f"A{mgap[0]}{mgap[1]}.{kgap[0]}{kgap[1]}.{z}"
-
-
-def _bname(ngap, kgap, x):
-    return f"B{ngap[0]}{ngap[1]}.{kgap[0]}{kgap[1]}.{x}"
-
-
-def _xname(mgap, ngap, y):
-    return f"X{mgap[0]}{mgap[1]}.{ngap[0]}{ngap[1]}.{y}"
-
-
-def _tname(x, z):
-    return f"T{x}.{z}"
-
-
-def _mcov(y, z):
-    return f"M{y}.{z}"
-
-
-def _ncov(x, y):
-    return f"N{x}.{y}"
-
-
 def _gaps(size):
     return [(a, b) for a in range(size + 1) for b in range(size + 1) if a < b]
 
@@ -102,8 +64,12 @@ def _gaps(size):
 _AXES = {"obj": "mkn", "m": "mkn", "n": "nmk", "k": "kmn", "A": "mkn", "B": "nkm",
          "X": "mnk", "T": "mn", "M": "kn", "N": "mk"}
 _KIND_OF_GAPS = {"": "obj", "m": "m", "n": "n", "k": "k", "mk": "A", "kn": "B", "mn": "X"}
-_NAMES = {"obj": _oname, "m": _mname, "n": _nname, "k": _kname, "A": _aname, "B": _bname,
-          "X": _xname, "T": _tname, "M": _mcov, "N": _ncov}
+# the name format of each kind: its letter, then its coordinates in ``_AXES``
+# order joined by dots, a gap written as its two ends
+_GAPS = {kind: gaps for gaps, kind in _KIND_OF_GAPS.items()}
+_FORMATS = {tag: ("o" if tag == "obj" else tag) + ".".join(
+    f"{{{i}[0]}}{{{i}[1]}}" if d in _GAPS.get(tag, "") else f"{{{i}}}"
+    for i, d in enumerate(axes)) for tag, axes in _AXES.items()}
 _SORTS = {"obj": ex.ogen, "m": ex.hgen, "n": ex.hgen, "k": ex.vgen}
 # the naturality squares of each horizontal direction against the k-direction
 _NATURALITY = {"m": "A", "n": "B"}
@@ -113,15 +79,22 @@ def _coords(tag, at):
     return tuple(at[d] for d in _AXES[tag])
 
 
-def _name(tag, at):
-    """The name of the generator of kind ``tag`` at ``at`` (direction ->
-    point or gap)."""
-    return _NAMES[tag](*_coords(tag, at))
+@cache  # names repeat across levels, and str.format parses its template on each call
+def _name(tag, *coords):
+    """The name of the generator of kind ``tag`` at ``coords``, its point or
+    gap in each direction of ``_AXES[tag]``."""
+    return _FORMATS[tag].format(*coords)
+
+
+def _cell(tag, *coords):
+    """The generator of kind ``tag`` at ``coords``, as an expression."""
+    return _SORTS.get(tag, ex.sgen)(_name(tag, *coords))
 
 
 def _gen(tag, at):
-    """The generator of kind ``tag`` at ``at``, as an expression."""
-    return _SORTS.get(tag, ex.sgen)(_name(tag, at))
+    """The generator of kind ``tag`` at ``at`` (direction -> point or gap),
+    as an expression."""
+    return _cell(tag, *_coords(tag, at))
 
 
 def x_presentation(m: int, k: int, n: int):
@@ -138,12 +111,10 @@ def _x_presentation(m, k, n):
     meta: dict[str, tuple] = {}
 
     def add(tag, at, adder, *bounds, **options):
-        name = _name(tag, at)
+        coords = _coords(tag, at)
+        name = _name(tag, *coords)
         adder(name, *bounds, **options)
-        meta[name] = (tag, *_coords(tag, at))
-
-    def o(x, y, z):
-        return ex.ogen(_oname(x, y, z))
+        meta[name] = (tag, *coords)
 
     for x, y, z in product(range(m + 1), range(k + 1), range(n + 1)):
         add("obj", {"m": x, "k": y, "n": z}, b.add_object)
@@ -178,11 +149,13 @@ def _x_presentation(m, k, n):
     for z in range(n + 1):
         for x in range(m + 1):
             for gap in kgaps:
-                add("k", {"k": gap, "m": x, "n": z}, b.add_vgen, o(x, gap[0], z), o(x, gap[1], z))
+                add("k", {"k": gap, "m": x, "n": z}, b.add_vgen,
+                    _cell("obj", x, gap[0], z), _cell("obj", x, gap[1], z))
             if k == 2:
-                add("T", {"m": x, "n": z}, b.add_square, ex.hid(o(x, 0, z)), ex.hid(o(x, 2, z)),
-                    ex.vgen(_kname((0, 2), x, z)),
-                    ex.vpath(ex.vgen(_kname((0, 1), x, z)), ex.vgen(_kname((1, 2), x, z))),
+                add("T", {"m": x, "n": z}, b.add_square,
+                    ex.hid(_cell("obj", x, 0, z)), ex.hid(_cell("obj", x, 2, z)),
+                    _cell("k", (0, 2), x, z),
+                    ex.vpath(_cell("k", (0, 1), x, z), _cell("k", (1, 2), x, z)),
                     flags=("h_invertible",))
             for mgap in [g for g in mgaps if g[1] == x]:
                 horizontal("m", {"m": mgap, "n": z})
@@ -195,16 +168,16 @@ def _x_presentation(m, k, n):
                 for mgap in [g for g in mgaps if g[1] == x]:
                     for y in range(k + 1):
                         add("X", {"m": mgap, "n": ngap, "k": y}, b.add_square,
-                            ex.hpath(ex.hgen(_nname(ngap, mgap[0], y)), ex.hgen(_mname(mgap, y, ngap[1]))),
-                            ex.hpath(ex.hgen(_mname(mgap, y, ngap[0])), ex.hgen(_nname(ngap, mgap[1], y))),
-                            ex.vid(o(mgap[0], y, ngap[0])),
-                            ex.vid(o(mgap[1], y, ngap[1])),
+                            ex.hpath(_cell("n", ngap, mgap[0], y), _cell("m", mgap, y, ngap[1])),
+                            ex.hpath(_cell("m", mgap, y, ngap[0]), _cell("n", ngap, mgap[1], y)),
+                            ex.vid(_cell("obj", mgap[0], y, ngap[0])),
+                            ex.vid(_cell("obj", mgap[1], y, ngap[1])),
                             flags=("invertible",))
         if n == 2 and z == 2:
             for x, y in product(range(m + 1), range(k + 1)):
                 cover("n", {"m": x, "k": y})
 
-    sg, sh = ex.sgen, ex.sid_h
+    sh = ex.sid_h
 
     def against_t(d, at):
         """Pseudo-naturality of the d-direction transformation over the gap
@@ -226,12 +199,12 @@ def _x_presentation(m, k, n):
             for kgap in kgaps:
                 z, z2 = ngap
                 lhs = ex.svcomp(
-                    sg(_xname(mgap, ngap, kgap[0])),
-                    ex.shcomp(sg(_aname(mgap, kgap, z)), sg(_bname(ngap, kgap, mgap[1]))),
+                    _cell("X", mgap, ngap, kgap[0]),
+                    ex.shcomp(_cell("A", mgap, kgap, z), _cell("B", ngap, kgap, mgap[1])),
                 )
                 rhs = ex.svcomp(
-                    ex.shcomp(sg(_bname(ngap, kgap, mgap[0])), sg(_aname(mgap, kgap, z2))),
-                    sg(_xname(mgap, ngap, kgap[1])),
+                    ex.shcomp(_cell("B", ngap, kgap, mgap[0]), _cell("A", mgap, kgap, z2)),
+                    _cell("X", mgap, ngap, kgap[1]),
                 )
                 b.add_relation(lhs, rhs)
 
@@ -245,15 +218,15 @@ def _x_presentation(m, k, n):
             for y in range(k + 1):
                 z, z2 = ngap
                 lhs = ex.svcomp(
-                    sg(_xname((0, 2), ngap, y)),
-                    ex.shcomp(sg(_mcov(y, z)), sh(ex.hgen(_nname(ngap, 2, y)))),
+                    _cell("X", (0, 2), ngap, y),
+                    ex.shcomp(_cell("M", y, z), sh(_cell("n", ngap, 2, y))),
                 )
                 psi_chain = ex.svcomp(
-                    ex.shcomp(sg(_xname((0, 1), ngap, y)), sh(ex.hgen(_mname((1, 2), y, z2)))),
-                    ex.shcomp(sh(ex.hgen(_mname((0, 1), y, z))), sg(_xname((1, 2), ngap, y))),
+                    ex.shcomp(_cell("X", (0, 1), ngap, y), sh(_cell("m", (1, 2), y, z2))),
+                    ex.shcomp(sh(_cell("m", (0, 1), y, z)), _cell("X", (1, 2), ngap, y)),
                 )
                 rhs = ex.svcomp(
-                    ex.shcomp(sh(ex.hgen(_nname(ngap, 0, y))), sg(_mcov(y, z2))),
+                    ex.shcomp(sh(_cell("n", ngap, 0, y)), _cell("M", y, z2)),
                     psi_chain,
                 )
                 b.add_relation(lhs, rhs)
@@ -279,15 +252,15 @@ def _x_presentation(m, k, n):
             for y in range(k + 1):
                 x, x2 = mgap
                 lhs = ex.svcomp(
-                    sg(_xname(mgap, (0, 2), y)),
-                    ex.shcomp(sh(ex.hgen(_mname(mgap, y, 0))), sg(_ncov(x2, y))),
+                    _cell("X", mgap, (0, 2), y),
+                    ex.shcomp(sh(_cell("m", mgap, y, 0)), _cell("N", x2, y)),
                 )
                 composite = ex.svcomp(
-                    ex.shcomp(sh(ex.hgen(_nname((0, 1), x, y))), sg(_xname(mgap, (1, 2), y))),
-                    ex.shcomp(sg(_xname(mgap, (0, 1), y)), sh(ex.hgen(_nname((1, 2), x2, y)))),
+                    ex.shcomp(sh(_cell("n", (0, 1), x, y)), _cell("X", mgap, (1, 2), y)),
+                    ex.shcomp(_cell("X", mgap, (0, 1), y), sh(_cell("n", (1, 2), x2, y))),
                 )
                 rhs = ex.svcomp(
-                    ex.shcomp(sg(_ncov(x, y)), sh(ex.hgen(_mname(mgap, y, 2)))),
+                    ex.shcomp(_cell("N", x, y), sh(_cell("m", mgap, y, 2))),
                     composite,
                 )
                 b.add_relation(lhs, rhs)
@@ -308,33 +281,6 @@ def _ends(pres: Presentation, e):
     if tag in ("hcomp", "vcomp"):
         return (_ends(pres, e[1])[0], _ends(pres, e[2])[1])
     raise RangeExceeded(f"not a 1-cell expression: {e!r}")
-
-
-def square_bounds(pres: Presentation, s):
-    """Symbolic (top, bottom, left, right) of a square expression."""
-    tag = s[0]
-    if tag == "sgen":
-        return pres.gen(s[1]).bounds
-    if tag == "sid_h":
-        h = s[1]
-        a, b = _ends(pres, h)
-        return (h, h, ex.vid(a), ex.vid(b))
-    if tag == "sid_v":
-        v = s[1]
-        a, b = _ends(pres, v)
-        return (ex.hid(a), ex.hid(b), v, v)
-    if tag == "shcomp":
-        lt, lb, ll, _ = square_bounds(pres, s[1])
-        rt, rb, _, rr = square_bounds(pres, s[2])
-        return (ex.hcomp(lt, rt), ex.hcomp(lb, rb), ll, rr)
-    if tag == "svcomp":
-        tt, _, tl, tr = square_bounds(pres, s[1])
-        _, bb, bl, br = square_bounds(pres, s[2])
-        return (tt, bb, ex.vcomp(tl, bl), ex.vcomp(tr, br))
-    if tag == "sinv_v":
-        t, bm, l, r = square_bounds(pres, s[1])
-        return (bm, t, l, r)
-    raise RangeExceeded(f"unsupported square expression in translation: {s!r}")
 
 
 # -- quotient presentations ---------------------------------------------
@@ -376,33 +322,33 @@ def _tr_v_as_h(v):
     raise RangeExceeded(f"not a v-expression: {v!r}")
 
 
-def _tr_sq_lsim(pres, s):
-    """Translate a square pasting of the tensor shape into the 2-cell pasting
-    of its adjoint-equivalence quotient (squares α become 2-cells
-    v·top ⇒ bottom·u, compositions conjugate accordingly)."""
+def _conjugate(pres: Presentation, s):
+    """The square pasting ``s`` of the tensor shape ``pres`` in its
+    adjoint-equivalence quotient: (cell, top, bottom, left, right), the
+    2-cell pasting there and the boundary of ``s``, its vertical sides
+    turned horizontal.  A square becomes the 2-cell top·right ⇒ left·bottom
+    and compositions conjugate accordingly, in one pass over ``s``."""
     tag = s[0]
-    if tag in ("sgen", "sid_h"):
-        return s
+    if tag == "sgen":
+        top, bottom, left, right = pres.gen(s[1]).bounds
+        return s, top, bottom, _tr_v_as_h(left), _tr_v_as_h(right)
+    if tag == "sid_h":
+        a, b = _ends(pres, s[1])
+        return s, s[1], s[1], ex.hid(a), ex.hid(b)
     if tag == "sid_v":
-        return ex.sid_h(_tr_v_as_h(s[1]))
+        a, b = _ends(pres, s[1])
+        side = _tr_v_as_h(s[1])
+        return ex.sid_h(side), ex.hid(a), ex.hid(b), side, side
     if tag == "shcomp":
-        left, right = s[1], s[2]
-        l_top = square_bounds(pres, left)[0]
-        r_bottom = square_bounds(pres, right)[1]
-        return ex.svcomp(
-            ex.shcomp(ex.sid_h(l_top), _tr_sq_lsim(pres, right)),
-            ex.shcomp(_tr_sq_lsim(pres, left), ex.sid_h(r_bottom)),
-        )
+        left, l_top, l_bottom, l_left, _ = _conjugate(pres, s[1])
+        right, r_top, r_bottom, _, r_right = _conjugate(pres, s[2])
+        return (ex.svcomp(ex.shcomp(ex.sid_h(l_top), right), ex.shcomp(left, ex.sid_h(r_bottom))),
+                ex.hcomp(l_top, r_top), ex.hcomp(l_bottom, r_bottom), l_left, r_right)
     if tag == "svcomp":
-        top, bottom = s[1], s[2]
-        t_left = _tr_v_as_h(square_bounds(pres, top)[2])
-        b_right = _tr_v_as_h(square_bounds(pres, bottom)[3])
-        return ex.svcomp(
-            ex.shcomp(_tr_sq_lsim(pres, top), ex.sid_h(b_right)),
-            ex.shcomp(ex.sid_h(t_left), _tr_sq_lsim(pres, bottom)),
-        )
-    if tag == "sinv_v":
-        return ex.sinv_v(_tr_sq_lsim(pres, s[1]))
+        top, t_top, _, t_left, t_right = _conjugate(pres, s[1])
+        bottom, _, b_bottom, b_left, b_right = _conjugate(pres, s[2])
+        return (ex.svcomp(ex.shcomp(top, ex.sid_h(b_right)), ex.shcomp(ex.sid_h(t_left), bottom)),
+                t_top, b_bottom, ex.hcomp(t_left, b_left), ex.hcomp(t_right, b_right))
     raise RangeExceeded(f"unsupported square expression: {s!r}")
 
 
@@ -452,9 +398,9 @@ def _lx_presentations(m, k, n):
         elif g.sort in ("h", "v"):
             bs.add_hgen(g.name, *g.bounds, adjoint=bool(g.adjoint) or g.sort == "v")
         else:
-            top, bottom, left, right = g.bounds
-            bs.add_cell2(g.name, ex.hcomp(top, _tr_v_as_h(right)),
-                         ex.hcomp(_tr_v_as_h(left), bottom), ["invertible"] if g.flags else [])
+            _, top, bottom, left, right = _conjugate(xp, ex.sgen(g.name))
+            bs.add_cell2(g.name, ex.hcomp(top, right), ex.hcomp(left, bottom),
+                         ["invertible"] if g.flags else [])
 
     # the relations but the triangle laws, translated into each quotient,
     # where two of them may coincide
@@ -511,7 +457,7 @@ def _section_map(meta, lifts, equivalence):
         """The vertical generator over the (0, y) gap at ``at`` moved by
         ``move``, y its k-coordinate; None at y = 0."""
         c = {**at, **move}
-        return None if c["k"] == 0 else _name("k", {**c, "k": (0, c["k"])})
+        return None if c["k"] == 0 else _name("k", (0, c["k"]), c["m"], c["n"])
 
     def star(v):
         return adjoints[v][0]
@@ -544,7 +490,7 @@ def _section_map(meta, lifts, equivalence):
             # the (1, 2) gap at k = 2 routes through the covering cell T at lo,
             # and T at hi, (p;v) => q, through its mate (v*;p*) => q*
             g1, p, g2, q = conj(lo, k=1), conj(hi, k=1), conj(lo, k=2), conj(hi, k=2)
-            v = _name("k", {**hi, "k": (1, 2)})
+            v = _name("k", (1, 2), hi["m"], hi["n"])
             h1, h2 = _gen(d, {**at, "k": 1}), _gen(d, {**at, "k": 2})
             vp = ex.hpath(star(v), star(p))
             s1 = W(ex.hpath(H(g1), h1), unit(v), star(p))
@@ -562,11 +508,11 @@ def _section_map(meta, lifts, equivalence):
                 return ex.sgen(name)
             g1, g2 = conj(at, m=x, n=z), conj(at, m=x, n=z2)
             g3, g4 = conj(at, m=x2, n=z2), conj(at, m=x2, n=z)
-            s1 = W(ex.hpath(H(g1), H(_nname(at["n"], x, y))), counit(g2),
-                   ex.hpath(H(_mname(at["m"], y, z2)), star(g3)))
+            s1 = W(ex.hpath(H(g1), _cell("n", at["n"], x, y)), counit(g2),
+                   ex.hpath(_cell("m", at["m"], y, z2), star(g3)))
             s2 = W(H(g1), ex.sgen(name), star(g3))
-            s3 = W(ex.hpath(H(g1), H(_mname(at["m"], y, z))), ex.sinv_v(counit(g4)),
-                   ex.hpath(H(_nname(at["n"], x2, y)), star(g3)))
+            s3 = W(ex.hpath(H(g1), _cell("m", at["m"], y, z)), ex.sinv_v(counit(g4)),
+                   ex.hpath(_cell("n", at["n"], x2, y), star(g3)))
             return ex.svcomp(s1, ex.svcomp(s2, s3))
         if tag == "T":
             g2 = conj(at, k=2)
@@ -602,10 +548,6 @@ def _reduce(expression):
         if b2[0] == "hid":
             return a
         return (tag, a, b2)
-    if tag == "sid_h":
-        return (tag, parts[0])
-    if tag == "sid_v":
-        return (tag, parts[0])
     if tag == "shcomp":
         a, b2 = parts
         if a[0] == "sid_h" and a[1][0] == "hid":
@@ -669,7 +611,7 @@ def _translate(variant, level, e):
     if variant == "lsim":
         if sort == "v":
             return _tr_v_as_h(e)
-        return _tr_sq_lsim(x_presentation(*level)[0], e) if sort == "s" else e
+        return _conjugate(x_presentation(*level)[0], e)[0] if sort == "s" else e
     return e
 
 

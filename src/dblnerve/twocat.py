@@ -10,7 +10,7 @@ whiskering or else checked on every composable grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 from .cat import (
@@ -33,29 +33,23 @@ def id2_of(one: str) -> str:
     return f"id2:{one}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteTwoCategory(CellAlgebra):
     objects: tuple[str, ...]
     one_cells: tuple[str, ...]
     two_cells: tuple[str, ...]
-    one_src: dict[str, str] = field(hash=False)
-    one_tgt: dict[str, str] = field(hash=False)
-    two_src: dict[str, str] = field(hash=False)  # 2-cell -> source 1-cell
-    two_tgt: dict[str, str] = field(hash=False)
-    id1: dict[str, str] = field(hash=False)  # object -> 1-cell
-    id2: dict[str, str] = field(hash=False)  # 1-cell -> 2-cell
-    hcomp1: dict[tuple[str, str], str] = field(hash=False)
-    vcomp2: dict[tuple[str, str], str] = field(hash=False)
-    hcomp2: dict[tuple[str, str], str] = field(hash=False)
+    one_src: dict[str, str]
+    one_tgt: dict[str, str]
+    two_src: dict[str, str]  # 2-cell -> source 1-cell
+    two_tgt: dict[str, str]
+    id1: dict[str, str]  # object -> 1-cell
+    id2: dict[str, str]  # 1-cell -> 2-cell
+    hcomp1: dict[tuple[str, str], str]
+    vcomp2: dict[tuple[str, str], str]
+    hcomp2: dict[tuple[str, str], str]
 
     # a 2-cell's left and right sides are the objects at the ends of its source
     CELLS = {"h": "one_cells", "v": "objects", "sq": "two_cells"}
-
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
 
     # -- cell-algebra protocol (see expr) ------------------------------
     def h_src(self, f):
@@ -338,16 +332,13 @@ def assemble_two_category(
     return cat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoFunctor:
     source: FiniteTwoCategory
     target: FiniteTwoCategory
-    object_map: dict[str, str] = field(hash=False)
-    one_map: dict[str, str] = field(hash=False)
-    two_map: dict[str, str] = field(hash=False)
-
-    def __hash__(self):
-        return id(self)
+    object_map: dict[str, str]
+    one_map: dict[str, str]
+    two_map: dict[str, str]
 
     def compose_with(self, other: "TwoFunctor") -> "TwoFunctor":
         """self followed by other."""

@@ -131,3 +131,14 @@ def test_a_map_entry_naming_no_source_cell_is_rejected(name, i):
     validate = KINDS[_kind(source)][0]
     with pytest.raises(DanglingReference, match="zz-not-a-cell"):
         validate(source, target, *maps[:i], part, *maps[i + 1:])
+
+
+@pytest.mark.parametrize("name", ["identity:iso-category", "identity:iso", "identity:free-square"])
+def test_a_functor_equals_only_itself(name):
+    """A functor hashes by identity, so it compares by identity: two
+    validations of one identity functor are unequal, each equals itself,
+    and a set holds both."""
+    source, target, maps = _functors()[name]
+    first, second = (KINDS[_kind(source)][0](source, target, *maps) for _ in range(2))
+    assert first == first and second == second
+    assert first != second and len({first, second}) == 2

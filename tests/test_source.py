@@ -96,6 +96,51 @@ def test_every_module_reads_what_it_imports():
     assert found == []
 
 
+def dataclass_value_methods(tree):
+    """(class, method) for each ``__hash__`` or ``__eq__`` that the body of a
+    ``@dataclass`` class defines or assigns."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list):
+            continue
+        for item in node.body:
+            if isinstance(item, FUNCTIONS):
+                names = [item.name]
+            else:
+                names = [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)]
+            yield from ((node.name, name) for name in names if name in ("__hash__", "__eq__"))
+
+
+def test_dataclass_value_methods_are_flagged():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    def __hash__(self):\n"
+        "        return id(self)\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    __eq__ = object.__eq__\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class C:\n"
+        "    def __repr__(self):\n"
+        "        return 'C'\n"
+        "class D:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n")
+    assert list(dataclass_value_methods(tree)) == [("A", "__hash__"), ("B", "__eq__")]
+
+
+def test_no_dataclass_defines_its_own_hash_or_equality():
+    """A record compared by identity declares ``eq=False`` and keeps the
+    hash and equality of ``object``; a ``__hash__`` of its own beside the
+    generated ``__eq__`` broke the rule that equal objects hash equally."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.stem}.{cls}.{name}" for cls, name in dataclass_value_methods(tree)]
+    assert found == []
+
+
 def module_definitions(tree):
     """The names a module defines at its top level: functions, classes and
     assigned names."""

@@ -14,6 +14,7 @@ from dblnerve.nerve import (
     dbl_nerve_level,
     two_nerve_degeneracy,
     two_nerve_face,
+    two_nerve_level,
 )
 from dblnerve.tensor import level_map, lx_presentations
 
@@ -82,6 +83,30 @@ def test_quotient_faces_and_degeneracies_commute_with_the_double_route(iso2, arr
                     assert project[up](lifted) == degeneracy, (level, j)
                     checks += 1
     assert checks == 5106
+
+
+def test_a_conjugated_pasting_has_the_boundary_conjugation_reports(iso2, tri2):
+    """Each square-sorted relation side of the double presentation, at every
+    level the default budget decides through ``hsim`` (m + k + n ≤ 4 in
+    ``iso``, ≤ 3 in ``tri-invertible``), evaluated on up to eight rows of
+    that level: the 2-cell ``_conjugate`` returns goes from top·right to
+    left·bottom of the boundary it returns beside it."""
+    checks = 0
+    for cat, deepest in ((iso2, 4), (tri2, 3)):
+        for level in (level for level in LEVELS if sum(level) <= deepest):
+            xp = tensor.x_presentation(*level)[0]
+            sides = [side for idx, pair in enumerate(xp.relations)
+                     if idx not in xp.expansion_relations for side in pair if side[0][0] == "s"]
+            rows = two_nerve_level(cat, "hsim", *level, check_bijection=False)
+            for row in rows.elements[::max(1, len(rows.elements) // 8)]:
+                env = dict(zip(rows.keys, row))
+                for side in sides:
+                    cell, top, bottom, left, right = tensor._conjugate(xp, side)
+                    value = ex.evaluate(cat, cell, env)
+                    assert cat.s_top(value) == ex.evaluate(cat, ex.hcomp(top, right), env), side
+                    assert cat.s_bottom(value) == ex.evaluate(cat, ex.hcomp(left, bottom), env), side
+                    checks += 1
+    assert checks == 848
 
 
 def test_a_level_map_names_an_unknown_variant_or_direction():
