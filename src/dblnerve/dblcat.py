@@ -487,19 +487,15 @@ def equivalence_embed(cat2: FiniteTwoCategory) -> FiniteDoubleCategory:
                         sq_data[name] = (f, f2, uq, vq, alpha)
                         by_data[(f, f2, vname[uq], vname[vq], alpha)] = name
 
-    def square_of(f, f2, u, v, alpha):
-        return by_data[(f, f2, u, v, alpha)]
-
     e_sq = {}
     for f in cat2.one_cells:
         a, b = cat2.one_src[f], cat2.one_tgt[f]
-        e_sq[f] = square_of(f, f, idv[a], idv[b], cat2.id2[f])
+        e_sq[f] = by_data[(f, f, idv[a], idv[b], cat2.id2[f])]
     i_sq = {}
     for quad in quads:
         a, b = cat2.one_src[quad[0]], cat2.one_tgt[quad[0]]
-        i_sq[vname[quad]] = square_of(
-            cat2.id1[a], cat2.id1[b], vname[quad], vname[quad], cat2.id2[quad[0]]
-        )
+        i_sq[vname[quad]] = by_data[
+            (cat2.id1[a], cat2.id1[b], vname[quad], vname[quad], cat2.id2[quad[0]])]
 
     hcomp_sq, vcomp_sq = {}, {}
     for s, (f, f2, uq, vq, alpha) in sq_data.items():
@@ -509,28 +505,18 @@ def equivalence_embed(cat2: FiniteTwoCategory) -> FiniteDoubleCategory:
                     cat2.hcomp2[(cat2.id2[g2], alpha)],
                     cat2.hcomp2[(beta, cat2.id2[f])],
                 )]
-                hcomp_sq[(t, s)] = square_of(
-                    cat2.hcomp1[(g, f)], cat2.hcomp1[(g2, f2)],
-                    vname[uq], vname[wq], cell,
-                )
+                hcomp_sq[(t, s)] = by_data[(cat2.hcomp1[(g, f)], cat2.hcomp1[(g2, f2)],
+                                            vname[uq], vname[wq], cell)]
     for s, (f, f2, uq, vq, alpha) in sq_data.items():
         for t, (g, g2, uq2, vq2, beta) in sq_data.items():
             if g != f2:
-                continue
-            if cat2.one_tgt[uq[0]] != cat2.one_src[uq2[0]]:
-                continue
-            if cat2.one_tgt[vq[0]] != cat2.one_src[vq2[0]]:
                 continue
             cell = cat2.vcomp2[(
                 cat2.hcomp2[(beta, cat2.id2[uq[0]])],
                 cat2.hcomp2[(cat2.id2[vq2[0]], alpha)],
             )]
-            vcomp_sq[(t, s)] = square_of(
-                f, g2,
-                vcomp_v[(vname[uq2], vname[uq])],
-                vcomp_v[(vname[vq2], vname[vq])],
-                cell,
-            )
+            vcomp_sq[(t, s)] = by_data[(f, g2, vcomp_v[(vname[uq2], vname[uq])],
+                                        vcomp_v[(vname[vq2], vname[vq])], cell)]
 
     dbl = assemble_double_category(
         objects, h_bounds, v_bounds, sq_bounds, idh, idv, e_sq, i_sq,

@@ -14,8 +14,9 @@ generator names of its presentation, and its elements as rows, their
 images in that order; both routes build their rows in the same key
 order, so agreement is literal equality of the sorted rows.  The oracle
 builds each level's rows in one layout of its own, checked once against
-the level's keys and reordered into them.  Faces and degeneracies pull
-rows back along the level maps (``PresentationMorphism.pullback``).  A
+the level's keys and reordered into them.  Faces and degeneracies, the
+grid's and the 2-categorical nerve's, take one path (``_simplicial``):
+rows pull back along the operator's level or oriental map.  A
 2-category's level, a quotient's, is the double level of its embedding
 projected onto the quotient's keys (``_projection``), one row per row.
 
@@ -27,7 +28,7 @@ fibrancy check runs none of them and a nerve level runs no ``pseudohom``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import pairwise, product
 from operator import itemgetter
 
@@ -72,36 +73,39 @@ def dbl_nerve_level(dbl: FiniteDoubleCategory, m: int, k: int, n: int,
 
 def dbl_nerve_face(dbl, level, direction, i, element):
     """d_i on a row of ``level``, by pullback."""
-    return _simplicial(dbl, "x", level, direction, i, element, face=True)
+    return _simplicial(dbl, partial(tensor.level_map, "x", direction), level, direction, i,
+                       element, face=True)
 
 
 def dbl_nerve_degeneracy(dbl, level, direction, j, element):
     """s_j on a row of ``level``."""
-    return _simplicial(dbl, "x", level, direction, j, element, face=False)
+    return _simplicial(dbl, partial(tensor.level_map, "x", direction), level, direction, j,
+                       element, face=False)
 
 
 def two_nerve_face(cat2, variant, level, direction, i, element):
-    quotient = named(_QUOTIENT, variant, "variant")
-    return _simplicial(cat2, quotient, level, direction, i, element, face=True)
+    operator_map = partial(tensor.level_map, named(_QUOTIENT, variant, "variant"), direction)
+    return _simplicial(cat2, operator_map, level, direction, i, element, face=True)
 
 
 def two_nerve_degeneracy(cat2, variant, level, direction, j, element):
-    quotient = named(_QUOTIENT, variant, "variant")
-    return _simplicial(cat2, quotient, level, direction, j, element, face=False)
+    operator_map = partial(tensor.level_map, named(_QUOTIENT, variant, "variant"), direction)
+    return _simplicial(cat2, operator_map, level, direction, j, element, face=False)
 
 
-def _simplicial(alg, variant, level, direction, i, element, face):
-    """d_i (``face``) or s_i on a row of ``level``, by pullback along the
-    ``variant`` level map of the cosimplicial operator.  RangeExceeded
-    unless 0 ≤ i ≤ the level's size in ``direction`` and the level it lands
-    on is on the grid."""
+def _simplicial(alg, operator_map, level, direction, i, element, face):
+    """d_i (``face``) or s_i on a row of ``level``, by pullback along
+    ``operator_map(alpha, src, level)``, the level map (``tensor.level_map``)
+    or oriental map (``_oriental_map``) of the cosimplicial operator ``alpha``
+    from ``src``, where the row lands.  RangeExceeded unless 0 ≤ i ≤ the
+    level's size in ``direction`` and ``operator_map`` builds both levels."""
     src = _adjacent(level, direction, -1 if face else +1)
     axis = tensor.AXIS[direction]
     if not 0 <= i <= level[axis]:
         raise RangeExceeded(f"{'d' if face else 's'}_{i} on level {level} in direction "
                             f"{direction}: the index runs from 0 to {level[axis]}")
     alpha = shapes.coface(src[axis], i) if face else shapes.codegeneracy(level[axis], i)
-    return tensor.level_map(variant, direction, alpha, src, level).pullback(alg)(element)
+    return operator_map(tuple(alpha), src, level).pullback(alg)(element)
 
 
 def _adjacent(level, direction, delta):
@@ -412,31 +416,20 @@ def n2_simplices(cat2: FiniteTwoCategory, n: int, budget: int | None = None) -> 
 
 def n2_face(cat2, n, i, element):
     """d_i on a row of level n of ``n2_simplices``."""
-    _n2_operator(n, i, n - 1)
-    return _n2_face_map(n, i).pullback(cat2)(element)
+    return _simplicial(cat2, _oriental_map, (0, 0, n), "n", i, element, face=True)
 
 
 def n2_degeneracy(cat2, n, j, element):
     """s_j on a row of level n of ``n2_simplices``."""
-    _n2_operator(n, j, n + 1)
-    return _n2_degeneracy_map(n, j).pullback(cat2)(element)
-
-
-def _n2_operator(n, i, lands):
-    """RangeExceeded unless the operator with index ``i`` from level ``n``
-    to level ``lands`` has 0 ≤ i ≤ n and both levels in 0..N2_CAP."""
-    if not (0 <= i <= n <= N2_CAP and 0 <= lands <= N2_CAP):
-        raise RangeExceeded(f"an operator from level {n} to level {lands} with index {i}: "
-                            f"levels run from 0 to {N2_CAP} and the index from 0 to {n}")
+    return _simplicial(cat2, _oriental_map, (0, 0, n), "n", j, element, face=False)
 
 
 @cache
-def _n2_face_map(n, i):
-    """The oriental map behind d_i on level n, built once."""
-    return shapes.oriental_presentation_map(shapes.coface(n - 1, i), n - 1, n)
-
-
-@cache
-def _n2_degeneracy_map(n, j):
-    """The oriental map behind s_j on level n, built once."""
-    return shapes.oriental_presentation_map(shapes.codegeneracy(n, j), n + 1, n)
+def _oriental_map(alpha, src, tgt):
+    """The adjoint-oriental map of ``alpha`` between the levels (0, 0, n) of
+    the 2-categorical nerve at ``src`` and ``tgt``, built once;
+    RangeExceeded for a level above N2_CAP."""
+    if max(src[2], tgt[2]) > N2_CAP:
+        raise RangeExceeded(f"an operator from level {tgt[2]} to level {src[2]}: levels run "
+                            f"from 0 to {N2_CAP}")
+    return shapes.oriental_presentation_map(alpha, src[2], tgt[2])

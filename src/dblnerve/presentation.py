@@ -421,9 +421,11 @@ def substitute(expression, gen_map):
     )
 
 
-def identity_morphism(pres: Presentation) -> PresentationMorphism:
-    return PresentationMorphism(pres, pres,
-                                {g.name: (ex.LEAF_TAGS[g.sort], g.name) for g in pres.gens})
+def inclusion(source: Presentation, target: Presentation, **images) -> PresentationMorphism:
+    """The morphism sending each generator of ``source`` to its entry in
+    ``images``, or else to the generator of ``target`` of the same name."""
+    return PresentationMorphism(source, target, {
+        g.name: images.get(g.name, (ex.LEAF_TAGS[g.sort], g.name)) for g in source.gens})
 
 
 def adjoint_morphism(source: Presentation, target: Presentation, image_of) -> PresentationMorphism:

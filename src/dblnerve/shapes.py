@@ -8,8 +8,14 @@ categories, and the vertical double categories on them.
 Presented shapes: the adjoint family (all gap edges adjoint equivalences,
 covering cells invertible) with the maps between its levels, the
 free-living 2-categorical shapes, and the generating cofibrations of both
-model structures.  The three-directional tensor levels, their one-sided
-quotients and the comparison maps between those live in ``tensor``.
+model structures, each an inclusion of presentations
+(``presentation.inclusion``).  The three-directional tensor levels, their
+one-sided quotients and the comparison maps between those live in
+``tensor``.
+
+Which vertices, 1-cells and covering cells a variant has is decided once,
+by one presence rule (``_present``), which every builder of an oriental,
+materialized or presented, reads.
 """
 
 from __future__ import annotations
@@ -20,7 +26,13 @@ from itertools import combinations
 from . import expr as ex
 from .dblcat import FiniteDoubleCategory, vertical_embed
 from .errors import DanglingReference, RangeExceeded, monotone
-from .presentation import Presentation, PresentationBuilder, PresentationMorphism, adjoint_morphism
+from .presentation import (
+    Presentation,
+    PresentationBuilder,
+    PresentationMorphism,
+    adjoint_morphism,
+    inclusion,
+)
 from .twocat import FiniteTwoCategory, assemble_two_category, validate_two_functor
 
 # The largest n of the oriental families, materialized or presented.  On a
@@ -76,21 +88,11 @@ def oriental(n: int, invertible: bool = False) -> FiniteTwoCategory:
 
 @cache
 def _oriental(n, invertible):
-    objects = [str(i) for i in range(n + 1)]
-    one_bounds, id1 = {}, {}
-    homs = {}
-    for x in range(n + 1):
-        for y in range(x, n + 1):
-            subs = _interval_subsets(x, y)
-            homs[(x, y)] = subs
-            for s in subs:
-                one_bounds[_one_name(s)] = (str(x), str(y))
-        id1[str(x)] = _one_name((x,))
-
-    subset_of = {_one_name(s): s for (x, y), subs in homs.items() for s in subs}
+    vertices, homs, _ = _present(n, "full", None)
+    objects, one_bounds, id1, subset_of = _one_cells(vertices, homs)
 
     two_bounds, id2 = {}, {}
-    for (x, y), subs in homs.items():
+    for subs in homs.values():
         for lo in subs:
             for hi in subs:
                 if invertible or set(lo) <= set(hi):
@@ -116,32 +118,40 @@ def _oriental(n, invertible):
                                  _union_hcomp1(subset_of), vcomp2, hcomp2)
 
 
-def _variant_vertex_present(n, variant, t, x):
-    if variant == "full" or variant == "boundary":
-        return True
-    others = set(range(n + 1)) - {t, x}
-    return bool(others) or x == t
+def _core(lo, hi):
+    """The three-point core of the covering cell lo ⋖ hi: the point it adds
+    and that point's neighbours in hi."""
+    pos = hi.index((set(hi) - set(lo)).pop())
+    return hi[pos - 1:pos + 2]
 
 
-def _variant_gap_present(n, variant, t, a, b):
-    if variant == "full":
-        return True
-    if variant == "boundary":
-        return set(range(n + 1)) != {a, b}
-    return set(range(n + 1)) != {a, b} | {t}
+def _present(n, variant, t):
+    """The cells of a variant of the n-oriental: its vertices, its 1-cells
+    by end pair (x ≤ y, each hom in subset order) and its covering cells
+    lo ⋖ hi, in that order.  A vertex, gap or covering cell is present iff
+    its points (a covering cell's: its core, which is what generates it)
+    together with a horn's t are not every vertex, so that they lie in a
+    retained face; a boundary keeps every vertex.  A 1-cell is a subset all
+    of whose gaps are present."""
+    horn = {t} if variant == "horn" else set()
+
+    def kept(points):
+        return variant == "full" or set(points) | horn != set(range(n + 1))
+
+    vertices = [x for x in range(n + 1) if variant == "boundary" or kept({x})]
+    homs = {(x, y): [s for s in _interval_subsets(x, y) if all(map(kept, _jumps(s)))]
+            for x in vertices for y in vertices if x <= y}
+    covers = [(lo, hi) for subs in homs.values() for lo in subs for hi in subs
+              if set(lo) < set(hi) and len(hi) == len(lo) + 1 and kept(_core(lo, hi))]
+    return vertices, homs, covers
 
 
-def _variant_cover_present(n, variant, t, lo, hi):
-    """A covering cell lo ⋖ hi is generated by the faces iff its three-point
-    core avoids some retained face."""
-    added = (set(hi) - set(lo)).pop()
-    pos = hi.index(added)
-    core = {hi[pos - 1], added, hi[pos + 1]}
-    if variant == "full":
-        return True
-    if variant == "boundary":
-        return core != set(range(n + 1))
-    return core | {t} != set(range(n + 1))
+def _one_cells(vertices, homs):
+    """The objects, 1-cell bounds and identities of a variant, and the
+    subset of each 1-cell by name."""
+    subset_of = {_one_name(s): s for subs in homs.values() for s in subs}
+    return ([str(x) for x in vertices], {f: (str(s[0]), str(s[-1])) for f, s in subset_of.items()},
+            {str(x): _one_name((x,)) for x in vertices}, subset_of)
 
 
 def oriental_variant(family: str, n: int, variant: str, t: int | None = None):
@@ -180,55 +190,28 @@ def oriental_variant(family: str, n: int, variant: str, t: int | None = None):
 
 
 def _materialize_variant(n, variant, t, invertible):
-    objects = [str(x) for x in range(n + 1) if _variant_vertex_present(n, variant, t, x)]
-    vertex_ok = {int(o) for o in objects}
-
-    def one_present(subset):
-        if len(subset) == 1:
-            return subset[0] in vertex_ok
-        return all(_variant_gap_present(n, variant, t, a, b) for a, b in _jumps(subset))
-
-    one_bounds, id1, subset_of = {}, {}, {}
-    for x in sorted(vertex_ok):
-        for y in sorted(vertex_ok):
-            if y < x:
-                continue
-            for s in _interval_subsets(x, y):
-                if one_present(s):
-                    one_bounds[_one_name(s)] = (str(x), str(y))
-                    subset_of[_one_name(s)] = s
-        id1[str(x)] = _one_name((x,))
-
-    covers = {}
-    for s in subset_of.values():
-        for u in subset_of.values():
-            if set(s) < set(u) and len(u) == len(s) + 1 and s[0] == u[0] and s[-1] == u[-1]:
-                if _variant_cover_present(n, variant, t, s, u):
-                    covers.setdefault((s[0], s[-1]), []).append((s, u))
-
-    if invertible and any(covers.values()):
-        raise RangeExceeded("inverted non-full variants with 2-cells are presented, not materialized")
+    vertices, homs, covers = _present(n, variant, t)
+    if invertible and covers:
+        raise RangeExceeded("inverted non-full variants with 2-cells are presented, "
+                            "not materialized")
+    objects, one_bounds, id1, subset_of = _one_cells(vertices, homs)
+    up = {}
+    for lo, hi in covers:
+        up.setdefault(lo, []).append(hi)
 
     # hom 2-cells are edge paths in the cover graph (free: the n=3 diamond
     # relation is exactly what boundaries and horns omit)
     two_bounds, id2 = {}, {}
     path_cells = {}
-    for x in sorted(vertex_ok):
-        for y in sorted(vertex_ok):
-            if y < x:
-                continue
-            starts = [s for s in subset_of.values() if s[0] == x and s[-1] == y]
-            for start in starts:
-                stack = [(start, ())]
-                while stack:
-                    cur, path = stack.pop()
-                    name = _path_name(start, path)
-                    if name not in two_bounds:
-                        two_bounds[name] = (_one_name(start), _one_name(cur))
-                        path_cells[name] = (start, cur, path)
-                        for (lo, hi) in covers.get((x, y), []):
-                            if lo == cur:
-                                stack.append((hi, path + ((lo, hi),)))
+    for start in subset_of.values():
+        stack = [(start, ())]
+        while stack:
+            cur, path = stack.pop()
+            name = _path_name(start, path)
+            if name not in two_bounds:
+                two_bounds[name] = (_one_name(start), _one_name(cur))
+                path_cells[name] = (start, cur, path)
+                stack.extend((hi, path + ((cur, hi),)) for hi in up.get(cur, []))
     for f, s in subset_of.items():
         id2[f] = _path_name(s, ())
 
@@ -288,38 +271,22 @@ def _oriental_presentation(n, variant, t, adjoint) -> Presentation:
     _check_cap(n)
     label = f"oriental-pres({n},{variant},{t},{'adj' if adjoint else ''}inv)"
     b = PresentationBuilder("two", label)
-    vertices = [x for x in range(n + 1) if _variant_vertex_present(n, variant, t, x)]
+    vertices, homs, covers = _present(n, variant, t)
     for x in vertices:
         b.add_object(str(x))
-    gaps = []
-    for a in vertices:
-        for c in vertices:
-            if a < c and _variant_gap_present(n, variant, t, a, c):
-                gaps.append((a, c))
-                b.add_hgen(_one_name((a, c)), ex.ogen(str(a)), ex.ogen(str(c)), adjoint=adjoint)
-
-    covers = []
-    for a, c in [(a, c) for a in vertices for c in vertices if a < c]:
-        subs = [s for s in _interval_subsets(a, c) if all(j in gaps for j in _jumps(s))]
-        for lo in subs:
-            for hi in subs:
-                if set(lo) < set(hi) and len(hi) == len(lo) + 1:
-                    if _variant_cover_present(n, variant, t, lo, hi):
-                        covers.append((lo, hi))
-                        b.add_cell2(_two_name(lo, hi), _subset_expr(lo), _subset_expr(hi),
-                                    ("invertible",))
+    for a, c in (s for subs in homs.values() for s in subs if len(s) == 2):
+        b.add_hgen(_one_name((a, c)), ex.ogen(str(a)), ex.ogen(str(c)), adjoint=adjoint)
+    for lo, hi in covers:
+        b.add_cell2(_two_name(lo, hi), _subset_expr(lo), _subset_expr(hi), ("invertible",))
 
     # non-basic covers are whiskers of their three-point core
     for lo, hi in covers:
-        added = (set(hi) - set(lo)).pop()
-        pos = hi.index(added)
-        core_lo = (hi[pos - 1], hi[pos + 1])
-        core_hi = (hi[pos - 1], added, hi[pos + 1])
-        if core_hi == hi:
+        core = _core(lo, hi)
+        if core == hi:
             continue
-        prefix = tuple(v for v in lo if v <= core_lo[0])
-        suffix = tuple(v for v in lo if v >= core_lo[1])
-        whisker = ex.sgen(_two_name(core_lo, core_hi))
+        prefix = tuple(v for v in lo if v <= core[0])
+        suffix = tuple(v for v in lo if v >= core[2])
+        whisker = ex.sgen(_two_name((core[0], core[2]), core))
         if len(prefix) > 1:
             whisker = ex.shcomp(ex.sid_h(_subset_expr(prefix)), whisker)
         if len(suffix) > 1:
@@ -329,18 +296,12 @@ def _oriental_presentation(n, variant, t, adjoint) -> Presentation:
     if variant == "full":
         for lo, _ in covers:
             ups = sorted(set(hi for l2, hi in covers if l2 == lo))
-            for h1 in ups:
-                for h2 in ups:
-                    if h1 >= h2:
-                        continue
-                    top = _union(h1, h2)
-                    if len(top) != len(lo) + 2:
-                        continue
-                    if (h1, top) in covers and (h2, top) in covers:
-                        b.add_relation(
-                            ex.svcomp(ex.sgen(_two_name(lo, h1)), ex.sgen(_two_name(h1, top))),
-                            ex.svcomp(ex.sgen(_two_name(lo, h2)), ex.sgen(_two_name(h2, top))),
-                        )
+            for h1, h2 in combinations(ups, 2):
+                top = _union(h1, h2)
+                b.add_relation(
+                    ex.svcomp(ex.sgen(_two_name(lo, h1)), ex.sgen(_two_name(h1, top))),
+                    ex.svcomp(ex.sgen(_two_name(lo, h2)), ex.sgen(_two_name(h2, top))),
+                )
     return b.build()
 
 
@@ -510,50 +471,28 @@ def square_presentation(n_squares: int) -> Presentation:
 
 def generating_cofibrations_dbl() -> dict[str, PresentationMorphism]:
     """The five generating cofibrations of the double-categorical model
-    structure, as presentation morphisms."""
-    point = _point_presentation("double")
-    two_pts = _two_points("double")
-    h_arrow = _free_hmor("double")
-    v_arrow = free_vmor_presentation()
-    boundary = square_presentation(0)
-    square = square_presentation(1)
-    parallel = square_presentation(2)
-    incl = {
-        "I1": PresentationMorphism(_empty_presentation("double"), point, {}),
-        "I2": PresentationMorphism(two_pts, h_arrow, {"a": ex.ogen("a"), "b": ex.ogen("b")}),
-        "I3": PresentationMorphism(two_pts, v_arrow, {"a": ex.ogen("a"), "b": ex.ogen("b")}),
-        "I4": PresentationMorphism(
-            boundary, square,
-            {"00": ex.ogen("00"), "10": ex.ogen("10"), "01": ex.ogen("01"), "11": ex.ogen("11"),
-             "f": ex.hgen("f"), "f'": ex.hgen("f'"), "u": ex.vgen("u"), "v": ex.vgen("v")},
-        ),
-        "I5": PresentationMorphism(
-            parallel, square,
-            {"00": ex.ogen("00"), "10": ex.ogen("10"), "01": ex.ogen("01"), "11": ex.ogen("11"),
-             "f": ex.hgen("f"), "f'": ex.hgen("f'"), "u": ex.vgen("u"), "v": ex.vgen("v"),
-             "s1": ex.sgen("s"), "s2": ex.sgen("s")},
-        ),
+    structure, as inclusions of presentations; I5 also identifies the two
+    parallel squares."""
+    two_pts, square = _two_points("double"), square_presentation(1)
+    return {
+        "I1": inclusion(_empty_presentation("double"), _point_presentation("double")),
+        "I2": inclusion(two_pts, _free_hmor("double")),
+        "I3": inclusion(two_pts, free_vmor_presentation()),
+        "I4": inclusion(square_presentation(0), square),
+        "I5": inclusion(square_presentation(2), square, s1=ex.sgen("s"), s2=ex.sgen("s")),
     }
-    return incl
 
 
 def generating_cofibrations_two() -> dict[str, PresentationMorphism]:
-    """Lack's generating cofibrations (I2 set) and trivial cofibrations (J2)."""
-    point = _point_presentation("two")
-    two_pts = _two_points("two")
-    arrow = _free_hmor("two")
-    c_shape = shape_2cat("C")
-    dc = shape_2cat("dC")
-    c2 = shape_2cat("C2")
-    c_inv = shape_2cat("C_inv")
-    e_adj = shape_2cat("E_adj")
-    base = {"a": ex.ogen("a"), "b": ex.ogen("b"), "f": ex.hgen("f"), "g": ex.hgen("g")}
+    """Lack's generating cofibrations (I2 set) and trivial cofibrations (J2),
+    as inclusions of presentations; i4 also identifies the two parallel
+    2-cells."""
+    point, arrow, c_shape = _point_presentation("two"), _free_hmor("two"), shape_2cat("C")
     return {
-        "i1": PresentationMorphism(_empty_presentation("two"), point, {}),
-        "i2": PresentationMorphism(two_pts, arrow, {"a": ex.ogen("a"), "b": ex.ogen("b")}),
-        "i3": PresentationMorphism(dc, c_shape, dict(base)),
-        "i4": PresentationMorphism(c2, c_shape, dict(base, c1=ex.sgen("c"), c2=ex.sgen("c"))),
-        "j1": PresentationMorphism(point, e_adj, {"a": ex.ogen("a")}),
-        "j2": PresentationMorphism(arrow, c_inv,
-                                   {"a": ex.ogen("a"), "b": ex.ogen("b"), "f": ex.hgen("f")}),
+        "i1": inclusion(_empty_presentation("two"), point),
+        "i2": inclusion(_two_points("two"), arrow),
+        "i3": inclusion(shape_2cat("dC"), c_shape),
+        "i4": inclusion(shape_2cat("C2"), c_shape, c1=ex.sgen("c"), c2=ex.sgen("c")),
+        "j1": inclusion(point, shape_2cat("E_adj")),
+        "j2": inclusion(arrow, shape_2cat("C_inv")),
     }

@@ -14,7 +14,8 @@ same cells built without any relation search.
 
 The m- and n-directions are both horizontal over the vertical
 k-direction, so their generators, naturality squares (A against B),
-covering cells (M against N) and section images are written once, over
+covering cells (M against N), the covering cells' laws against the
+interchangers X (``against_x``) and section images are written once, over
 one coordinate table (``_AXES``).  One rule, ``_name``, names every
 generator: its kind's letter, then the point or gap it occupies in each
 direction of the table, joined by dots.
@@ -212,27 +213,29 @@ def _x_presentation(m, k, n):
         for ngap, x in product(ngaps, range(m + 1)):
             against_t("n", {"n": ngap, "m": x})
 
-    # n-direction transformations against the m-covering cell
+    size = {"m": m, "n": n}
+
+    def against_x(d, e):
+        """The d-direction covering cell against the interchangers over each
+        gap in direction e.  X runs from "n then m" to "m then n", so against
+        the n-cover the two whiskered covers change places, and so do the
+        two X-factors."""
+        for (p, p2), y in product(_gaps(size[e]), range(k + 1)):
+            at = {e: (p, p2), "k": y}
+            covers = [ex.shcomp(_gen(d.upper(), {**at, e: p}), sh(_gen(e, {**at, d: 2}))),
+                      ex.shcomp(sh(_gen(e, {**at, d: 0})), _gen(d.upper(), {**at, e: p2}))]
+            xs = [ex.shcomp(_gen("X", {**at, d: (0, 1)}), sh(_gen(d, {**at, d: (1, 2), e: p2}))),
+                  ex.shcomp(sh(_gen(d, {**at, d: (0, 1), e: p})), _gen("X", {**at, d: (1, 2)}))]
+            if d == "n":
+                covers.reverse()
+                xs.reverse()
+            b.add_relation(ex.svcomp(_gen("X", {**at, d: (0, 2)}), covers[0]),
+                           ex.svcomp(covers[1], ex.svcomp(*xs)))
+
     if m == 2:
-        for ngap in ngaps:
-            for y in range(k + 1):
-                z, z2 = ngap
-                lhs = ex.svcomp(
-                    _cell("X", (0, 2), ngap, y),
-                    ex.shcomp(_cell("M", y, z), sh(_cell("n", ngap, 2, y))),
-                )
-                psi_chain = ex.svcomp(
-                    ex.shcomp(_cell("X", (0, 1), ngap, y), sh(_cell("m", (1, 2), y, z2))),
-                    ex.shcomp(sh(_cell("m", (0, 1), y, z)), _cell("X", (1, 2), ngap, y)),
-                )
-                rhs = ex.svcomp(
-                    ex.shcomp(sh(_cell("n", ngap, 0, y)), _cell("M", y, z2)),
-                    psi_chain,
-                )
-                b.add_relation(lhs, rhs)
+        against_x("m", "n")
 
     # m- and n-covering modifications against the k-direction verticals
-    size = {"m": m, "n": n}
     for d, e in ("mn", "nm"):
         if size[d] < 2:
             continue
@@ -246,24 +249,8 @@ def _x_presentation(m, k, n):
             )
             b.add_relation(lhs, rhs)
 
-    # n-covering modification against the m-direction generators
     if n == 2:
-        for mgap in mgaps:
-            for y in range(k + 1):
-                x, x2 = mgap
-                lhs = ex.svcomp(
-                    _cell("X", mgap, (0, 2), y),
-                    ex.shcomp(sh(_cell("m", mgap, y, 0)), _cell("N", x2, y)),
-                )
-                composite = ex.svcomp(
-                    ex.shcomp(sh(_cell("n", (0, 1), x, y)), _cell("X", mgap, (1, 2), y)),
-                    ex.shcomp(_cell("X", mgap, (0, 1), y), sh(_cell("n", (1, 2), x2, y))),
-                )
-                rhs = ex.svcomp(
-                    ex.shcomp(_cell("N", x, y), sh(_cell("m", mgap, y, 2))),
-                    composite,
-                )
-                b.add_relation(lhs, rhs)
+        against_x("n", "m")
 
     return b.build(), meta
 

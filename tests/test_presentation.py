@@ -21,7 +21,7 @@ from dblnerve.presentation import (
     enumerate_canonical,
     enumerate_functors,
     has_rlp,
-    identity_morphism,
+    inclusion,
 )
 from dblnerve.shapes import (
     generating_cofibrations_dbl,
@@ -57,7 +57,7 @@ def test_adjoint_morphism_sends_the_expansion_after_its_base():
     assert e_adj.gen("f").adjoint == ("f*", "f.unit", "f.counit")
     assert [g.name for g in e_adj.gens if g.adjoint] == ["f"]
     same = adjoint_morphism(e_adj, e_adj, lambda g: (ex.LEAF_TAGS[g.sort], g.name))
-    assert same.gen_map == identity_morphism(e_adj).gen_map
+    assert same.gen_map == inclusion(e_adj, e_adj).gen_map
     b = PresentationBuilder("two", "point")
     b.add_object("a")
     a = ex.ogen("a")
@@ -212,7 +212,8 @@ def test_rlp_against_identity_morphism(square_dbl):
     )
     from dblnerve.shapes import square_presentation
 
-    self_map = identity_morphism(square_presentation(1))
+    square = square_presentation(1)
+    self_map = inclusion(square, square)
     assert has_rlp(ident, self_map)[0] is True
 
 

@@ -19,7 +19,7 @@ from dblnerve.pseudohom import (
     pseudo_hom,
     restriction,
 )
-from dblnerve.shapes import v_oriental_inv
+from dblnerve.shapes import oriental_inv, v_oriental_inv
 from dblnerve.cat import validate_category
 from dblnerve.standard import chain_category, locally_discrete, sign_loop_two_category
 
@@ -241,6 +241,88 @@ def test_functor_search_matches_brute_force(dom_name, corpus_files, loop_targets
         searched = [_functor_key(F) for F in enumerate_double_functors_concrete(dom, cod)]
         reference = sorted(_functor_key(F) for F in _brute_force_functors(dom, cod))
         assert searched == reference, (dom_name, label)
+
+
+def _transformations_by_definition(dom, cod, F, G):
+    """Independent reference: the rows of the transformations F => G, their
+    components at the objects, then the free vertical, then the free
+    horizontal morphisms of ``dom``, by brute force over the raw tables.
+    Each candidate has the boundaries of a component, a horizontal one
+    vertically invertible, and the component at an identity is the unit
+    square of its object's component.  It is kept when vertical
+    functoriality, pseudo-functoriality and naturality hold as defined.
+    Also returns how many candidates pseudo-functoriality alone rejects."""
+    free_v = sorted(u for u in dom.vmors if u not in dom.idv.values())
+    free_h = sorted(f for f in dom.hmors if f not in dom.idh.values())
+
+    def boundary(s):
+        return cod.stop[s], cod.sbottom[s], cod.sleft[s], cod.sright[s]
+
+    def invertible(s):
+        return any(cod.vcomp_sq.get((r, s)) == cod.e_sq[cod.stop[s]]
+                   and cod.vcomp_sq.get((s, r)) == cod.e_sq[cod.sbottom[s]] for r in cod.squares)
+
+    def then(f, g):
+        return cod.hcomp_h[(g, f)]
+
+    rows, rejected = [], 0
+    for objs in product(*[[h for h in cod.hmors if (cod.hsrc[h], cod.htgt[h])
+                           == (F.object_map[a], G.object_map[a])] for a in dom.objects]):
+        t = dict(zip(dom.objects, objs))
+        v_options = [[s for s in cod.squares if boundary(s) == (
+            t[dom.vsrc[u]], t[dom.vtgt[u]], F.v_map[u], G.v_map[u])] for u in free_v]
+        h_options = [[s for s in cod.squares if invertible(s) and boundary(s) == (
+            then(t[dom.hsrc[f]], G.h_map[f]), then(F.h_map[f], t[dom.htgt[f]]),
+            cod.idv[F.object_map[dom.hsrc[f]]], cod.idv[G.object_map[dom.htgt[f]]])]
+            for f in free_h]
+        for vs, hs in product(product(*v_options), product(*h_options)):
+            at_v = {dom.idv[a]: cod.e_sq[t[a]] for a in dom.objects} | dict(zip(free_v, vs))
+            at_h = {dom.idh[a]: cod.e_sq[t[a]] for a in dom.objects} | dict(zip(free_h, hs))
+            vertical = all(cod.vcomp_sq[(at_v[w], at_v[u])] == at_v[z]
+                           for (w, u), z in dom.vcomp_v.items())
+            # t_f whiskered by G g, then F f whiskered by t_g, is t_(g f)
+            pseudo = all(cod.vcomp_sq[(cod.hcomp_sq[(at_h[g], cod.e_sq[F.h_map[f]])],
+                                       cod.hcomp_sq[(cod.e_sq[G.h_map[g]], at_h[f])])] == at_h[h]
+                         for (g, f), h in dom.hcomp_h.items())
+            # t at the top, then F s beside t at the right side, is t at the
+            # left side beside G s, then t at the bottom
+            natural = all(
+                cod.vcomp_sq[(cod.hcomp_sq[(at_v[dom.sright[s]], F.sq_map[s])], at_h[dom.stop[s]])]
+                == cod.vcomp_sq[(at_h[dom.sbottom[s]],
+                                 cod.hcomp_sq[(G.sq_map[s], at_v[dom.sleft[s]])])]
+                for s in dom.squares)
+            if vertical and natural and pseudo:
+                rows.append((*objs, *vs, *hs))
+            elif vertical and natural:
+                rejected += 1
+    return sorted(rows), rejected
+
+
+def test_pseudo_functoriality_matches_its_definition(h_iso, hsim_iso, tri2):
+    """Out of the chain 0 -> 1 -> 2, which has a composable pair of
+    non-identity horizontal morphisms, the transformations between each
+    pair of functors are the rows the definitions give.  Into the
+    tri-invertible embedding pseudo-functoriality rejects candidates that
+    the other conditions accept; into the invertible 2-oriental a square
+    whose whiskered factors were pasted in the other order has no
+    composite."""
+    dom = horizontal_embed(locally_discrete(chain_category(2)))
+    counts = {}
+    for label, cod in (("h-iso", h_iso), ("hsim-iso", hsim_iso), ("h-tri", horizontal_embed(tri2)),
+                       ("h-oriental", horizontal_embed(oriental_inv(2)))):
+        ph = pseudo_hom(dom, cod)
+        found = {}
+        for source, target, row in ph.keys.values():
+            if source in ph.functors:
+                found.setdefault((source, target), []).append(row)
+        rejected = 0
+        for (fname, F), (gname, G) in product(ph.functors.items(), repeat=2):
+            rows, rejections = _transformations_by_definition(dom, cod, F, G)
+            assert sorted(found.get((fname, gname), [])) == rows, (label, fname, gname)
+            rejected += rejections
+        counts[label] = (len(ph.functors), len(ph.transformations), rejected)
+    assert counts == {"h-iso": (8, 64, 0), "hsim-iso": (8, 64, 0), "h-tri": (9, 68, 4),
+                      "h-oriental": (12, 113, 0)}
 
 
 @pytest.mark.parametrize("cod_name, functors, transformations, modifications", [

@@ -1,12 +1,19 @@
-from itertools import combinations
+import hashlib
+import json
+from itertools import combinations, product
 
 import pytest
 
+from dblnerve import expr as ex
+from dblnerve import io
 from dblnerve.errors import RangeExceeded
 from dblnerve.presentation import Presentation, enumerate_functors
 from dblnerve.shapes import (
+    SHAPE_CAP,
     codegeneracy,
     coface,
+    generating_cofibrations_dbl,
+    generating_cofibrations_two,
     oriental,
     oriental_adjoint_presentation,
     oriental_functor,
@@ -120,6 +127,41 @@ def test_horn_cases():
     point = oriental_variant("plain", 1, "horn", 1)
     assert list(point.objects) == ["1"]
     assert oriental_variant("plain", 5, "horn", 2) is oriental(5)
+
+
+def _variant_cases():
+    """Every oriental variant up to the shape cap: each family, n ≤ 5, the
+    full shape, the boundary and, for n ≥ 1, every horn."""
+    for family, n in product(("plain", "inverted", "adjoint"), range(SHAPE_CAP + 1)):
+        yield family, n, "full", None
+        yield family, n, "boundary", None
+        yield from ((family, n, "horn", t) for t in range(n + 1) if n)
+
+
+def test_oriental_variants_are_pinned():
+    """sha256 of the serialized 96 oriental variants, computed when three
+    builders each decided which vertices, 1-cells and covering cells a
+    variant has.  None of them raises.  Nothing here may follow set order,
+    so the digest holds under any hash seed."""
+    doc = [[*case, io.dump(io.serialize(oriental_variant(*case)))] for case in _variant_cases()]
+    assert len(doc) == 96
+    dump = json.dumps(doc).encode()
+    assert hashlib.sha256(dump).hexdigest() == (
+        "ba59bf53bad474c8b555ff19e27f9f361e12288990359ab310d02e257e8add2c")
+
+
+def test_generating_cofibrations_are_pinned():
+    """sha256 of the source label, target label and generator map of each
+    of the 11 generating cofibrations, computed when their generator maps
+    were spelled out by hand."""
+    cofibs = {**generating_cofibrations_dbl(), **generating_cofibrations_two()}
+    doc = {name: [m.source.label, m.target.label,
+                  {gen: ex.to_json(image) for gen, image in m.gen_map.items()}]
+           for name, m in cofibs.items()}
+    assert len(doc) == 11
+    dump = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == (
+        "5b7c198f369f74f71be916f0cdff787a0210564f4a2bf36cb38760e1b3643476")
 
 
 def test_adjoint_variant_is_presented():

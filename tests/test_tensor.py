@@ -53,6 +53,22 @@ def test_quotients_and_comparison_maps_are_pinned():
         "016eb9147b07e19f1823542955f1f2b1519fb153f315f208e409a33f36f67269")
 
 
+def test_double_presentations_are_pinned():
+    """sha256 of the 27 levels' double presentations (their generators
+    with bounds, flags and adjoint records, relations, expansion indices,
+    key orders and search orders) and their generator metadata, computed
+    when the covering cells' laws against the interchanger were written
+    out once per direction.  Nothing here may follow set order, so the
+    digest holds under any hash seed."""
+    doc = []
+    for level in LEVELS:
+        xp, meta = tensor.x_presentation(*level)
+        doc.append([list(level), _presentation_doc(xp), meta])
+    dump = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == (
+        "c0a60545db7fe03a86d2cf2da19b1f58331a1ac9add824e0f9f4cb7f7ba3846f")
+
+
 def test_quotient_faces_and_degeneracies_commute_with_the_double_route(iso2, arrow2):
     """On the first 40 rows of every level with m + k + n ≤ 3 of the double
     route on both embeddings of ``iso`` and ``arrow``, the projection onto

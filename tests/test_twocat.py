@@ -9,6 +9,7 @@ from dblnerve.errors import BoundaryMismatch, NotAnEquivalence
 from dblnerve.standard import chain_category, locally_discrete, sign_loop_two_category
 from dblnerve.twocat import (
     is_biequivalence,
+    is_trivial_fibration_two,
     promote_equivalence,
     validate_two_category,
     validate_two_functor,
@@ -161,6 +162,28 @@ def test_endpoints_into_arrow_is_not_biequivalence(arrow2):
     verdict, reason = is_biequivalence(incl)
     assert verdict is False
     assert reason[0] == "morphism-not-reached"
+
+
+def test_each_failing_clause_names_its_failure(arrow2, point2):
+    """Each failing clause of the biequivalence and trivial-fibration
+    verdicts returns its own report, the tuple the ``bieq`` and ``segal``
+    commands print, on a functor that fails at that clause."""
+    sign = sign_loop_two_category()
+    point_id2 = point2.id2[point2.id1["0"]]
+    into_arrow = validate_two_functor(point2, arrow2, {"0": "0"}, {}, {})
+    conflating = validate_two_functor(sign, point2, {"*": "0"}, {}, {"t": point_id2})
+    into_sign = validate_two_functor(point2, sign, {"0": "*"}, {}, {})
+    endpoints = validate_two_functor(validate_two_category({"objects": ["a", "b"]}), arrow2,
+                                     {"a": "0", "b": "1"}, {}, {})
+    assert is_biequivalence(into_arrow) == (False, ("object-not-reached", "1"))
+    assert is_biequivalence(conflating) == (False, ("two-cells-conflated", "id:*", "id:*"))
+    assert is_biequivalence(into_sign) == (False, ("two-cell-not-reached", "t"))
+    assert is_trivial_fibration_two(into_arrow) == (False, ("object-not-hit", "1"))
+    assert is_trivial_fibration_two(endpoints) == (False, ("one-cell-not-hit", "a01", "a", "b"))
+    assert is_trivial_fibration_two(into_sign) == (
+        False, ("two-cell-fiber", "id:0", "id:0", "t", 0))
+    assert is_trivial_fibration_two(conflating) == (
+        False, ("two-cell-fiber", "id:*", "id:*", point_id2, 2))
 
 
 def test_biequivalences_compose(iso2, point2):

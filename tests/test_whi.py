@@ -1,7 +1,14 @@
 import pytest
 
-from dblnerve.dblcat import equivalence_embed, horizontal_embed, validate_double_functor
+from dblnerve.cat import validate_category
+from dblnerve.dblcat import (
+    equivalence_embed,
+    horizontal_embed,
+    validate_double_functor,
+    vertical_embed,
+)
 from dblnerve.errors import NotAdjoint, NotWhi
+from dblnerve.standard import locally_discrete, sign_loop_two_category
 from dblnerve.whi import (
     equivalence_hmors,
     horizontal_equivalences,
@@ -186,6 +193,26 @@ def test_identity_is_double_biequivalence_and_tfib(hsim_iso):
     ident = _identity_functor(hsim_iso)
     assert is_double_biequivalence(ident) == (True, None)
     assert is_trivial_fibration(ident) == (True, None)
+
+
+def test_each_failing_clause_of_the_double_biequivalence_names_its_failure(arrow2, point_dbl):
+    """Each failing clause of ``is_double_biequivalence`` returns its own
+    report, the tuple the ``dbl-bieq`` command prints, on a functor that
+    fails at that clause: an object no horizontal equivalence reaches, a
+    vertical morphism no whi square reaches, and two squares sent to one."""
+    z2 = validate_category({"objects": ["*"], "morphisms": [{"name": "g", "src": "*", "tgt": "*"}],
+                            "compose": [["g", "g", "id:*"]]})
+    into_arrow = validate_double_functor(point_dbl, horizontal_embed(arrow2),
+                                         {"0": "0"}, {}, {}, {})
+    into_loop = validate_double_functor(point_dbl, vertical_embed(locally_discrete(z2)),
+                                        {"0": "*"}, {}, {}, {})
+    unit = point_dbl.e_sq[point_dbl.idh["0"]]
+    conflating = validate_double_functor(horizontal_embed(sign_loop_two_category()), point_dbl,
+                                         {"*": "0"}, {}, {}, {"t": unit})
+    assert is_double_biequivalence(into_arrow) == (False, ("object-not-reached", "1"))
+    assert is_double_biequivalence(into_loop) == (False, ("v-morphism-not-reached", "g"))
+    assert is_double_biequivalence(conflating) == (
+        False, ("square-fiber", ("id:*", "id:*", "idv:*", "idv:*"), unit, 2))
 
 
 def _inclusion_h_to_hsim(cat):
